@@ -2,10 +2,12 @@
 serialization, reproducibility plumbing.
 
 Subcommands: enumerate, phase-report, stat-phase-check, simulate-full,
-simulate-resonant, compare, triple-table.  Simulation subcommands read a JSON
-config via --config; all honor --out-dir, --seed, --threads (env fallback
-RESLAB_THREADS).  Exit codes: 0 success, 2 config error, 3 numerical failure,
-64 unknown subcommand.
+simulate-resonant, compare, triple-table.  All take --out-dir.  The simulation
+subcommands read a JSON config via --config, and --seed overrides its seed;
+--resume continues from the checkpoint in out-dir.  stat-phase-check takes
+--threads (env fallback RESLAB_THREADS).  Exit codes: 0 success, 2 config
+error (including a checkpoint that is damaged or from another config),
+3 numerical failure, 64 unknown subcommand.
 
 Outputs are deterministic for a fixed config and seed: floats are printed
 with repr-faithful %.17g, JSON keys are sorted, and all numerics run on the
@@ -20,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 import sys
 import time
 
@@ -27,7 +30,6 @@ from .errors import BlowupDetected, ConfigError, ReslabError, ResolutionError
 from .evolution import SimConfig, make_grid, run_compare, run_single
 from .hermite import TripleProductTable
 from .oscillatory import stat_phase_decay_table
-from .parallel import resolve_threads
 from .phase import PhaseParams, phase_report
 from .transform import load_state, save_state
 from .triples import gate_disagreements, interactions_for_output
@@ -92,23 +94,25 @@ def load_config(path: str | None, overrides: dict) -> tuple[SimConfig, list[str]
         if not isinstance(raw, dict):
             raise ConfigError([("/", "config must be a JSON object")])
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in dataclasses.fields(SimConfig)}
-    issues = [(f"/{key}", "unknown field") for key in raw if key not in known]
+    fields = {f.name: f.type for f in dataclasses.fields(SimConfig)}
+    issues = [(f"/{key}", "unknown field") for key in raw if key not in fields]
     if issues:
         raise ConfigError(issues)
-    if "init_modes" in raw:
-        try:
-            raw["init_modes"] = tuple(int(v) for v in raw["init_modes"])
-        except (TypeError, ValueError):
-            raise ConfigError([("/init_modes", "must be a list of integers")])
-    try:
-        config = SimConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([("/", str(exc))]) from exc
+    for key, value in raw.items():
+        if fields[key] == "int":
+            raw[key] = _json_int(value)
+    if isinstance(raw.get("init_modes"), list):
+        raw["init_modes"] = tuple(_json_int(v) for v in raw["init_modes"])
+    config = SimConfig(**raw)
     errors, warnings_ = config.validate()
     if errors:
         raise ConfigError(errors)
     return config, warnings_
+
+
+def _json_int(value):
+    """JSON Schema counts a number with zero fraction (4.0) as an integer."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _config_snapshot(config: SimConfig) -> dict:
@@ -228,6 +232,8 @@ class _RunWriter:
         else:
             with open(self.csv_path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
+            if len(lines) < 1 + truncate_to:
+                raise ValueError(f"trajectory.csv has fewer than {truncate_to} rows")
             keep = lines[:1 + truncate_to]
             with open(self.csv_path, "w", encoding="utf-8") as fh:
                 fh.writelines(keep)
@@ -268,38 +274,40 @@ class _RunWriter:
             self._fh.close()
 
 
-def _load_resume(out_dir: str, config: SimConfig):
+def _load_resume(out_dir: str, config: SimConfig, writer: _RunWriter):
+    """Reopens ``writer`` at the checkpoint in out_dir and returns the run
+    loop's ``resume`` dict, or None when out_dir holds no checkpoint."""
     progress_path = os.path.join(out_dir, "progress.json")
     if not os.path.exists(progress_path):
-        return None, None
-    with open(progress_path, "r", encoding="utf-8") as fh:
-        progress = json.load(fh)
-    if progress["config_sha"] != _config_hash(config):
-        raise ConfigError([("/", "checkpoint in out-dir was produced by a "
-                                 "different config; refusing to resume")])
-    grid = make_grid(config)
-    f, _, _ = load_state(os.path.join(out_dir, "f_checkpoint.fhstate"), grid)
-    g = None
-    if progress.get("has_g"):
-        g, _, _ = load_state(os.path.join(out_dir, "g_checkpoint.fhstate"), grid)
-    return {"step": progress["step"], "f": f, "g": g,
-            "tv": progress.get("tv", 0.0)}, progress["rows"]
+        return None
+    try:
+        with open(progress_path, "r", encoding="utf-8") as fh:
+            progress = json.load(fh)
+        if progress["config_sha"] != _config_hash(config):
+            raise ConfigError([("/", "checkpoint in out-dir was produced by a "
+                                     "different config; refusing to resume")])
+        f, _, _ = load_state(os.path.join(out_dir, "f_checkpoint.fhstate"), writer.grid)
+        g = None
+        if progress.get("has_g"):
+            g, _, _ = load_state(os.path.join(out_dir, "g_checkpoint.fhstate"),
+                                 writer.grid)
+        resume = {"step": int(progress["step"]), "f": f, "g": g,
+                  "tv": float(progress.get("tv", 0.0))}
+        writer.start(truncate_to=int(progress["rows"]))
+    except (OSError, ValueError, KeyError, TypeError, struct.error) as exc:
+        raise ConfigError([("/", f"damaged checkpoint in {out_dir} ({exc}); "
+                                 "remove it or run without --resume")]) from exc
+    return resume
 
 
 def _run_trajectory(args, which: str) -> int:
     out_dir = _ensure_out_dir(args)
-    overrides = {"seed": args.seed,
-                 "threads": args.threads if args.threads else None}
-    config, warns = load_config(args.config, overrides)
+    config, warns = load_config(args.config, {"seed": args.seed})
     for w in warns:
         print(f"warning: {w}", file=sys.stderr)
     t0 = time.time()
     writer = _RunWriter(out_dir, config, compare=(which == "compare"))
-    resume = None
-    if args.resume:
-        resume, rows = _load_resume(out_dir, config)
-        if resume is not None:
-            writer.start(truncate_to=rows)
+    resume = _load_resume(out_dir, config, writer) if args.resume else None
     if resume is None:
         writer.start()
     grid = writer.grid
@@ -347,8 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=0)
 
     p = sub.add_parser("enumerate", help="list resonant interactions")
     p.add_argument("--max-mode", type=int, required=True)
@@ -369,6 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("stat-phase-check", help="stationary-phase decay table")
+    p.add_argument("--threads", type=int, default=0,
+                   help="worker threads; 0 means RESLAB_THREADS or all cores")
     common(p)
 
     p = sub.add_parser("triple-table", help="export the interaction tensor")
@@ -380,6 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None)
         p.add_argument("--resume", action="store_true",
                        help="continue from a checkpoint in out-dir")
+        p.add_argument("--seed", type=int, default=None)
         common(p)
     return parser
 
@@ -395,8 +404,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
-        os.environ["RESLAB_THREADS"] = str(resolve_threads(args.threads))
     try:
         if args.command == "enumerate":
             return cmd_enumerate(args)

@@ -44,17 +44,18 @@ on a non-degenerate right-hand side.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import BlowupDetected
-from .hermite import TripleProductTable
+from .hermite import HermiteBasis, TripleProductTable
 from .transform import (Grid, SpectralState, composite_norms, enforce_reality,
                         hm_l2_norm, interp_matrix)
-from .hermite import HermiteBasis
-from .triples import ResonantTriple, interactions_for_output
+from .phase import d2_at_stationary_signed
+from .triples import GATES, ResonantTriple, interactions_for_output
 
 K_PREF = -1.0 / (8.0 * math.pi)
 
@@ -86,34 +87,32 @@ class SimConfig:
     nonlinear: bool = True
     resonant_subcycle: int = 1
     coupling_mode: str = "hermite"
-    threads: int = 0
 
     def validate(self) -> tuple[list[tuple[str, str]], list[str]]:
-        """Returns (errors, warnings); errors carry JSON-pointer paths."""
-        errs: list[tuple[str, str]] = []
-        warns: list[str] = []
-        if self.eps < 0:
-            errs.append(("/eps", "must be >= 0"))
-        if self.P < 1:
-            errs.append(("/P", "must be >= 1"))
-        if self.n_x1 < 16 or self.n_x1 & (self.n_x1 - 1):
-            errs.append(("/n_x1", "must be a power of two >= 16"))
-        if self.length_x1 <= 0:
-            errs.append(("/length_x1", "must be positive"))
-        if self.dt <= 0:
-            errs.append(("/dt", "must be positive"))
+        """Returns (errors, warnings); errors carry JSON-pointer paths.
+
+        The rules mirror ``config.schema.json`` (a test holds the two
+        together).  Type errors are reported alone: range rules need numbers.
+        """
+        errs = [(f"/{f.name}", f"must be {_TYPE_NAMES[f.type]}")
+                for f in fields(self)
+                if not _has_type(getattr(self, f.name), f.type)]
+        if errs:
+            return errs, []
+        for name, (low, strict) in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if value < low or (strict and value == low):
+                errs.append((f"/{name}", f"must be {'>' if strict else '>='} {low}"))
+        for name, allowed in _ENUMS.items():
+            if getattr(self, name) not in allowed:
+                errs.append((f"/{name}", "must be one of " + ", ".join(map(repr, allowed))))
+        if self.n_x1 & (self.n_x1 - 1):
+            errs.append(("/n_x1", "must be a power of two"))
         if self.t_end < self.dt:
             errs.append(("/t_end", "must be >= dt"))
-        if self.s0 <= 0:
-            errs.append(("/s0", "must be positive (1/sqrt(s) start)"))
-        if self.gate not in ("sqrt", "printed"):
-            errs.append(("/gate", "must be 'sqrt' or 'printed'"))
-        if self.coupling_mode not in ("hermite", "unit"):
-            errs.append(("/coupling_mode", "must be 'hermite' or 'unit'"))
-        if self.out_every <= 0:
-            errs.append(("/out_every", "must be positive"))
         if any(p < 0 or p >= self.P for p in self.init_modes):
             errs.append(("/init_modes", f"entries must lie in [0, {self.P})"))
+        warns = []
         if not self.M > 3:
             warns.append("M <= 3 violates the existence-theorem hypothesis M > 3")
         if not self.M > 6:
@@ -121,6 +120,31 @@ class SimConfig:
         if not self.N >= 1.5:
             warns.append("N < 3/2 violates the resonant-existence hypothesis N >= 3/2")
         return errs, warns
+
+
+# The rules of ``config.schema.json``: each field's JSON type by annotation,
+# the bounded fields' minimum or exclusiveMinimum (strict), and the enums.
+_TYPE_NAMES = {"float": "a finite number", "int": "an integer", "bool": "a boolean",
+               "str": "a string", "tuple[int, ...]": "a list of integers"}
+_LOWER_BOUNDS = {"eps": (0, False), "P": (1, False), "n_x1": (16, False),
+                 "length_x1": (0, True), "dt": (0, True), "t_end": (0, True),
+                 "M0": (0, False), "s0": (0, True), "packet_width": (0, True),
+                 "out_every": (0, True), "checkpoint_every": (0, False),
+                 "resonant_subcycle": (1, False)}
+_ENUMS = {"gate": tuple(GATES), "coupling_mode": ("hermite", "unit")}
+
+
+def _has_type(value, annotation: str) -> bool:
+    if annotation == "float":
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    if annotation == "int":
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if annotation == "bool":
+        return isinstance(value, bool)
+    if annotation == "str":
+        return isinstance(value, str)
+    return isinstance(value, tuple) and all(_has_type(v, "int") for v in value)
 
 
 def make_grid(config: SimConfig) -> Grid:
@@ -258,8 +282,7 @@ class ResonantStepper:
                     / np.sqrt((lam * xs) ** 2 + 2.0 * tr.m + 2.0)[:, None]
                 en = interp_matrix(grid, (1.0 - lam) * xs) \
                     / np.sqrt(((1.0 - lam) * xs) ** 2 + 2.0 * tr.n + 2.0)[:, None]
-                d_signed = tr.alpha * (2.0 * tr.m + 2.0) \
-                    / (lam * (lam * lam * xs ** 2 + 2.0 * tr.m + 2.0) ** 1.5)
+                d_signed = d2_at_stationary_signed(tr.m, tr.n, tr.alpha, tr.beta, xs)
                 ab = float(tr.alpha * tr.beta) if include_alpha_beta else 1.0
                 kernel = K_PREF * ab * coupling \
                     * np.sqrt(2.0 * math.pi / np.abs(d_signed))
@@ -324,28 +347,54 @@ def run_compare(config: SimConfig, grid: Grid | None = None,
     {"step", "f", "g", "tv"} and restarts the loop mid-trajectory; checkpoints
     land on output times, so total-variation accumulation continues exactly.
     """
+    return _run(config, "compare", grid, state0, observer, resume)
+
+
+def run_single(config: SimConfig, which: str, grid: Grid | None = None,
+               state0: SpectralState | None = None,
+               observer=None, resume: dict | None = None) -> TrajectoryRecord:
+    """Evolve only the full system ("full") or only the resonant one
+    ("resonant", started from the initial profile at s0)."""
+    if which not in ("full", "resonant"):
+        raise ValueError("which must be 'full' or 'resonant'")
+    return _run(config, which, grid, state0, observer, resume)
+
+
+def _run(config: SimConfig, which: str, grid: Grid | None,
+         state0: SpectralState | None, observer, resume: dict | None) -> TrajectoryRecord:
+    """The one run loop.  The primary state f is stepped by the full stepper,
+    or by the resonant sub-cycle when ``which == "resonant"``; in "compare" g
+    forks from f at s0 and then runs the same sub-cycle."""
     errs, _ = config.validate()
     if errs:
         raise ValueError("invalid config: " + "; ".join(p for p, _ in errs))
     if grid is None:
         grid = make_grid(config)
-    full = FullStepper(grid, config.P, nonlinear=config.nonlinear,
-                       norm_ceiling=config.norm_ceiling)
-    table = TripleProductTable(config.P - 1)
-    resonant = ResonantStepper(grid, config.P, gate=config.gate, table=table,
-                               include_alpha_beta=config.include_alpha_beta,
-                               norm_ceiling=config.norm_ceiling,
-                               coupling_mode=config.coupling_mode)
     record = TrajectoryRecord()
-    record.resonant_triple_count = resonant.triple_count
-    record.resonant_couplings_all_zero = all(
-        slot.triple.coupling == 0.0 for slots_p in resonant.slots for slot in slots_p)
+    if which != "resonant":
+        full = FullStepper(grid, config.P, nonlinear=config.nonlinear,
+                           norm_ceiling=config.norm_ceiling)
+    if which != "full":
+        resonant = ResonantStepper(grid, config.P, gate=config.gate,
+                                   include_alpha_beta=config.include_alpha_beta,
+                                   norm_ceiling=config.norm_ceiling,
+                                   coupling_mode=config.coupling_mode)
+        record.resonant_triple_count = resonant.triple_count
+        record.resonant_couplings_all_zero = all(
+            slot.triple.coupling == 0.0 for slots_p in resonant.slots for slot in slots_p)
+    ds = config.dt / config.resonant_subcycle
+
+    def subcycle(state: SpectralState) -> SpectralState:
+        for _ in range(config.resonant_subcycle):
+            state = resonant.step(state, ds)
+        return state
+
     out_stride = max(1, round(config.out_every / config.dt))
     ckpt_stride = max(out_stride,
                       (config.checkpoint_every // out_stride) * out_stride)
-    n_total = _n_steps(config.t_end, config.dt)
-    i_s0 = min(_n_steps(config.s0, config.dt), n_total)
-    ds = config.dt / max(1, config.resonant_subcycle)
+    t_start = config.s0 if which == "resonant" else 0.0
+    n_total = _n_steps(max(config.t_end - t_start, 0.0), config.dt)
+    i_s0 = min(_n_steps(config.s0, config.dt), n_total) if which == "compare" else -1
 
     if resume is not None:
         i_start = int(resume["step"])
@@ -358,6 +407,8 @@ def run_compare(config: SimConfig, grid: Grid | None = None,
         if state0 is None:
             _, state0 = init_profile(config, grid)
         f = state0.copy()
+        if which == "resonant":
+            f.time = t_start
         g = None
         prev_out = None
 
@@ -380,77 +431,15 @@ def run_compare(config: SimConfig, grid: Grid | None = None,
     if resume is None:
         emit(0)
     for i in range(i_start + 1, n_total + 1):
-        f = full.step(f, config.dt)
+        f = subcycle(f) if which == "resonant" else full.step(f, config.dt)
         if i == i_s0:
             g = f.copy()
             prev_out = f.coeffs.copy()
         elif g is not None:
-            for _ in range(max(1, config.resonant_subcycle)):
-                g = resonant.step(g, ds)
+            g = subcycle(g)
         if i % out_stride == 0 or i == n_total:
             emit(i)
         if observer is not None and config.checkpoint_every > 0 \
                 and i % ckpt_stride == 0:
             observer("ckpt", i, f, g, record)
-    return record
-
-
-def run_single(config: SimConfig, which: str, grid: Grid | None = None,
-               state0: SpectralState | None = None,
-               observer=None, resume: dict | None = None) -> TrajectoryRecord:
-    """Evolve only the full system ("full") or only the resonant one
-    ("resonant", started from the initial profile at s0)."""
-    errs, _ = config.validate()
-    if errs:
-        raise ValueError("invalid config: " + "; ".join(p for p, _ in errs))
-    if grid is None:
-        grid = make_grid(config)
-    record = TrajectoryRecord()
-    out_stride = max(1, round(config.out_every / config.dt))
-    ckpt_stride = max(out_stride,
-                      (config.checkpoint_every // out_stride) * out_stride)
-    if which == "full":
-        stepper = FullStepper(grid, config.P, nonlinear=config.nonlinear,
-                              norm_ceiling=config.norm_ceiling)
-        n_total = _n_steps(config.t_end, config.dt)
-    elif which == "resonant":
-        stepper = ResonantStepper(grid, config.P, gate=config.gate,
-                                  include_alpha_beta=config.include_alpha_beta,
-                                  norm_ceiling=config.norm_ceiling,
-                                  coupling_mode=config.coupling_mode)
-        record.resonant_triple_count = stepper.triple_count
-        record.resonant_couplings_all_zero = all(
-            s.triple.coupling == 0.0 for sp in stepper.slots for s in sp)
-        n_total = _n_steps(max(config.t_end - config.s0, 0.0), config.dt)
-    else:
-        raise ValueError("which must be 'full' or 'resonant'")
-
-    if resume is not None:
-        i_start = int(resume["step"])
-        state = resume["f"].copy()
-    else:
-        i_start = 0
-        if state0 is None:
-            _, state0 = init_profile(config, grid)
-        state = state0.copy()
-        if which == "resonant":
-            state.time = config.s0
-
-    def emit(step: int) -> None:
-        record.times.append(state.time)
-        record.norms_full.append(composite_norms(state, grid, config.M, config.N))
-        record.norms_resonant.append(None)
-        record.diff_norms.append(float("nan"))
-        if observer is not None:
-            observer("out", step, state, None, record)
-
-    if resume is None:
-        emit(0)
-    for i in range(i_start + 1, n_total + 1):
-        state = stepper.step(state, config.dt)
-        if i % out_stride == 0 or i == n_total:
-            emit(i)
-        if observer is not None and config.checkpoint_every > 0 \
-                and i % ckpt_stride == 0:
-            observer("ckpt", i, state, None, record)
     return record

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, DegenerateSelfInteraction, ResonantCaseError
-from .triples import condition_polynomial, sqrt_gate_admissible
+from .triples import GATES, printed_gate_excludes
 
 
 class Gate(enum.Enum):
@@ -62,10 +62,6 @@ class PhaseParams:
 class ResonanceClass:
     tag: Tag
     resonant_line_slope: float | None = None  # Lambda, with xi = Lambda * eta
-
-
-def _bracket(eta: float, mode: int) -> float:
-    return math.sqrt(eta * eta + 2.0 * mode + 2.0)
 
 
 def phase(params: PhaseParams, xi, eta):
@@ -125,9 +121,7 @@ def d2_at_stationary(m: int, n: int, ab: int, xi) -> float:
     quantity vary; the signed value is ``d2_at_stationary_signed``).  ``ab``
     is the product alpha*beta.
     """
-    if m == n and ab == -1:
-        raise DegenerateSelfInteraction(f"m = n = {m} with alpha = -beta")
-    lam = 1.0 / (1.0 + ab * math.sqrt((n + 1.0) / (m + 1.0)))
+    lam = lambda_coeff(m, n, 1, ab)
     xi = np.asarray(xi, dtype=float)
     out = (2.0 * m + 2.0) / (lam * (lam * lam * xi ** 2 + 2.0 * m + 2.0) ** 1.5)
     return out if out.ndim else float(out)
@@ -145,18 +139,11 @@ def classify(params: PhaseParams, gate: Gate = Gate.AS_PRINTED) -> ResonanceClas
     gate decides whether the space resonant line is also time resonant.
     """
     m, n, p, a, b = params.m, params.n, params.p, params.alpha, params.beta
-    slope = line_slope(m, n, a, b)
-    if (a, b) == (1, 1):
+    if (a, b) == (1, 1) or (gate is Gate.AS_PRINTED
+                            and printed_gate_excludes(m, n, p, a, b)):
         return ResonanceClass(Tag.NO_TIME_RESONANCE)
-    if gate is Gate.AS_PRINTED:
-        ab = a * b
-        if ab * p + b * m < 0 or ab * p + b * n < 0:
-            return ResonanceClass(Tag.NO_TIME_RESONANCE)
-        if condition_polynomial(m, n, p) == 0 and ab * p + b * m + a * n >= 0:
-            return ResonanceClass(Tag.SPACE_TIME_RESONANT_LINE, slope)
-        return ResonanceClass(Tag.SPACE_RESONANT_ONLY)
-    if sqrt_gate_admissible(m, n, p, a, b):
-        return ResonanceClass(Tag.SPACE_TIME_RESONANT_LINE, slope)
+    if GATES[gate.value](m, n, p, a, b):
+        return ResonanceClass(Tag.SPACE_TIME_RESONANT_LINE, line_slope(m, n, a, b))
     return ResonanceClass(Tag.SPACE_RESONANT_ONLY)
 
 

@@ -100,18 +100,27 @@ def sqrt_gate_admissible(m: int, n: int, p: int, alpha: int, beta: int) -> bool:
     return _partner(a, b) == big
 
 
+def printed_gate_excludes(m: int, n: int, p: int, alpha: int, beta: int) -> bool:
+    """First branch of the sign-inequality case analysis: the tuple has no
+    time resonance at all (neither space-time nor space resonant only)."""
+    ab = alpha * beta
+    return (alpha, beta) == (1, 1) or ab * p + beta * m < 0 or ab * p + beta * n < 0
+
+
 def printed_gate_admissible(m: int, n: int, p: int, alpha: int, beta: int) -> bool:
     """Admissibility via the sign-inequality case analysis.
 
     Disagrees with the root characterization on some mixed-sign tuples
     (reports surface the differences); kept selectable for comparison.
     """
-    if (alpha, beta) == (1, 1):
+    if printed_gate_excludes(m, n, p, alpha, beta):
         return False
-    ab = alpha * beta
-    if ab * p + beta * m < 0 or ab * p + beta * n < 0:
-        return False
-    return condition_polynomial(m, n, p) == 0 and ab * p + beta * m + alpha * n >= 0
+    return (condition_polynomial(m, n, p) == 0
+            and alpha * beta * p + beta * m + alpha * n >= 0)
+
+
+# gate name (the ``gate`` config value and ``phase.Gate`` value) -> admissibility test
+GATES = {"sqrt": sqrt_gate_admissible, "printed": printed_gate_admissible}
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,7 @@ def interactions_for_output(p: int, max_mode: int, gate: str = "sqrt",
 
     if p > max_mode:
         raise ValueError("output mode exceeds max_mode")
-    admissible = {"sqrt": sqrt_gate_admissible, "printed": printed_gate_admissible}[gate]
+    admissible = GATES[gate]
     out = []
     for m, n in _input_pairs_for_output(p, max_mode):
         for alpha in (-1, 1):

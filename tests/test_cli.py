@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,10 @@ import reslab.evolution as evolution
 from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         load_config, main)
 from reslab.errors import ConfigError
+from reslab.evolution import SimConfig
+
+SCHEMA = json.loads((Path(__file__).parents[1] / "config.schema.json")
+                    .read_text())["properties"]
 
 
 def write_cfg(path, **overrides):
@@ -58,6 +64,51 @@ def test_small_M_warns_but_runs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_OK
     assert "M > 3" in err
+
+
+def test_schema_matches_simconfig():
+    fields = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+    assert set(SCHEMA) == set(fields)
+    for name, prop in SCHEMA.items():
+        default = fields[name]
+        assert prop["default"] == (list(default) if isinstance(default, tuple)
+                                   else default), name
+
+
+def _schema_violations():
+    wrong_type = {"number": ["1", True, None, float("nan")],
+                  "integer": [1.5, "4", True], "boolean": ["no", 1],
+                  "array": ["23", [1.5], [True]]}
+    for name, prop in SCHEMA.items():
+        for value in wrong_type.get(prop.get("type"), []):
+            yield name, value
+        if "enum" in prop:
+            yield name, "nope"
+        if "minimum" in prop:
+            yield name, prop["minimum"] - 1
+        if "exclusiveMinimum" in prop:
+            yield name, prop["exclusiveMinimum"]
+        if "minimum" in prop.get("items", {}):
+            yield name, [prop["items"]["minimum"] - 1]
+
+
+@pytest.mark.parametrize("name,value", list(_schema_violations()))
+def test_schema_violation_rejected_at_field(tmp_path, capsys, name, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}))
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(cfg), {})
+    assert f"/{name}" in [path for path, _ in exc.value.issues]
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) \
+        == EXIT_CONFIG
+    assert f"config error at /{name}:" in capsys.readouterr().err
+
+
+def test_integral_json_numbers_are_integers(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json", n_x1=64.0, P=4.0, init_modes=[0.0, 3])
+    config, _ = load_config(str(cfg), {})
+    assert (config.n_x1, config.P, config.init_modes) == (64, 4, (0, 3))
+    assert type(config.n_x1) is int and type(config.init_modes[0]) is int
 
 
 def test_config_echo_and_warnings(tmp_path):
@@ -142,12 +193,8 @@ def test_simulate_resonant_runs(tmp_path):
     assert summary["which"] == "resonant"
 
 
-def test_kill_and_resume_reproduces_trajectory(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path / "cfg.json", t_end=3.0)
-    ref = tmp_path / "ref"
-    assert main(["compare", "--config", str(cfg), "--out-dir", str(ref)]) == EXIT_OK
-
-    crashdir = tmp_path / "crash"
+def _crash_compare(cfg, out_dir, monkeypatch):
+    """Runs compare until the 81st full step, then dies as a kill would."""
     orig = evolution.FullStepper.step
     calls = {"n": 0}
 
@@ -159,15 +206,72 @@ def test_kill_and_resume_reproduces_trajectory(tmp_path, monkeypatch):
 
     monkeypatch.setattr(evolution.FullStepper, "step", dying_step)
     with pytest.raises(KeyboardInterrupt):
-        main(["compare", "--config", str(cfg), "--out-dir", str(crashdir)])
+        main(["compare", "--config", str(cfg), "--out-dir", str(out_dir)])
     monkeypatch.setattr(evolution.FullStepper, "step", orig)
+    assert (out_dir / "progress.json").exists()
 
-    assert (crashdir / "progress.json").exists()
+
+def test_kill_and_resume_reproduces_trajectory(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=3.0)
+    ref = tmp_path / "ref"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(ref)]) == EXIT_OK
+
+    crashdir = tmp_path / "crash"
+    _crash_compare(cfg, crashdir, monkeypatch)
     assert main(["compare", "--config", str(cfg), "--out-dir", str(crashdir),
                  "--resume"]) == EXIT_OK
     a = np.genfromtxt(ref / "trajectory.csv", delimiter=",", skip_header=1)
     b = np.genfromtxt(crashdir / "trajectory.csv", delimiter=",", skip_header=1)
     assert np.nanmax(np.abs(a - b)) <= 1e-12
+
+
+def test_thread_setting_does_not_bind_resume(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=3.0)
+    ref = tmp_path / "ref"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(ref)]) == EXIT_OK
+    # the thread count is neither a config field nor a compare flag
+    assert main(["compare", "--config", str(write_cfg(tmp_path / "t.json", threads=1)),
+                 "--out-dir", str(tmp_path / "t")]) == EXIT_CONFIG
+    assert "/threads: unknown field" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", str(cfg), "--threads", "1",
+              "--out-dir", str(tmp_path / "t")])
+    assert exc.value.code == 2
+
+    crashdir = tmp_path / "crash"
+    monkeypatch.setenv("RESLAB_THREADS", "1")
+    _crash_compare(cfg, crashdir, monkeypatch)
+    monkeypatch.delenv("RESLAB_THREADS")
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(crashdir),
+                 "--resume"]) == EXIT_OK
+    assert (crashdir / "trajectory.csv").read_bytes() == \
+        (ref / "trajectory.csv").read_bytes()
+
+
+def _cut(path, size):
+    path.write_bytes(path.read_bytes()[:size])
+
+
+DAMAGE = {
+    "state header cut": lambda d: _cut(d / "f_checkpoint.fhstate", 20),
+    "state payload cut": lambda d: _cut(d / "g_checkpoint.fhstate", 200),
+    "progress garbage": lambda d: (d / "progress.json").write_text("{step: 7"),
+    "progress not an object": lambda d: (d / "progress.json").write_text("[1]"),
+    "state file missing": lambda d: (d / "g_checkpoint.fhstate").unlink(),
+    "trajectory rows missing": lambda d: _cut(d / "trajectory.csv", 40),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_checkpoint_exits_cleanly(tmp_path, capsys, damage):
+    cfg = write_cfg(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    DAMAGE[damage](out)
+    capsys.readouterr()
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out),
+                 "--resume"]) == EXIT_CONFIG
+    assert "damaged checkpoint" in capsys.readouterr().err
 
 
 def test_resume_rejects_other_config(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -246,6 +247,31 @@ def test_run_single_full_and_resonant():
     assert rec_r.times[0] == 1.0 and rec_r.times[-1] == pytest.approx(1.5)
     with pytest.raises(ValueError):
         run_single(cfg, "neither")
+
+
+def test_run_single_resonant_honours_subcycle():
+    cfg = SimConfig(eps=50.0, P=4, n_x1=64, dt=0.05, t_end=1.5, s0=1.0,
+                    init_modes=(0, 3), out_every=0.25, coupling_mode="unit")
+
+    def end_state(config):
+        last = {}
+
+        def observer(kind, step, f, g, record):
+            last["f"] = f
+        run_single(config, "resonant", observer=observer)
+        return last["f"]
+
+    one = end_state(cfg)
+    two = end_state(dataclasses.replace(cfg, resonant_subcycle=2))
+    assert not np.array_equal(one.coeffs, two.coeffs)
+
+    grid, state = init_profile(cfg)
+    stepper = ResonantStepper(grid, cfg.P, coupling_mode="unit")
+    state.time = cfg.s0
+    for _ in range(round((cfg.t_end - cfg.s0) / cfg.dt) * 2):
+        state = stepper.step(state, cfg.dt / 2)
+    assert np.array_equal(two.coeffs, state.coeffs)
+    assert two.time == state.time
 
 
 def test_kernel_consistency_sample():

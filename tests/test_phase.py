@@ -14,7 +14,8 @@ from reslab.phase import (Gate, PhaseParams, Regime, ResonanceClass, Tag,
                           dphase_deta, dphase_dxi, d2phase_deta2, lambda_coeff,
                           line_slope, phase, phase_floor, phase_report,
                           sampled_phase_min)
-from reslab.triples import enumerate_triples
+from reslab.triples import (enumerate_triples, printed_gate_admissible,
+                            sqrt_gate_admissible)
 
 
 def test_phase_all_plus_at_origin():
@@ -133,6 +134,20 @@ def test_classify_all_plus_never_time_resonant():
 
 def test_classify_space_resonant_only():
     assert classify(PhaseParams(0, 0, 1, -1, -1)).tag is Tag.SPACE_RESONANT_ONLY
+
+
+def test_classify_agrees_with_gate_functions():
+    gates = ((Gate.SQRT, sqrt_gate_admissible), (Gate.AS_PRINTED, printed_gate_admissible))
+    for m in range(31):
+        for n in range(31):
+            for p in range(31):
+                for a in (-1, 1):
+                    for b in (-1, 1):
+                        params = PhaseParams(m, n, p, a, b)
+                        for gate, admissible in gates:
+                            on_line = classify(params, gate).tag is \
+                                Tag.SPACE_TIME_RESONANT_LINE
+                            assert on_line == admissible(m, n, p, a, b)
 
 
 def test_resonant_line_vanishing_all_enumerated():
