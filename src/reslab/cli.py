@@ -325,6 +325,7 @@ def _run_trajectory(args, which: str) -> int:
         "include_alpha_beta": config.include_alpha_beta,
         "coupling_mode": config.coupling_mode,
         "resonant_triple_count": record.resonant_triple_count,
+        "resonant_active_slots": record.resonant_active_slots,
         "resonant_couplings_all_zero": record.resonant_couplings_all_zero,
         "end_time": record.times[-1] if record.times else None,
         "end_diff_HM0L2": diffs[-1] if diffs else None,

@@ -10,8 +10,9 @@ One step is Strang: exact half rotation, midpoint-rule nonlinear kick computed
 by reconstructing u in physical space (mode-wise division by om), squaring
 pointwise at the cubic quadrature nodes (which makes the mode truncation an
 exact Galerkin projection through the triple-product tensor), transforming
-back, 2/3-rule dealiasing in xi.  The stored state is the profile
-f~_{pm,p} = e^(-+ i t om) u~_{pm,p}, invariant under the linear flow.
+back, 2/3-rule dealiasing in xi, exact half rotation.  On the stored profile
+f~_{pm,p} = e^(-+ i t om) u~_{pm,p}, invariant under the linear flow, the
+rotations fold into rot = e^(+-i (t+dt/2) om): f' = f + dt conj(rot) k2(rot f).
 
 Resonant system
 ---------------
@@ -35,10 +36,10 @@ A structural fact surfaces here: the resonance condition forces m + n + p to
 be odd (reduce the polynomial mod 2), while M(m,n,p) vanishes exactly for odd
 total parity.  Every admissible triple therefore carries coupling zero and
 the physically-coupled resonant flow is trivial: the reduced profile is
-constant in s.  The stepper keeps the full kernel machinery (validated
-against the oscillatory module) and offers ``coupling_mode="unit"`` as a
-diagnostic that replaces M by 1, so integrator convergence can be measured
-on a non-degenerate right-hand side.
+constant in s.  The stepper builds no slot for a zero-coupling triple, and
+offers ``coupling_mode="unit"`` as a diagnostic that replaces M by 1, so the
+kernel machinery (validated against the oscillatory module) and integrator
+convergence can be measured on a non-degenerate right-hand side.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .phase import d2_at_stationary_signed
 from .triples import GATES, ResonantTriple, interactions_for_output
 
 K_PREF = -1.0 / (8.0 * math.pi)
+_SIGMA = np.array([1.0, -1.0])[:, None, None]    # component signs (+, -)
 
 
 @dataclass(frozen=True)
@@ -207,13 +209,14 @@ class FullStepper:
         self.mask = _dealias_mask(grid.n_x1)
         self.synth = basis.cubic_phi[:n_modes]                       # (P, Qc)
         self.project = basis.cubic_total_weights * basis.cubic_phi[:n_modes]
+        self._two_i_omega = 2j * self.omega
         self._alt = grid.alt
         self._scale_fwd = grid.dx
         self._scale_inv = grid.n_x1 / grid.length_x1
 
     def _nonlinear_rhs(self, u: np.ndarray) -> np.ndarray:
         """(u^2)~_p from traveling components, shape (P, n), dealiased."""
-        mode = (u[0] - u[1]) / (2j * self.omega)                     # u~_m
+        mode = (u[0] - u[1]) / self._two_i_omega                     # u~_m
         phys1 = self._scale_inv * np.fft.ifft(self._alt[None, :] * mode, axis=1)
         vals = phys1.T @ self.synth                                  # (n, Qc)
         proj = (vals * vals) @ self.project.T                        # (n, P)
@@ -222,18 +225,14 @@ class FullStepper:
         return out
 
     def step(self, state: SpectralState, dt: float) -> SpectralState:
-        t = state.time
-        sgn = np.array([1.0, -1.0])[:, None, None]
-        om = self.omega[None, :, :]
-        u = state.coeffs * np.exp(1j * sgn * t * om)     # profile -> traveling
-        u = u * np.exp(1j * sgn * (dt / 2.0) * om)
+        t, f = state.time, state.coeffs
+        coeffs = f.copy()                    # the linear flow leaves f invariant
         if self.nonlinear:
+            rot = np.exp(1j * _SIGMA * (t + dt / 2.0) * self.omega)   # folded Strang
+            u = f * rot                                      # traveling, mid-step
             k1 = self._nonlinear_rhs(u)
-            um = u + (dt / 2.0) * k1[None, :, :]
-            k2 = self._nonlinear_rhs(um)
-            u = u + dt * k2[None, :, :]
-        u = u * np.exp(1j * sgn * (dt / 2.0) * om)
-        coeffs = u * np.exp(-1j * sgn * (t + dt) * om)   # back to the profile
+            k2 = self._nonlinear_rhs(u + (dt / 2.0) * k1)
+            coeffs = f + dt * k2 * rot.conj()
         _check_ceiling(coeffs, self.norm_ceiling)
         return SpectralState(t + dt, coeffs)
 
@@ -244,12 +243,13 @@ class _TripleSlot:
     idx: np.ndarray        # output-frequency indices with both reads in-window
     em: np.ndarray         # interpolation at lam*xi, divided by <lam xi>_m
     en: np.ndarray         # interpolation at (1-lam)*xi, divided by <(1-lam) xi>_n
-    kernel: np.ndarray     # ab * M * sqrt(2 pi / |D|), sign(D) tracked separately
-    sign_d: np.ndarray
+    kernel: np.ndarray     # ab * M * sqrt(2 pi / |D|)
+    fresnel: np.ndarray    # e^(i pi/4 (-sigma) sgn D), rows sigma = +1, -1
 
 
 class ResonantStepper:
-    """Explicit midpoint integrator for the resonant system."""
+    """Explicit midpoint integrator for the resonant system.  ``slots`` holds
+    the triples with in-window samples and a non-zero coupling."""
 
     def __init__(self, grid: Grid, n_modes: int, gate: str = "sqrt",
                  table: TripleProductTable | None = None,
@@ -260,34 +260,33 @@ class ResonantStepper:
         self.grid = grid
         self.n_modes = n_modes
         self.norm_ceiling = norm_ceiling
-        self.coupling_mode = coupling_mode
         if table is None:
             table = TripleProductTable(n_modes - 1)
         xi = grid.xi
         bound = grid.xi_max * (1.0 + 1e-12)
-        self.triple_count = 0
-        self.slots: list[list[_TripleSlot]] = []
-        for p in range(n_modes):
-            slots_p = []
-            for tr in interactions_for_output(p, n_modes - 1, gate=gate, table=table):
-                self.triple_count += 1
-                coupling = tr.coupling if coupling_mode == "hermite" else 1.0
-                lam = tr.lam
-                ok = (np.abs(lam * xi) <= bound) & (np.abs((1.0 - lam) * xi) <= bound)
-                idx = np.nonzero(ok)[0]
-                if idx.size == 0:
-                    continue
-                xs = xi[idx]
-                em = interp_matrix(grid, lam * xs) \
-                    / np.sqrt((lam * xs) ** 2 + 2.0 * tr.m + 2.0)[:, None]
-                en = interp_matrix(grid, (1.0 - lam) * xs) \
-                    / np.sqrt(((1.0 - lam) * xs) ** 2 + 2.0 * tr.n + 2.0)[:, None]
-                d_signed = d2_at_stationary_signed(tr.m, tr.n, tr.alpha, tr.beta, xs)
-                ab = float(tr.alpha * tr.beta) if include_alpha_beta else 1.0
-                kernel = K_PREF * ab * coupling \
-                    * np.sqrt(2.0 * math.pi / np.abs(d_signed))
-                slots_p.append(_TripleSlot(tr, idx, em, en, kernel, np.sign(d_signed)))
-            self.slots.append(slots_p)
+        triples = [tr for p in range(n_modes)
+                   for tr in interactions_for_output(p, n_modes - 1, gate=gate, table=table)]
+        self.triple_count = len(triples)
+        # every Hermite M(m,n,p) is zero, whatever coupling_mode is
+        self.couplings_all_zero = all(tr.coupling == 0.0 for tr in triples)
+        self.slots: list[list[_TripleSlot]] = [[] for _ in range(n_modes)]
+        for tr in triples:
+            coupling = tr.coupling if coupling_mode == "hermite" else 1.0
+            lam = tr.lam
+            ok = (np.abs(lam * xi) <= bound) & (np.abs((1.0 - lam) * xi) <= bound)
+            idx = np.nonzero(ok)[0]
+            if idx.size == 0 or coupling == 0.0:
+                continue
+            xs = xi[idx]
+            em = interp_matrix(grid, lam * xs) \
+                / np.sqrt((lam * xs) ** 2 + 2.0 * tr.m + 2.0)[:, None]
+            en = interp_matrix(grid, (1.0 - lam) * xs) \
+                / np.sqrt(((1.0 - lam) * xs) ** 2 + 2.0 * tr.n + 2.0)[:, None]
+            d_signed = d2_at_stationary_signed(tr.m, tr.n, tr.alpha, tr.beta, xs)
+            ab = float(tr.alpha * tr.beta) if include_alpha_beta else 1.0
+            kernel = K_PREF * ab * coupling * np.sqrt(2.0 * math.pi / np.abs(d_signed))
+            fresnel = np.exp(1j * (math.pi / 4.0) * -_SIGMA[:, 0] * np.sign(d_signed))
+            self.slots[tr.p].append(_TripleSlot(tr, idx, em, en, kernel, fresnel))
 
     def rhs(self, coeffs: np.ndarray, s: float) -> np.ndarray:
         out = np.zeros_like(coeffs)
@@ -295,14 +294,13 @@ class ResonantStepper:
         for p, slots_p in enumerate(self.slots):
             for slot in slots_p:
                 tr = slot.triple
-                for sigma, comp in ((1, 0), (-1, 1)):
+                for comp, sigma in enumerate((1, -1)):
                     comp_m = 0 if -sigma * tr.alpha == 1 else 1
                     comp_n = 0 if -sigma * tr.beta == 1 else 1
                     a_leg = slot.em @ coeffs[comp_m, tr.m]
                     b_leg = slot.en @ coeffs[comp_n, tr.n]
-                    fresnel = np.exp(1j * (math.pi / 4.0) * (-sigma) * slot.sign_d)
                     out[comp, p, slot.idx] += (inv_sqrt_s * slot.kernel
-                                               * fresnel * a_leg * b_leg)
+                                               * slot.fresnel[comp] * a_leg * b_leg)
         return out
 
     def step(self, state: SpectralState, ds: float) -> SpectralState:
@@ -324,7 +322,8 @@ class TrajectoryRecord:
     # output times of the comparison window [s0, t_end]
     tv_full: float = 0.0
     resonant_triple_count: int = 0
-    resonant_couplings_all_zero: bool = True
+    resonant_active_slots: int = 0      # slots the resonant stepper steps
+    resonant_couplings_all_zero: bool = True   # every M(m,n,p) is zero
 
 
 def _n_steps(span: float, dt: float) -> int:
@@ -380,8 +379,8 @@ def _run(config: SimConfig, which: str, grid: Grid | None,
                                    norm_ceiling=config.norm_ceiling,
                                    coupling_mode=config.coupling_mode)
         record.resonant_triple_count = resonant.triple_count
-        record.resonant_couplings_all_zero = all(
-            slot.triple.coupling == 0.0 for slots_p in resonant.slots for slot in slots_p)
+        record.resonant_active_slots = sum(map(len, resonant.slots))
+        record.resonant_couplings_all_zero = resonant.couplings_all_zero
     ds = config.dt / config.resonant_subcycle
 
     def subcycle(state: SpectralState) -> SpectralState:

@@ -193,6 +193,24 @@ def test_simulate_resonant_runs(tmp_path):
     assert summary["which"] == "resonant"
 
 
+def test_summary_counts_active_resonant_slots(tmp_path):
+    # "all zero" reports the Hermite couplings, whatever coupling_mode is;
+    # the active slots are the ones the stepper steps
+    desk = Path(__file__).parents[1] / "configs" / "compare_desk.json"
+    unit = write_cfg(tmp_path / "unit.json", coupling_mode="unit")
+    active = {}
+    for cfg in (desk, unit):
+        out = tmp_path / cfg.stem
+        assert main(["simulate-resonant", "--config", str(cfg),
+                     "--out-dir", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["resonant_couplings_all_zero"] is True
+        assert summary["resonant_triple_count"] > 0
+        active[cfg.stem] = summary["resonant_active_slots"]
+    assert active["compare_desk"] == 0
+    assert active["unit"] > 0
+
+
 def _crash_compare(cfg, out_dir, monkeypatch):
     """Runs compare until the 81st full step, then dies as a kill would."""
     orig = evolution.FullStepper.step

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import leapfrog_reference, physical_field_on
+from oracles import leapfrog_reference, physical_field_on, strang_step_reference
 from reslab.errors import BlowupDetected
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               init_profile, make_grid, run_compare, run_single)
 from reslab.phase import d2_at_stationary_signed, lambda_coeff
+from reslab.triples import interactions_for_output
 from reslab.transform import (SpectralState, composite_norms, interp_eval,
                               reality_defect)
 
@@ -72,6 +73,29 @@ def test_linear_flow_profile_invariant(small_setup):
         s = stepper.step(s, 0.02)
     per_mode1 = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=2))
     assert np.max(np.abs(per_mode1 - per_mode0)) <= 1e-12 * np.max(per_mode0)
+
+
+def test_linear_step_returns_coefficients_exactly(small_setup):
+    grid, state = small_setup
+    out = FullStepper(grid, 4, nonlinear=False).step(state, 0.02)
+    assert np.array_equal(out.coeffs, state.coeffs)
+    assert out.coeffs is not state.coeffs
+    assert out.time == state.time + 0.02
+
+
+def test_folded_step_matches_unfolded_strang():
+    cfg = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.02, t_end=1.0, init_modes=(0, 3))
+    grid, state = init_profile(cfg)
+    stepper = FullStepper(grid, 6)
+    folded = state.copy()
+    ref_t, ref = state.time, state.coeffs.copy()
+    for _ in range(50):
+        folded = stepper.step(folded, cfg.dt)
+        ref_t, ref = strang_step_reference(stepper, SpectralState(ref_t, ref), cfg.dt)
+        assert folded.time == ref_t
+        assert np.max(np.abs(folded.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the kicks moved f far beyond the tolerance, so the comparison is not vacuous
+    assert np.max(np.abs(ref - state.coeffs)) >= 1e-6 * np.max(np.abs(ref))
 
 
 def test_reality_preserved_by_full_step(small_setup):
@@ -146,10 +170,23 @@ def test_resonant_no_triples_constant():
 
 def test_resonant_couplings_all_zero_by_parity():
     # every admissible triple has odd m+n+p, so the physical system is trivial
+    triples = [tr for p in range(8) for tr in interactions_for_output(p, 7)]
+    assert triples
+    assert all((tr.m + tr.n + tr.p) % 2 == 1 and tr.coupling == 0.0 for tr in triples)
     grid = make_grid(SimConfig(P=8, n_x1=64))
     stepper = ResonantStepper(grid, 8)
-    assert stepper.triple_count > 0
-    assert all(s.triple.coupling == 0.0 for sp in stepper.slots for s in sp)
+    assert stepper.triple_count == len(triples)
+    assert stepper.couplings_all_zero
+    assert all(sp == [] for sp in stepper.slots)
+    # unit mode keeps one slot per triple that has in-window samples
+    unit = ResonantStepper(grid, 8, coupling_mode="unit")
+    bound = grid.xi_max * (1.0 + 1e-12)
+    in_window = [tr for tr in triples
+                 if np.any((np.abs(tr.lam * grid.xi) <= bound)
+                           & (np.abs((1.0 - tr.lam) * grid.xi) <= bound))]
+    assert in_window
+    assert [s.triple for sp in unit.slots for s in sp] == in_window
+    assert unit.couplings_all_zero
     cfg = SimConfig(eps=0.05, P=8, n_x1=64, t_end=2.0, dt=0.02, init_modes=(2, 3))
     grid, state = init_profile(cfg)
     s = state.copy()
