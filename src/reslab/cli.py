@@ -4,8 +4,9 @@ serialization, reproducibility plumbing.
 Subcommands: enumerate, phase-report, stat-phase-check, simulate-full,
 simulate-resonant, compare, triple-table.  All take --out-dir.  The simulation
 subcommands read a JSON config via --config, and --seed overrides its seed;
---resume continues from the checkpoint in out-dir.  stat-phase-check takes
---threads (env fallback RESLAB_THREADS).  Exit codes: 0 success, 2 config
+they checkpoint to out-dir/checkpoint.npz (see ``transform.save_state``), and
+--resume continues from it, or starts afresh without one.  stat-phase-check
+takes --threads (env fallback RESLAB_THREADS).  Exit codes: 0 success, 2 config
 error (including a checkpoint that is damaged or from another config),
 3 numerical failure, 64 unknown subcommand.
 
@@ -22,7 +23,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import struct
 import sys
 import time
 
@@ -39,6 +39,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
+
+CHECKPOINT = "checkpoint.npz"
 
 _COMMANDS = ("enumerate", "phase-report", "stat-phase-check", "simulate-full",
              "simulate-resonant", "compare", "triple-table")
@@ -207,7 +209,7 @@ def cmd_triple_table(args) -> int:
 
 
 class _RunWriter:
-    """Streams trajectory rows and writes checkpoint/progress files."""
+    """Streams trajectory rows and writes the checkpoint file."""
 
     def __init__(self, out_dir: str, config: SimConfig, compare: bool):
         self.out_dir = out_dir
@@ -256,18 +258,11 @@ class _RunWriter:
             self._fh.flush()
             self.rows += 1
         elif kind == "ckpt":
-            save_state(os.path.join(self.out_dir, "f_checkpoint.fhstate"),
-                       self.grid, f)
-            if g is not None:
-                save_state(os.path.join(self.out_dir, "g_checkpoint.fhstate"),
-                           self.grid, g)
-            _write_json(os.path.join(self.out_dir, "progress.json"), {
-                "step": step,
-                "rows": self.rows,
-                "tv": record.tv_full,
-                "has_g": g is not None,
-                "config_sha": _config_hash(self.config),
-            })
+            meta = {"step": step, "rows": self.rows, "tv": record.tv_full,
+                    "config_sha": _config_hash(self.config)}
+            states = {"f": f} if g is None else {"f": f, "g": g}
+            save_state(os.path.join(self.out_dir, CHECKPOINT), self.grid, meta,
+                       **states)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -277,24 +272,18 @@ class _RunWriter:
 def _load_resume(out_dir: str, config: SimConfig, writer: _RunWriter):
     """Reopens ``writer`` at the checkpoint in out_dir and returns the run
     loop's ``resume`` dict, or None when out_dir holds no checkpoint."""
-    progress_path = os.path.join(out_dir, "progress.json")
-    if not os.path.exists(progress_path):
+    path = os.path.join(out_dir, CHECKPOINT)
+    if not os.path.exists(path):
         return None
     try:
-        with open(progress_path, "r", encoding="utf-8") as fh:
-            progress = json.load(fh)
-        if progress["config_sha"] != _config_hash(config):
+        meta, states = load_state(path, writer.grid)
+        if meta["config_sha"] != _config_hash(config):
             raise ConfigError([("/", "checkpoint in out-dir was produced by a "
                                      "different config; refusing to resume")])
-        f, _, _ = load_state(os.path.join(out_dir, "f_checkpoint.fhstate"), writer.grid)
-        g = None
-        if progress.get("has_g"):
-            g, _, _ = load_state(os.path.join(out_dir, "g_checkpoint.fhstate"),
-                                 writer.grid)
-        resume = {"step": int(progress["step"]), "f": f, "g": g,
-                  "tv": float(progress.get("tv", 0.0))}
-        writer.start(truncate_to=int(progress["rows"]))
-    except (OSError, ValueError, KeyError, TypeError, struct.error) as exc:
+        resume = {"step": int(meta["step"]), "f": states["f"],
+                  "g": states.get("g"), "tv": float(meta["tv"])}
+        writer.start(truncate_to=int(meta["rows"]))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError([("/", f"damaged checkpoint in {out_dir} ({exc}); "
                                  "remove it or run without --resume")]) from exc
     return resume
@@ -332,9 +321,8 @@ def _run_trajectory(args, which: str) -> int:
         "tv_full_HM0L2": record.tv_full if which == "compare" else None,
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
-    for name in ("f_checkpoint.fhstate", "g_checkpoint.fhstate", "progress.json"):
-        if os.path.exists(os.path.join(out_dir, name)):
-            outputs.append(name)
+    if os.path.exists(os.path.join(out_dir, CHECKPOINT)):
+        outputs.append(CHECKPOINT)
     _write_manifest(out_dir, _config_snapshot(config),
                     {"config": _sha256_file(args.config)} if args.config else {},
                     outputs, time.time() - t0)

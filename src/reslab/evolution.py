@@ -228,7 +228,8 @@ class FullStepper:
         t, f = state.time, state.coeffs
         coeffs = f.copy()                    # the linear flow leaves f invariant
         if self.nonlinear:
-            rot = np.exp(1j * _SIGMA * (t + dt / 2.0) * self.omega)   # folded Strang
+            h = np.exp(1j * (t + dt / 2.0) * self.omega)    # folded Strang, sigma = +1
+            rot = np.stack((h, h.conj()))
             u = f * rot                                      # traveling, mid-step
             k1 = self._nonlinear_rhs(u)
             k2 = self._nonlinear_rhs(u + (dt / 2.0) * k1)

@@ -1,5 +1,5 @@
 """Fourier-Hermite transforms between physical fields and mode coefficients,
-Sobolev-type norms, and binary state snapshots.
+Sobolev-type norms, and the checkpoint file.
 
 Conventions (fixed once, used everywhere)
 -----------------------------------------
@@ -20,17 +20,18 @@ multiplication route is kept as a cross-check (``xi_derivative_physical``).
 
 from __future__ import annotations
 
+import io
+import json
 import math
-import struct
+import os
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfinementWarning, InterpolationRangeError
 from .hermite import HermiteBasis
-
-MAGIC = b"FHSTATE1"
 
 
 @dataclass(frozen=True)
@@ -282,35 +283,39 @@ def interp_eval(grid: Grid, coeffs: np.ndarray, targets: np.ndarray) -> np.ndarr
     return np.asarray(coeffs, complex) @ interp_matrix(grid, targets).T
 
 
-def save_state(path, grid: Grid, state: SpectralState) -> None:
-    """Little-endian FHSTATE1 snapshot: header then (re, im) float64 pairs in
-    (component, mode, frequency) order."""
-    coeffs = np.ascontiguousarray(state.coeffs, dtype=complex)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIdd", coeffs.shape[1], grid.n_x1,
-                             grid.length_x1, state.time))
-        inter = np.empty(coeffs.size * 2)
-        inter[0::2] = coeffs.real.ravel()
-        inter[1::2] = coeffs.imag.ravel()
-        fh.write(inter.astype("<f8").tobytes())
+def save_state(path, grid: Grid, meta: dict, **states: SpectralState) -> None:
+    """Write one checkpoint: ``meta`` (a JSON object), the grid geometry and
+    the named states, as an .npz (zip) archive with a CRC-32 per member.  It
+    is written to ``path + ".tmp"`` and committed by one ``os.replace``, so a
+    kill leaves the old file or the new one, never a mix."""
+    header = {"n_x1": grid.n_x1, "length_x1": grid.length_x1,
+              "times": {name: state.time for name, state in states.items()}}
+    arrays = {"meta": json.dumps(meta, sort_keys=True), "header": json.dumps(header),
+              **{name: state.coeffs for name, state in states.items()}}
+    tmp = str(path) + ".tmp"
+    with open(tmp, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+        for name, array in arrays.items():   # fixed ZipInfo date: equal bytes
+            with zf.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asarray(array), allow_pickle=False)
+    os.replace(tmp, path)
 
 
-def load_state(path, grid: Grid | None = None) -> tuple[SpectralState, int, float]:
-    """Read an FHSTATE1 snapshot; returns (state, n_x1, length_x1).
-
-    When ``grid`` is given its geometry is checked against the header.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        n_modes, n_x1, length_x1, time = struct.unpack("<IIdd", fh.read(24))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != 2 * 2 * n_modes * n_x1:
-        raise ValueError("truncated FHSTATE1 payload")
-    coeffs = (raw[0::2] + 1j * raw[1::2]).reshape(2, n_modes, n_x1)
-    if grid is not None and (n_x1 != grid.n_x1
-                             or abs(length_x1 - grid.length_x1) > 1e-12):
-        raise ValueError("snapshot geometry does not match grid")
-    return SpectralState(time, coeffs.copy()), n_x1, length_x1
+def load_state(path, grid: Grid) -> tuple[dict, dict[str, SpectralState]]:
+    """Read a ``save_state`` file; returns (meta, {name: state}).  Each member
+    is read whole, so its CRC-32 is checked, and each state the header lists
+    must be present (a damaged zip directory can hide members silently).
+    Raises ValueError when the file is damaged or its geometry differs."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            arrays = {name.removesuffix(".npy"):
+                      np.lib.format.read_array(io.BytesIO(zf.read(name)))
+                      for name in zf.namelist()}
+        meta, header = (json.loads(str(arrays[key])) for key in ("meta", "header"))
+        states = {name: SpectralState(time, arrays[name])
+                  for name, time in header["times"].items()}
+    except (OSError, EOFError, KeyError, RuntimeError, zipfile.BadZipFile) as exc:
+        # a flipped compression or encryption flag raises NotImplementedError
+        raise ValueError(f"unreadable checkpoint file: {exc!r}") from exc
+    if header["n_x1"] != grid.n_x1 or abs(header["length_x1"] - grid.length_x1) > 1e-12:
+        raise ValueError("checkpoint geometry does not match grid")
+    return meta, states

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reslab.cli as cli
 import reslab.evolution as evolution
+import reslab.transform as transform
 from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         load_config, main)
 from reslab.errors import ConfigError
@@ -13,6 +17,7 @@ from reslab.evolution import SimConfig
 
 SCHEMA = json.loads((Path(__file__).parents[1] / "config.schema.json")
                     .read_text())["properties"]
+CKPT = "checkpoint.npz"
 
 
 def write_cfg(path, **overrides):
@@ -226,7 +231,7 @@ def _crash_compare(cfg, out_dir, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(["compare", "--config", str(cfg), "--out-dir", str(out_dir)])
     monkeypatch.setattr(evolution.FullStepper, "step", orig)
-    assert (out_dir / "progress.json").exists()
+    assert (out_dir / CKPT).exists()
 
 
 def test_kill_and_resume_reproduces_trajectory(tmp_path, monkeypatch):
@@ -266,16 +271,87 @@ def test_thread_setting_does_not_bind_resume(tmp_path, monkeypatch, capsys):
         (ref / "trajectory.csv").read_bytes()
 
 
+# every file operation one checkpoint makes, in order: the whole file is
+# written under a temporary name and committed by one rename
+CHECKPOINT_WRITES = ["open checkpoint.npz.tmp", "replace checkpoint.npz.tmp"]
+
+
+def _watch_checkpoint_writes(monkeypatch, kill_at=None):
+    """Records each ``open`` in reslab.cli and reslab.transform and each
+    ``os.replace`` made while the second checkpoint is written, and dies as a
+    kill would at the ``kill_at``-th of them."""
+    writes, seen = [], {"ckpt": 0, "inside": False}
+    observe = cli._RunWriter.__call__
+
+    def observer(self, kind, *args):
+        seen["ckpt"] += kind == "ckpt"
+        seen["inside"] = kind == "ckpt" and seen["ckpt"] == 2
+        try:
+            return observe(self, kind, *args)
+        finally:
+            seen["inside"] = False
+
+    def watched(name, fn):
+        def call(path, *args, **kwargs):
+            if seen["inside"]:
+                if len(writes) == kill_at:
+                    raise KeyboardInterrupt
+                writes.append(f"{name} {os.path.basename(path)}")
+            return fn(path, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli._RunWriter, "__call__", observer)
+    monkeypatch.setattr(cli, "open", watched("open", open), raising=False)
+    monkeypatch.setattr(transform, "open", watched("open", open), raising=False)
+    monkeypatch.setattr(os, "replace", watched("replace", os.replace))
+    return writes
+
+
+@pytest.mark.parametrize("kill_at", range(len(CHECKPOINT_WRITES)))
+def test_kill_during_checkpoint_resumes_exactly(tmp_path, monkeypatch, kill_at):
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=3.0)
+    ref = tmp_path / "ref"
+    with monkeypatch.context() as m:
+        writes = _watch_checkpoint_writes(m)
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(ref)]) == EXIT_OK
+
+    crashdir = tmp_path / "crash"
+    with monkeypatch.context() as m:
+        _watch_checkpoint_writes(m, kill_at=kill_at)
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--config", str(cfg), "--out-dir", str(crashdir)])
+    code = main(["compare", "--config", str(cfg), "--out-dir", str(crashdir),
+                 "--resume"])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_OK:
+        assert (crashdir / "trajectory.csv").read_bytes() == \
+            (ref / "trajectory.csv").read_bytes()
+        assert not list(crashdir.glob("*.tmp"))
+    assert writes == CHECKPOINT_WRITES
+
+
 def _cut(path, size):
     path.write_bytes(path.read_bytes()[:size])
 
 
+def _mid_payload(path):
+    """Offset of a byte in the middle of the stored f coefficients."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("f.npy")
+    return info.header_offset + info.compress_size // 2
+
+
+def _flip(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
 DAMAGE = {
-    "state header cut": lambda d: _cut(d / "f_checkpoint.fhstate", 20),
-    "state payload cut": lambda d: _cut(d / "g_checkpoint.fhstate", 200),
-    "progress garbage": lambda d: (d / "progress.json").write_text("{step: 7"),
-    "progress not an object": lambda d: (d / "progress.json").write_text("[1]"),
-    "state file missing": lambda d: (d / "g_checkpoint.fhstate").unlink(),
+    "state header cut": lambda d: _cut(d / CKPT, 20),
+    "state payload cut": lambda d: _cut(d / CKPT, _mid_payload(d / CKPT)),
+    "checkpoint garbage": lambda d: (d / CKPT).write_bytes(b"{step: 7"),
+    "payload byte flipped": lambda d: _flip(d / CKPT, _mid_payload(d / CKPT)),
     "trajectory rows missing": lambda d: _cut(d / "trajectory.csv", 40),
 }
 
@@ -292,15 +368,29 @@ def test_damaged_checkpoint_exits_cleanly(tmp_path, capsys, damage):
     assert "damaged checkpoint" in capsys.readouterr().err
 
 
-def test_resume_rejects_other_config(tmp_path):
+def test_missing_checkpoint_starts_fresh(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json")
+    ref = tmp_path / "ref"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(ref)]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    (out / CKPT).unlink()
+    _cut(out / "trajectory.csv", 40)
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out),
+                 "--resume"]) == EXIT_OK
+    assert (out / "trajectory.csv").read_bytes() == (ref / "trajectory.csv").read_bytes()
+
+
+def test_resume_rejects_other_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "cfg.json", t_end=1.0)
     out = tmp_path / "out"
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
-    if not (out / "progress.json").exists():
-        pytest.skip("run too short for a checkpoint")
+    assert (out / CKPT).exists()
     other = write_cfg(tmp_path / "other.json", t_end=2.0)
+    capsys.readouterr()
     assert main(["compare", "--config", str(other), "--out-dir", str(out),
                  "--resume"]) == EXIT_CONFIG
+    assert "different config" in capsys.readouterr().err
 
 
 def test_blowup_exit_code(tmp_path):
@@ -318,16 +408,25 @@ def test_stat_phase_check_command(tmp_path):
     assert -0.9 <= summary["fitted_exponent"] <= -0.6
 
 
-def test_manifest_lists_outputs(tmp_path):
+def test_manifest_lists_outputs(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path / "cfg.json")
     out = tmp_path / "m"
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    for name in manifest["outputs"]:
-        assert (out / name).exists()
     assert "trajectory.csv" in manifest["outputs"]
     assert manifest["input_hashes"]["config"]
     assert manifest["config"]["P"] == 4
+
+    resumed = tmp_path / "r"
+    _crash_compare(cfg, resumed, monkeypatch)
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(resumed),
+                 "--resume"]) == EXIT_OK
+    for run in (out, resumed):
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert {p.name for p in run.iterdir()} == \
+            set(manifest["outputs"]) | {"manifest.json"}
+        assert CKPT in manifest["outputs"]
+        assert not list(run.glob("*.tmp"))
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

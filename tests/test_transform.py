@@ -221,28 +221,33 @@ def test_interp_eval_matches_closed_form(grid64):
 
 def test_state_snapshot_roundtrip(tmp_path, grid64):
     rng = np.random.default_rng(4)
-    st = random_state(grid64, 5, rng)
-    st.time = 2.5
-    path = tmp_path / "state.fhstate"
-    save_state(path, grid64, st)
-    loaded, n_x1, length = load_state(path, grid64)
-    assert n_x1 == 64 and length == 16.0
-    assert loaded.time == 2.5
-    assert np.array_equal(loaded.coeffs, st.coeffs)
-    # byte determinism
-    path2 = tmp_path / "state2.fhstate"
-    save_state(path2, grid64, st)
-    assert path.read_bytes() == path2.read_bytes()
-    assert path.read_bytes()[:8] == b"FHSTATE1"
+    f, g = random_state(grid64, 5, rng), random_state(grid64, 5, rng)
+    f.time, g.time = 2.5, 1.0 + 1e-15
+    meta = {"step": 125, "rows": 6, "tv": 0.1 + 0.2, "config_sha": "ab" * 32}
+    for states in ({"f": f, "g": g}, {"f": f}):
+        out = tmp_path / "".join(states)
+        out.mkdir()
+        path = out / "checkpoint.npz"
+        save_state(path, grid64, meta, **states)
+        loaded_meta, loaded = load_state(path, grid64)
+        assert loaded_meta == meta
+        assert loaded.keys() == states.keys()
+        for name, state in states.items():
+            assert loaded[name].time == state.time
+            assert np.array_equal(loaded[name].coeffs, state.coeffs)
+        assert [p.name for p in out.iterdir()] == ["checkpoint.npz"]
+        # equal inputs give equal bytes
+        save_state(out / "again.npz", grid64, meta, **states)
+        assert (out / "again.npz").read_bytes() == path.read_bytes()
 
 
 def test_snapshot_geometry_mismatch(tmp_path, grid64):
     st = SpectralState(0.0, np.zeros((2, 3, 64), complex))
-    path = tmp_path / "s.fhstate"
-    save_state(path, grid64, st)
-    other = Grid(64, 20.0, grid64.basis)
-    with pytest.raises(ValueError):
-        load_state(path, other)
+    path = tmp_path / "s.npz"
+    save_state(path, grid64, {}, f=st)
+    for other in (Grid(64, 20.0, grid64.basis), Grid(128, 16.0, grid64.basis)):
+        with pytest.raises(ValueError, match="geometry"):
+            load_state(path, other)
 
 
 def test_hm_l2_norm_eigenvalue_weights(grid64):
