@@ -19,6 +19,7 @@ atomically last and lists every output file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -133,10 +134,8 @@ def cmd_enumerate(args) -> int:
     t0 = time.time()
     rows = []
     if not args.massless:   # the massless variant has a provably empty set
-        table = TripleProductTable(args.max_mode) if args.max_mode <= 120 else None
         for p in range(args.max_mode + 1):
-            rows.extend(interactions_for_output(p, args.max_mode, gate=args.gate,
-                                                table=table))
+            rows.extend(interactions_for_output(p, args.max_mode, gate=args.gate))
     csv_path = os.path.join(out_dir, "resonant_interactions.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("m,n,p,alpha,beta,lambda,coupling\n")
@@ -297,7 +296,10 @@ def _run_trajectory(args, which: str) -> int:
     t0 = time.time()
     writer = _RunWriter(out_dir, config, compare=(which == "compare"))
     resume = _load_resume(out_dir, config, writer) if args.resume else None
-    if resume is None:
+    if resume is None:   # an earlier run's checkpoint is not this run's output
+        for stale in (CHECKPOINT, CHECKPOINT + ".tmp"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, stale))
         writer.start()
     grid = writer.grid
     if which == "compare":

@@ -250,7 +250,9 @@ class _TripleSlot:
 
 class ResonantStepper:
     """Explicit midpoint integrator for the resonant system.  ``slots`` holds
-    the triples with in-window samples and a non-zero coupling."""
+    the triples with in-window samples and a non-zero coupling.  Couplings
+    come from ``table`` if given, else from ``triple_product``, which is an
+    exact 0.0 for every resonant triple (odd parity)."""
 
     def __init__(self, grid: Grid, n_modes: int, gate: str = "sqrt",
                  table: TripleProductTable | None = None,
@@ -261,8 +263,6 @@ class ResonantStepper:
         self.grid = grid
         self.n_modes = n_modes
         self.norm_ceiling = norm_ceiling
-        if table is None:
-            table = TripleProductTable(n_modes - 1)
         xi = grid.xi
         bound = grid.xi_max * (1.0 + 1e-12)
         triples = [tr for p in range(n_modes)

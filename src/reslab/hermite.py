@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
+from numpy.polynomial.hermite import hermgauss
 
 from .errors import GridTooCoarseError
 
@@ -87,7 +87,7 @@ def gauss_hermite(order: int):
         raise ValueError("quadrature order must be >= 1")
     if order > MAX_QUAD_ORDER:
         raise ValueError(f"quadrature order {order} exceeds {MAX_QUAD_ORDER}")
-    nodes, weights = roots_hermite(order)
+    nodes, weights = hermgauss(order)
     if np.any(weights <= 0.0):
         raise ValueError(f"Gauss-Hermite weights underflow at order {order}")
     total = np.exp(np.log(weights) + nodes * nodes)

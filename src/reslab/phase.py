@@ -12,12 +12,12 @@ lambda = 1 / (1 + alpha beta sqrt((n+1)/(m+1))); the line slope in the
 (eta, xi) plane is Lambda = 1/lambda.  Space-time resonance holds when phi
 also vanishes there, which reduces to an integer condition on (m, n, p).
 
-Two admissibility gates are provided: ``Gate.AS_PRINTED`` applies a
-sign-inequality case analysis, ``Gate.SQRT`` the root characterization (the
-index carrying the opposite sign has its root sqrt(k+1) equal to the sum of
-the other two).  The two disagree on some mixed-sign tuples -- the inequality
-form is not self-consistent there -- so disagreements are surfaced by
-reports, never silently resolved.
+Two admissibility gates are provided, named as in ``triples.GATES``:
+"printed" applies a sign-inequality case analysis, "sqrt" the root
+characterization (the index carrying the opposite sign has its root sqrt(k+1)
+equal to the sum of the other two).  The two disagree on some mixed-sign
+tuples -- the inequality form is not self-consistent there -- so
+disagreements are surfaced by reports, never silently resolved.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ import numpy as np
 
 from .errors import BracketFailure, DegenerateSelfInteraction, ResonantCaseError
 from .triples import GATES, printed_gate_excludes
-
-
-class Gate(enum.Enum):
-    AS_PRINTED = "printed"
-    SQRT = "sqrt"
 
 
 class Tag(enum.Enum):
@@ -132,17 +127,19 @@ def d2_at_stationary_signed(m: int, n: int, alpha: int, beta: int, xi):
     return alpha * d2_at_stationary(m, n, alpha * beta, xi)
 
 
-def classify(params: PhaseParams, gate: Gate = Gate.AS_PRINTED) -> ResonanceClass:
+def classify(params: PhaseParams, gate: str = "printed") -> ResonanceClass:
     """Full case analysis of the resonant-set theorem.
 
     (alpha, beta) = (1, 1) never has time resonances.  Otherwise the selected
-    gate decides whether the space resonant line is also time resonant.
+    gate ("sqrt" or "printed") decides whether the space resonant line is
+    also time resonant.
     """
     m, n, p, a, b = params.m, params.n, params.p, params.alpha, params.beta
-    if (a, b) == (1, 1) or (gate is Gate.AS_PRINTED
+    admissible = GATES[gate]
+    if (a, b) == (1, 1) or (gate == "printed"
                             and printed_gate_excludes(m, n, p, a, b)):
         return ResonanceClass(Tag.NO_TIME_RESONANCE)
-    if GATES[gate.value](m, n, p, a, b):
+    if admissible(m, n, p, a, b):
         return ResonanceClass(Tag.SPACE_TIME_RESONANT_LINE, line_slope(m, n, a, b))
     return ResonanceClass(Tag.SPACE_RESONANT_ONLY)
 
@@ -153,8 +150,7 @@ def phase_floor(m: int, n: int, p: int, R: float, alpha: int = -1, beta: int = -
     if R <= 0:
         raise ValueError("R must be positive")
     params = PhaseParams(m, n, p, alpha, beta)
-    if classify(params, Gate.SQRT).tag is Tag.SPACE_TIME_RESONANT_LINE or \
-            classify(params, Gate.AS_PRINTED).tag is Tag.SPACE_TIME_RESONANT_LINE:
+    if any(classify(params, gate).tag is Tag.SPACE_TIME_RESONANT_LINE for gate in GATES):
         raise ResonantCaseError(f"(m,n,p)=({m},{n},{p}), signs ({alpha},{beta})")
     return 1.0 / ((math.sqrt(n + 1.0) + math.sqrt(m + 1.0)) ** 2 * R)
 
@@ -255,8 +251,8 @@ def phase_report(params: PhaseParams, R: float = 20.0,
     ``width_specs`` is an iterable of (j, regime_name, k_or_None) entries;
     probes that fail to bracket are reported with width null.
     """
-    printed = classify(params, Gate.AS_PRINTED)
-    sqrt_cls = classify(params, Gate.SQRT)
+    printed = classify(params, "printed")
+    sqrt_cls = classify(params, "sqrt")
     try:
         lam = lambda_coeff(params.m, params.n, params.alpha, params.beta)
         d2 = abs(d2_at_stationary(params.m, params.n, params.alpha * params.beta, 0.0))

@@ -5,9 +5,12 @@ A triple (m, n, p) is resonant exactly when
     m^2 + n^2 + p^2 - 2mn - 2pm - 2pn - 2m - 2n - 2p - 3 = 0,
 
 a fully symmetric condition equivalent to one of sqrt(m+1), sqrt(n+1),
-sqrt(p+1) being the sum of the other two.  Enumeration walks (m, n) pairs and
-tests (m+1)(n+1) for perfect squareness, O(max_mode^2); the cubic brute-force
-scan survives only as a test oracle.
+sqrt(p+1) being the sum of the other two.  It is quadratic in each index:
+for a fixed output mode p the inputs are n = m + p + 1 +- 2 sqrt((m+1)(p+1)),
+so the resonant set is walked once, one ``isqrt`` per (m, p): O(max_mode) per
+output mode, O(max_mode^2) over all of them.  ``enumerate_triples`` lists the
+canonical triples at the same cost; the cubic brute-force scan survives only
+as a test oracle.
 
 All arithmetic is exact (Python integers); there is no overflow bound.
 """
@@ -55,17 +58,15 @@ def _partner(m: int, n: int) -> int | None:
     return m + n + 1 + 2 * r
 
 
-def enumerate_triples(max_mode: int, massless: bool = False) -> list[tuple[int, int, int]]:
+def enumerate_triples(max_mode: int) -> list[tuple[int, int, int]]:
     """Sorted triples (m, n, p), m <= n, p in the largest-root position,
     with all indices <= max_mode.
 
     Every solution of the resonance polynomial is an index permutation of an
-    entry of this list.  The massless variant returns [] (empty solution set).
+    entry of this list.
     """
     if max_mode < 0:
         raise ValueError("max_mode must be >= 0")
-    if massless:
-        return []
     out = []
     for m in range(max_mode + 1):
         for n in range(m, max_mode + 1):
@@ -119,7 +120,8 @@ def printed_gate_admissible(m: int, n: int, p: int, alpha: int, beta: int) -> bo
             and alpha * beta * p + beta * m + alpha * n >= 0)
 
 
-# gate name (the ``gate`` config value and ``phase.Gate`` value) -> admissibility test
+# gate name (the ``gate`` config value, ``--gate`` and ``phase.classify``'s
+# ``gate``) -> admissibility test
 GATES = {"sqrt": sqrt_gate_admissible, "printed": printed_gate_admissible}
 
 
@@ -147,23 +149,25 @@ class ResonantTriple:
             raise ValueError("degenerate self-interaction is excluded")
 
 
-def _input_pairs_for_output(p: int, max_mode: int) -> list[tuple[int, int]]:
-    """Ordered (m, n) with the resonance polynomial zero for (m, n, p).
+def _resonant_inputs(p: int, max_mode: int):
+    """Every (m, n, alpha, beta), m, n <= max_mode, with (m, n, p) resonant,
+    in lexicographic order; the degenerate m = n, alpha = -beta is skipped.
 
-    Every solution is an index permutation of a canonically enumerated triple,
-    so this walks the O(max_mode^2) enumeration instead of scanning the
-    (m, n) grid.
+    For fixed (m, p) the polynomial is quadratic in n with roots
+    n = m + p + 1 -+ 2 sqrt((m+1)(p+1)), integral iff (m+1)(p+1) is a square.
     """
-    from itertools import permutations
-
-    pairs = set()
-    for triple in enumerate_triples(max_mode):
-        if p not in triple:
+    for m in range(max_mode + 1):
+        prod = (m + 1) * (p + 1)
+        r = math.isqrt(prod)
+        if r * r != prod:
             continue
-        for m, n, q in set(permutations(triple)):
-            if q == p:
-                pairs.add((m, n))
-    return sorted(pairs)
+        for n in (m + p + 1 - 2 * r, m + p + 1 + 2 * r):
+            if not 0 <= n <= max_mode:
+                continue
+            for alpha in (-1, 1):
+                for beta in (-1, 1):
+                    if m != n or alpha == beta:
+                        yield m, n, alpha, beta
 
 
 def interactions_for_output(p: int, max_mode: int, gate: str = "sqrt",
@@ -180,35 +184,18 @@ def interactions_for_output(p: int, max_mode: int, gate: str = "sqrt",
     if p > max_mode:
         raise ValueError("output mode exceeds max_mode")
     admissible = GATES[gate]
-    out = []
-    for m, n in _input_pairs_for_output(p, max_mode):
-        for alpha in (-1, 1):
-            for beta in (-1, 1):
-                if m == n and alpha == -beta:
-                    continue
-                if not admissible(m, n, p, alpha, beta):
-                    continue
-                coupling = (table.get(m, n, p) if table is not None
-                            else triple_product(m, n, p))
-                out.append(ResonantTriple(
-                    m=m, n=n, p=p, alpha=alpha, beta=beta,
-                    lam=lambda_coeff(m, n, alpha, beta),
-                    coupling=coupling))
-    return out
+    return [ResonantTriple(m=m, n=n, p=p, alpha=alpha, beta=beta,
+                           lam=lambda_coeff(m, n, alpha, beta),
+                           coupling=(table.get(m, n, p) if table is not None
+                                     else triple_product(m, n, p)))
+            for m, n, alpha, beta in _resonant_inputs(p, max_mode)
+            if admissible(m, n, p, alpha, beta)]
 
 
 def gate_disagreements(max_mode: int) -> list[tuple[int, int, int, int, int]]:
     """(m, n, p, alpha, beta) tuples on which the two admissibility gates differ."""
-    from itertools import permutations
-
-    out = []
-    for triple in enumerate_triples(max_mode):
-        for m, n, p in sorted(set(permutations(triple))):
-            for alpha in (-1, 1):
-                for beta in (-1, 1):
-                    if m == n and alpha == -beta:
-                        continue
-                    if sqrt_gate_admissible(m, n, p, alpha, beta) != \
-                            printed_gate_admissible(m, n, p, alpha, beta):
-                        out.append((m, n, p, alpha, beta))
-    return sorted(out)
+    return sorted((m, n, p, alpha, beta)
+                  for p in range(max_mode + 1)
+                  for m, n, alpha, beta in _resonant_inputs(p, max_mode)
+                  if sqrt_gate_admissible(m, n, p, alpha, beta)
+                  != printed_gate_admissible(m, n, p, alpha, beta))

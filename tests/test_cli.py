@@ -381,6 +381,23 @@ def test_missing_checkpoint_starts_fresh(tmp_path):
     assert (out / "trajectory.csv").read_bytes() == (ref / "trajectory.csv").read_bytes()
 
 
+def test_fresh_run_drops_earlier_checkpoint(tmp_path):
+    out = tmp_path / "out"
+    first = write_cfg(tmp_path / "first.json")
+    assert main(["compare", "--config", str(first), "--out-dir", str(out)]) == EXIT_OK
+    assert (out / CKPT).exists()
+    (out / (CKPT + ".tmp")).write_bytes(b"left by a killed write")
+    second = write_cfg(tmp_path / "second.json", checkpoint_every=0, t_end=0.5)
+    assert main(["compare", "--config", str(second), "--out-dir", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert CKPT not in manifest["outputs"]
+    assert {p.name for p in out.iterdir()} == set(manifest["outputs"]) | {"manifest.json"}
+    csv = (out / "trajectory.csv").read_bytes()
+    assert main(["compare", "--config", str(second), "--out-dir", str(out),
+                 "--resume"]) == EXIT_OK
+    assert (out / "trajectory.csv").read_bytes() == csv
+
+
 def test_resume_rejects_other_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "cfg.json", t_end=1.0)
     out = tmp_path / "out"

@@ -1,14 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_hermite
 
 from oracles import adaptive_triple, psi_direct
 from reslab.errors import GridTooCoarseError
-from reslab.hermite import (eigen_residual, gauss_hermite, hermite_eval,
-                            hermite_table, interaction_bound_ratio,
+from reslab.hermite import (MAX_QUAD_ORDER, eigen_residual, gauss_hermite,
+                            hermite_eval, hermite_table, interaction_bound_ratio,
                             norm_constant, triple_product)
 
 
@@ -25,6 +29,25 @@ def test_phi2_at_origin_frozen_oracle_value():
     # normalized by ||psi_2|| = sqrt(8 sqrt(pi)); frozen from tests/oracles.py
     assert hermite_eval(2, 0.0) == pytest.approx(-0.5311259660135984, rel=1e-13)
     assert hermite_eval(2, 0.0) == pytest.approx(psi_direct(2, 0.0), rel=1e-13)
+
+
+def test_gauss_hermite_matches_scipy():
+    for order in (*range(1, 65), *range(80, MAX_QUAD_ORDER + 1, 16)):
+        nodes, weights, total = gauss_hermite(order)
+        ref_nodes, ref_weights = roots_hermite(order)
+        ref_total = np.exp(np.log(ref_weights) + ref_nodes ** 2)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-13, order
+        assert np.max(np.abs(total - ref_total) / ref_total) <= 1e-11, order
+        assert np.all(weights > 0.0), order
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = "import sys, reslab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_recurrence_matches_direct_evaluation():

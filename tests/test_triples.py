@@ -84,26 +84,28 @@ def test_interactions_for_output_p7():
     assert len(tr) == 1 and tr[0].lam == pytest.approx(0.5, rel=1e-15)
 
 
-def test_interactions_output_p0_matches_brute_force():
-    out = interactions_for_output(0, 50, gate="sqrt")
-    # brute-force classification: (m, n) with some permutation of (m, n, 0)
+@pytest.mark.parametrize("p", range(51))
+def test_interactions_output_matches_brute_force(p):
+    out = interactions_for_output(p, 50, gate="sqrt")
+    # brute-force classification: (m, n) with some permutation of (m, n, p)
     # resonant and the root of the opposite-signed index dominant
     expected = set()
     for m in range(51):
         for n in range(51):
-            if condition_polynomial(m, n, 0) != 0:
+            if condition_polynomial(m, n, p) != 0:
                 continue
             for a, b in ((-1, -1), (-1, 1), (1, -1)):
                 if m == n and a == -b:
                     continue
-                big = {(-1, -1): 0, (-1, 1): m, (1, -1): n}[(a, b)]
-                rest = {(-1, -1): (m, n), (-1, 1): (n, 0), (1, -1): (m, 0)}[(a, b)]
+                big = {(-1, -1): p, (-1, 1): m, (1, -1): n}[(a, b)]
+                rest = {(-1, -1): (m, n), (-1, 1): (n, p), (1, -1): (m, p)}[(a, b)]
                 if abs(math.sqrt(big + 1) - math.sqrt(rest[0] + 1)
                        - math.sqrt(rest[1] + 1)) < 1e-9:
                     expected.add((m, n, a, b))
     assert {(t.m, t.n, t.alpha, t.beta) for t in out} == expected
-    # mode 0 is never the largest root: only mixed-sign branches feed it
-    assert all((t.alpha, t.beta) != (-1, -1) for t in out)
+    if p == 0:
+        # mode 0 is never the largest root: only mixed-sign branches feed it
+        assert expected and all((t.alpha, t.beta) != (-1, -1) for t in out)
 
 
 def test_interactions_sorted_lexicographically():
@@ -128,8 +130,24 @@ def test_gates_agree_on_canonical_branch():
         assert not printed_gate_admissible(m, n, p, 1, 1)
 
 
+def test_gate_disagreements_match_brute_force():
+    expected = [(m, n, p, a, b)
+                for m in range(31) for n in range(31) for p in range(31)
+                if condition_polynomial(m, n, p) == 0
+                for a in (-1, 1) for b in (-1, 1)
+                if not (m == n and a == -b)
+                and sqrt_gate_admissible(m, n, p, a, b)
+                != printed_gate_admissible(m, n, p, a, b)]
+    assert expected and gate_disagreements(30) == expected
+
+
+def test_counts_at_max_mode_200():
+    # the numbers the benchmark gate checks on ``enumerate --max-mode 200``
+    assert sum(len(interactions_for_output(p, 200, gate="sqrt")) for p in range(201)) == 744
+    assert len(gate_disagreements(200)) == 347
+
+
 def test_massless_variant_empty():
-    assert enumerate_triples(50, massless=True) == []
     for m in range(20):
         for n in range(20):
             for p in range(20):
