@@ -7,8 +7,8 @@ subcommands read a JSON config via --config, and --seed overrides its seed;
 they checkpoint to out-dir/checkpoint.npz (see ``transform.save_state``), and
 --resume continues from it, or starts afresh without one.  stat-phase-check
 takes --threads (env fallback RESLAB_THREADS).  Exit codes: 0 success, 2 config
-error (including a checkpoint that is damaged or from another config),
-3 numerical failure, 64 unknown subcommand.
+error (including a checkpoint that is damaged or from another config) or an
+argument its argparse type rejects, 3 numerical failure, 64 unknown subcommand.
 
 Outputs are deterministic for a fixed config and seed: floats are printed
 with repr-faithful %.17g, JSON keys are sorted, and all numerics run on the
@@ -23,15 +23,16 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 
 from .errors import BlowupDetected, ConfigError, ReslabError, ResolutionError
 from .evolution import SimConfig, make_grid, run_compare, run_single
-from .hermite import TripleProductTable
+from .hermite import MAX_QUAD_ORDER, TripleProductTable
 from .oscillatory import stat_phase_decay_table
-from .phase import PhaseParams, phase_report
+from .phase import PhaseParams, Regime, phase_report
 from .transform import load_state, save_state
 from .triples import gate_disagreements, interactions_for_output
 from . import __version__
@@ -87,12 +88,13 @@ def load_config(path: str | None, overrides: dict) -> tuple[SimConfig, list[str]
     """
     raw: dict = {}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError([("/", f"config file not found: {path}")])
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError([("/", f"cannot read config file {path}: "
+                                     f"{exc.strerror or exc}")]) from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError([("/", f"invalid JSON in {path}: {exc}")]) from exc
         if not isinstance(raw, dict):
             raise ConfigError([("/", "config must be a JSON object")])
@@ -163,12 +165,7 @@ def cmd_phase_report(args) -> int:
     out_dir = _ensure_out_dir(args)
     t0 = time.time()
     params = PhaseParams(args.m, args.n, args.p, args.alpha, args.beta)
-    specs = []
-    if args.width_probes:
-        for item in args.width_probes.split(";"):
-            j, regime, k = item.split(",")
-            specs.append((int(j), regime, None if k == "-" else int(k)))
-    report = phase_report(params, R=args.radius, width_specs=tuple(specs))
+    report = phase_report(params, R=args.radius, width_specs=args.width_probes)
     path = os.path.join(out_dir, "phase_report.json")
     _write_json(path, report)
     _write_manifest(out_dir, report["params"], {}, ["phase_report.json"],
@@ -214,16 +211,12 @@ class _RunWriter:
         self.out_dir = out_dir
         self.config = config
         self.compare = compare
+        self.header = ("t,tilde_HN_f,S_MN_f,S_MN_g,diff_HM0L2" if compare
+                       else "t,tilde_HN,HM_HN,B_t,S_MN_t")
         self.grid = make_grid(config)
         self.csv_path = os.path.join(out_dir, "trajectory.csv")
         self.rows = 0
         self._fh = None
-
-    @property
-    def header(self) -> str:
-        if self.compare:
-            return "t,tilde_HN_f,S_MN_f,S_MN_g,diff_HM0L2"
-        return "t,tilde_HN,HM_HN,B_t,S_MN_t"
 
     def start(self, truncate_to: int | None = None) -> None:
         if truncate_to is None:
@@ -235,23 +228,19 @@ class _RunWriter:
                 lines = fh.readlines()
             if len(lines) < 1 + truncate_to:
                 raise ValueError(f"trajectory.csv has fewer than {truncate_to} rows")
-            keep = lines[:1 + truncate_to]
             with open(self.csv_path, "w", encoding="utf-8") as fh:
-                fh.writelines(keep)
+                fh.writelines(lines[:1 + truncate_to])
             self._fh = open(self.csv_path, "a", encoding="utf-8")
             self.rows = truncate_to
 
     def __call__(self, kind: str, step: int, f, g, record) -> None:
         if kind == "out":
             i = len(record.times) - 1
+            nf, ng = record.norms_full[i], record.norms_resonant[i]
             if self.compare:
-                nf = record.norms_full[i]
-                ng = record.norms_resonant[i]
                 row = (record.times[i], nf.tilde_HN, nf.S_MN_t,
-                       ng.S_MN_t if ng is not None else float("nan"),
-                       record.diff_norms[i])
+                       ng.S_MN_t if ng is not None else float("nan"), record.diff_norms[i])
             else:
-                nf = record.norms_full[i]
                 row = (record.times[i], nf.tilde_HN, nf.HM_HN, nf.B_t, nf.S_MN_t)
             self._fh.write(",".join(_fmt(v) for v in row) + "\n")
             self._fh.flush()
@@ -333,8 +322,43 @@ def _run_trajectory(args, which: str) -> int:
 
 def _ensure_out_dir(args) -> str:
     out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([("/", f"cannot create out-dir {out_dir}: "
+                                 f"{exc.strerror or exc}")]) from exc
     return out_dir
+
+
+def _int_range(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high]."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}" if high is None
+                                             else f"must be an integer in [{low}, {high}]")
+        return value
+    parse.__name__ = "integer"   # argparse names the type in "invalid ... value"
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
+
+
+def _width_probes(text: str) -> tuple:
+    """argparse type: "j,regime,k;..." -> ((j, regime, k or None), ...)."""
+    try:
+        items = (item.split(",") for item in filter(None, text.split(";")))
+        return tuple((int(j), Regime(regime).value, None if k == "-" else int(k))
+                     for j, regime, k in items)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be a ';' list of j,regime,k with integers j and k (k='-' when unused) "
+            f"and regime one of {', '.join(r.value for r in Regime)}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,43 +368,46 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Klein-Gordon equation")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
+    def common(p, run):
         p.add_argument("--out-dir", default=None)
+        p.set_defaults(run=run)
 
     p = sub.add_parser("enumerate", help="list resonant interactions")
-    p.add_argument("--max-mode", type=int, required=True)
+    p.add_argument("--max-mode", type=_int_range(0), required=True)
     p.add_argument("--gate", choices=("sqrt", "printed"), default="sqrt")
     p.add_argument("--massless", action="store_true",
                    help="drop the mass term (eigenvalues 2p+1): empty set")
-    common(p)
+    common(p, cmd_enumerate)
 
     p = sub.add_parser("phase-report", help="diagnostics for one phase")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    for mode in ("--m", "--n", "--p"):
+        p.add_argument(mode, type=_int_range(0), required=True)
     p.add_argument("--alpha", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--beta", type=int, choices=(-1, 1), default=-1)
-    p.add_argument("--radius", type=float, default=20.0)
-    p.add_argument("--width-probes", default="",
+    p.add_argument("--radius", type=_positive_float, default=20.0)
+    p.add_argument("--width-probes", type=_width_probes, default=(),
                    help="semicolon list j,regime,k (k='-' when unused)")
-    common(p)
+    common(p, cmd_phase_report)
 
     p = sub.add_parser("stat-phase-check", help="stationary-phase decay table")
-    p.add_argument("--threads", type=int, default=0,
+    p.add_argument("--threads", type=_int_range(0), default=0,
                    help="worker threads; 0 means RESLAB_THREADS or all cores")
-    common(p)
+    common(p, cmd_stat_phase_check)
 
     p = sub.add_parser("triple-table", help="export the interaction tensor")
-    p.add_argument("--max-mode", type=int, required=True)
-    common(p)
+    # its quadrature order 3 max_mode // 2 + 2 is at most MAX_QUAD_ORDER
+    p.add_argument("--max-mode", type=_int_range(0, 2 * (MAX_QUAD_ORDER - 2) // 3),
+                   required=True)
+    common(p, cmd_triple_table)
 
-    for name in ("simulate-full", "simulate-resonant", "compare"):
+    for name, which in (("simulate-full", "full"), ("simulate-resonant", "resonant"),
+                        ("compare", "compare")):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--resume", action="store_true",
                        help="continue from a checkpoint in out-dir")
-        p.add_argument("--seed", type=int, default=None)
-        common(p)
+        p.add_argument("--seed", type=_int_range(0), default=None)
+        common(p, lambda args, which=which: _run_trajectory(args, which))
     return parser
 
 
@@ -396,20 +423,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "enumerate":
-            return cmd_enumerate(args)
-        if args.command == "phase-report":
-            return cmd_phase_report(args)
-        if args.command == "stat-phase-check":
-            return cmd_stat_phase_check(args)
-        if args.command == "triple-table":
-            return cmd_triple_table(args)
-        if args.command == "simulate-full":
-            return _run_trajectory(args, "full")
-        if args.command == "simulate-resonant":
-            return _run_trajectory(args, "resonant")
-        if args.command == "compare":
-            return _run_trajectory(args, "compare")
+        return args.run(args)
     except ConfigError as exc:
         for path, msg in exc.issues:
             print(f"config error at {path}: {msg}", file=sys.stderr)
@@ -420,7 +434,6 @@ def main(argv=None) -> int:
     except ReslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_OK
 
 
 if __name__ == "__main__":

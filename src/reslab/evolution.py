@@ -6,13 +6,16 @@ Full equation
 -------------
 u_tt - Lap u + x2^2 u + u = u^2 is split as u_pm = u_t +- i sqrt(-Lap+x2^2+1) u,
 giving d/dt u~_{pm,p}(xi) = +-i om u~_{pm,p} + (u^2)~_p, om = sqrt(xi^2+2p+2).
+u is real, so u~_{-,p}(xi) = conj(u~_{+,p}(-xi)): states hold the "+" profile
+only, and ``transform.minus_component`` derives the "-" one.
 One step is Strang: exact half rotation, midpoint-rule nonlinear kick computed
-by reconstructing u in physical space (mode-wise division by om), squaring
-pointwise at the cubic quadrature nodes (which makes the mode truncation an
-exact Galerkin projection through the triple-product tensor), transforming
-back, 2/3-rule dealiasing in xi, exact half rotation.  On the stored profile
-f~_{pm,p} = e^(-+ i t om) u~_{pm,p}, invariant under the linear flow, the
-rotations fold into rot = e^(+-i (t+dt/2) om): f' = f + dt conj(rot) k2(rot f).
+by reconstructing u = 2 Re F^-1(u~_+/(2i om)) in physical space (om is even in
+xi), squaring pointwise at the cubic quadrature nodes (which makes the mode
+truncation an exact Galerkin projection through the triple-product tensor),
+transforming back, 2/3-rule dealiasing in xi, exact half rotation.  On the
+stored profile f~_{+,p} = e^(-i t om) u~_{+,p}, invariant under the linear
+flow, the rotations fold into rot = e^(i (t+dt/2) om):
+f' = f + dt conj(rot) k2(rot f).
 
 Resonant system
 ---------------
@@ -27,7 +30,7 @@ drop the constant; it is kept so full and resonant trajectories are
 comparable).  The field components carry signs (-sigma a, -sigma b): pairing
 e^(-+ i s phi^(a,b)) with fields labeled (a, b) directly would be
 inconsistent, and the relabeled form is the one that preserves the reality
-pairing.
+pairing; only the sigma = +1 output is computed.
 Off-grid samples f~(lam xi) use band-limited trigonometric interpolation;
 samples beyond the frequency window are truncated to zero (out-of-band
 interactions are not representable on the grid).
@@ -53,13 +56,12 @@ import numpy as np
 
 from .errors import BlowupDetected
 from .hermite import HermiteBasis, TripleProductTable
-from .transform import (Grid, SpectralState, composite_norms, enforce_reality,
-                        hm_l2_norm, interp_matrix)
+from .transform import (Grid, SpectralState, composite_norms, hm_l2_norm,
+                        interp_matrix, minus_component)
 from .phase import d2_at_stationary_signed
 from .triples import GATES, ResonantTriple, interactions_for_output
 
 K_PREF = -1.0 / (8.0 * math.pi)
-_SIGMA = np.array([1.0, -1.0])[:, None, None]    # component signs (+, -)
 
 
 @dataclass(frozen=True)
@@ -156,19 +158,18 @@ def make_grid(config: SimConfig) -> Grid:
 
 def init_profile(config: SimConfig, grid: Grid | None = None) -> tuple[Grid, SpectralState]:
     """Seeded Gaussian packets on the configured modes, scaled so the S^{M,N}_0
-    norm of the two-component state equals eps/2 (reality pairing enforced)."""
+    norm of the state (both paired components) equals eps/2."""
     if grid is None:
         grid = make_grid(config)
     rng = np.random.default_rng(config.seed)
-    coeffs = np.zeros((2, config.P, grid.n_x1), dtype=complex)
+    coeffs = np.zeros((config.P, grid.n_x1), dtype=complex)
     w = config.packet_width
     for p in config.init_modes:
         amp = 0.5 + 0.5 * rng.random()
         theta = 2.0 * math.pi * rng.random()
-        coeffs[0, p] = amp * np.exp(1j * theta) * np.exp(-0.5 * (grid.xi / w) ** 2)
+        coeffs[p] = amp * np.exp(1j * theta) * np.exp(-0.5 * (grid.xi / w) ** 2)
+    coeffs[:, _dealias_mask(grid.n_x1)] = 0.0
     state = SpectralState(0.0, coeffs)
-    _dealias(state.coeffs, _dealias_mask(grid.n_x1))
-    enforce_reality(state)
     if config.eps == 0.0:
         state.coeffs[:] = 0.0
         return grid, state
@@ -180,10 +181,6 @@ def init_profile(config: SimConfig, grid: Grid | None = None) -> tuple[Grid, Spe
 def _dealias_mask(n: int) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n)
     return np.abs(k) > n / 3.0
-
-
-def _dealias(coeffs: np.ndarray, mask: np.ndarray) -> None:
-    coeffs[..., mask] = 0.0
 
 
 def _check_ceiling(coeffs: np.ndarray, ceiling: float) -> None:
@@ -215,12 +212,13 @@ class FullStepper:
         self._scale_inv = grid.n_x1 / grid.length_x1
 
     def _nonlinear_rhs(self, u: np.ndarray) -> np.ndarray:
-        """(u^2)~_p from traveling components, shape (P, n), dealiased."""
-        mode = (u[0] - u[1]) / self._two_i_omega                     # u~_m
-        phys1 = self._scale_inv * np.fft.ifft(self._alt[None, :] * mode, axis=1)
+        """(u^2)~_p from the "+" traveling component, shape (P, n), dealiased."""
+        phys1 = (2.0 * self._scale_inv) * np.fft.ifft(
+            self._alt * (u / self._two_i_omega), axis=1).real        # real u, (P, n)
         vals = phys1.T @ self.synth                                  # (n, Qc)
         proj = (vals * vals) @ self.project.T                        # (n, P)
-        out = self._scale_fwd * self._alt[None, :] * np.fft.fft(proj.T, axis=1)
+        half = np.fft.rfft(proj.T, axis=1)                           # xi >= 0 of a real field
+        out = self._scale_fwd * self._alt * np.concatenate((half, half[:, -2:0:-1].conj()), axis=1)
         out[:, self.mask] = 0.0
         return out
 
@@ -228,8 +226,7 @@ class FullStepper:
         t, f = state.time, state.coeffs
         coeffs = f.copy()                    # the linear flow leaves f invariant
         if self.nonlinear:
-            h = np.exp(1j * (t + dt / 2.0) * self.omega)    # folded Strang, sigma = +1
-            rot = np.stack((h, h.conj()))
+            rot = np.exp(1j * (t + dt / 2.0) * self.omega)  # folded Strang
             u = f * rot                                      # traveling, mid-step
             k1 = self._nonlinear_rhs(u)
             k2 = self._nonlinear_rhs(u + (dt / 2.0) * k1)
@@ -245,7 +242,7 @@ class _TripleSlot:
     em: np.ndarray         # interpolation at lam*xi, divided by <lam xi>_m
     en: np.ndarray         # interpolation at (1-lam)*xi, divided by <(1-lam) xi>_n
     kernel: np.ndarray     # ab * M * sqrt(2 pi / |D|)
-    fresnel: np.ndarray    # e^(i pi/4 (-sigma) sgn D), rows sigma = +1, -1
+    fresnel: np.ndarray    # e^(-i pi/4 sgn D), the sigma = +1 factor
 
 
 class ResonantStepper:
@@ -286,26 +283,27 @@ class ResonantStepper:
             d_signed = d2_at_stationary_signed(tr.m, tr.n, tr.alpha, tr.beta, xs)
             ab = float(tr.alpha * tr.beta) if include_alpha_beta else 1.0
             kernel = K_PREF * ab * coupling * np.sqrt(2.0 * math.pi / np.abs(d_signed))
-            fresnel = np.exp(1j * (math.pi / 4.0) * -_SIGMA[:, 0] * np.sign(d_signed))
+            fresnel = np.exp(-1j * (math.pi / 4.0) * np.sign(d_signed))
             self.slots[tr.p].append(_TripleSlot(tr, idx, em, en, kernel, fresnel))
 
     def rhs(self, coeffs: np.ndarray, s: float) -> np.ndarray:
+        """d/ds of the "+" profile; a leg of sign -a reads f~_+ when a = -1
+        and the derived f~_- when a = +1."""
         out = np.zeros_like(coeffs)
+        legs = {-1: coeffs, 1: minus_component(coeffs)}
         inv_sqrt_s = 1.0 / math.sqrt(s)
         for p, slots_p in enumerate(self.slots):
             for slot in slots_p:
                 tr = slot.triple
-                for comp, sigma in enumerate((1, -1)):
-                    comp_m = 0 if -sigma * tr.alpha == 1 else 1
-                    comp_n = 0 if -sigma * tr.beta == 1 else 1
-                    a_leg = slot.em @ coeffs[comp_m, tr.m]
-                    b_leg = slot.en @ coeffs[comp_n, tr.n]
-                    out[comp, p, slot.idx] += (inv_sqrt_s * slot.kernel
-                                               * slot.fresnel[comp] * a_leg * b_leg)
+                a_leg = slot.em @ legs[tr.alpha][tr.m]
+                b_leg = slot.en @ legs[tr.beta][tr.n]
+                out[p, slot.idx] += inv_sqrt_s * slot.kernel * slot.fresnel * a_leg * b_leg
         return out
 
     def step(self, state: SpectralState, ds: float) -> SpectralState:
         s = state.time
+        if not any(self.slots):   # no coupled triple: the flow is constant
+            return SpectralState(s + ds, state.coeffs.copy())
         k1 = self.rhs(state.coeffs, s)
         k2 = self.rhs(state.coeffs + (ds / 2.0) * k1, s + ds / 2.0)
         coeffs = state.coeffs + ds * k2

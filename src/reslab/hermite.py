@@ -125,8 +125,7 @@ class HermiteBasis:
             # below 1e-12 at the boundary
             quad_order = max((3 * max_mode) // 2 + 2, 40)
         nodes, weights, total = gauss_hermite(quad_order)
-        ynodes, _, ytotal = gauss_hermite(quad_order)
-        cubic_nodes = _SCALE * ynodes
+        cubic_nodes = _SCALE * nodes   # the same rule, substituted
         return cls(
             max_mode=max_mode,
             quad_order=quad_order,
@@ -136,18 +135,13 @@ class HermiteBasis:
             norm_constants=np.array([norm_constant(n) for n in range(max_mode + 1)]),
             phi=hermite_table(max_mode, nodes),
             cubic_nodes=cubic_nodes,
-            cubic_total_weights=_SCALE * ytotal,
+            cubic_total_weights=_SCALE * total,
             cubic_phi=hermite_table(max_mode, cubic_nodes),
         )
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Mode coefficients of samples at ``nodes`` (last axis)."""
         return values @ (self.total_weights * self.phi).T
-
-    def synthesize(self, coeffs: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-        """Point values sum_p coeffs[..., p] phi_p; defaults to the basis nodes."""
-        table = self.phi if x is None else hermite_table(self.max_mode, np.asarray(x, float))
-        return coeffs @ table
 
 
 def eigen_residual(n: int, grid: np.ndarray) -> float:

@@ -266,7 +266,7 @@ def phase_report(params: PhaseParams, R: float = 20.0,
         try:
             entry["measured_width"] = band_width_probe(params.m, params.n, j, regime, k=k)
             entry["reference_scale"] = band_width_reference(params.m, params.n, j, regime, k=k)
-        except (BracketFailure, ValueError) as exc:
+        except (BracketFailure, ValueError, OverflowError) as exc:
             entry["measured_width"] = None
             entry["error"] = str(exc)
         probes.append(entry)

@@ -78,34 +78,26 @@ class Grid:
 
 @dataclass
 class SpectralState:
-    """Profile coefficients f~_{sigma,p}(xi_k); component 0 is "+", 1 is "-".
+    """Profile coefficients f~_{+,p}(xi_k), the "+" traveling component only.
 
-    For a real solution u with real du/dt the components are paired by
-    f~_{-,p}(xi) = conj(f~_{+,p}(-xi)).
+    The solution u is real, so the "-" component is paired with it,
+    f~_{-,p}(xi) = conj(f~_{+,p}(-xi)); ``minus_component`` derives it.
     """
 
     time: float
-    coeffs: np.ndarray  # complex, shape (2, P, n_x1)
+    coeffs: np.ndarray  # complex, shape (P, n_x1)
 
     @property
     def n_modes(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[0]
 
     def copy(self) -> "SpectralState":
         return SpectralState(self.time, self.coeffs.copy())
 
 
-def reality_defect(state: SpectralState) -> float:
-    """Max deviation from f~_{-,p}(xi) = conj(f~_{+,p}(-xi))."""
-    plus, minus = state.coeffs
-    mirrored = np.conj(plus[:, _reflect_index(plus.shape[1])])
-    return float(np.max(np.abs(minus - mirrored)))
-
-
-def enforce_reality(state: SpectralState) -> None:
-    """Overwrite the "-" component with the conjugate mirror of "+"."""
-    plus = state.coeffs[0]
-    state.coeffs[1] = np.conj(plus[:, _reflect_index(plus.shape[1])])
+def minus_component(plus: np.ndarray) -> np.ndarray:
+    """f~_{-,p}(xi) = conj(f~_{+,p}(-xi)) on the FFT-ordered frequency axis."""
+    return np.conj(plus[..., _reflect_index(plus.shape[-1])])
 
 
 def _reflect_index(n: int) -> np.ndarray:
@@ -216,12 +208,13 @@ def _eigenvalues(n_modes: int) -> np.ndarray:
 
 def composite_norms(state: SpectralState, grid: Grid, M: float, N: float,
                     t: float | None = None) -> CompositeNorms:
-    """All norms of Definition-style spaces for a two-component state.
+    """All norms of Definition-style spaces for a state.
 
     tilde_HN uses the full 2D symbol (xi^2 + 2p + 2)^N; HM_HN uses eigenvalue
     multipliers (2p+2)^M on per-mode H^N norms; B_t = <t>^(-1/2) times the
     H^(3/2)(<x1>) norm; S_MN_t = tilde_HN + <t>^(-1/2) * (Hermite-weighted
-    H^(3/2)(<x1>)).  Vector norms are the sum over the two components.
+    H^(3/2)(<x1>)).  Vector norms are the sum over the two components; the
+    "-" component is the mirror of "+", so each is twice the "+" norm.
     """
     if t is None:
         t = state.time
@@ -233,31 +226,23 @@ def composite_norms(state: SpectralState, grid: Grid, M: float, N: float,
     bracket_t = math.sqrt(1.0 + t * t)
     scale = grid.dxi / (2.0 * math.pi)
 
-    tilde = hmhn = b_t = s = 0.0
-    for comp in state.coeffs:
-        a2 = np.abs(comp) ** 2
-        tilde_c = math.sqrt(np.sum(w_full * a2) * scale)
-        hmhn_c = math.sqrt(np.sum(lam ** (2.0 * M) * np.sum(w_xi_N * a2, axis=1)) * scale)
-        d1 = np.abs(xi_derivative(comp, grid.dxi)) ** 2
-        mode32 = np.sum(w_xi_32 * (a2 + d1), axis=1)   # per-mode H^(3/2)(<x>)^2
-        b_c = math.sqrt(np.sum(mode32) * scale) / math.sqrt(bracket_t)
-        bm_c = math.sqrt(np.sum(lam ** (2.0 * M) * mode32) * scale) / math.sqrt(bracket_t)
-        tilde += tilde_c
-        hmhn += hmhn_c
-        b_t += b_c
-        s += tilde_c + bm_c
-    return CompositeNorms(tilde_HN=tilde, HM_HN=hmhn, B_t=b_t, S_MN_t=s)
+    a2 = np.abs(state.coeffs) ** 2
+    tilde = math.sqrt(np.sum(w_full * a2) * scale)
+    hmhn = math.sqrt(np.sum(lam ** (2.0 * M) * np.sum(w_xi_N * a2, axis=1)) * scale)
+    d1 = np.abs(xi_derivative(state.coeffs, grid.dxi)) ** 2
+    mode32 = np.sum(w_xi_32 * (a2 + d1), axis=1)   # per-mode H^(3/2)(<x>)^2
+    b_t = math.sqrt(np.sum(mode32) * scale) / math.sqrt(bracket_t)
+    bm = math.sqrt(np.sum(lam ** (2.0 * M) * mode32) * scale) / math.sqrt(bracket_t)
+    return CompositeNorms(tilde_HN=2.0 * tilde, HM_HN=2.0 * hmhn, B_t=2.0 * b_t,
+                          S_MN_t=2.0 * (tilde + bm))
 
 
 def hm_l2_norm(coeffs: np.ndarray, grid: Grid, M0: float) -> float:
-    """Hermite-weighted L2 norm sum_sigma ||(2p+2)^M0 f_p||_{l2 L2}, physical scale."""
-    coeffs = np.atleast_3d(coeffs)
-    lam = _eigenvalues(coeffs.shape[1]) ** (2.0 * M0)
-    total = 0.0
-    for comp in coeffs:
-        total += math.sqrt(np.sum(lam[:, None] * np.abs(comp) ** 2)
+    """Hermite-weighted L2 norm sum_sigma ||(2p+2)^M0 f_p||_{l2 L2}, physical
+    scale: twice the norm of the "+" coefficients (P, n_x1)."""
+    lam = _eigenvalues(coeffs.shape[0]) ** (2.0 * M0)
+    return 2.0 * math.sqrt(np.sum(lam[:, None] * np.abs(coeffs) ** 2)
                            * grid.dxi / (2.0 * math.pi))
-    return float(total)
 
 
 def interp_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:
@@ -304,7 +289,8 @@ def load_state(path, grid: Grid) -> tuple[dict, dict[str, SpectralState]]:
     """Read a ``save_state`` file; returns (meta, {name: state}).  Each member
     is read whole, so its CRC-32 is checked, and each state the header lists
     must be present (a damaged zip directory can hide members silently).
-    Raises ValueError when the file is damaged or its geometry differs."""
+    Raises ValueError when the file is damaged or its geometry or a state's
+    shape (P, n_x1) differs."""
     try:
         with zipfile.ZipFile(path) as zf:
             arrays = {name.removesuffix(".npy"):
@@ -318,4 +304,9 @@ def load_state(path, grid: Grid) -> tuple[dict, dict[str, SpectralState]]:
         raise ValueError(f"unreadable checkpoint file: {exc!r}") from exc
     if header["n_x1"] != grid.n_x1 or abs(header["length_x1"] - grid.length_x1) > 1e-12:
         raise ValueError("checkpoint geometry does not match grid")
+    shape = (grid.basis.max_mode + 1, grid.n_x1)
+    for name, state in states.items():
+        if state.coeffs.shape != shape:
+            raise ValueError(f"checkpoint state {name!r} has shape "
+                             f"{state.coeffs.shape}, expected {shape}")
     return meta, states

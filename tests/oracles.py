@@ -5,8 +5,10 @@ Hermite functions come from scipy's polynomial evaluation, integrals from
 adaptive quadrature, the resonance scan is a vectorized cubic brute force,
 derivatives are Richardson-extrapolated differences, and the reference PDE
 solver is a leapfrog scheme with a uniform finite-difference trap direction.
-The unfolded Strang step keeps the stepper's nonlinear kick but rotates with
-four separate exponentials, as the splitting is written on paper.
+The two-component references carry both traveling components, build the
+"-" one by their own conjugate mirror, and compute the kick with complex
+transforms and matmuls; the unfolded Strang step rotates with four separate
+exponentials, as the splitting is written on paper.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ def richardson_d2(f, x: float, h: float) -> float:
     return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
 
 
+def two_component(plus: np.ndarray) -> np.ndarray:
+    """(2, P, n) stack of f~_+ and its pair f~_-(xi) = conj(f~_+(-xi))."""
+    n = plus.shape[-1]
+    return np.stack((plus, np.conj(plus[:, (-np.arange(n)) % n])))
+
+
 def leapfrog_reference(grid, state0, n_modes: int, t_end: float, dt: float,
                        n_x2: int = 257, x2_extent: float = 8.0):
     """Independent discretization of the trapped Klein-Gordon equation:
@@ -81,8 +89,9 @@ def leapfrog_reference(grid, state0, n_modes: int, t_end: float, dt: float,
     def to_phys(coeff_rows):
         return (inverse_x1(grid, coeff_rows.T) @ phi_x2).real
 
-    u0 = to_phys((state0.coeffs[0] - state0.coeffs[1]) / (2j * omega))
-    v0 = to_phys((state0.coeffs[0] + state0.coeffs[1]) / 2.0)
+    plus, minus = two_component(state0.coeffs)
+    u0 = to_phys((plus - minus) / (2j * omega))
+    v0 = to_phys((plus + minus) / 2.0)
 
     k2 = grid.xi ** 2
 
@@ -109,23 +118,58 @@ def physical_field_on(grid, state, n_modes: int, x2: np.ndarray) -> np.ndarray:
 
     omega = np.sqrt(grid.xi[None, :] ** 2 + (2.0 * np.arange(n_modes) + 2.0)[:, None])
     sgn = np.array([1.0, -1.0])[:, None, None]
-    trav = state.coeffs * np.exp(1j * sgn * state.time * omega[None, :, :])
+    trav = two_component(state.coeffs) * np.exp(1j * sgn * state.time * omega[None, :, :])
     mode = (trav[0] - trav[1]) / (2j * omega)
     return (inverse_x1(grid, mode.T) @ hermite_table(n_modes - 1, x2)).real
 
 
-def strang_step_reference(stepper, state, dt: float):
-    """One unfolded Strang step of ``FullStepper``: profile -> traveling
-    variables, half rotation, midpoint kick, half rotation, back to the
-    profile.  Returns (time, coefficients)."""
-    t = state.time
+def kick_reference(stepper, u: np.ndarray) -> np.ndarray:
+    """(u^2)~_p from both traveling components u (2, P, n) of ``FullStepper``'s
+    grid and cubic nodes, in complex arithmetic throughout."""
+    grid = stepper.grid
+    mode = (u[0] - u[1]) / (2j * stepper.omega)                     # u~_p
+    phys = (grid.n_x1 / grid.length_x1) * np.fft.ifft(grid.alt * mode, axis=1)
+    vals = phys.T @ stepper.synth                                   # (n, Qc)
+    proj = (vals * vals) @ stepper.project.T                        # (n, P)
+    out = grid.dx * grid.alt * np.fft.fft(proj.T, axis=1)
+    out[:, stepper.mask] = 0.0
+    return out
+
+
+def strang_step_reference(stepper, coeffs: np.ndarray, t: float, dt: float):
+    """One unfolded Strang step of ``FullStepper`` on both components (2, P, n):
+    profile -> traveling variables, half rotation, midpoint kick with
+    ``kick_reference``, half rotation, back to the profile.  Returns
+    (t + dt, coefficients)."""
     sgn = np.array([1.0, -1.0])[:, None, None]
     om = stepper.omega[None, :, :]
-    u = state.coeffs * np.exp(1j * sgn * t * om)
+    u = coeffs * np.exp(1j * sgn * t * om)
     u = u * np.exp(1j * sgn * (dt / 2.0) * om)
     if stepper.nonlinear:
-        k1 = stepper._nonlinear_rhs(u)
-        k2 = stepper._nonlinear_rhs(u + (dt / 2.0) * k1[None, :, :])
+        k1 = kick_reference(stepper, u)
+        k2 = kick_reference(stepper, u + (dt / 2.0) * k1[None, :, :])
         u = u + dt * k2[None, :, :]
     u = u * np.exp(1j * sgn * (dt / 2.0) * om)
     return t + dt, u * np.exp(-1j * sgn * (t + dt) * om)
+
+
+def resonant_rhs_reference(stepper, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """``ResonantStepper`` right-hand side on both components (2, P, n): output
+    sigma reads the field components (-sigma a, -sigma b) and carries the
+    Fresnel factor e^(i pi/4 (-sigma) sgn D)."""
+    from reslab.phase import d2_at_stationary_signed
+
+    out = np.zeros_like(coeffs)
+    for p, slots_p in enumerate(stepper.slots):
+        for slot in slots_p:
+            tr = slot.triple
+            xs = stepper.grid.xi[slot.idx]
+            sgn_d = np.sign(d2_at_stationary_signed(tr.m, tr.n, tr.alpha, tr.beta, xs))
+            for comp, sigma in enumerate((1, -1)):
+                comp_m = 0 if -sigma * tr.alpha == 1 else 1
+                comp_n = 0 if -sigma * tr.beta == 1 else 1
+                fresnel = np.exp(1j * (math.pi / 4.0) * -sigma * sgn_d)
+                out[comp, p, slot.idx] += (slot.kernel * fresnel / math.sqrt(s)
+                                           * (slot.em @ coeffs[comp_m, tr.m])
+                                           * (slot.en @ coeffs[comp_n, tr.n]))
+    return out

@@ -87,11 +87,8 @@ def test_criterion_3_transforms():
     N = 1.5
     sandwich_ok = True
     for _ in range(20):
-        c = np.zeros((2, 6, 64), dtype=complex)
         env = np.exp(-0.5 * (grid.xi / 1.5) ** 2)
-        for p in range(6):
-            c[0, p] = (rng.normal(size=64) + 1j * rng.normal(size=64)) * env
-            c[1, p] = (rng.normal(size=64) + 1j * rng.normal(size=64)) * env
+        c = (rng.normal(size=(6, 64)) + 1j * rng.normal(size=(6, 64))) * env
         st = SpectralState(0.0, c)
         lower = composite_norms(st, grid, M=N / 2.0, N=N).HM_HN
         tilde = composite_norms(st, grid, M=N, N=N).tilde_HN
@@ -203,10 +200,10 @@ def test_criterion_6_integrators():
 
     lin = FullStepper(grid, 4, nonlinear=False)
     s = state.copy()
-    before = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=2))
+    before = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=1))
     for _ in range(10_000):
         s = lin.step(s, 0.02)
-    after = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=2))
+    after = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=1))
     conservation = float(np.max(np.abs(after - before)) / np.max(before))
 
     full = FullStepper(grid, 4)
@@ -258,7 +255,7 @@ def test_criterion_7_resonant_kernel_consistency():
     grid, state = init_profile(cfg)
     stepper = ResonantStepper(grid, 4, coupling_mode="unit")
     params = PhaseParams(0, 0, 3, -1, -1)
-    plus0 = state.coeffs[0][0]
+    plus0 = state.coeffs[0]
     W = grid.xi_max
     worst = 0.0
     quad_worst = 0.0
@@ -266,7 +263,7 @@ def test_criterion_7_resonant_kernel_consistency():
         rhs = stepper.rhs(state.coeffs, s)
         for k in (0, 1, 2, 62, 63):
             xi = grid.xi[k]
-            term = rhs[0, 3, k] / K_PREF   # single-triple kernel, prefactor out
+            term = rhs[3, k] / K_PREF   # single-triple kernel, prefactor out
             curve = duhamel_phase(params, xi, 1)
             x0 = brentq(curve.dpsi, -5.0, 5.0)
 

@@ -12,8 +12,10 @@ import reslab.evolution as evolution
 import reslab.transform as transform
 from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         load_config, main)
+from oracles import two_component
 from reslab.errors import ConfigError
-from reslab.evolution import SimConfig
+from reslab.evolution import SimConfig, make_grid
+from reslab.transform import SpectralState
 
 SCHEMA = json.loads((Path(__file__).parents[1] / "config.schema.json")
                     .read_text())["properties"]
@@ -155,10 +157,56 @@ def test_phase_report_command(tmp_path):
     out = tmp_path / "pr"
     assert main(["phase-report", "--m", "0", "--n", "0", "--p", "3",
                  "--alpha", "-1", "--beta", "-1", "--radius", "10",
-                 "--width-probes", "3,LowFreq,-", "--out-dir", str(out)]) == EXIT_OK
+                 "--width-probes", "3,LowFreq,-;3,RhoSmall,5000",
+                 "--out-dir", str(out)]) == EXIT_OK
     report = json.loads((out / "phase_report.json").read_text())
     assert report["class"] == "SpaceTimeResonantLine"
     assert report["width_probes"][0]["j"] == 3
+    # a probe whose scale overflows is reported, not raised
+    assert report["width_probes"][1]["measured_width"] is None
+    assert "error" in report["width_probes"][1]
+
+
+PHASE = ["phase-report", "--m", "0", "--n", "0", "--p", "3"]
+RUN = ["--config", "{tmp}/cfg.json"]
+BAD_ARGUMENTS = {
+    "enumerate max-mode negative": ["enumerate", "--max-mode", "-3"],
+    "enumerate max-mode not an integer": ["enumerate", "--max-mode", "x"],
+    "triple-table max-mode negative": ["triple-table", "--max-mode", "-2"],
+    "triple-table max-mode beyond quadrature": ["triple-table", "--max-mode", "213"],
+    "phase-report m negative": PHASE + ["--m", "-1"],
+    "phase-report n negative": PHASE + ["--n", "-1"],
+    "phase-report p negative": PHASE + ["--p", "-1"],
+    "phase-report radius negative": PHASE + ["--radius", "-1"],
+    "phase-report radius zero": PHASE + ["--radius", "0"],
+    "phase-report radius nan": PHASE + ["--radius", "nan"],
+    "phase-report radius inf": PHASE + ["--radius", "inf"],
+    "phase-report width-probes one field": PHASE + ["--width-probes", "bad"],
+    "phase-report width-probes unknown regime": PHASE + ["--width-probes", "1,x,-"],
+    "phase-report width-probes bad k": PHASE + ["--width-probes", "3,LowFreq,-;1,RhoSmall,z"],
+    "stat-phase-check threads negative": ["stat-phase-check", "--threads", "-1"],
+    "compare config a directory": ["compare", "--config", "{tmp}"],
+    "simulate-full config not text": ["simulate-full", "--config", "{tmp}/binary"],
+    "simulate-resonant seed negative": ["simulate-resonant", *RUN, "--seed", "-1"],
+    "enumerate out-dir a file": ["enumerate", "--max-mode", "3", "--out-dir", "{tmp}/binary"],
+    "compare out-dir a file": ["compare", *RUN, "--out-dir", "{tmp}/binary"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
+    write_cfg(tmp_path / "cfg.json")
+    (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "error" in err and "Traceback" not in err
 
 
 def test_triple_table_command(tmp_path):
@@ -347,8 +395,18 @@ def _flip(path, offset):
     path.write_bytes(bytes(data))
 
 
+def _two_components(d):
+    """Rewrites the checkpoint with each state as both components (2, P, n_x1),
+    the layout of earlier code."""
+    grid = make_grid(load_config(str(d.parent / "cfg.json"), {})[0])
+    meta, states = transform.load_state(d / CKPT, grid)
+    transform.save_state(d / CKPT, grid, meta, **{
+        name: SpectralState(st.time, two_component(st.coeffs)) for name, st in states.items()})
+
+
 DAMAGE = {
     "state header cut": lambda d: _cut(d / CKPT, 20),
+    "two-component states": _two_components,
     "state payload cut": lambda d: _cut(d / CKPT, _mid_payload(d / CKPT)),
     "checkpoint garbage": lambda d: (d / CKPT).write_bytes(b"{step: 7"),
     "payload byte flipped": lambda d: _flip(d / CKPT, _mid_payload(d / CKPT)),
@@ -365,7 +423,10 @@ def test_damaged_checkpoint_exits_cleanly(tmp_path, capsys, damage):
     capsys.readouterr()
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out),
                  "--resume"]) == EXIT_CONFIG
-    assert "damaged checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "damaged checkpoint" in err
+    if damage == "two-component states":
+        assert "shape (2, 4, 64)" in err
 
 
 def test_missing_checkpoint_starts_fresh(tmp_path):

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import leapfrog_reference, physical_field_on, strang_step_reference
+from oracles import (leapfrog_reference, physical_field_on, resonant_rhs_reference,
+                     strang_step_reference, two_component)
 from reslab.errors import BlowupDetected
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               init_profile, make_grid, run_compare, run_single)
 from reslab.phase import d2_at_stationary_signed, lambda_coeff
 from reslab.triples import interactions_for_output
-from reslab.transform import (SpectralState, composite_norms, interp_eval,
-                              reality_defect)
+from reslab.transform import composite_norms, interp_eval, minus_component
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def test_init_profile_norm_and_reality(small_cfg, small_setup):
     grid, state = small_setup
     norm = composite_norms(state, grid, small_cfg.M, small_cfg.N, t=0.0).S_MN_t
     assert norm == pytest.approx(small_cfg.eps / 2.0, rel=1e-10)
-    assert reality_defect(state) == 0.0
+    assert state.coeffs.shape == (small_cfg.P, small_cfg.n_x1)
 
 
 def test_init_profile_single_mode_literal():
@@ -68,10 +68,10 @@ def test_linear_flow_profile_invariant(small_setup):
     grid, state = small_setup
     stepper = FullStepper(grid, 4, nonlinear=False)
     s = state.copy()
-    per_mode0 = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=2))
+    per_mode0 = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=1))
     for _ in range(200):
         s = stepper.step(s, 0.02)
-    per_mode1 = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=2))
+    per_mode1 = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=1))
     assert np.max(np.abs(per_mode1 - per_mode0)) <= 1e-12 * np.max(per_mode0)
 
 
@@ -88,23 +88,28 @@ def test_folded_step_matches_unfolded_strang():
     grid, state = init_profile(cfg)
     stepper = FullStepper(grid, 6)
     folded = state.copy()
-    ref_t, ref = state.time, state.coeffs.copy()
+    ref_t, ref = state.time, two_component(state.coeffs)
     for _ in range(50):
         folded = stepper.step(folded, cfg.dt)
-        ref_t, ref = strang_step_reference(stepper, SpectralState(ref_t, ref), cfg.dt)
+        ref_t, ref = strang_step_reference(stepper, ref, ref_t, cfg.dt)
         assert folded.time == ref_t
-        assert np.max(np.abs(folded.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(folded.coeffs - ref[0])) <= 1e-13 * np.max(np.abs(ref))
     # the kicks moved f far beyond the tolerance, so the comparison is not vacuous
-    assert np.max(np.abs(ref - state.coeffs)) >= 1e-6 * np.max(np.abs(ref))
+    assert np.max(np.abs(ref[0] - state.coeffs)) >= 1e-6 * np.max(np.abs(ref))
 
 
-def test_reality_preserved_by_full_step(small_setup):
-    grid, state = small_setup
-    stepper = FullStepper(grid, 4)
+def test_reality_preserved_by_full_step():
+    # the derived "-" component follows the two-component step's own "-" one
+    cfg = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.02, t_end=2.0, init_modes=(0, 3))
+    grid, state = init_profile(cfg)
+    stepper = FullStepper(grid, 6)
     s = state.copy()
+    t, ref = state.time, two_component(state.coeffs)
     for _ in range(100):
         s = stepper.step(s, 0.02)
-    assert reality_defect(s) <= 1e-10 * np.max(np.abs(s.coeffs))
+        t, ref = strang_step_reference(stepper, ref, t, 0.02)
+    assert np.max(np.abs(minus_component(s.coeffs) - ref[1])) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(ref[1] - two_component(state.coeffs)[1])) >= 1e-6 * np.max(np.abs(ref))
 
 
 def test_full_step_richardson_order_two(small_setup):
@@ -168,7 +173,7 @@ def test_resonant_no_triples_constant():
     assert np.array_equal(s.coeffs, state.coeffs)
 
 
-def test_resonant_couplings_all_zero_by_parity():
+def test_resonant_couplings_all_zero_by_parity(monkeypatch):
     # every admissible triple has odd m+n+p, so the physical system is trivial
     triples = [tr for p in range(8) for tr in interactions_for_output(p, 7)]
     assert triples
@@ -191,7 +196,14 @@ def test_resonant_couplings_all_zero_by_parity():
     grid, state = init_profile(cfg)
     s = state.copy()
     s.time = 1.0
-    s = ResonantStepper(grid, 8).step(s, 0.1)
+    # with no slot the step is idle: it never evaluates the right-hand side
+    idle = ResonantStepper(grid, 8)
+
+    def no_rhs(*args):
+        raise AssertionError("rhs called by an idle resonant step")
+    monkeypatch.setattr(idle, "rhs", no_rhs)
+    s = idle.step(s, 0.1)
+    assert s.time == 1.1
     assert np.array_equal(s.coeffs, state.coeffs)
 
 
@@ -203,23 +215,28 @@ def test_resonant_single_triple_hand_rhs(small_setup):
     lam = lambda_coeff(0, 0, -1, -1)
     xi = grid.xi
     # component "+" fields carry signs (-sigma a, -sigma b) = (+, +)
-    fa = interp_eval(grid, state.coeffs[0][0:1], lam * xi)[0] / np.sqrt((lam * xi) ** 2 + 2.0)
-    fb = interp_eval(grid, state.coeffs[0][0:1], (1 - lam) * xi)[0] \
+    fa = interp_eval(grid, state.coeffs[0:1], lam * xi)[0] / np.sqrt((lam * xi) ** 2 + 2.0)
+    fb = interp_eval(grid, state.coeffs[0:1], (1 - lam) * xi)[0] \
         / np.sqrt(((1 - lam) * xi) ** 2 + 2.0)
     d_signed = d2_at_stationary_signed(0, 0, -1, -1, xi)
     hand = (K_PREF * 1.0 * np.sqrt(2.0 * math.pi / (s0 * np.abs(d_signed)))
             * np.exp(1j * (math.pi / 4.0) * (-1.0) * np.sign(d_signed)) * fa * fb)
     scale = np.max(np.abs(hand))
-    assert np.max(np.abs(rhs[0, 3] - hand)) <= 1e-10 * scale
+    assert np.max(np.abs(rhs[3] - hand)) <= 1e-10 * scale
     # hermite couplings vanish: same assembly gives exactly zero
     assert np.all(ResonantStepper(grid, 4).rhs(state.coeffs, s0) == 0.0)
 
 
 def test_resonant_rhs_preserves_reality(small_setup):
+    # the "+" rhs and its derived "-" pair match the two-sigma rhs
     grid, state = small_setup
     stepper = ResonantStepper(grid, 4, coupling_mode="unit")
     rhs = stepper.rhs(state.coeffs, 2.0)
-    assert reality_defect(SpectralState(2.0, rhs)) <= 1e-14 * np.max(np.abs(rhs))
+    ref = resonant_rhs_reference(stepper, two_component(state.coeffs), 2.0)
+    scale = np.max(np.abs(ref))
+    assert scale > 0.0
+    assert np.max(np.abs(rhs - ref[0])) <= 1e-13 * scale
+    assert np.max(np.abs(minus_component(rhs) - ref[1])) <= 1e-13 * scale
 
 
 def test_resonant_richardson_order_two(small_setup):
@@ -320,10 +337,10 @@ def test_kernel_consistency_sample():
     stepper = ResonantStepper(grid, 4, coupling_mode="unit")
     from reslab.phase import PhaseParams
     params = PhaseParams(0, 0, 3, -1, -1)
-    plus = state.coeffs[0]
+    plus = state.coeffs
     for s, xi_idx in ((80.0, 0), (300.0, 2)):
         rhs = stepper.rhs(state.coeffs, s)
-        term = rhs[0, 3, xi_idx] / K_PREF
+        term = rhs[3, xi_idx] / K_PREF
         quad = duhamel_kernel(plus[0], plus[0], params, s, 1, grid,
                               xi_out=np.array([grid.xi[xi_idx]]))[0]
         assert abs(term - quad) <= 0.15 * abs(quad)

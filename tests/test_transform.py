@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,9 @@ from hypothesis import strategies as st
 from reslab.errors import ConfinementWarning, InterpolationRangeError
 from reslab.hermite import HermiteBasis, hermite_eval
 from reslab.transform import (CompositeNorms, Grid, SpectralState,
-                              composite_norms, enforce_reality, forward,
-                              forward_x1, hm_l2_norm, interp_eval, inverse,
-                              inverse_x1, l2_norm_physical, load_state,
-                              reality_defect, save_state,
+                              composite_norms, forward, forward_x1, hm_l2_norm,
+                              interp_eval, inverse, inverse_x1, l2_norm_physical,
+                              load_state, minus_component, save_state,
                               sobolev_weighted_norm, xi_derivative,
                               xi_derivative_physical)
 
@@ -21,13 +21,9 @@ def gaussian_field(grid):
 
 
 def random_state(grid, n_modes, rng, width=1.5):
-    coeffs = np.zeros((2, n_modes, grid.n_x1), dtype=complex)
+    shape = (n_modes, grid.n_x1)
     envelope = np.exp(-0.5 * (grid.xi / width) ** 2)
-    for p in range(n_modes):
-        coeffs[0, p] = (rng.normal(size=grid.n_x1)
-                        + 1j * rng.normal(size=grid.n_x1)) * envelope
-        coeffs[1, p] = (rng.normal(size=grid.n_x1)
-                        + 1j * rng.normal(size=grid.n_x1)) * envelope
+    coeffs = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * envelope
     return SpectralState(0.0, coeffs)
 
 
@@ -142,10 +138,9 @@ def test_multiplier_bound_exact(grid64):
 
 
 def test_composite_bracket_t_scaling(grid64):
-    coeffs = np.zeros((2, 5, 64), complex)
-    coeffs[0, 0] = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * grid64.xi ** 2)
+    coeffs = np.zeros((5, 64), complex)
+    coeffs[0] = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * grid64.xi ** 2)
     st = SpectralState(0.0, coeffs)
-    enforce_reality(st)
     n0 = composite_norms(st, grid64, 2.0, 1.0, t=0.0)
     n3 = composite_norms(st, grid64, 2.0, 1.0, t=3.0)
     # B_t = <t>^(-1/2) * (t-free norm); <3> = sqrt(10)
@@ -153,13 +148,24 @@ def test_composite_bracket_t_scaling(grid64):
     assert isinstance(n0, CompositeNorms)
 
 
+def test_composite_norms_count_both_components(grid64):
+    # the "-" component, a conjugate mirror of "+", has the same norms
+    st = random_state(grid64, 5, np.random.default_rng(12))
+    mirrored = SpectralState(st.time, minus_component(st.coeffs))
+    for a, b in zip(dataclasses.astuple(composite_norms(st, grid64, 2.0, 1.5, t=1.0)),
+                    dataclasses.astuple(composite_norms(mirrored, grid64, 2.0, 1.5, t=1.0))):
+        assert a == pytest.approx(b, rel=1e-14)
+    assert hm_l2_norm(st.coeffs, grid64, 1.0) == \
+        pytest.approx(hm_l2_norm(mirrored.coeffs, grid64, 1.0), rel=1e-14)
+
+
 def test_tilde_norm_eigenvalue_scaling(grid64):
     # xi-concentrated data: the 2D symbol reduces to (2p+2)^N
     narrow = np.exp(-50.0 * grid64.xi ** 2)
     ratios = []
     for p in (0, 4):
-        coeffs = np.zeros((2, 5, 64), complex)
-        coeffs[0, p] = narrow
+        coeffs = np.zeros((5, 64), complex)
+        coeffs[p] = narrow
         st = SpectralState(0.0, coeffs)
         N = 1.0
         tilde = composite_norms(st, grid64, 2.0, N).tilde_HN
@@ -197,16 +203,19 @@ def test_reality_constraint_from_real_field(grid64):
                     + (2.0 * np.arange(grid64.basis.max_mode + 1) + 2.0)[:, None])
     cu = forward(grid64, u)
     cv = forward(grid64, v)
-    coeffs = np.stack([cv + 1j * omega * cu, cv - 1j * omega * cu])
-    st = SpectralState(0.0, coeffs)
-    assert reality_defect(st) <= 1e-12 * np.max(np.abs(coeffs))
+    plus, minus = cv + 1j * omega * cu, cv - 1j * omega * cu
+    assert np.max(np.abs(minus_component(plus) - minus)) <= 1e-12 * np.max(np.abs(plus))
 
 
-def test_enforce_reality_idempotent(grid64):
+def test_minus_component_is_conjugate_mirror(grid64):
     rng = np.random.default_rng(9)
-    st = random_state(grid64, 4, rng)
-    enforce_reality(st)
-    assert reality_defect(st) == 0.0
+    plus = random_state(grid64, 4, rng).coeffs
+    minus = minus_component(plus)
+    xi = grid64.xi
+    for k in range(grid64.n_x1):   # xi_k -> -xi_k, the Nyquist bin onto itself
+        j = int(np.argmin(np.abs(xi + xi[k]))) if k != grid64.n_x1 // 2 else k
+        assert np.array_equal(minus[:, k], np.conj(plus[:, j]))
+    assert np.array_equal(minus_component(minus), plus)
 
 
 def test_interp_eval_matches_closed_form(grid64):
@@ -221,7 +230,8 @@ def test_interp_eval_matches_closed_form(grid64):
 
 def test_state_snapshot_roundtrip(tmp_path, grid64):
     rng = np.random.default_rng(4)
-    f, g = random_state(grid64, 5, rng), random_state(grid64, 5, rng)
+    n_modes = grid64.basis.max_mode + 1
+    f, g = random_state(grid64, n_modes, rng), random_state(grid64, n_modes, rng)
     f.time, g.time = 2.5, 1.0 + 1e-15
     meta = {"step": 125, "rows": 6, "tv": 0.1 + 0.2, "config_sha": "ab" * 32}
     for states in ({"f": f, "g": g}, {"f": f}):
@@ -242,20 +252,28 @@ def test_state_snapshot_roundtrip(tmp_path, grid64):
 
 
 def test_snapshot_geometry_mismatch(tmp_path, grid64):
-    st = SpectralState(0.0, np.zeros((2, 3, 64), complex))
+    n_modes = grid64.basis.max_mode + 1
+    st = SpectralState(0.0, np.zeros((n_modes, 64), complex))
     path = tmp_path / "s.npz"
     save_state(path, grid64, {}, f=st)
     for other in (Grid(64, 20.0, grid64.basis), Grid(128, 16.0, grid64.basis)):
         with pytest.raises(ValueError, match="geometry"):
             load_state(path, other)
+    # a state of another shape, such as both components (2, P, n_x1), is refused
+    for shape in ((2, n_modes, 64), (n_modes - 1, 64)):
+        save_state(path, grid64, {}, f=SpectralState(0.0, np.zeros(shape, complex)))
+        with pytest.raises(ValueError, match=r"shape \(" + ", ".join(map(str, shape))):
+            load_state(path, grid64)
 
 
 def test_hm_l2_norm_eigenvalue_weights(grid64):
-    coeffs = np.zeros((2, 3, 64), complex)
-    coeffs[0, 2, 5] = 1.0
+    coeffs = np.zeros((3, 64), complex)
+    coeffs[2, 5] = 1.0
     plain = hm_l2_norm(coeffs, grid64, 0.0)
     weighted = hm_l2_norm(coeffs, grid64, 2.0)
     assert weighted == pytest.approx(plain * 6.0 ** 2, rel=1e-13)
+    # both components count: twice the "+" norm
+    assert plain == pytest.approx(2.0 * math.sqrt(grid64.dxi / (2.0 * math.pi)), rel=1e-15)
 
 
 def test_forward_x1_inverse_x1_roundtrip(grid64):
