@@ -12,8 +12,9 @@ argument its argparse type rejects, 3 numerical failure, 64 unknown subcommand.
 
 Outputs are deterministic for a fixed config and seed: floats are printed
 with repr-faithful %.17g, JSON keys are sorted, and all numerics run on the
-same code path regardless of thread count.  The run manifest is written
-atomically last and lists every output file.
+same code path regardless of thread count.  ``main`` creates out-dir, runs
+the command and writes the run manifest atomically last; it lists every
+output file the command reports.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import time
 
 from .errors import BlowupDetected, ConfigError, ReslabError, ResolutionError
 from .evolution import SimConfig, make_grid, run_compare, run_single
-from .hermite import MAX_QUAD_ORDER, TripleProductTable
+from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
 from .transform import load_state, save_state
@@ -66,18 +67,6 @@ def _write_json(path, payload) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, path)
-
-
-def _write_manifest(out_dir: str, config_snapshot, input_hashes: dict,
-                    outputs: list[str], wall_s: float) -> None:
-    _write_json(os.path.join(out_dir, "manifest.json"), {
-        "tool": "reslab",
-        "version": __version__,
-        "config": config_snapshot,
-        "input_hashes": input_hashes,
-        "outputs": sorted(outputs),
-        "wall_seconds": wall_s,
-    })
 
 
 def load_config(path: str | None, overrides: dict) -> tuple[SimConfig, list[str]]:
@@ -131,9 +120,10 @@ def _config_hash(config: SimConfig) -> str:
         json.dumps(_config_snapshot(config), sort_keys=True).encode()).hexdigest()
 
 
-def cmd_enumerate(args) -> int:
-    out_dir = _ensure_out_dir(args)
-    t0 = time.time()
+# Each command writes its outputs to out_dir and returns what the manifest
+# records of it: (config snapshot, input hashes, output file names).
+
+def cmd_enumerate(args, out_dir: str):
     rows = []
     if not args.massless:   # the massless variant has a provably empty set
         for p in range(args.max_mode + 1):
@@ -154,28 +144,18 @@ def cmd_enumerate(args) -> int:
             [list(t) for t in gate_disagreements(args.max_mode)],
         "all_couplings_zero": all(tr.coupling == 0.0 for tr in rows),
     })
-    _write_manifest(out_dir, {"max_mode": args.max_mode, "gate": args.gate,
-                              "massless": args.massless}, {},
-                    ["resonant_interactions.csv", "enumerate_summary.json"],
-                    time.time() - t0)
-    return EXIT_OK
+    return ({"max_mode": args.max_mode, "gate": args.gate, "massless": args.massless},
+            {}, ["resonant_interactions.csv", "enumerate_summary.json"])
 
 
-def cmd_phase_report(args) -> int:
-    out_dir = _ensure_out_dir(args)
-    t0 = time.time()
+def cmd_phase_report(args, out_dir: str):
     params = PhaseParams(args.m, args.n, args.p, args.alpha, args.beta)
     report = phase_report(params, R=args.radius, width_specs=args.width_probes)
-    path = os.path.join(out_dir, "phase_report.json")
-    _write_json(path, report)
-    _write_manifest(out_dir, report["params"], {}, ["phase_report.json"],
-                    time.time() - t0)
-    return EXIT_OK
+    _write_json(os.path.join(out_dir, "phase_report.json"), report)
+    return report["params"], {}, ["phase_report.json"]
 
 
-def cmd_stat_phase_check(args) -> int:
-    out_dir = _ensure_out_dir(args)
-    t0 = time.time()
+def cmd_stat_phase_check(args, out_dir: str):
     result = stat_phase_decay_table(threads=args.threads)
     csv_path = os.path.join(out_dir, "stat_phase_decay.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -186,22 +166,14 @@ def cmd_stat_phase_check(args) -> int:
                                "leading_re", "leading_im", "abs_diff")) + "\n")
     _write_json(os.path.join(out_dir, "stat_phase_summary.json"),
                 {"fitted_exponent": result["fitted_exponent"]})
-    _write_manifest(out_dir, {}, {},
-                    ["stat_phase_decay.csv", "stat_phase_summary.json"],
-                    time.time() - t0)
-    return EXIT_OK
+    return {}, {}, ["stat_phase_decay.csv", "stat_phase_summary.json"]
 
 
-def cmd_triple_table(args) -> int:
-    out_dir = _ensure_out_dir(args)
-    t0 = time.time()
+def cmd_triple_table(args, out_dir: str):
     table = TripleProductTable(args.max_mode)
-    path = os.path.join(out_dir, "triple_products.csv")
-    table.write_csv(path)
-    _write_manifest(out_dir,
-                    {"max_mode": args.max_mode, "quad_order": table.built_with},
-                    {}, ["triple_products.csv"], time.time() - t0)
-    return EXIT_OK
+    table.write_csv(os.path.join(out_dir, "triple_products.csv"))
+    return ({"max_mode": args.max_mode, "quad_order": table.built_with},
+            {}, ["triple_products.csv"])
 
 
 class _RunWriter:
@@ -277,12 +249,10 @@ def _load_resume(out_dir: str, config: SimConfig, writer: _RunWriter):
     return resume
 
 
-def _run_trajectory(args, which: str) -> int:
-    out_dir = _ensure_out_dir(args)
+def _run_trajectory(args, out_dir: str, which: str):
     config, warns = load_config(args.config, {"seed": args.seed})
     for w in warns:
         print(f"warning: {w}", file=sys.stderr)
-    t0 = time.time()
     writer = _RunWriter(out_dir, config, compare=(which == "compare"))
     resume = _load_resume(out_dir, config, writer) if args.resume else None
     if resume is None:   # an earlier run's checkpoint is not this run's output
@@ -314,14 +284,11 @@ def _run_trajectory(args, which: str) -> int:
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     if os.path.exists(os.path.join(out_dir, CHECKPOINT)):
         outputs.append(CHECKPOINT)
-    _write_manifest(out_dir, _config_snapshot(config),
-                    {"config": _sha256_file(args.config)} if args.config else {},
-                    outputs, time.time() - t0)
-    return EXIT_OK
+    return (_config_snapshot(config),
+            {"config": _sha256_file(args.config)} if args.config else {}, outputs)
 
 
-def _ensure_out_dir(args) -> str:
-    out_dir = args.out_dir or "."
+def _ensure_out_dir(out_dir: str) -> str:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -395,9 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, cmd_stat_phase_check)
 
     p = sub.add_parser("triple-table", help="export the interaction tensor")
-    # its quadrature order 3 max_mode // 2 + 2 is at most MAX_QUAD_ORDER
-    p.add_argument("--max-mode", type=_int_range(0, 2 * (MAX_QUAD_ORDER - 2) // 3),
-                   required=True)
+    p.add_argument("--max-mode", type=_int_range(0, MAX_MODE), required=True)
     common(p, cmd_triple_table)
 
     for name, which in (("simulate-full", "full"), ("simulate-resonant", "resonant"),
@@ -407,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resume", action="store_true",
                        help="continue from a checkpoint in out-dir")
         p.add_argument("--seed", type=_int_range(0), default=None)
-        common(p, lambda args, which=which: _run_trajectory(args, which))
+        common(p, lambda args, out_dir, which=which: _run_trajectory(args, out_dir, which))
     return parser
 
 
@@ -423,7 +388,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        out_dir = _ensure_out_dir(args.out_dir or ".")
+        t0 = time.time()
+        config, input_hashes, outputs = args.run(args, out_dir)
+        _write_json(os.path.join(out_dir, "manifest.json"), {
+            "tool": "reslab", "version": __version__, "config": config,
+            "input_hashes": input_hashes, "outputs": sorted(outputs),
+            "wall_seconds": time.time() - t0})
+        return EXIT_OK
     except ConfigError as exc:
         for path, msg in exc.issues:
             print(f"config error at {path}: {msg}", file=sys.stderr)

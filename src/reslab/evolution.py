@@ -55,10 +55,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import BlowupDetected
-from .hermite import HermiteBasis, TripleProductTable
+from .hermite import MAX_MODE, HermiteBasis, TripleProductTable
 from .transform import (Grid, SpectralState, composite_norms, hm_l2_norm,
                         interp_matrix, minus_component)
-from .phase import d2_at_stationary_signed
+from .phase import d2_at_stationary
 from .triples import GATES, ResonantTriple, interactions_for_output
 
 K_PREF = -1.0 / (8.0 * math.pi)
@@ -107,6 +107,9 @@ class SimConfig:
             value = getattr(self, name)
             if value < low or (strict and value == low):
                 errs.append((f"/{name}", f"must be {'>' if strict else '>='} {low}"))
+        for name, high in _UPPER_BOUNDS.items():
+            if getattr(self, name) > high:
+                errs.append((f"/{name}", f"must be <= {high}"))
         for name, allowed in _ENUMS.items():
             if getattr(self, name) not in allowed:
                 errs.append((f"/{name}", "must be one of " + ", ".join(map(repr, allowed))))
@@ -127,14 +130,17 @@ class SimConfig:
 
 
 # The rules of ``config.schema.json``: each field's JSON type by annotation,
-# the bounded fields' minimum or exclusiveMinimum (strict), and the enums.
+# the bounded fields' minimum or exclusiveMinimum (strict), their maximum,
+# and the enums.
 _TYPE_NAMES = {"float": "a finite number", "int": "an integer", "bool": "a boolean",
                "str": "a string", "tuple[int, ...]": "a list of integers"}
 _LOWER_BOUNDS = {"eps": (0, False), "P": (1, False), "n_x1": (16, False),
                  "length_x1": (0, True), "dt": (0, True), "t_end": (0, True),
                  "M0": (0, False), "s0": (0, True), "packet_width": (0, True),
                  "out_every": (0, True), "checkpoint_every": (0, False),
-                 "resonant_subcycle": (1, False)}
+                 "resonant_subcycle": (1, False), "seed": (0, False)}
+# modes 0..P-1 need the cubic rule of max_mode P - 1 <= hermite.MAX_MODE
+_UPPER_BOUNDS = {"P": MAX_MODE + 1}
 _ENUMS = {"gate": tuple(GATES), "coupling_mode": ("hermite", "unit")}
 
 
@@ -280,7 +286,7 @@ class ResonantStepper:
                 / np.sqrt((lam * xs) ** 2 + 2.0 * tr.m + 2.0)[:, None]
             en = interp_matrix(grid, (1.0 - lam) * xs) \
                 / np.sqrt(((1.0 - lam) * xs) ** 2 + 2.0 * tr.n + 2.0)[:, None]
-            d_signed = d2_at_stationary_signed(tr.m, tr.n, tr.alpha, tr.beta, xs)
+            d_signed = d2_at_stationary(tr.m, tr.n, tr.alpha, tr.beta, xs)
             ab = float(tr.alpha * tr.beta) if include_alpha_beta else 1.0
             kernel = K_PREF * ab * coupling * np.sqrt(2.0 * math.pi / np.abs(d_signed))
             fresnel = np.exp(-1j * (math.pi / 4.0) * np.sign(d_signed))

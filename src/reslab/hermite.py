@@ -9,7 +9,8 @@ The stored functions are the L2-normalized Hermite functions
 
 where psi_n(x) = (-1)^n e^(x^2/2) d^n/dx^n e^(-x^2) is the unnormalized
 family.  Either convention is recoverable through ``norm_constant``.
-phi_n is an eigenfunction of -d^2/dx^2 + x^2 with eigenvalue 2n+1.
+phi_n is an eigenfunction of -d^2/dx^2 + x^2 with eigenvalue 2n+1.  Every
+value of phi_n comes from the recurrence in ``hermite_table``.
 
 Triple products are computed for the normalized family,
 
@@ -17,7 +18,10 @@ Triple products are computed for the normalized family,
 
 by Gauss-Hermite quadrature after the substitution x = sqrt(2/3) y, which
 turns the total Gaussian factor e^(-3x^2/2) into the quadrature weight
-e^(-y^2) and makes the rule exact for m + n + p <= 2*order - 1.
+e^(-y^2) and makes the rule exact for m + n + p <= 2*order - 1.  That
+substituted rule is built in one place, ``_cubic_rule``, for the basis's
+cubic nodes, ``triple_product`` and ``TripleProductTable``; ``MAX_MODE`` is
+the largest mode count it can serve within ``MAX_QUAD_ORDER``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ _SCALE = math.sqrt(2.0 / 3.0)
 # Above this order the raw Gauss-Hermite weights underflow and the
 # weight/exp(x^2) recombination loses all digits.
 MAX_QUAD_ORDER = 320
+# The largest max_mode whose cubic rule, of order 3 max_mode // 2 + 2, fits.
+MAX_MODE = 2 * (MAX_QUAD_ORDER - 2) // 3
 
 
 def norm_constant(n: int) -> float:
@@ -44,28 +50,14 @@ def norm_constant(n: int) -> float:
     return math.exp(0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0) + 0.5 * math.log(math.pi)))
 
 
-def hermite_eval(n: int, x):
-    """Evaluate phi_n(x) by the three-term recurrence with the Gaussian folded in.
+def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
+    """All phi_0..phi_{n_max} on the points x; shape (n_max+1, len(x)).
 
+    Three-term recurrence with the Gaussian folded in, stable for large n
+    where differentiating e^(-x^2) overflows:
     phi_0 = pi^(-1/4) e^(-x^2/2),  phi_1 = sqrt(2) x phi_0,
     phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1}.
-
-    Stable for large n where differentiating e^(-x^2) overflows.
     """
-    if n < 0:
-        raise ValueError("mode index must be >= 0")
-    x = np.asarray(x, dtype=float)
-    p0 = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n == 0:
-        return p0 if p0.ndim else float(p0)
-    p1 = math.sqrt(2.0) * x * p0
-    for k in range(1, n):
-        p0, p1 = p1, math.sqrt(2.0 / (k + 1.0)) * x * p1 - math.sqrt(k / (k + 1.0)) * p0
-    return p1 if p1.ndim else float(p1)
-
-
-def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
-    """All phi_0..phi_{n_max} on the points x; shape (n_max+1, len(x))."""
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1, x.size))
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
@@ -94,13 +86,21 @@ def gauss_hermite(order: int):
     return nodes, weights, total
 
 
+def _cubic_rule(order: int, max_mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """phi_0..phi_max_mode at the nodes of the order-point rule substituted by
+    x = sqrt(2/3) y, and its total weights, which include the Jacobian."""
+    nodes, _, total = gauss_hermite(order)
+    return hermite_table(max_mode, _SCALE * nodes), _SCALE * total
+
+
 @dataclass(frozen=True)
 class HermiteBasis:
     """Immutable bundle of nodes, weights and mode values for the trap direction.
 
     ``nodes``/``weights`` form the plain Gauss-Hermite rule used for mode
-    projections (integrands poly * e^(-x^2)); ``cubic_nodes`` carry the
-    sqrt(2/3)-substituted rule that makes triple integrals exact.
+    projections (integrands poly * e^(-x^2)); ``cubic_phi`` and
+    ``cubic_total_weights`` are the sqrt(2/3)-substituted rule that makes
+    triple integrals exact.
     """
 
     max_mode: int
@@ -110,7 +110,6 @@ class HermiteBasis:
     total_weights: np.ndarray
     norm_constants: np.ndarray
     phi: np.ndarray          # (max_mode+1, quad_order) values at nodes
-    cubic_nodes: np.ndarray
     cubic_total_weights: np.ndarray   # includes the sqrt(2/3) Jacobian
     cubic_phi: np.ndarray
 
@@ -125,7 +124,7 @@ class HermiteBasis:
             # below 1e-12 at the boundary
             quad_order = max((3 * max_mode) // 2 + 2, 40)
         nodes, weights, total = gauss_hermite(quad_order)
-        cubic_nodes = _SCALE * nodes   # the same rule, substituted
+        cubic_phi, cubic_total = _cubic_rule(quad_order, max_mode)
         return cls(
             max_mode=max_mode,
             quad_order=quad_order,
@@ -134,9 +133,8 @@ class HermiteBasis:
             total_weights=total,
             norm_constants=np.array([norm_constant(n) for n in range(max_mode + 1)]),
             phi=hermite_table(max_mode, nodes),
-            cubic_nodes=cubic_nodes,
-            cubic_total_weights=_SCALE * total,
-            cubic_phi=hermite_table(max_mode, cubic_nodes),
+            cubic_total_weights=cubic_total,
+            cubic_phi=cubic_phi,
         )
 
     def project(self, values: np.ndarray) -> np.ndarray:
@@ -163,7 +161,7 @@ def eigen_residual(n: int, grid: np.ndarray) -> float:
     extent = 2.0 * math.sqrt(2.0 * n + 2.0)
     if grid[-1] < extent or grid[0] > -extent:
         raise GridTooCoarseError(f"grid must cover [-{extent:.3g}, {extent:.3g}]")
-    f = hermite_eval(n, grid)
+    f = hermite_table(n, grid)[n]
     d2 = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
     x = grid[2:-2]
     return float(np.max(np.abs(-d2 + x * x * f[2:-2] - (2.0 * n + 1.0) * f[2:-2])))
@@ -185,10 +183,8 @@ def triple_product(m: int, n: int, p: int, quad_order: int | None = None) -> flo
     m, n, p = sorted((m, n, p))   # canonical order: permutations agree bitwise
     if quad_order is None:
         quad_order = triple_quad_order(m, n, p)
-    ynodes, _, ytotal = gauss_hermite(quad_order)
-    x = _SCALE * ynodes
-    table = hermite_table(p, x)
-    return float(_SCALE * np.sum(ytotal * table[m] * table[n] * table[p]))
+    table, w = _cubic_rule(quad_order, p)
+    return float(np.sum(w * table[m] * table[n] * table[p]))
 
 
 class TripleProductTable:
@@ -204,11 +200,10 @@ class TripleProductTable:
             quad_order = triple_quad_order(max_mode, max_mode, max_mode)
         self.max_mode = max_mode
         self.built_with = quad_order
-        ynodes, _, ytotal = gauss_hermite(quad_order)
-        table = hermite_table(max_mode, _SCALE * ynodes)
+        table, w_total = _cubic_rule(quad_order, max_mode)
         entries: dict[tuple[int, int, int], float] = {}
         for p in range(max_mode + 1):
-            w = _SCALE * ytotal * table[p]
+            w = w_total * table[p]
             # G[m, n] = sum_i w_i phi_m phi_n for m, n <= p
             g = (table[: p + 1] * w) @ table[: p + 1].T
             for mm in range(p + 1):

@@ -26,6 +26,7 @@ from .transform import Grid, interp_matrix
 C_SP = math.sqrt(2.0 * math.pi)
 
 _GL_ORDER = 16
+_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 _MAX_NODES = 20_000_000
 _CHUNK = 1 << 18
 
@@ -123,6 +124,15 @@ def _panel_edges(a: float, b: float, t: float, dpsi_max: float,
     return np.unique(edges)
 
 
+def _gauss_legendre_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_ORDER-point Gauss-Legendre rule on the
+    panels [lo_i, hi_i], flattened panel by panel."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return ((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel(),
+            (half[:, None] * _GL_WEIGHTS[None, :]).ravel())
+
+
 def quadrature_oscillatory(spec: OscIntegralSpec, resolution: float = 1.0,
                            breakpoints: tuple[float, ...] = ()) -> complex:
     """Composite Gauss-Legendre value of the oscillatory integral.
@@ -141,17 +151,11 @@ def quadrature_oscillatory(spec: OscIntegralSpec, resolution: float = 1.0,
         fine = [np.linspace(edges[i], edges[i + 1], extra + 1)[:-1]
                 for i in range(edges.size - 1)]
         edges = np.unique(np.concatenate(fine + [edges[-1:]]))
-    nodes, weights = leggauss(_GL_ORDER)
     total = 0.0 + 0.0j
     los, his = edges[:-1], edges[1:]
     step = max(1, _CHUNK // _GL_ORDER)
     for start in range(0, los.size, step):
-        lo = los[start:start + step]
-        hi = his[start:start + step]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
+        x, w = _gauss_legendre_panels(los[start:start + step], his[start:start + step])
         vals = np.exp(1j * t * np.asarray(spec.phase.psi(x), dtype=float)) \
             * np.asarray(spec.amplitude(x), dtype=complex) * spec.chi(x)
         total += np.sum(w * vals)
@@ -275,11 +279,7 @@ def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params: PhaseParams, s: float
         raise ResolutionError(f"duhamel kernel needs more than {_MAX_NODES} nodes")
     n_panels = max(1, n_nodes // _GL_ORDER)
     edges = np.linspace(-W, W, n_panels + 1)
-    nodes, weights = leggauss(_GL_ORDER)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    eta = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
+    eta, w = _gauss_legendre_panels(edges[:-1], edges[1:])
     fm_eta = (interp_matrix(grid, eta) @ np.asarray(fm, complex)) \
         / np.sqrt(eta ** 2 + 2.0 * params.m + 2.0)
     out = np.empty(xi_out.size, dtype=complex)

@@ -11,6 +11,9 @@ Space resonances sit on the line eta = lambda * xi with
 lambda = 1 / (1 + alpha beta sqrt((n+1)/(m+1))); the line slope in the
 (eta, xi) plane is Lambda = 1/lambda.  Space-time resonance holds when phi
 also vanishes there, which reduces to an integer condition on (m, n, p).
+The curvature d^2_eta phi at the stationary point eta0 = lambda xi has one
+closed form, ``d2_at_stationary``; it is signed (it carries alpha), and
+callers that need its magnitude take ``abs``.
 
 Two admissibility gates are provided, named as in ``triples.GATES``:
 "printed" applies a sign-inequality case analysis, "sqrt" the root
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, DegenerateSelfInteraction, ResonantCaseError
+from .errors import (BracketFailure, DegenerateSelfInteraction, ResolutionError,
+                     ResonantCaseError)
 from .triples import GATES, printed_gate_excludes
 
 
@@ -109,22 +113,13 @@ def line_slope(m: int, n: int, alpha: int, beta: int) -> float:
     return 1.0 + (beta / alpha) * math.sqrt((2.0 * n + 2.0) / (2.0 * m + 2.0))
 
 
-def d2_at_stationary(m: int, n: int, ab: int, xi) -> float:
-    """Closed form (2m+2) / (lambda (lambda^2 xi^2 + 2m+2)^(3/2)) at eta0 = lambda xi.
-
-    Downstream code consumes only the magnitude (sign conventions for this
-    quantity vary; the signed value is ``d2_at_stationary_signed``).  ``ab``
-    is the product alpha*beta.
-    """
-    lam = lambda_coeff(m, n, 1, ab)
+def d2_at_stationary(m: int, n: int, alpha: int, beta: int, xi):
+    """Signed d^2_eta phi at the stationary point eta0 = lambda xi, in closed
+    form alpha (2m+2) / (lambda (lambda^2 xi^2 + 2m+2)^(3/2))."""
+    lam = lambda_coeff(m, n, alpha, beta)
     xi = np.asarray(xi, dtype=float)
-    out = (2.0 * m + 2.0) / (lam * (lam * lam * xi ** 2 + 2.0 * m + 2.0) ** 1.5)
+    out = alpha * ((2.0 * m + 2.0) / (lam * (lam * lam * xi ** 2 + 2.0 * m + 2.0) ** 1.5))
     return out if out.ndim else float(out)
-
-
-def d2_at_stationary_signed(m: int, n: int, alpha: int, beta: int, xi):
-    """True signed d^2_eta phi at the stationary point: alpha times the closed form."""
-    return alpha * d2_at_stationary(m, n, alpha * beta, xi)
 
 
 def classify(params: PhaseParams, gate: str = "printed") -> ResonanceClass:
@@ -236,12 +231,18 @@ def band_width_probe(m: int, n: int, j: int, regime: Regime, k: int | None = Non
 
 
 def sampled_phase_min(params: PhaseParams, R: float, n_points: int = 400) -> float:
-    """Minimum of |phi| over a polar sampling of the ball |(xi,eta)| <= R."""
+    """Minimum of |phi| over a polar sampling of the ball |(xi,eta)| <= R.
+
+    Raises ResolutionError when the minimum is not finite (phi overflows on
+    a ball too large for floating point)."""
     radii = np.linspace(0.0, R, n_points)
     angles = np.linspace(0.0, 2.0 * math.pi, 2 * n_points, endpoint=False)
     rr, aa = np.meshgrid(radii, angles)
-    vals = np.abs(phase(params, rr * np.cos(aa), rr * np.sin(aa)))
-    return float(vals.min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.abs(phase(params, rr * np.cos(aa), rr * np.sin(aa))).min())
+    if not math.isfinite(value):
+        raise ResolutionError(f"sampled |phi| on the ball of radius {R:.3g} is not finite")
+    return value
 
 
 def phase_report(params: PhaseParams, R: float = 20.0,
@@ -255,7 +256,7 @@ def phase_report(params: PhaseParams, R: float = 20.0,
     sqrt_cls = classify(params, "sqrt")
     try:
         lam = lambda_coeff(params.m, params.n, params.alpha, params.beta)
-        d2 = abs(d2_at_stationary(params.m, params.n, params.alpha * params.beta, 0.0))
+        d2 = abs(d2_at_stationary(params.m, params.n, params.alpha, params.beta, 0.0))
     except DegenerateSelfInteraction:
         lam = None
         d2 = None

@@ -249,18 +249,16 @@ def interp_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:
     """Matrix evaluating the band-limited interpolant of f~ at ``targets``.
 
     The interpolant is the unique trigonometric polynomial through the grid
-    values: f~(xi*) = dx * sum_j f_j e^(-i x_j xi*), with f_j recovered by the
-    inverse transform.  Raises InterpolationRangeError outside [-xi_max, xi_max].
+    values: f~(xi*) = dx * sum_j f_j e^(-i x_j xi*), with f_j = inverse_x1(f~).
+    Since dx n / L = 1, entry (t, k) is alt_k ifft_j(e^(-i x_j xi*_t))_k.
+    Raises InterpolationRangeError outside [-xi_max, xi_max].
     """
     targets = np.asarray(targets, dtype=float)
     bound = grid.xi_max * (1.0 + 1e-12)
     if np.any(np.abs(targets) > bound):
         raise InterpolationRangeError(
             f"target frequency beyond window +-{grid.xi_max:.6g}")
-    expo = np.exp(-1j * np.outer(targets, grid.x1))           # (T, n)
-    n = grid.n_x1
-    inv = np.fft.ifft(np.diag(grid.alt + 0j), axis=0) * (n / grid.length_x1)  # coeffs -> samples
-    return grid.dx * (expo @ inv)
+    return grid.alt * np.fft.ifft(np.exp(-1j * np.outer(targets, grid.x1)), axis=1)
 
 
 def interp_eval(grid: Grid, coeffs: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ A triple (m, n, p) is resonant exactly when
 a fully symmetric condition equivalent to one of sqrt(m+1), sqrt(n+1),
 sqrt(p+1) being the sum of the other two.  It is quadratic in each index:
 for a fixed output mode p the inputs are n = m + p + 1 +- 2 sqrt((m+1)(p+1)),
-so the resonant set is walked once, one ``isqrt`` per (m, p): O(max_mode) per
-output mode, O(max_mode^2) over all of them.  ``enumerate_triples`` lists the
-canonical triples at the same cost; the cubic brute-force scan survives only
-as a test oracle.
+so the resonant set is walked once, one ``isqrt`` per (m, p) in ``_partner``:
+O(max_mode) per output mode, O(max_mode^2) over all of them.  Every listing
+reads that one walk (``_resonant_inputs``): the interactions per output mode,
+the gate disagreements, and ``enumerate_triples``, which keeps its canonical
+(-1, -1) entries.  The cubic brute-force scan survives only as a test oracle.
 
 All arithmetic is exact (Python integers); there is no overflow bound.
 """
@@ -56,25 +57,6 @@ def _partner(m: int, n: int) -> int | None:
     if r * r != prod:
         return None
     return m + n + 1 + 2 * r
-
-
-def enumerate_triples(max_mode: int) -> list[tuple[int, int, int]]:
-    """Sorted triples (m, n, p), m <= n, p in the largest-root position,
-    with all indices <= max_mode.
-
-    Every solution of the resonance polynomial is an index permutation of an
-    entry of this list.
-    """
-    if max_mode < 0:
-        raise ValueError("max_mode must be >= 0")
-    out = []
-    for m in range(max_mode + 1):
-        for n in range(m, max_mode + 1):
-            p = _partner(m, n)
-            if p is not None and p <= max_mode:
-                out.append((m, n, p))
-    out.sort()
-    return out
 
 
 def sqrt_gate_admissible(m: int, n: int, p: int, alpha: int, beta: int) -> bool:
@@ -154,20 +136,35 @@ def _resonant_inputs(p: int, max_mode: int):
     in lexicographic order; the degenerate m = n, alpha = -beta is skipped.
 
     For fixed (m, p) the polynomial is quadratic in n with roots
-    n = m + p + 1 -+ 2 sqrt((m+1)(p+1)), integral iff (m+1)(p+1) is a square.
+    n = m + p + 1 -+ 2 sqrt((m+1)(p+1)), integral iff (m+1)(p+1) is a square:
+    the upper root is ``_partner(m, p)``, the lower one 2(m+p+1) minus it.
     """
     for m in range(max_mode + 1):
-        prod = (m + 1) * (p + 1)
-        r = math.isqrt(prod)
-        if r * r != prod:
+        upper = _partner(m, p)
+        if upper is None:
             continue
-        for n in (m + p + 1 - 2 * r, m + p + 1 + 2 * r):
+        for n in (2 * (m + p + 1) - upper, upper):
             if not 0 <= n <= max_mode:
                 continue
             for alpha in (-1, 1):
                 for beta in (-1, 1):
                     if m != n or alpha == beta:
                         yield m, n, alpha, beta
+
+
+def enumerate_triples(max_mode: int) -> list[tuple[int, int, int]]:
+    """Sorted triples (m, n, p), m <= n, p in the largest-root position,
+    with all indices <= max_mode.
+
+    Every solution of the resonance polynomial is an index permutation of an
+    entry of this list: the entries are the walk's (-1, -1) inputs with
+    m <= n <= p.
+    """
+    if max_mode < 0:
+        raise ValueError("max_mode must be >= 0")
+    return sorted((m, n, p) for p in range(max_mode + 1)
+                  for m, n, alpha, beta in _resonant_inputs(p, max_mode)
+                  if (alpha, beta) == (-1, -1) and m <= n <= p)
 
 
 def interactions_for_output(p: int, max_mode: int, gate: str = "sqrt",

@@ -157,14 +157,14 @@ def resonant_rhs_reference(stepper, coeffs: np.ndarray, s: float) -> np.ndarray:
     """``ResonantStepper`` right-hand side on both components (2, P, n): output
     sigma reads the field components (-sigma a, -sigma b) and carries the
     Fresnel factor e^(i pi/4 (-sigma) sgn D)."""
-    from reslab.phase import d2_at_stationary_signed
+    from reslab.phase import d2_at_stationary
 
     out = np.zeros_like(coeffs)
     for p, slots_p in enumerate(stepper.slots):
         for slot in slots_p:
             tr = slot.triple
             xs = stepper.grid.xi[slot.idx]
-            sgn_d = np.sign(d2_at_stationary_signed(tr.m, tr.n, tr.alpha, tr.beta, xs))
+            sgn_d = np.sign(d2_at_stationary(tr.m, tr.n, tr.alpha, tr.beta, xs))
             for comp, sigma in enumerate((1, -1)):
                 comp_m = 0 if -sigma * tr.alpha == 1 else 1
                 comp_n = 0 if -sigma * tr.beta == 1 else 1

@@ -80,6 +80,16 @@ def test_schema_matches_simconfig():
         default = fields[name]
         assert prop["default"] == (list(default) if isinstance(default, tuple)
                                    else default), name
+    # every bound and enum the Python side enforces is the schema's, and back
+    assert evolution._LOWER_BOUNDS == {
+        name: ((prop["minimum"], False) if "minimum" in prop
+               else (prop["exclusiveMinimum"], True))
+        for name, prop in SCHEMA.items()
+        if "minimum" in prop or "exclusiveMinimum" in prop}
+    assert evolution._UPPER_BOUNDS == {name: prop["maximum"]
+                                       for name, prop in SCHEMA.items() if "maximum" in prop}
+    assert {name: list(allowed) for name, allowed in evolution._ENUMS.items()} == \
+        {name: prop["enum"] for name, prop in SCHEMA.items() if "enum" in prop}
 
 
 def _schema_violations():
@@ -95,11 +105,19 @@ def _schema_violations():
             yield name, prop["minimum"] - 1
         if "exclusiveMinimum" in prop:
             yield name, prop["exclusiveMinimum"]
+        if "maximum" in prop:
+            yield name, prop["maximum"] + 1
         if "minimum" in prop.get("items", {}):
             yield name, [prop["items"]["minimum"] - 1]
 
 
-@pytest.mark.parametrize("name,value", list(_schema_violations()))
+def _violation_id(value):
+    """Scalars keep pytest's id; a list is named by its entries, not by its
+    position in the parameter list, so a new rule renames no other case."""
+    return "items-" + "-".join(map(str, value)) if isinstance(value, list) else None
+
+
+@pytest.mark.parametrize("name,value", list(_schema_violations()), ids=_violation_id)
 def test_schema_violation_rejected_at_field(tmp_path, capsys, name, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({name: value}))
@@ -165,6 +183,17 @@ def test_phase_report_command(tmp_path):
     # a probe whose scale overflows is reported, not raised
     assert report["width_probes"][1]["measured_width"] is None
     assert "error" in report["width_probes"][1]
+
+
+def test_phase_report_overflowing_radius_exits_3(tmp_path, capsys):
+    # phi overflows on this ball: its sampled minimum would be NaN
+    out = tmp_path / "pr"
+    assert main(["phase-report", "--m", "0", "--n", "0", "--p", "3",
+                 "--radius", "1e300", "--out-dir", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "not finite" in err
+    assert not (out / "phase_report.json").exists()
+    assert not (out / "manifest.json").exists()
 
 
 PHASE = ["phase-report", "--m", "0", "--n", "0", "--p", "3"]

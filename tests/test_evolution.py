@@ -9,7 +9,7 @@ from oracles import (leapfrog_reference, physical_field_on, resonant_rhs_referen
 from reslab.errors import BlowupDetected
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               init_profile, make_grid, run_compare, run_single)
-from reslab.phase import d2_at_stationary_signed, lambda_coeff
+from reslab.phase import d2_at_stationary, lambda_coeff
 from reslab.triples import interactions_for_output
 from reslab.transform import composite_norms, interp_eval, minus_component
 
@@ -218,7 +218,7 @@ def test_resonant_single_triple_hand_rhs(small_setup):
     fa = interp_eval(grid, state.coeffs[0:1], lam * xi)[0] / np.sqrt((lam * xi) ** 2 + 2.0)
     fb = interp_eval(grid, state.coeffs[0:1], (1 - lam) * xi)[0] \
         / np.sqrt(((1 - lam) * xi) ** 2 + 2.0)
-    d_signed = d2_at_stationary_signed(0, 0, -1, -1, xi)
+    d_signed = d2_at_stationary(0, 0, -1, -1, xi)
     hand = (K_PREF * 1.0 * np.sqrt(2.0 * math.pi / (s0 * np.abs(d_signed)))
             * np.exp(1j * (math.pi / 4.0) * (-1.0) * np.sign(d_signed)) * fa * fb)
     scale = np.max(np.abs(hand))

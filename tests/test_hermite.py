@@ -12,23 +12,24 @@ from scipy.special import roots_hermite
 from oracles import adaptive_triple, psi_direct
 from reslab.errors import GridTooCoarseError
 from reslab.hermite import (MAX_QUAD_ORDER, eigen_residual, gauss_hermite,
-                            hermite_eval, hermite_table, interaction_bound_ratio,
+                            hermite_table, interaction_bound_ratio,
                             norm_constant, triple_product)
 
 
 def test_phi0_at_origin():
-    assert hermite_eval(0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-14)
+    assert hermite_table(0, [0.0])[0, 0] == pytest.approx(math.pi ** -0.25, rel=1e-14)
 
 
 def test_phi1_odd_parity():
-    assert hermite_eval(1, 0.0) == 0.0
+    assert hermite_table(1, [0.0])[1, 0] == 0.0
 
 
 def test_phi2_at_origin_frozen_oracle_value():
     # oracle: psi_2 = (4x^2 - 2) e^(-x^2/2) from differentiating e^(-x^2),
     # normalized by ||psi_2|| = sqrt(8 sqrt(pi)); frozen from tests/oracles.py
-    assert hermite_eval(2, 0.0) == pytest.approx(-0.5311259660135984, rel=1e-13)
-    assert hermite_eval(2, 0.0) == pytest.approx(psi_direct(2, 0.0), rel=1e-13)
+    phi2 = hermite_table(2, [0.0])[2, 0]
+    assert phi2 == pytest.approx(-0.5311259660135984, rel=1e-13)
+    assert phi2 == pytest.approx(psi_direct(2, 0.0), rel=1e-13)
 
 
 def test_gauss_hermite_matches_scipy():
@@ -52,8 +53,9 @@ def test_cli_import_leaves_scipy_out():
 
 def test_recurrence_matches_direct_evaluation():
     x = np.linspace(-8.0, 8.0, 641)
+    table = hermite_table(40, x)
     for n in range(41):
-        a = hermite_eval(n, x)
+        a = table[n]
         b = psi_direct(n, x)
         scale = np.max(np.abs(b))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
@@ -212,10 +214,3 @@ def test_basis_synthesize_project_roundtrip(basis60):
     vals = coeffs @ hermite_table(19, basis60.nodes)
     back = basis60.project(vals)[:20]
     assert np.max(np.abs(back - coeffs)) < 1e-12
-
-
-def test_hermite_table_matches_eval():
-    x = np.linspace(-5, 5, 11)
-    table = hermite_table(10, x)
-    for n in (0, 4, 10):
-        assert np.allclose(table[n], hermite_eval(n, x), rtol=0, atol=1e-15)

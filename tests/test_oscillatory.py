@@ -12,7 +12,7 @@ from reslab.oscillatory import (C_SP, OscIntegralSpec, PhaseCurve, SmoothBump,
                                 quadrature_oscillatory,
                                 stat_phase_decay_table,
                                 stationary_phase_leading)
-from reslab.phase import PhaseParams, d2_at_stationary_signed, lambda_coeff
+from reslab.phase import PhaseParams, d2_at_stationary, lambda_coeff
 from reslab.transform import Grid, forward_x1, inverse_x1, interp_eval
 
 
@@ -230,7 +230,7 @@ def test_duhamel_resonant_stationary_phase(duh_grid, duh_fields, s):
     fm, fn = duh_fields
     params = PhaseParams(0, 0, 3, -1, -1)
     val = duhamel_kernel(fm, fn, params, s, 1, duh_grid, xi_out=np.array([0.0]))[0]
-    d2 = d2_at_stationary_signed(0, 0, -1, -1, 0.0)
+    d2 = d2_at_stationary(0, 0, -1, -1, 0.0)
     lead = (math.sqrt(2.0 * math.pi / (s * abs(d2)))
             * np.exp(1j * (math.pi / 4.0) * np.sign(-d2))
             * (fm[0] / math.sqrt(2.0)) * (fn[0] / math.sqrt(2.0)))
@@ -272,7 +272,7 @@ def test_generic_stationary_phase_on_duhamel_integrand(duh_grid, duh_fields):
     spec = OscIntegralSpec(phase=curve, amplitude=amp, time=s,
                            window=(-duh_grid.xi_max, duh_grid.xi_max))
     lead = stationary_phase_leading(spec, x0)
-    d2 = d2_at_stationary_signed(0, 0, -1, -1, xi)
+    d2 = d2_at_stationary(0, 0, -1, -1, xi)
     closed = (math.sqrt(2.0 * math.pi / (s * abs(d2)))
               * np.exp(1j * (math.pi / 4.0) * np.sign(-d2)) * amp(lam * xi))
     assert abs(lead - closed) <= 1e-6 * abs(closed)

@@ -10,7 +10,7 @@ from reslab.errors import (BracketFailure, DegenerateSelfInteraction,
                            ResonantCaseError)
 from reslab.phase import (PhaseParams, Regime, ResonanceClass, Tag,
                           band_width_probe, band_width_reference, classify,
-                          d2_at_stationary, d2_at_stationary_signed,
+                          d2_at_stationary,
                           dphase_deta, dphase_dxi, d2phase_deta2, lambda_coeff,
                           line_slope, phase, phase_floor, phase_report,
                           sampled_phase_min)
@@ -84,7 +84,7 @@ def test_lambda_degenerate_self_interaction():
     with pytest.raises(DegenerateSelfInteraction):
         lambda_coeff(2, 2, 1, -1)
     with pytest.raises(DegenerateSelfInteraction):
-        d2_at_stationary(2, 2, -1, 0.0)
+        d2_at_stationary(2, 2, 1, -1, 0.0)
 
 
 def test_stationary_point_of_dphase():
@@ -102,18 +102,18 @@ def test_stationary_point_of_dphase():
 
 def test_d2_at_stationary_values():
     # (0,0) with ab=+1: lambda = 1/2, value 2/(0.5 * 2^(3/2)) = sqrt(2)
-    assert d2_at_stationary(0, 0, 1, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-13)
-    assert d2_at_stationary(0, 3, 1, 0.0) == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-13)
-    # magnitude agrees with the direct second derivative on the line
+    assert d2_at_stationary(0, 0, 1, 1, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-13)
+    assert d2_at_stationary(0, 3, 1, 1, 0.0) == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-13)
+    # the sign is alpha's
+    assert d2_at_stationary(0, 3, -1, -1, 0.0) == -d2_at_stationary(0, 3, 1, 1, 0.0)
+    # value and sign agree with the direct second derivative on the line
     pp = PhaseParams(0, 0, 3, -1, -1)
-    assert abs(d2_at_stationary_signed(0, 0, -1, -1, 0.0)) == \
-        pytest.approx(abs(d2phase_deta2(pp, 0.0, 0.0)), rel=1e-13)
-    assert d2_at_stationary_signed(0, 0, -1, -1, 0.0) == \
+    assert d2_at_stationary(0, 0, -1, -1, 0.0) == \
         pytest.approx(d2phase_deta2(pp, 0.0, 0.0), rel=1e-13)
 
 
 def test_d2_decays_in_xi():
-    vals = [d2_at_stationary(0, 0, 1, x) for x in (0.0, 10.0, 100.0)]
+    vals = [d2_at_stationary(0, 0, 1, 1, x) for x in (0.0, 10.0, 100.0)]
     assert vals[0] > vals[1] > vals[2] > 0.0
 
 

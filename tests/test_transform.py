@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reslab.errors import ConfinementWarning, InterpolationRangeError
-from reslab.hermite import HermiteBasis, hermite_eval
+from reslab.hermite import HermiteBasis, hermite_table
 from reslab.transform import (CompositeNorms, Grid, SpectralState,
                               composite_norms, forward, forward_x1, hm_l2_norm,
                               interp_eval, inverse, inverse_x1, l2_norm_physical,
@@ -53,7 +53,7 @@ def test_forward_zero_field(grid64):
 def test_forward_cosine_two_bins(grid64):
     # phi_3 only decays to ~1e-13 at the default node extent; the warning is
     # legitimate and irrelevant to the two-bin structure under test
-    field = hermite_eval(3, grid64.basis.nodes)[None, :] \
+    field = hermite_table(3, grid64.basis.nodes)[3][None, :] \
         * np.cos(2.0 * math.pi * grid64.x1 / grid64.length_x1)[:, None]
     coeffs = forward(grid64, field)
     peak = np.max(np.abs(coeffs))
@@ -78,7 +78,7 @@ def test_inverse_zero_and_single_coefficient(grid64):
     coeffs = np.zeros((3, 64), complex)
     coeffs[2, 5] = 1.0
     field = inverse(grid64, coeffs)
-    ref = hermite_eval(2, grid64.basis.nodes)[None, :] \
+    ref = hermite_table(2, grid64.basis.nodes)[2][None, :] \
         * np.exp(1j * grid64.xi[5] * grid64.x1)[:, None] / grid64.length_x1
     assert np.max(np.abs(field - ref)) <= 1e-12
 
@@ -218,14 +218,17 @@ def test_minus_component_is_conjugate_mirror(grid64):
     assert np.array_equal(minus_component(minus), plus)
 
 
-def test_interp_eval_matches_closed_form(grid64):
-    coeffs = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * grid64.xi ** 2) + 0j
+@pytest.mark.parametrize("geometry", [(64, 16.0), (1024, 128.0)],
+                         ids=["grid64", "grid1024"])
+def test_interp_eval_matches_closed_form(grid64, geometry):
+    grid = Grid(*geometry, grid64.basis)
+    coeffs = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * grid.xi ** 2) + 0j
     targets = np.array([0.31, -1.7, 2.55])
-    vals = interp_eval(grid64, coeffs[None, :], targets)[0]
+    vals = interp_eval(grid, coeffs[None, :], targets)[0]
     exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * targets ** 2)
     assert np.max(np.abs(vals - exact)) <= 1e-12
     with pytest.raises(InterpolationRangeError):
-        interp_eval(grid64, coeffs[None, :], np.array([grid64.xi_max * 1.5]))
+        interp_eval(grid, coeffs[None, :], np.array([grid.xi_max * 1.5]))
 
 
 def test_state_snapshot_roundtrip(tmp_path, grid64):
