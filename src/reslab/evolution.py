@@ -180,6 +180,9 @@ def init_profile(config: SimConfig, grid: Grid | None = None) -> tuple[Grid, Spe
         state.coeffs[:] = 0.0
         return grid, state
     norm = composite_norms(state, grid, config.M, config.N, t=0.0).S_MN_t
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise BlowupDetected(f"initial S^(M,N) norm {norm:.3g} is not finite and positive; "
+                             "the state cannot be scaled to eps/2")
     state.coeffs *= (config.eps / 2.0) / norm
     return grid, state
 

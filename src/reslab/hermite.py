@@ -21,7 +21,9 @@ turns the total Gaussian factor e^(-3x^2/2) into the quadrature weight
 e^(-y^2) and makes the rule exact for m + n + p <= 2*order - 1.  That
 substituted rule is built in one place, ``_cubic_rule``, for the basis's
 cubic nodes, ``triple_product`` and ``TripleProductTable``; ``MAX_MODE`` is
-the largest mode count it can serve within ``MAX_QUAD_ORDER``.
+the largest mode count it can serve within ``MAX_QUAD_ORDER``.  The table
+stores columns m, n, p, value in one structured array, filled from one Gram
+matmul per p and sorted once.
 """
 
 from __future__ import annotations
@@ -190,10 +192,14 @@ def triple_product(m: int, n: int, p: int, quad_order: int | None = None) -> flo
 class TripleProductTable:
     """Symmetric sparse table of T(m,n,p) for m <= n <= p <= max_mode.
 
-    Entries are computed once in canonical order, so all index permutations
-    return bit-identical values.  Odd-parity entries are exactly 0 and not
-    stored.
+    ``entries`` is a structured array of rows (m, n, p, value) in
+    lexicographic (m, n, p) order, one row per even-parity triple; odd-parity
+    entries are exactly 0 and not stored.  Each value is computed once, in
+    canonical order, so all index permutations return bit-identical values.
     """
+
+    _DTYPE = np.dtype([("m", np.int32), ("n", np.int32), ("p", np.int32), ("value", float)])
+    _CSV_BLOCK = 4096
 
     def __init__(self, max_mode: int, quad_order: int | None = None):
         if quad_order is None:
@@ -201,16 +207,25 @@ class TripleProductTable:
         self.max_mode = max_mode
         self.built_with = quad_order
         table, w_total = _cubic_rule(quad_order, max_mode)
-        entries: dict[tuple[int, int, int], float] = {}
+        blocks = []
         for p in range(max_mode + 1):
             w = w_total * table[p]
             # G[m, n] = sum_i w_i phi_m phi_n for m, n <= p
             g = (table[: p + 1] * w) @ table[: p + 1].T
-            for mm in range(p + 1):
-                for nn in range(mm, p + 1):
-                    if (mm + nn + p) % 2 == 0:
-                        entries[(mm, nn, p)] = float(g[mm, nn])
-        self.entries = entries
+            mm, nn = np.triu_indices(p + 1)
+            even = (mm + nn + p) % 2 == 0
+            block = np.empty(int(even.sum()), self._DTYPE)
+            block["m"], block["n"], block["p"] = mm[even], nn[even], p
+            block["value"] = g[mm[even], nn[even]]
+            blocks.append(block)
+        rows = np.concatenate(blocks)
+        self.entries = rows[np.lexsort((rows["p"], rows["n"], rows["m"]))]
+        self._keys = self._key(self.entries["m"], self.entries["n"], self.entries["p"])
+
+    def _key(self, m, n, p):
+        """Row key, increasing in lexicographic (m, n, p) order."""
+        base = self.max_mode + 1
+        return (np.asarray(m, np.int64) * base + n) * base + p
 
     def get(self, m: int, n: int, p: int) -> float:
         if min(m, n, p) < 0:
@@ -220,14 +235,17 @@ class TripleProductTable:
         if (m + n + p) % 2 == 1:
             return 0.0
         a, b, c = sorted((m, n, p))
-        return self.entries[(a, b, c)]
+        return float(self.entries["value"][np.searchsorted(self._keys, self._key(a, b, c))])
 
     def write_csv(self, path) -> None:
-        """Columns m,n,p,value with m<=n<=p, lexicographic row order."""
+        """Columns m,n,p,value with m<=n<=p, lexicographic row order; written
+        in blocks of rows, so the whole text never sits in memory."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("m,n,p,value\n")
-            for key in sorted(self.entries):
-                fh.write("%d,%d,%d,%.17g\n" % (*key, self.entries[key]))
+            for start in range(0, len(self.entries), self._CSV_BLOCK):
+                block = self.entries[start:start + self._CSV_BLOCK]
+                rows = zip(*(block[col].tolist() for col in ("m", "n", "p", "value")))
+                fh.write("".join(map("%d,%d,%d,%.17g\n".__mod__, rows)))
 
 
 def _underline(k: int) -> int:

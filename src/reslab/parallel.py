@@ -1,13 +1,15 @@
 """Thread-pool helper for the embarrassingly parallel loops.
 
-Workers only read immutable inputs and results are merged in submission
-order, so output is identical for any thread count.
+Its one caller is ``oscillatory.quadrature_oscillatory``, which hands it the
+node chunks of one integral; numpy releases the interpreter lock inside the
+chunk arithmetic, so the threads overlap.  Workers only read immutable inputs
+and results are returned in submission order, so output is identical for any
+thread count.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def resolve_threads(threads: int = 0) -> int:
@@ -24,5 +26,9 @@ def thread_map(fn, items, threads: int = 0) -> list:
     n = resolve_threads(threads)
     if n <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported on first use: loading concurrent.futures adds about 10 ms to
+    # every `import reslab`, and most commands never start a pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))

@@ -8,7 +8,10 @@ solver is a leapfrog scheme with a uniform finite-difference trap direction.
 The two-component references carry both traveling components, build the
 "-" one by their own conjugate mirror, and compute the kick with complex
 transforms and matmuls; the unfolded Strang step rotates with four separate
-exponentials, as the splitting is written on paper.
+exponentials, as the splitting is written on paper.  The triple-table
+oracle is the exception: it is the package's earlier dict-walk build and
+row-by-row writer, which share the Gram matmul with ``TripleProductTable``
+and so must agree with it byte for byte.
 """
 
 from __future__ import annotations
@@ -48,6 +51,39 @@ def brute_force_triples(max_mode: int) -> set[tuple[int, int, int]]:
         a, b, c = sorted((int(a), int(b), int(c)))
         out.add((a, b, c))
     return out
+
+
+def triple_table_dict(max_mode: int) -> dict[tuple[int, int, int], float]:
+    """T(m, n, p) for m <= n <= p <= max_mode with even m + n + p, walked one
+    entry at a time out of the per-p Gram matrix of ``TripleProductTable``."""
+    from reslab.hermite import _cubic_rule, triple_quad_order
+
+    table, w_total = _cubic_rule(triple_quad_order(max_mode, max_mode, max_mode), max_mode)
+    entries = {}
+    for p in range(max_mode + 1):
+        g = (table[: p + 1] * (w_total * table[p])) @ table[: p + 1].T
+        for m in range(p + 1):
+            for n in range(m, p + 1):
+                if (m + n + p) % 2 == 0:
+                    entries[(m, n, p)] = float(g[m, n])
+    return entries
+
+
+def write_triple_csv(entries: dict[tuple[int, int, int], float], path) -> None:
+    """The triple-table CSV written one sorted row at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("m,n,p,value\n")
+        for key in sorted(entries):
+            fh.write("%d,%d,%d,%.17g\n" % (*key, entries[key]))
+
+
+def refine_edges_per_panel(edges: np.ndarray, resolution: float) -> np.ndarray:
+    """Quadrature panel edges with every panel split into ceil(resolution)
+    equal panels, one ``np.linspace`` per panel."""
+    extra = math.ceil(resolution)
+    fine = [np.linspace(edges[i], edges[i + 1], extra + 1)[:-1]
+            for i in range(edges.size - 1)]
+    return np.unique(np.concatenate(fine + [edges[-1:]]))
 
 
 def richardson_d1(f, x: float, h: float) -> float:

@@ -51,7 +51,7 @@ def test_criterion_2_hermite_suite():
     table = TripleProductTable(30)
     rng = np.random.default_rng(0)
     perm_ok = True
-    parity_ok = all((m + n + p) % 2 == 0 for (m, n, p) in table.entries)
+    parity_ok = all((m + n + p) % 2 == 0 for m, n, p, _ in table.entries.tolist())
     for _ in range(100):
         m, n, p = (int(v) for v in rng.integers(0, 31, 3))
         vals = {table.get(*q) for q in ((m, n, p), (p, n, m), (n, p, m))}

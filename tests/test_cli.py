@@ -506,6 +506,28 @@ def test_blowup_exit_code(tmp_path):
                  "--out-dir", str(tmp_path / "bl")]) == EXIT_NUMERIC
 
 
+def test_overflowing_initial_norm_exits_3(tmp_path, capsys):
+    # dxi ~ 6e-308 overflows the xi-derivative in the initial norm; scaling
+    # eps/2 by 1/inf would run the whole trajectory at zero
+    cfg = write_cfg(tmp_path / "cfg.json", length_x1=1e308, n_x1=32, t_end=0.2)
+    out = tmp_path / "big"
+    with np.errstate(over="ignore"):
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "initial S^(M,N) norm inf" in err
+    traj = out / "trajectory.csv"
+    assert not traj.exists() or len(traj.read_text().splitlines()) <= 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_stat_phase_check_threads_write_identical_csv(tmp_path):
+    for k in ("1", "2"):
+        assert main(["stat-phase-check", "--threads", k,
+                     "--out-dir", str(tmp_path / k)]) == EXIT_OK
+    assert (tmp_path / "1" / "stat_phase_decay.csv").read_bytes() == \
+        (tmp_path / "2" / "stat_phase_decay.csv").read_bytes()
+
+
 def test_stat_phase_check_command(tmp_path):
     out = tmp_path / "spc"
     assert main(["stat-phase-check", "--out-dir", str(out)]) == EXIT_OK

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
-from oracles import adaptive_triple, psi_direct
+from oracles import adaptive_triple, psi_direct, triple_table_dict, write_triple_csv
 from reslab.errors import GridTooCoarseError
-from reslab.hermite import (MAX_QUAD_ORDER, eigen_residual, gauss_hermite,
-                            hermite_table, interaction_bound_ratio,
+from reslab.hermite import (MAX_QUAD_ORDER, TripleProductTable, eigen_residual,
+                            gauss_hermite, hermite_table, interaction_bound_ratio,
                             norm_constant, triple_product)
 
 
@@ -42,13 +42,22 @@ def test_gauss_hermite_matches_scipy():
         assert np.all(weights > 0.0), order
 
 
-def test_cli_import_leaves_scipy_out():
+def _loaded_by_cli_import(module: str) -> bool:
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    probe = "import sys, reslab.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, reslab.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    assert not _loaded_by_cli_import("scipy")
+
+
+def test_cli_import_leaves_thread_pool_out():
+    # only stat-phase-check starts a pool; the import would cost every command
+    assert not _loaded_by_cli_import("concurrent.futures")
 
 
 def test_recurrence_matches_direct_evaluation():
@@ -136,7 +145,7 @@ def test_table_permutation_symmetry_bitwise(table60):
 
 
 def test_table_parity_zero_exact(table60):
-    for (m, n, p), v in table60.entries.items():
+    for m, n, p, _ in table60.entries.tolist():
         assert (m + n + p) % 2 == 0
     assert table60.get(0, 0, 1) == 0.0
 
@@ -161,6 +170,19 @@ def test_quadrature_order_doubling_stability():
         assert abs(v1 - v2) <= 1e-12 * abs(v1) + 1e-14
 
 
+@pytest.mark.parametrize("max_mode", [0, 1, 2, 7, 60])
+def test_table_matches_dict_walk_oracle(tmp_path, max_mode):
+    table = TripleProductTable(max_mode)
+    oracle = triple_table_dict(max_mode)
+    table.write_csv(tmp_path / "table.csv")
+    write_triple_csv(oracle, tmp_path / "oracle.csv")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert len(table.entries) == len(oracle)
+    for (m, n, p), v in oracle.items():
+        for perm in ((m, n, p), (m, p, n), (n, m, p), (n, p, m), (p, m, n), (p, n, m)):
+            assert table.get(*perm) == v
+
+
 def test_bound_ratio_all_unit_scales():
     # m = n = p = 1: every envelope factor is 1, so the ratio equals |T(1,1,1)|
     assert interaction_bound_ratio(1, 1, 1, K=0, nu=0.2, beta=0.04) == \
@@ -177,7 +199,7 @@ def test_bound_ratio_finite_values():
 
 def test_bound_ratio_non_explosion_proxy(table60):
     best = {"lo": 0.0, "hi": 0.0}
-    for (m, n, p), v in table60.entries.items():
+    for m, n, p, v in table60.entries.tolist():
         if v == 0.0:
             continue
         r = interaction_bound_ratio(m, n, p, K=4, nu=0.2, beta=0.04, table=table60)

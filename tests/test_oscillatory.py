@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import refine_edges_per_panel
 from reslab.errors import (DegenerateStationaryPoint, InvalidFloor,
                            ResolutionError)
 from reslab.hermite import HermiteBasis
-from reslab.oscillatory import (C_SP, OscIntegralSpec, PhaseCurve, SmoothBump,
+from reslab.oscillatory import (_CHUNK, _GL_ORDER, C_SP, OscIntegralSpec, PhaseCurve,
+                                SmoothBump, _panel_edges, _refine_edges,
                                 duhamel_kernel, duhamel_phase,
                                 fresnel_gaussian_spec, nonstationary_bound,
                                 quadrature_oscillatory,
@@ -49,6 +51,30 @@ def test_resolution_doubling_stability():
     v1 = quadrature_oscillatory(spec)
     v2 = quadrature_oscillatory(spec, resolution=2.0)
     assert abs(v1 - v2) <= 1e-9 * abs(v1)
+
+
+@pytest.mark.parametrize("resolution", [1.5, 2.0, 3.0])
+def test_refined_edges_match_per_panel_oracle(resolution):
+    spec = fresnel_gaussian_spec(100.0, kink=True)
+    edges = _panel_edges(-8.0, 8.0, spec.time, 16.0, (0.0,))
+    fine = _refine_edges(edges, math.ceil(resolution))
+    oracle = refine_edges_per_panel(edges, resolution)
+    assert fine.shape == oracle.shape
+    assert np.all(np.abs(fine - oracle) <= np.spacing(np.abs(oracle)))
+
+
+def test_chunk_pool_independent_of_thread_count():
+    spec = fresnel_gaussian_spec(1e4, kink=True)
+    panels = _panel_edges(-8.0, 8.0, spec.time, 16.0, (0.0,)).size - 1
+    assert math.ceil(panels / (_CHUNK // _GL_ORDER)) == 20
+    values = [quadrature_oscillatory(spec, breakpoints=(0.0,), threads=k) for k in (1, 2, 3)]
+    assert values[0] == values[1] == values[2]
+
+
+def test_thread_map_results_independent_of_thread_count():
+    serial = stat_phase_decay_table(times=(100.0, 1000.0), threads=1)
+    threaded = stat_phase_decay_table(times=(100.0, 1000.0), threads=4)
+    assert serial == threaded
 
 
 def test_resolution_error_on_budget():

@@ -293,10 +293,3 @@ def test_interp_exact_at_grid_nodes_property(seed):
     coeffs = rng.normal(size=64) + 1j * rng.normal(size=64)
     vals = interp_eval(grid, coeffs[None, :], grid.xi)[0]
     assert np.max(np.abs(vals - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
-
-
-def test_thread_map_results_independent_of_thread_count():
-    from reslab.oscillatory import stat_phase_decay_table
-    serial = stat_phase_decay_table(times=(100.0, 1000.0), threads=1)
-    threaded = stat_phase_decay_table(times=(100.0, 1000.0), threads=4)
-    assert serial == threaded
