@@ -26,7 +26,7 @@ def thread_map(fn, items, threads: int = 0) -> list:
     n = resolve_threads(threads)
     if n <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    # imported on first use: loading concurrent.futures adds about 10 ms to
+    # imported on first use: loading concurrent.futures adds 10-20 ms to
     # every `import reslab`, and most commands never start a pool
     from concurrent.futures import ThreadPoolExecutor
 
