@@ -6,7 +6,7 @@ simulate-resonant, compare, triple-table.  All take --out-dir.  The simulation
 subcommands read a JSON config via --config, and --seed overrides its seed;
 they checkpoint to out-dir/checkpoint.npz (see ``transform.save_state``), and
 --resume continues from it, or starts afresh without one.  stat-phase-check
-takes --threads (env fallback RESLAB_THREADS).  Exit codes: 0 success, 2 config
+takes --threads (0, the default, means all cores).  Exit codes: 0 success, 2 config
 error (including a checkpoint that is damaged or from another config) or an
 argument its argparse type rejects, 3 numerical failure, 64 unknown subcommand.
 
@@ -30,12 +30,13 @@ import sys
 import time
 
 from .errors import BlowupDetected, ConfigError, ReslabError, ResolutionError
-from .evolution import SimConfig, make_grid, run_compare, run_single
+from .evolution import (SimConfig, config_from_json, make_grid, run_compare,
+                        run_single)
 from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
 from .transform import load_state, save_state
-from .triples import gate_disagreements, interactions_for_output
+from .triples import GATES, gate_disagreements, interactions_for_output
 from . import __version__
 
 EXIT_OK = 0
@@ -88,36 +89,12 @@ def load_config(path: str | None, overrides: dict) -> tuple[SimConfig, list[str]
         if not isinstance(raw, dict):
             raise ConfigError([("/", "config must be a JSON object")])
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    fields = {f.name: f.type for f in dataclasses.fields(SimConfig)}
-    issues = [(f"/{key}", "unknown field") for key in raw if key not in fields]
-    if issues:
-        raise ConfigError(issues)
-    for key, value in raw.items():
-        if fields[key] == "int":
-            raw[key] = _json_int(value)
-    if isinstance(raw.get("init_modes"), list):
-        raw["init_modes"] = tuple(_json_int(v) for v in raw["init_modes"])
-    config = SimConfig(**raw)
-    errors, warnings_ = config.validate()
-    if errors:
-        raise ConfigError(errors)
-    return config, warnings_
-
-
-def _json_int(value):
-    """JSON Schema counts a number with zero fraction (4.0) as an integer."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
-
-
-def _config_snapshot(config: SimConfig) -> dict:
-    snap = dataclasses.asdict(config)
-    snap["init_modes"] = list(snap["init_modes"])
-    return snap
+    return config_from_json(raw)
 
 
 def _config_hash(config: SimConfig) -> str:
     return hashlib.sha256(
-        json.dumps(_config_snapshot(config), sort_keys=True).encode()).hexdigest()
+        json.dumps(dataclasses.asdict(config), sort_keys=True).encode()).hexdigest()
 
 
 # Each command writes its outputs to out_dir and returns what the manifest
@@ -284,7 +261,7 @@ def _run_trajectory(args, out_dir: str, which: str):
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     if os.path.exists(os.path.join(out_dir, CHECKPOINT)):
         outputs.append(CHECKPOINT)
-    return (_config_snapshot(config),
+    return (dataclasses.asdict(config),
             {"config": _sha256_file(args.config)} if args.config else {}, outputs)
 
 
@@ -341,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list resonant interactions")
     p.add_argument("--max-mode", type=_int_range(0), required=True)
-    p.add_argument("--gate", choices=("sqrt", "printed"), default="sqrt")
+    p.add_argument("--gate", choices=tuple(GATES), default="sqrt")
     p.add_argument("--massless", action="store_true",
                    help="drop the mass term (eigenvalues 2p+1): empty set")
     common(p, cmd_enumerate)
@@ -358,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stat-phase-check", help="stationary-phase decay table")
     p.add_argument("--threads", type=_int_range(0), default=0,
-                   help="worker threads; 0 means RESLAB_THREADS or all cores")
+                   help="worker threads; 0 means all cores")
     common(p, cmd_stat_phase_check)
 
     p = sub.add_parser("triple-table", help="export the interaction tensor")

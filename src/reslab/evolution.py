@@ -47,19 +47,22 @@ convergence can be measured on a non-degenerate right-hand side.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
+import os
+import sys
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupDetected
-from .hermite import MAX_MODE, HermiteBasis, TripleProductTable
+from .errors import BlowupDetected, ConfigError
+from .hermite import HermiteBasis, TripleProductTable
 from .transform import (Grid, SpectralState, composite_norms, hm_l2_norm,
                         interp_matrix, minus_component)
 from .phase import d2_at_stationary
-from .triples import GATES, ResonantTriple, interactions_for_output
+from .triples import ResonantTriple, interactions_for_output
 
 K_PREF = -1.0 / (8.0 * math.pi)
 
@@ -95,29 +98,23 @@ class SimConfig:
     def validate(self) -> tuple[list[tuple[str, str]], list[str]]:
         """Returns (errors, warnings); errors carry JSON-pointer paths.
 
-        The rules mirror ``config.schema.json`` (a test holds the two
-        together).  Type errors are reported alone: range rules need numbers.
+        The per-field rules are ``SCHEMA``'s; type errors are reported alone,
+        as range rules need numbers.  Then come the rules JSON Schema cannot
+        state, and the hypothesis warnings.
         """
-        errs = [(f"/{f.name}", f"must be {_TYPE_NAMES[f.type]}")
-                for f in fields(self)
-                if not _has_type(getattr(self, f.name), f.type)]
+        props = SCHEMA["properties"]
+        errs = [(f"/{name}", f"must be {_JSON_TYPES[rule['type']]}")
+                for name, rule in props.items()
+                if "type" in rule and not _has_json_type(getattr(self, name), rule)]
         if errs:
             return errs, []
-        for name, (low, strict) in _LOWER_BOUNDS.items():
-            value = getattr(self, name)
-            if value < low or (strict and value == low):
-                errs.append((f"/{name}", f"must be {'>' if strict else '>='} {low}"))
-        for name, high in _UPPER_BOUNDS.items():
-            if getattr(self, name) > high:
-                errs.append((f"/{name}", f"must be <= {high}"))
-        for name, allowed in _ENUMS.items():
-            if getattr(self, name) not in allowed:
-                errs.append((f"/{name}", "must be one of " + ", ".join(map(repr, allowed))))
+        errs = [(f"/{name}", msg) for name, rule in props.items()
+                for msg in _rule_violations(getattr(self, name), rule)]
         if self.n_x1 & (self.n_x1 - 1):
             errs.append(("/n_x1", "must be a power of two"))
         if self.t_end < self.dt:
             errs.append(("/t_end", "must be >= dt"))
-        if any(p < 0 or p >= self.P for p in self.init_modes):
+        if any(p >= self.P for p in self.init_modes):
             errs.append(("/init_modes", f"entries must lie in [0, {self.P})"))
         warns = []
         if not self.M > 3:
@@ -129,32 +126,64 @@ class SimConfig:
         return errs, warns
 
 
-# The rules of ``config.schema.json``: each field's JSON type by annotation,
-# the bounded fields' minimum or exclusiveMinimum (strict), their maximum,
-# and the enums.
-_TYPE_NAMES = {"float": "a finite number", "int": "an integer", "bool": "a boolean",
-               "str": "a string", "tuple[int, ...]": "a list of integers"}
-_LOWER_BOUNDS = {"eps": (0, False), "P": (1, False), "n_x1": (16, False),
-                 "length_x1": (0, True), "dt": (0, True), "t_end": (0, True),
-                 "M0": (0, False), "s0": (0, True), "packet_width": (0, True),
-                 "out_every": (0, True), "checkpoint_every": (0, False),
-                 "resonant_subcycle": (1, False), "seed": (0, False)}
-# modes 0..P-1 need the cubic rule of max_mode P - 1 <= hermite.MAX_MODE
-_UPPER_BOUNDS = {"P": MAX_MODE + 1}
-_ENUMS = {"gate": tuple(GATES), "coupling_mode": ("hermite", "unit")}
+with open(os.path.join(os.path.dirname(__file__), "config.schema.json"), encoding="utf-8") as _fh:
+    SCHEMA = json.load(_fh)   # the run-config rules, installed with the package
+
+# the types the schema uses; arrays are tuples of integers
+_JSON_TYPES = {"number": "a finite number", "integer": "an integer",
+               "boolean": "a boolean", "array": "a list of integers"}
 
 
-def _has_type(value, annotation: str) -> bool:
-    if annotation == "float":
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    if annotation == "int":
-        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if annotation == "bool":
-        return isinstance(value, bool)
-    if annotation == "str":
-        return isinstance(value, str)
-    return isinstance(value, tuple) and all(_has_type(v, "int") for v in value)
+def _has_json_type(value, rule: dict) -> bool:
+    """JSON Schema's type test, except that a bool is no number and a number
+    must be finite as a float (NaN, infinities and huge ints fail)."""
+    kind = rule["type"]
+    if kind == "array":
+        return isinstance(value, tuple) and all(_has_json_type(v, rule["items"]) for v in value)
+    if kind == "boolean" or isinstance(value, bool):
+        return kind == "boolean" and isinstance(value, bool)
+    if kind == "integer":
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+
+
+def _rule_violations(value, rule: dict) -> list[str]:
+    """What ``value``, of the right type, breaks of the rule's other keywords."""
+    out = []
+    if "minimum" in rule and value < rule["minimum"]:
+        out.append(f"must be >= {rule['minimum']}")
+    if "exclusiveMinimum" in rule and value <= rule["exclusiveMinimum"]:
+        out.append(f"must be > {rule['exclusiveMinimum']}")
+    if "maximum" in rule and value > rule["maximum"]:
+        out.append(f"must be <= {rule['maximum']}")
+    if "enum" in rule and value not in rule["enum"]:
+        out.append("must be one of " + ", ".join(map(repr, rule["enum"])))
+    if "items" in rule:
+        out += sorted({"entries " + m for v in value for m in _rule_violations(v, rule["items"])})
+    return out
+
+
+def config_from_json(raw: dict) -> tuple[SimConfig, list[str]]:
+    """The validated config of a parsed JSON object, and its warnings.  A
+    number with zero fraction (4.0) is an integer to JSON Schema, so it
+    becomes an int where the schema wants one; arrays become tuples.
+    Raises ConfigError with (json-pointer, message) issues."""
+    props = SCHEMA["properties"]
+    unknown = [(f"/{key}", "unknown field") for key in raw if key not in props]
+    if unknown:
+        raise ConfigError(unknown)
+    config = SimConfig(**{key: _from_json(value, props[key]) for key, value in raw.items()})
+    errors, warns = config.validate()
+    if errors:
+        raise ConfigError(errors)
+    return config, warns
+
+
+def _from_json(value, rule: dict):
+    if rule.get("type") == "array" and isinstance(value, list):
+        return tuple(_from_json(v, rule["items"]) for v in value)
+    integral = rule.get("type") == "integer" and isinstance(value, float) and value.is_integer()
+    return int(value) if integral else value
 
 
 def make_grid(config: SimConfig) -> Grid:

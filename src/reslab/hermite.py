@@ -110,7 +110,6 @@ class HermiteBasis:
     nodes: np.ndarray
     weights: np.ndarray
     total_weights: np.ndarray
-    norm_constants: np.ndarray
     phi: np.ndarray          # (max_mode+1, quad_order) values at nodes
     cubic_total_weights: np.ndarray   # includes the sqrt(2/3) Jacobian
     cubic_phi: np.ndarray
@@ -133,7 +132,6 @@ class HermiteBasis:
             nodes=nodes,
             weights=weights,
             total_weights=total,
-            norm_constants=np.array([norm_constant(n) for n in range(max_mode + 1)]),
             phi=hermite_table(max_mode, nodes),
             cubic_total_weights=cubic_total,
             cubic_phi=cubic_phi,

@@ -13,13 +13,8 @@ import os
 
 
 def resolve_threads(threads: int = 0) -> int:
-    """0 means: RESLAB_THREADS env var if set, else hardware parallelism."""
-    if threads and threads > 0:
-        return threads
-    env = os.environ.get("RESLAB_THREADS", "")
-    if env.strip().isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
+    """0 means all cores."""
+    return threads if threads > 0 else os.cpu_count() or 1
 
 
 def thread_map(fn, items, threads: int = 0) -> list:

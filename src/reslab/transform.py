@@ -155,13 +155,13 @@ def inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 def xi_derivative(coeffs: np.ndarray, dxi: float, order: int = 1) -> np.ndarray:
     """Centered finite difference d/dxi on the FFT-ordered frequency axis.
 
-    The grid is treated as periodic after reordering to monotone xi; for
-    trap-confined, band-limited data the wrap-around rows are negligible.
+    FFT order is a cyclic shift of monotone xi, so both share the periodic
+    neighbours; for trap-confined, band-limited data the wrap is negligible.
     """
-    out = np.fft.fftshift(np.asarray(coeffs, dtype=complex), axes=-1)
+    out = np.asarray(coeffs, dtype=complex)
     for _ in range(order):
         out = (np.roll(out, -1, axis=-1) - np.roll(out, 1, axis=-1)) / (2.0 * dxi)
-    return np.fft.ifftshift(out, axes=-1)
+    return out
 
 
 def xi_derivative_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -15,10 +16,11 @@ from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
 from oracles import two_component
 from reslab.errors import ConfigError
 from reslab.evolution import SimConfig, make_grid
+from reslab.hermite import MAX_MODE
+from reslab.triples import GATES
 from reslab.transform import SpectralState
 
-SCHEMA = json.loads((Path(__file__).parents[1] / "config.schema.json")
-                    .read_text())["properties"]
+SCHEMA = evolution.SCHEMA["properties"]
 CKPT = "checkpoint.npz"
 
 
@@ -80,16 +82,32 @@ def test_schema_matches_simconfig():
         default = fields[name]
         assert prop["default"] == (list(default) if isinstance(default, tuple)
                                    else default), name
-    # every bound and enum the Python side enforces is the schema's, and back
-    assert evolution._LOWER_BOUNDS == {
-        name: ((prop["minimum"], False) if "minimum" in prop
-               else (prop["exclusiveMinimum"], True))
-        for name, prop in SCHEMA.items()
-        if "minimum" in prop or "exclusiveMinimum" in prop}
-    assert evolution._UPPER_BOUNDS == {name: prop["maximum"]
-                                       for name, prop in SCHEMA.items() if "maximum" in prop}
-    assert {name: list(allowed) for name, allowed in evolution._ENUMS.items()} == \
-        {name: prop["enum"] for name, prop in SCHEMA.items() if "enum" in prop}
+    # modes 0..P-1 need the cubic rule of max_mode P - 1 <= hermite.MAX_MODE
+    assert SCHEMA["P"]["maximum"] == MAX_MODE + 1
+    assert SCHEMA["gate"]["enum"] == list(GATES)
+
+
+# the keywords SimConfig.validate enforces, and those that state no rule
+ENFORCED = {"type", "minimum", "exclusiveMinimum", "maximum", "enum", "items"}
+ANNOTATIONS = {"default", "description"}
+
+
+def test_every_schema_keyword_is_enforced():
+    # a rule in a keyword or type that validate does not read would go
+    # unenforced; arrays are read as lists of integers
+    for name, prop in SCHEMA.items():
+        items = prop.get("items", {})
+        assert set(prop) <= ENFORCED | ANNOTATIONS, name
+        assert set(items) <= (ENFORCED - {"items"}) | ANNOTATIONS, name
+        assert prop.get("type") in (None, *evolution._JSON_TYPES), name
+        assert (prop.get("type") == "array") == (items.get("type") == "integer"), name
+
+
+def test_schema_is_package_data():
+    package = Path(evolution.__file__).parent
+    assert (package / "config.schema.json").is_file()
+    assert json.loads((package / "config.schema.json").read_text()) == evolution.SCHEMA
+    assert not (Path(__file__).parents[1] / "config.schema.json").exists()
 
 
 def _schema_violations():
@@ -106,7 +124,9 @@ def _schema_violations():
         if "exclusiveMinimum" in prop:
             yield name, prop["exclusiveMinimum"]
         if "maximum" in prop:
-            yield name, prop["maximum"] + 1
+            # 1e100 + 1 == 1e100: a float maximum needs a wider step
+            high = prop["maximum"]
+            yield name, high + 1 if prop["type"] == "integer" else 2 * high
         if "minimum" in prop.get("items", {}):
             yield name, [prop["items"]["minimum"] - 1]
 
@@ -134,6 +154,15 @@ def test_integral_json_numbers_are_integers(tmp_path):
     config, _ = load_config(str(cfg), {})
     assert (config.n_x1, config.P, config.init_modes) == (64, 4, (0, 3))
     assert type(config.n_x1) is int and type(config.init_modes[0]) is int
+
+
+def test_integer_beyond_float_range_is_not_a_finite_number(tmp_path):
+    # json reads 1e400 written out in digits as an int, which no float holds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"eps": 1' + "0" * 400 + "}")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(cfg), {})
+    assert exc.value.issues == [("/eps", "must be a finite number")]
 
 
 def test_config_echo_and_warnings(tmp_path):
@@ -339,9 +368,7 @@ def test_thread_setting_does_not_bind_resume(tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
 
     crashdir = tmp_path / "crash"
-    monkeypatch.setenv("RESLAB_THREADS", "1")
     _crash_compare(cfg, crashdir, monkeypatch)
-    monkeypatch.delenv("RESLAB_THREADS")
     assert main(["compare", "--config", str(cfg), "--out-dir", str(crashdir),
                  "--resume"]) == EXIT_OK
     assert (crashdir / "trajectory.csv").read_bytes() == \
@@ -506,17 +533,16 @@ def test_blowup_exit_code(tmp_path):
                  "--out-dir", str(tmp_path / "bl")]) == EXIT_NUMERIC
 
 
-def test_overflowing_initial_norm_exits_3(tmp_path, capsys):
-    # dxi ~ 6e-308 overflows the xi-derivative in the initial norm; scaling
-    # eps/2 by 1/inf would run the whole trajectory at zero
+def test_overflowing_box_length_exits_2(tmp_path, capsys):
+    # dxi ~ 6e-308 would overflow the xi-derivative in the initial norm; the
+    # schema's maximum stops the run before numpy warns
     cfg = write_cfg(tmp_path / "cfg.json", length_x1=1e308, n_x1=32, t_end=0.2)
     out = tmp_path / "big"
-    with np.errstate(over="ignore"):
-        assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_NUMERIC
-    err = capsys.readouterr().err
-    assert "numerical failure" in err and "initial S^(M,N) norm inf" in err
-    traj = out / "trajectory.csv"
-    assert not traj.exists() or len(traj.read_text().splitlines()) <= 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "config error at /length_x1: must be <= 1e+100" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
     assert not (out / "manifest.json").exists()
 
 
@@ -558,10 +584,9 @@ def test_manifest_lists_outputs(tmp_path, monkeypatch):
         assert not list(run.glob("*.tmp"))
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_env_variable_ignored(monkeypatch):
     from reslab.parallel import resolve_threads
+    # --threads is the one way to set the count; 0 means all cores
     monkeypatch.setenv("RESLAB_THREADS", "3")
-    assert resolve_threads(0) == 3
+    assert resolve_threads(0) == (os.cpu_count() or 1)
     assert resolve_threads(2) == 2
-    monkeypatch.delenv("RESLAB_THREADS")
-    assert resolve_threads(0) >= 1

@@ -58,6 +58,15 @@ def test_init_profile_zero_eps():
     assert np.all(state.coeffs == 0.0)
 
 
+def test_init_profile_non_finite_norm_raises(small_cfg):
+    # validate bounds length_x1, but init_profile is also called directly:
+    # dxi ~ 6e-308 overflows the initial norm, and scaling eps/2 by 1/inf
+    # would start the run at zero
+    cfg = dataclasses.replace(small_cfg, length_x1=1e308, n_x1=32)
+    with np.errstate(over="ignore"), pytest.raises(BlowupDetected, match="norm inf"):
+        init_profile(cfg)
+
+
 def test_init_profile_deterministic(small_cfg):
     _, a = init_profile(small_cfg)
     _, b = init_profile(small_cfg)

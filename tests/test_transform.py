@@ -194,6 +194,21 @@ def test_xi_derivative_cross_check(grid64):
     assert err_fine < err_coarse / 8.0
 
 
+@pytest.mark.parametrize("shape", [(16,), (3, 64), (2, 3, 128)])
+@pytest.mark.parametrize("order", [1, 2])
+def test_xi_derivative_matches_monotone_order(shape, order):
+    # differencing in monotone-xi order and shifting back gives the same
+    # bits: FFT order is a cyclic shift of it
+    rng = np.random.default_rng(3)
+    for coeffs in (rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                   rng.normal(size=shape)):
+        ref = np.fft.fftshift(coeffs + 0j, axes=-1)
+        for _ in range(order):
+            ref = (np.roll(ref, -1, axis=-1) - np.roll(ref, 1, axis=-1)) / (2.0 * 0.3)
+        assert np.array_equal(xi_derivative(coeffs, 0.3, order),
+                              np.fft.ifftshift(ref, axes=-1))
+
+
 def test_reality_constraint_from_real_field(grid64):
     # real u, real du/dt: u~_{-}(xi) = conj(u~_{+}(-xi))
     rng = np.random.default_rng(8)
