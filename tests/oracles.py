@@ -86,6 +86,24 @@ def refine_edges_per_panel(edges: np.ndarray, resolution: float) -> np.ndarray:
     return np.unique(np.concatenate(fine + [edges[-1:]]))
 
 
+def uniform_panel_edges(a: float, b: float, t: float, dpsi_abs: np.ndarray,
+                        breakpoints: tuple[float, ...]) -> np.ndarray:
+    """Quadrature panel edges of the global-max layout: every panel as wide
+    as 8 radians of phase at the largest sampled |psi'| allows, with panels
+    graded geometrically towards each breakpoint."""
+    span = b - a
+    width = min(span / 8.0, 8.0 / (abs(t) * float(np.max(dpsi_abs)) + 1e-300), 1.0)
+    edges = np.linspace(a, b, max(8, math.ceil(span / width)) + 1)
+    for c in breakpoints:
+        if not a < c < b:
+            continue
+        edges = edges[np.abs(edges - c) > 1e-15]
+        local = np.concatenate([c - width * 0.5 ** np.arange(48),
+                                [c], c + width * 0.5 ** np.arange(48)])
+        edges = np.concatenate([edges, local[(local > a) & (local < b)]])
+    return np.unique(edges)
+
+
 def richardson_d1(f, x: float, h: float) -> float:
     """Fourth-order first derivative from two centered differences."""
     d_h = (f(x + h) - f(x - h)) / (2.0 * h)

@@ -546,6 +546,19 @@ def test_overflowing_box_length_exits_2(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_huge_grid_exits_2_without_traceback(tmp_path, capsys):
+    # 2^70 is a power of two numpy's FFT cannot size; the schema's maximum
+    # stops the run at the field
+    desk = json.loads((Path(__file__).parents[1] / "configs" / "compare_desk.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**desk, "n_x1": 2 ** 70}))
+    out = tmp_path / "huge"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error at /n_x1:" in err and "Traceback" not in err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_stat_phase_check_threads_write_identical_csv(tmp_path):
     for k in ("1", "2"):
         assert main(["stat-phase-check", "--threads", k,

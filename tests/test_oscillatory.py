@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import refine_edges_per_panel
+from oracles import refine_edges_per_panel, uniform_panel_edges
+from reslab import oscillatory
 from reslab.errors import (DegenerateStationaryPoint, InvalidFloor,
                            ResolutionError)
 from reslab.hermite import HermiteBasis
-from reslab.oscillatory import (_CHUNK, _GL_ORDER, C_SP, OscIntegralSpec, PhaseCurve,
+from reslab.oscillatory import (_CHUNK, _GL_NODES, _GL_ORDER, _GL_WEIGHTS,
+                                _PHASE_BUDGET, C_SP, OscIntegralSpec, PhaseCurve,
                                 SmoothBump, _panel_edges, _refine_edges,
                                 duhamel_kernel, duhamel_phase,
                                 fresnel_gaussian_spec, nonstationary_bound,
@@ -33,6 +35,20 @@ def test_fresnel_gaussian_closed_form(t):
     assert abs(val - fresnel_exact(t)) <= 1e-6 * abs(fresnel_exact(t))
 
 
+@pytest.mark.parametrize("t", [10.0, 1e2, 1e3, 1e4])
+def test_fresnel_gaussian_closed_form_to_rounding(t):
+    val = quadrature_oscillatory(fresnel_gaussian_spec(t))
+    assert abs(val - fresnel_exact(t)) <= 1e-12 * abs(fresnel_exact(t))
+
+
+def test_gauss_legendre_exact_at_phase_budget():
+    # 16-point remainder for e^(i kappa x) on [-1, 1] is about 2.7e-45 kappa^32:
+    # 2e-20 at kappa = 6, the half-width phase of a _PHASE_BUDGET panel
+    kappa = _PHASE_BUDGET / 2.0
+    val = np.sum(_GL_WEIGHTS * np.exp(1j * kappa * _GL_NODES))
+    assert abs(val - 2.0 * math.sin(kappa) / kappa) <= 1e-15
+
+
 def test_fresnel_magnitude_value():
     # |sqrt(pi/(1 - 100 i))| = 0.177240...
     assert abs(quadrature_oscillatory(fresnel_gaussian_spec(100.0))) == \
@@ -53,10 +69,38 @@ def test_resolution_doubling_stability():
     assert abs(v1 - v2) <= 1e-9 * abs(v1)
 
 
+def kinked_edges(t: float, layout=_panel_edges) -> np.ndarray:
+    """Panel edges of the kinked Gaussian family at time t, as
+    ``quadrature_oscillatory`` lays them out."""
+    spec = fresnel_gaussian_spec(t, kink=True)
+    a, b = spec.window
+    return layout(a, b, t, np.abs(spec.phase.dpsi(np.linspace(a, b, 2049))), (0.0,))
+
+
+@pytest.mark.parametrize("t", [1e2, 1e4])
+def test_panels_carry_at_most_the_phase_budget(t):
+    edges = kinked_edges(t)
+    x = edges[:-1, None] + np.diff(edges)[:, None] * np.linspace(0.0, 1.0, 33)[None, :]
+    dpsi = np.abs(fresnel_gaussian_spec(t, kink=True).phase.dpsi(x)).max(axis=1)
+    assert np.all(t * dpsi * np.diff(edges) <= _PHASE_BUDGET * (1.0 + 1e-9))
+
+
+def test_local_layout_uses_fewer_panels_than_uniform():
+    assert kinked_edges(1e4).size - 1 <= 0.4 * (kinked_edges(1e4, uniform_panel_edges).size - 1)
+
+
+def test_decay_table_matches_uniform_layout(monkeypatch):
+    local = stat_phase_decay_table()
+    monkeypatch.setattr(oscillatory, "_panel_edges", uniform_panel_edges)
+    uniform = stat_phase_decay_table()
+    for row, ref in zip(local["rows"], uniform["rows"]):
+        for key, value in ref.items():
+            assert abs(row[key] - value) <= 1e-11 * abs(value), key
+
+
 @pytest.mark.parametrize("resolution", [1.5, 2.0, 3.0])
 def test_refined_edges_match_per_panel_oracle(resolution):
-    spec = fresnel_gaussian_spec(100.0, kink=True)
-    edges = _panel_edges(-8.0, 8.0, spec.time, 16.0, (0.0,))
+    edges = kinked_edges(100.0)
     fine = _refine_edges(edges, math.ceil(resolution))
     oracle = refine_edges_per_panel(edges, resolution)
     assert fine.shape == oracle.shape
@@ -65,8 +109,8 @@ def test_refined_edges_match_per_panel_oracle(resolution):
 
 def test_chunk_pool_independent_of_thread_count():
     spec = fresnel_gaussian_spec(1e4, kink=True)
-    panels = _panel_edges(-8.0, 8.0, spec.time, 16.0, (0.0,)).size - 1
-    assert math.ceil(panels / (_CHUNK // _GL_ORDER)) == 20
+    panels = kinked_edges(spec.time).size - 1
+    assert math.ceil(panels / (_CHUNK // _GL_ORDER)) == 7
     values = [quadrature_oscillatory(spec, breakpoints=(0.0,), threads=k) for k in (1, 2, 3)]
     assert values[0] == values[1] == values[2]
 
