@@ -3,14 +3,12 @@ the stationary-phase leading term with the Fresnel-normalized constant, the
 non-stationary upper bound, and the bilinear Duhamel frequency convolution.
 
 Quadrature is composite Gauss-Legendre, chosen over FFT methods because the
-phases here are not polynomial.  Panel width follows the local |psi'|: the
-domain is cut into _BLOCKS blocks, |psi'| is bounded on each from samples,
-and each block's panels carry at most _PHASE_BUDGET = 12 radians of phase
-(Deano, Huybrechs & Iserles, Computing Highly Oscillatory Integrals, 2017).
-The 16-point remainder for e^(i kappa x) on [-1, 1] is
-2^33 (16!)^4 / (33 (32!)^3) kappa^32, about 2.7e-45 kappa^32 (Davis &
-Rabinowitz, Methods of Numerical Integration, 2.7): 2e-20 at the budget's
-kappa = 6, but 2e-16 at kappa = 8, so the budget stays at 12 radians.
+phases here are not polynomial.  Panel width follows the local |psi'|, so no
+panel carries more than _PHASE_BUDGET = 12 radians of phase (Deano, Huybrechs
+& Iserles, Computing Highly Oscillatory Integrals, 2017).  The 16-point
+remainder for e^(i kappa x) on [-1, 1] is 2^33 (16!)^4 / (33 (32!)^3) kappa^32,
+about 2.7e-45 kappa^32 (Davis & Rabinowitz, Methods of Numerical Integration,
+2.7): 2e-20 at such a panel's kappa = 6, but 2e-16 at kappa = 8.
 Optional breakpoints get geometrically graded panels so mildly singular
 amplitudes (|x - a|^gamma, gamma > -1) integrate accurately.  Node chunks are
 summed in real arithmetic, and ``--threads`` splits the chunks of each
