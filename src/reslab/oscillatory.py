@@ -146,7 +146,7 @@ def _panel_edges(a: float, b: float, t: float, dpsi_abs: np.ndarray,
     for c in breakpoints:
         if not a < c < b:
             continue
-        k = min(int(np.searchsorted(block_lo, c, side="right")) - 1, _BLOCKS - 1)
+        k = int(np.searchsorted(block_lo, c, side="right")) - 1
         edges = edges[np.abs(edges - c) > 1e-15]
         local = np.concatenate([c - width[k] * 0.5 ** np.arange(48),
                                 [c], c + width[k] * 0.5 ** np.arange(48)])
