@@ -5,17 +5,9 @@ class ReslabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class GridTooCoarseError(ReslabError):
-    """Evaluation grid does not resolve the requested Hermite mode."""
-
-
 class DegenerateSelfInteraction(ReslabError):
     """m = n with opposite signs: the group-velocity difference vanishes
     identically at xi = 0 and no stationary frequency exists."""
-
-
-class ResonantCaseError(ReslabError):
-    """A phase lower bound was requested on a space-time resonant parameter set."""
 
 
 class BracketFailure(ReslabError):
@@ -24,10 +16,6 @@ class BracketFailure(ReslabError):
 
 class ResolutionError(ReslabError):
     """Oscillatory quadrature cannot resolve the integrand within the node budget."""
-
-
-class InvalidFloor(ReslabError):
-    """Non-positive gradient floor passed to the non-stationary bound."""
 
 
 class DegenerateStationaryPoint(ReslabError):

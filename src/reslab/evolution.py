@@ -52,7 +52,6 @@ import math
 import numbers
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +64,9 @@ from .phase import d2_at_stationary
 from .triples import ResonantTriple, interactions_for_output
 
 K_PREF = -1.0 / (8.0 * math.pi)
+# Most stepper steps one run may take, t_end/dt * (1 + resonant_subcycle);
+# the desk config takes 2000.
+MAX_STEPS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,8 @@ class SimConfig:
 
         The per-field rules are ``SCHEMA``'s; type errors are reported alone,
         as range rules need numbers.  Then come the rules JSON Schema cannot
-        state, and the hypothesis warnings.
+        state, and, for a valid config, the step-rounding and hypothesis
+        warnings.
         """
         props = SCHEMA["properties"]
         errs = [(f"/{name}", f"must be {_JSON_TYPES[rule['type']]}")
@@ -110,20 +113,28 @@ class SimConfig:
             return errs, []
         errs = [(f"/{name}", msg) for name, rule in props.items()
                 for msg in _rule_violations(getattr(self, name), rule)]
+        if not errs and self.t_end / self.dt > MAX_STEPS / (1 + self.resonant_subcycle):
+            errs.append(("/t_end", "t_end/dt * (1 + resonant_subcycle) must be at "
+                                   f"most {MAX_STEPS}"))
         if self.n_x1 & (self.n_x1 - 1):
             errs.append(("/n_x1", "must be a power of two"))
         if self.t_end < self.dt:
             errs.append(("/t_end", "must be >= dt"))
         if any(p >= self.P for p in self.init_modes):
             errs.append(("/init_modes", f"entries must lie in [0, {self.P})"))
-        warns = []
+        if errs:
+            return errs, []
+        warns = [f"{name} = {span} is not a multiple of dt = {self.dt}; it is "
+                 "rounded to whole steps" for name, span in (("t_end", self.t_end),
+                                                            ("s0", self.s0))
+                 if abs(math.remainder(span, self.dt)) > 1e-9 * max(1.0, span)]
         if not self.M > 3:
             warns.append("M <= 3 violates the existence-theorem hypothesis M > 3")
         if not self.M > 6:
             warns.append("M <= 6 violates the resonant-existence hypothesis M > 6")
         if not self.N >= 1.5:
             warns.append("N < 3/2 violates the resonant-existence hypothesis N >= 3/2")
-        return errs, warns
+        return [], warns
 
 
 with open(os.path.join(os.path.dirname(__file__), "config.schema.json"), encoding="utf-8") as _fh:
@@ -158,6 +169,8 @@ def _rule_violations(value, rule: dict) -> list[str]:
         out.append(f"must be <= {rule['maximum']}")
     if "enum" in rule and value not in rule["enum"]:
         out.append("must be one of " + ", ".join(map(repr, rule["enum"])))
+    if "minItems" in rule and len(value) < rule["minItems"]:
+        out.append(f"length must be >= {rule['minItems']}")
     if "items" in rule:
         out += sorted({"entries " + m for v in value for m in _rule_violations(v, rule["items"])})
     return out
@@ -363,13 +376,6 @@ class TrajectoryRecord:
     resonant_couplings_all_zero: bool = True   # every M(m,n,p) is zero
 
 
-def _n_steps(span: float, dt: float) -> int:
-    n = round(span / dt)
-    if abs(n * dt - span) > 1e-9 * max(1.0, span):
-        warnings.warn(f"span {span} is not a multiple of dt={dt}; using {n} steps")
-    return max(n, 0)
-
-
 def run_compare(config: SimConfig, grid: Grid | None = None,
                 state0: SpectralState | None = None,
                 observer=None, resume: dict | None = None) -> TrajectoryRecord:
@@ -429,8 +435,8 @@ def _run(config: SimConfig, which: str, grid: Grid | None,
     ckpt_stride = max(out_stride,
                       (config.checkpoint_every // out_stride) * out_stride)
     t_start = config.s0 if which == "resonant" else 0.0
-    n_total = _n_steps(max(config.t_end - t_start, 0.0), config.dt)
-    i_s0 = min(_n_steps(config.s0, config.dt), n_total) if which == "compare" else -1
+    n_total = round(max(config.t_end - t_start, 0.0) / config.dt)
+    i_s0 = round(min(config.s0, config.t_end) / config.dt) if which == "compare" else -1
 
     if resume is not None:
         i_start = int(resume["step"])

@@ -35,8 +35,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import GridTooCoarseError
-
 # x = _SCALE * y maps the weight e^(-3x^2/2) to e^(-y^2)
 _SCALE = math.sqrt(2.0 / 3.0)
 
@@ -137,35 +135,6 @@ class HermiteBasis:
             cubic_phi=cubic_phi,
         )
 
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Mode coefficients of samples at ``nodes`` (last axis)."""
-        return values @ (self.total_weights * self.phi).T
-
-
-def eigen_residual(n: int, grid: np.ndarray) -> float:
-    """Max-norm residual of (-phi_n'' + x^2 phi_n) - (2n+1) phi_n on the grid.
-
-    The second derivative is the 5-point fourth-order stencil; only interior
-    points enter the max.  Raises GridTooCoarseError when the grid violates
-    spacing <= 0.1 or extent >= 2 sqrt(2n+2).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 5:
-        raise GridTooCoarseError("need a 1-d grid with at least 5 points")
-    h = np.diff(grid)
-    if not np.allclose(h, h[0], rtol=1e-12, atol=1e-14):
-        raise GridTooCoarseError("grid must be uniform")
-    h = float(h[0])
-    if h > 0.1:
-        raise GridTooCoarseError(f"spacing {h:.3g} > 0.1")
-    extent = 2.0 * math.sqrt(2.0 * n + 2.0)
-    if grid[-1] < extent or grid[0] > -extent:
-        raise GridTooCoarseError(f"grid must cover [-{extent:.3g}, {extent:.3g}]")
-    f = hermite_table(n, grid)[n]
-    d2 = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
-    x = grid[2:-2]
-    return float(np.max(np.abs(-d2 + x * x * f[2:-2] - (2.0 * n + 1.0) * f[2:-2])))
-
 
 def triple_quad_order(m: int, n: int, p: int) -> int:
     return (m + n + p) // 2 + 2
@@ -244,26 +213,3 @@ class TripleProductTable:
                 block = self.entries[start:start + self._CSV_BLOCK]
                 rows = zip(*(block[col].tolist() for col in ("m", "n", "p", "value")))
                 fh.write("".join(map("%d,%d,%d,%.17g\n".__mod__, rows)))
-
-
-def _underline(k: int) -> int:
-    return max(1, k)
-
-
-def interaction_bound_ratio(m: int, n: int, p: int, K: int, nu: float, beta: float,
-                            table: TripleProductTable | None = None) -> float:
-    """|T(m,n,p)| divided by the decay envelope (m^nu / p^beta) (sqrt(mn)/(sqrt(mn)+p-n))^K.
-
-    max(1, .) is applied to every index so the ratio is finite at mode 0.
-    Requires m <= n <= p.
-    """
-    if not (m <= n <= p):
-        raise ValueError("requires m <= n <= p")
-    if nu <= 0.125:
-        raise ValueError("nu must exceed 1/8")
-    if not 0.0 <= beta < 1.0 / 24.0:
-        raise ValueError("beta must lie in [0, 1/24)")
-    value = table.get(m, n, p) if table is not None else triple_product(m, n, p)
-    root = math.sqrt(_underline(m) * _underline(n))
-    envelope = (_underline(m) ** nu / _underline(p) ** beta) * (root / (root + p - n)) ** K
-    return abs(value) / envelope

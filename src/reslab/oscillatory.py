@@ -1,6 +1,6 @@
 """Oscillatory integrals: direct quadrature of int e^(i t psi(x)) F(x) chi(x) dx,
-the stationary-phase leading term with the Fresnel-normalized constant, the
-non-stationary upper bound, and the bilinear Duhamel frequency convolution.
+the stationary-phase leading term with the Fresnel-normalized constant, and
+the bilinear Duhamel frequency convolution.
 
 Quadrature is composite Gauss-Legendre, chosen over FFT methods because the
 phases here are not polynomial.  Panel width follows the local |psi'|, so no
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import parallel
-from .errors import DegenerateStationaryPoint, InvalidFloor, ResolutionError
+from .errors import DegenerateStationaryPoint, ResolutionError
 from .phase import PhaseParams, dphase_deta, phase
 from .transform import Grid, interp_matrix
 
@@ -99,7 +99,6 @@ class OscIntegralSpec:
     time: float
     cutoff: SmoothBump | None = None
     window: tuple[float, float] | None = None
-    amplitude_deriv: Callable | None = None
 
     def domain(self) -> tuple[float, float]:
         if self.cutoff is not None:
@@ -228,28 +227,6 @@ def stationary_phase_leading(spec: OscIntegralSpec, x0: float,
             * chi0 * amp)
 
 
-def nonstationary_bound(spec: OscIntegralSpec, gradient_floor: float) -> float:
-    """Upper bound sqrt(rho)/(t m) (||F||_2 + ||F'||_2) valid when |psi'| >= m
-    on the cutoff support."""
-    if gradient_floor <= 0:
-        raise InvalidFloor(f"gradient floor {gradient_floor} must be positive")
-    a, b = spec.domain()
-    rho = 0.5 * (b - a) if spec.cutoff is None else spec.cutoff.radius
-    nodes, weights = leggauss(64)
-    x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-    w = 0.5 * (b - a) * weights
-    f = np.asarray(spec.amplitude(x), dtype=complex)
-    if spec.amplitude_deriv is not None:
-        fp = np.asarray(spec.amplitude_deriv(x), dtype=complex)
-    else:
-        h = 1e-6 * (1.0 + abs(b - a))
-        fp = (np.asarray(spec.amplitude(x + h), complex)
-              - np.asarray(spec.amplitude(x - h), complex)) / (2.0 * h)
-    norm_f = math.sqrt(float(np.sum(w * np.abs(f) ** 2)))
-    norm_fp = math.sqrt(float(np.sum(w * np.abs(fp) ** 2)))
-    return math.sqrt(rho) / (spec.time * gradient_floor) * (norm_f + norm_fp)
-
-
 def fresnel_gaussian_spec(t: float, kink: bool = False) -> OscIntegralSpec:
     """The Gaussian test family: psi = x^2, F = e^(-x^2) (optionally times the
     borderline factor 1 + |x|^(1/2), whose stationary-point singularity makes
@@ -298,9 +275,10 @@ def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params: PhaseParams, s: float
                    resolution: float = 1.0) -> np.ndarray:
     """Direct quadrature, for each output frequency xi, of
 
-        int e^(-i sign s phi(xi, eta)) fm~(eta)/<eta>_m fn~(xi-eta)/<xi-eta>_n deta
+        int e^(i s psi(eta)) fm~(eta)/<eta>_m fn~(xi-eta)/<xi-eta>_n deta,
 
-    with fm~, fn~ band-limited interpolants of the coefficient arrays.  The
+    psi = -sign phi(xi, .) the ``duhamel_phase`` (so sign must be +-1), with
+    fm~, fn~ band-limited interpolants of the coefficient arrays.  The
     prefactors (alpha beta, coupling, -1/(8 pi)) are the caller's business.
     This is the slow reference for the solver nonlinearity and the calibration
     target of the resonant kernel.
@@ -323,12 +301,12 @@ def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params: PhaseParams, s: float
         / np.sqrt(eta ** 2 + 2.0 * params.m + 2.0)
     out = np.empty(xi_out.size, dtype=complex)
     for i, xi in enumerate(xi_out):
+        psi = duhamel_phase(params, xi, sign).psi
         shifted = xi - eta
         # the convolution partner may leave the window; fold it in periodically
         # (band-limited interpolants are L-periodic in x, 2W-periodic in xi)
         folded = (shifted + W) % (2.0 * W) - W
         fn_shift = (interp_matrix(grid, folded) @ np.asarray(fn, complex)) \
             / np.sqrt(shifted ** 2 + 2.0 * params.n + 2.0)
-        osc = np.exp(-1j * sign * s * phase(params, xi, eta))
-        out[i] = np.sum(w * osc * fm_eta * fn_shift)
+        out[i] = np.sum(w * np.exp(1j * s * psi(eta)) * fm_eta * fn_shift)
     return out

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BracketFailure, DegenerateSelfInteraction, ResolutionError,
-                     ResonantCaseError)
+from .errors import BracketFailure, DegenerateSelfInteraction, ResolutionError
 from .triples import GATES, printed_gate_excludes
 
 
@@ -80,22 +79,6 @@ def dphase_deta(params: PhaseParams, xi, eta):
     return out if out.ndim else float(out)
 
 
-def dphase_dxi(params: PhaseParams, xi, eta):
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    out = (xi / np.sqrt(xi ** 2 + 2.0 * params.p + 2.0)
-           + params.beta * (xi - eta) / np.sqrt((xi - eta) ** 2 + 2.0 * params.n + 2.0))
-    return out if out.ndim else float(out)
-
-
-def d2phase_deta2(params: PhaseParams, xi, eta):
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    out = (params.alpha * (2.0 * params.m + 2.0) / (eta ** 2 + 2.0 * params.m + 2.0) ** 1.5
-           + params.beta * (2.0 * params.n + 2.0) / ((xi - eta) ** 2 + 2.0 * params.n + 2.0) ** 1.5)
-    return out if out.ndim else float(out)
-
-
 def lambda_coeff(m: int, n: int, alpha: int, beta: int) -> float:
     """Stationary frequency ratio: eta0(xi) = lambda * xi.
 
@@ -137,17 +120,6 @@ def classify(params: PhaseParams, gate: str = "printed") -> ResonanceClass:
     if admissible(m, n, p, a, b):
         return ResonanceClass(Tag.SPACE_TIME_RESONANT_LINE, line_slope(m, n, a, b))
     return ResonanceClass(Tag.SPACE_RESONANT_ONLY)
-
-
-def phase_floor(m: int, n: int, p: int, R: float, alpha: int = -1, beta: int = -1) -> float:
-    """Reference lower-bound scale 1/((sqrt(n+1)+sqrt(m+1))^2 R) for |phi| on
-    the ball of radius R, valid only away from space-time resonance."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    params = PhaseParams(m, n, p, alpha, beta)
-    if any(classify(params, gate).tag is Tag.SPACE_TIME_RESONANT_LINE for gate in GATES):
-        raise ResonantCaseError(f"(m,n,p)=({m},{n},{p}), signs ({alpha},{beta})")
-    return 1.0 / ((math.sqrt(n + 1.0) + math.sqrt(m + 1.0)) ** 2 * R)
 
 
 class Regime(enum.Enum):

@@ -14,8 +14,8 @@ With this convention ||f||^2_{L2(R^2)} = (2 pi)^(-1) sum_p ||f~_p||^2_{L2(dxi)}.
 composite norms include the (2 pi)^(-1/2) physical normalization.
 
 The <x1>^kappa weights are realized as kappa frequency derivatives taken by
-centered finite differences on the periodic frequency grid; the physical-space
-multiplication route is kept as a cross-check (``xi_derivative_physical``).
+centered finite differences on the periodic frequency grid; the tests check
+them against the physical-space multiplication route.
 """
 
 from __future__ import annotations
@@ -164,13 +164,6 @@ def xi_derivative(coeffs: np.ndarray, dxi: float, order: int = 1) -> np.ndarray:
     return out
 
 
-def xi_derivative_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Cross-check route: d/dxi f~ = transform of (-i x) f, exact band-limited."""
-    phys = inverse_x1(grid, np.moveaxis(np.asarray(coeffs, complex), -1, 0))
-    phys *= (-1j * grid.x1).reshape((-1,) + (1,) * (phys.ndim - 1))
-    return np.moveaxis(forward_x1(grid, phys), 0, -1)
-
-
 def sobolev_weighted_norm(f_p: np.ndarray, grid: Grid, N: float, kappa: int) -> float:
     """|| <xi>^N f~ ||-type norm of one mode with kappa frequency derivatives.
 
@@ -187,11 +180,6 @@ def sobolev_weighted_norm(f_p: np.ndarray, grid: Grid, N: float, kappa: int) -> 
         d = xi_derivative(d, grid.dxi)
         total += math.comb(kappa, j) * np.sum(w * np.abs(d) ** 2)
     return float(math.sqrt(total * grid.dxi))
-
-
-def l2_norm_physical(grid: Grid, coeffs: np.ndarray) -> float:
-    """||f||_{L2(R^2)} from coefficients via the Parseval identity."""
-    return math.sqrt(np.sum(np.abs(coeffs) ** 2) * grid.dxi / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -259,11 +247,6 @@ def interp_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:
         raise InterpolationRangeError(
             f"target frequency beyond window +-{grid.xi_max:.6g}")
     return grid.alt * np.fft.ifft(np.exp(-1j * np.outer(targets, grid.x1)), axis=1)
-
-
-def interp_eval(grid: Grid, coeffs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Band-limited evaluation of coefficient rows at arbitrary frequencies."""
-    return np.asarray(coeffs, complex) @ interp_matrix(grid, targets).T
 
 
 def save_state(path, grid: Grid, meta: dict, **states: SpectralState) -> None:

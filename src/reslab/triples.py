@@ -29,27 +29,6 @@ def condition_polynomial(m: int, n: int, p: int) -> int:
             - 2 * m - 2 * n - 2 * p - 3)
 
 
-def is_resonant(m: int, n: int, p: int) -> bool:
-    """Exact integer test of the resonance condition; no floating point."""
-    if min(m, n, p) < 0:
-        raise ValueError("mode indices must be >= 0")
-    return condition_polynomial(m, n, p) == 0
-
-
-def is_resonant_massless(m: int, n: int, p: int) -> bool:
-    """Same condition for the massless variant (eigenvalues 2k+1).
-
-    Requires (2(p-m-n) - 1)^2 = 4(2m+1)(2n+1) up to permutation, which is
-    impossible mod 8; the solution set is provably empty.
-    """
-    if min(m, n, p) < 0:
-        raise ValueError("mode indices must be >= 0")
-    for a, b, c in ((m, n, p), (n, p, m), (p, m, n)):
-        if (2 * (c - a - b) - 1) ** 2 == 4 * (2 * a + 1) * (2 * b + 1):
-            return True
-    return False
-
-
 def _partner(m: int, n: int) -> int | None:
     """p with sqrt(p+1) = sqrt(m+1) + sqrt(n+1), or None if not an integer."""
     prod = (m + 1) * (n + 1)

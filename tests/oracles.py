@@ -12,6 +12,12 @@ exponentials, as the splitting is written on paper.  The triple-table
 oracle is the exception: it is the package's earlier dict-walk build and
 row-by-row writer, which share the Gram matmul with ``TripleProductTable``
 and so must agree with it byte for byte.
+
+The cross-checks and reference scales of the paper that no command computes
+live here as well: the Hermite eigen-residual, the interaction decay
+envelope, the closed-form phase derivatives the phase module does not need,
+the phase floor, the non-stationary bound, the physical-space frequency
+derivative and the massless resonance condition.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
@@ -36,6 +43,86 @@ def adaptive_triple(m: int, n: int, p: int) -> float:
                     -20.0, 20.0, limit=400, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-9
     return val
+
+
+def eigen_residual(n: int, grid: np.ndarray) -> float:
+    """Max-norm residual of (-phi_n'' + x^2 phi_n) - (2n+1) phi_n at the
+    interior points of a uniform grid: phi_n from ``hermite_table``, phi_n''
+    from the 5-point fourth-order stencil."""
+    from reslab.hermite import hermite_table
+
+    h = grid[1] - grid[0]
+    f = hermite_table(n, grid)[n]
+    d2 = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
+    x = grid[2:-2]
+    return float(np.max(np.abs(-d2 + x * x * f[2:-2] - (2.0 * n + 1.0) * f[2:-2])))
+
+
+def interaction_bound_ratio(m: int, n: int, p: int, K: int, nu: float, beta: float,
+                            table=None) -> float:
+    """|T(m,n,p)| over the decay envelope (m^nu / p^beta) (sqrt(mn)/(sqrt(mn)+p-n))^K,
+    m <= n <= p; the envelope raises each index to at least 1, so the ratio
+    is finite at mode 0."""
+    from reslab.hermite import triple_product
+
+    value = table.get(m, n, p) if table is not None else triple_product(m, n, p)
+    m1, n1, p1 = max(1, m), max(1, n), max(1, p)
+    root = math.sqrt(m1 * n1)
+    return abs(value) / ((m1 ** nu / p1 ** beta) * (root / (root + p - n)) ** K)
+
+
+def dphase_dxi(params, xi, eta):
+    """Closed-form d phi / d xi."""
+    xi, eta = np.asarray(xi, float), np.asarray(eta, float)
+    return (xi / np.sqrt(xi ** 2 + 2.0 * params.p + 2.0)
+            + params.beta * (xi - eta) / np.sqrt((xi - eta) ** 2 + 2.0 * params.n + 2.0))
+
+
+def d2phase_deta2(params, xi, eta):
+    """Closed-form d^2 phi / d eta^2."""
+    xi, eta = np.asarray(xi, float), np.asarray(eta, float)
+    return (params.alpha * (2.0 * params.m + 2.0) / (eta ** 2 + 2.0 * params.m + 2.0) ** 1.5
+            + params.beta * (2.0 * params.n + 2.0) / ((xi - eta) ** 2 + 2.0 * params.n + 2.0) ** 1.5)
+
+
+def phase_floor(m: int, n: int, R: float) -> float:
+    """Reference lower-bound scale 1/((sqrt(n+1)+sqrt(m+1))^2 R) of |phi| on the
+    ball of radius R, meaningful only away from space-time resonance."""
+    return 1.0 / ((math.sqrt(n + 1.0) + math.sqrt(m + 1.0)) ** 2 * R)
+
+
+def nonstationary_bound(spec, gradient_floor: float, amplitude_deriv=None) -> float:
+    """Upper bound sqrt(rho)/(t m) (||F||_2 + ||F'||_2) on the integral of
+    ``spec`` when |psi'| >= m = ``gradient_floor`` on its support of radius
+    rho; F' is ``amplitude_deriv``, or a centered difference without one."""
+    a, b = spec.domain()
+    rho = 0.5 * (b - a) if spec.cutoff is None else spec.cutoff.radius
+    nodes, weights = leggauss(64)
+    x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    w = 0.5 * (b - a) * weights
+    h = 1e-6 * (1.0 + abs(b - a))
+    deriv = amplitude_deriv or (lambda y: (np.asarray(spec.amplitude(y + h), complex)
+                                           - np.asarray(spec.amplitude(y - h), complex))
+                                / (2.0 * h))
+    norms = [math.sqrt(float(np.sum(w * np.abs(np.asarray(g(x), complex)) ** 2)))
+             for g in (spec.amplitude, deriv)]
+    return math.sqrt(rho) / (spec.time * gradient_floor) * sum(norms)
+
+
+def xi_derivative_physical(grid, coeffs: np.ndarray) -> np.ndarray:
+    """d/dxi of one coefficient row as the transform of (-i x) f, exact for
+    band-limited data."""
+    from reslab.transform import forward_x1, inverse_x1
+
+    return forward_x1(grid, -1j * grid.x1 * inverse_x1(grid, coeffs))
+
+
+def is_resonant_massless(m: int, n: int, p: int) -> bool:
+    """The resonance condition with eigenvalues 2k+1 (no mass term): for a
+    rotation (a, b, c) of (m, n, p), (2(c-a-b) - 1)^2 = 4(2a+1)(2b+1), which is
+    impossible mod 8 (an odd square is 1 mod 8)."""
+    return any((2 * (c - a - b) - 1) ** 2 == 4 * (2 * a + 1) * (2 * b + 1)
+               for a, b, c in ((m, n, p), (n, p, m), (p, m, n)))
 
 
 def brute_force_triples(max_mode: int) -> set[tuple[int, int, int]]:

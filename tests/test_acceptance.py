@@ -7,20 +7,18 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from oracles import (brute_force_triples, leapfrog_reference,
+from oracles import (brute_force_triples, d2phase_deta2, dphase_dxi,
+                     eigen_residual, leapfrog_reference, nonstationary_bound,
                      physical_field_on, richardson_d1, richardson_d2)
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               init_profile, run_compare)
-from reslab.hermite import (HermiteBasis, TripleProductTable, eigen_residual,
-                            triple_product)
+from reslab.hermite import HermiteBasis, TripleProductTable, triple_product
 from reslab.oscillatory import (OscIntegralSpec, PhaseCurve, SmoothBump,
                                 duhamel_phase, fresnel_gaussian_spec,
-                                nonstationary_bound, quadrature_oscillatory,
-                                stationary_phase_leading)
-from reslab.phase import (PhaseParams, dphase_deta, dphase_dxi, d2phase_deta2,
-                          line_slope, phase)
+                                quadrature_oscillatory, stationary_phase_leading)
+from reslab.phase import PhaseParams, dphase_deta, line_slope, phase
 from reslab.transform import (Grid, SpectralState, composite_norms, forward,
-                              inverse, interp_eval, l2_norm_physical)
+                              hm_l2_norm, interp_matrix, inverse)
 from reslab.triples import enumerate_triples
 
 
@@ -81,7 +79,7 @@ def test_criterion_3_transforms():
 
     phys = math.sqrt(np.sum(np.abs(field) ** 2 * grid.dx
                             * grid.basis.total_weights[None, :]))
-    parseval = abs(l2_norm_physical(grid, coeffs) - phys) / phys
+    parseval = abs(hm_l2_norm(coeffs, grid, 0.0) / 2.0 - phys) / phys
 
     rng = np.random.default_rng(1)
     N = 1.5
@@ -271,10 +269,8 @@ def test_criterion_7_resonant_kernel_consistency():
                 eta = np.atleast_1d(np.asarray(eta, float))
                 shifted = xi - eta
                 folded = (shifted + W) % (2.0 * W) - W
-                a = interp_eval(grid, plus0[None, :], eta)[0] \
-                    / np.sqrt(eta ** 2 + 2.0)
-                b = interp_eval(grid, plus0[None, :], folded)[0] \
-                    / np.sqrt(shifted ** 2 + 2.0)
+                a = plus0 @ interp_matrix(grid, eta).T / np.sqrt(eta ** 2 + 2.0)
+                b = plus0 @ interp_matrix(grid, folded).T / np.sqrt(shifted ** 2 + 2.0)
                 out = a * b
                 return out if out.size > 1 else complex(out[0])
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -15,7 +16,7 @@ from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         load_config, main)
 from oracles import two_component
 from reslab.errors import ConfigError
-from reslab.evolution import SimConfig, make_grid
+from reslab.evolution import MAX_STEPS, SimConfig, config_from_json, make_grid
 from reslab.hermite import MAX_MODE
 from reslab.triples import GATES
 from reslab.transform import SpectralState
@@ -88,7 +89,8 @@ def test_schema_matches_simconfig():
 
 
 # the keywords SimConfig.validate enforces, and those that state no rule
-ENFORCED = {"type", "minimum", "exclusiveMinimum", "maximum", "enum", "items"}
+ENFORCED = {"type", "minimum", "exclusiveMinimum", "maximum", "enum", "items",
+            "minItems"}
 ANNOTATIONS = {"default", "description"}
 
 
@@ -129,6 +131,8 @@ def _schema_violations():
             yield name, high + 1 if prop["type"] == "integer" else 2 * high
         if "minimum" in prop.get("items", {}):
             yield name, [prop["items"]["minimum"] - 1]
+        if "minItems" in prop:
+            yield name, [0] * (prop["minItems"] - 1)
 
 
 def _violation_id(value):
@@ -147,6 +151,32 @@ def test_schema_violation_rejected_at_field(tmp_path, capsys, name, value):
     assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) \
         == EXIT_CONFIG
     assert f"config error at /{name}:" in capsys.readouterr().err
+
+
+def test_step_budget_is_a_config_error(tmp_path, capsys):
+    # t_end/dt overflows to inf; 2^62 substeps per step would never finish
+    for raw in ({"t_end": 1e300, "dt": 1e-300}, {"resonant_subcycle": 2 ** 62}):
+        with pytest.raises(ConfigError) as exc:
+            config_from_json(raw)
+        assert [path for path, _ in exc.value.issues] == ["/t_end"]
+    # exactly the budget: MAX_STEPS / 2 steps of dt, one substep each
+    assert config_from_json({"t_end": MAX_STEPS / 4, "dt": 0.5})[0].t_end == 2.5e6
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=1e300, dt=1e-300)
+    assert main(["simulate-full", "--config", str(cfg), "--out-dir", str(tmp_path)]) \
+        == EXIT_CONFIG
+    assert f"config error at /t_end: t_end/dt * (1 + resonant_subcycle) must be at " \
+        f"most {MAX_STEPS}" in capsys.readouterr().err
+
+
+def test_step_rounding_warns_through_the_cli(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=1.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no Python warning reaches stderr raw
+        assert main(["simulate-full", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "warning: t_end = 1.01 is not a multiple of dt = 0.02" in err
+    assert "warnings.warn(" not in err
 
 
 def test_integral_json_numbers_are_integers(tmp_path):
@@ -603,3 +633,19 @@ def test_threads_env_variable_ignored(monkeypatch):
     monkeypatch.setenv("RESLAB_THREADS", "3")
     assert resolve_threads(0) == (os.cpu_count() or 1)
     assert resolve_threads(2) == 2
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # an error class that no code raises or warns is dead
+    import reslab.errors as errors
+    used = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.add(getattr(target, "id", getattr(target, "attr", None)))
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn":
+                used.update(arg.id for arg in node.args if isinstance(arg, ast.Name))
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert classes - {"ReslabError"} <= used

@@ -11,7 +11,7 @@ from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               init_profile, make_grid, run_compare, run_single)
 from reslab.phase import d2_at_stationary, lambda_coeff
 from reslab.triples import interactions_for_output
-from reslab.transform import composite_norms, interp_eval, minus_component
+from reslab.transform import composite_norms, interp_matrix, minus_component
 
 
 @pytest.fixture(scope="module")
@@ -224,8 +224,8 @@ def test_resonant_single_triple_hand_rhs(small_setup):
     lam = lambda_coeff(0, 0, -1, -1)
     xi = grid.xi
     # component "+" fields carry signs (-sigma a, -sigma b) = (+, +)
-    fa = interp_eval(grid, state.coeffs[0:1], lam * xi)[0] / np.sqrt((lam * xi) ** 2 + 2.0)
-    fb = interp_eval(grid, state.coeffs[0:1], (1 - lam) * xi)[0] \
+    fa = state.coeffs[0] @ interp_matrix(grid, lam * xi).T / np.sqrt((lam * xi) ** 2 + 2.0)
+    fb = state.coeffs[0] @ interp_matrix(grid, (1 - lam) * xi).T \
         / np.sqrt(((1 - lam) * xi) ** 2 + 2.0)
     d_signed = d2_at_stationary(0, 0, -1, -1, xi)
     hand = (K_PREF * 1.0 * np.sqrt(2.0 * math.pi / (s0 * np.abs(d_signed)))

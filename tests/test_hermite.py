@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
-from oracles import adaptive_triple, psi_direct, triple_table_dict, write_triple_csv
-from reslab.errors import GridTooCoarseError
-from reslab.hermite import (MAX_QUAD_ORDER, TripleProductTable, eigen_residual,
-                            gauss_hermite, hermite_table, interaction_bound_ratio,
-                            norm_constant, triple_product)
+from oracles import (adaptive_triple, eigen_residual, interaction_bound_ratio,
+                     psi_direct, triple_table_dict, write_triple_csv)
+from reslab.hermite import (MAX_QUAD_ORDER, TripleProductTable, gauss_hermite,
+                            hermite_table, norm_constant, triple_product)
+from reslab.transform import Grid, forward
 
 
 def test_phi0_at_origin():
@@ -100,15 +100,6 @@ def test_eigen_residual_ground_state():
 
 def test_eigen_residual_mode_5():
     assert eigen_residual(5, np.arange(-12.0, 12.0, 0.01)) < 1e-5
-
-
-def test_eigen_residual_grid_too_coarse():
-    with pytest.raises(GridTooCoarseError):
-        eigen_residual(0, np.array([-1.0, 0.0, 1.0]))
-    with pytest.raises(GridTooCoarseError):
-        eigen_residual(0, np.arange(-8.0, 8.0, 0.2))
-    with pytest.raises(GridTooCoarseError):
-        eigen_residual(10, np.arange(-2.0, 2.0, 0.01))  # extent too small
 
 
 def test_triple_product_ground_closed_form():
@@ -231,8 +222,10 @@ def test_triple_product_symmetry_and_parity_property(m, n, p):
 
 
 def test_basis_synthesize_project_roundtrip(basis60):
+    # a field constant in x1 has all its content at xi = 0, scaled by L
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=20)
     vals = coeffs @ hermite_table(19, basis60.nodes)
-    back = basis60.project(vals)[:20]
+    grid = Grid(16, 4.0, basis60)
+    back = forward(grid, np.tile(vals, (16, 1)))[:20, 0] / grid.length_x1
     assert np.max(np.abs(back - coeffs)) < 1e-12

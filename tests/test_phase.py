@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import richardson_d1, richardson_d2
-from reslab.errors import (BracketFailure, DegenerateSelfInteraction,
-                           ResonantCaseError)
+from oracles import (d2phase_deta2, dphase_dxi, phase_floor, richardson_d1,
+                     richardson_d2)
+from reslab.errors import BracketFailure, DegenerateSelfInteraction
 from reslab.phase import (PhaseParams, Regime, ResonanceClass, Tag,
                           band_width_probe, band_width_reference, classify,
-                          d2_at_stationary,
-                          dphase_deta, dphase_dxi, d2phase_deta2, lambda_coeff,
-                          line_slope, phase, phase_floor, phase_report,
-                          sampled_phase_min)
-from reslab.triples import (enumerate_triples, printed_gate_admissible,
-                            sqrt_gate_admissible)
+                          d2_at_stationary, dphase_deta, lambda_coeff,
+                          line_slope, phase, phase_report, sampled_phase_min)
+from reslab.triples import (condition_polynomial, enumerate_triples,
+                            printed_gate_admissible, sqrt_gate_admissible)
 
 
 def test_phase_all_plus_at_origin():
@@ -177,13 +175,8 @@ def test_coresonant_line_coincides():
 
 
 def test_phase_floor_values():
-    assert phase_floor(0, 0, 1, 1.0) == pytest.approx(0.25, rel=1e-14)
-    assert phase_floor(3, 0, 1, 10.0) == pytest.approx(1.0 / 90.0, rel=1e-14)
-
-
-def test_phase_floor_resonant_raises():
-    with pytest.raises(ResonantCaseError):
-        phase_floor(0, 0, 3, 1.0)
+    assert phase_floor(0, 0, 1.0) == pytest.approx(0.25, rel=1e-14)
+    assert phase_floor(3, 0, 10.0) == pytest.approx(1.0 / 90.0, rel=1e-14)
 
 
 def test_sampled_phase_min_respects_floor():
@@ -192,11 +185,10 @@ def test_sampled_phase_min_respects_floor():
     ratios = []
     while len(ratios) < 20:
         m, n, p = (int(v) for v in rng.integers(0, 30, 3))
-        try:
-            floor = phase_floor(m, n, p, 20.0)
-        except ResonantCaseError:
+        if condition_polynomial(m, n, p) == 0:   # the floor holds off the resonant set
             continue
-        ratios.append(sampled_phase_min(PhaseParams(m, n, p, -1, -1), 20.0) / floor)
+        ratios.append(sampled_phase_min(PhaseParams(m, n, p, -1, -1), 20.0)
+                      / phase_floor(m, n, 20.0))
     fitted_c = min(ratios)
     assert fitted_c >= 1.0
 

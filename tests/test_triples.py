@@ -4,22 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_triples
+from oracles import brute_force_triples, is_resonant_massless
 from reslab.triples import (ResonantTriple, condition_polynomial,
-                            enumerate_triples, gate_disagreements, is_resonant,
-                            is_resonant_massless, interactions_for_output,
-                            printed_gate_admissible, sqrt_gate_admissible)
+                            enumerate_triples, gate_disagreements,
+                            interactions_for_output, printed_gate_admissible,
+                            sqrt_gate_admissible)
 
 
 def test_is_resonant_examples():
-    assert is_resonant(0, 0, 3)
-    assert is_resonant(0, 3, 8)
-    assert not is_resonant(0, 0, 1)
-
-
-def test_is_resonant_rejects_negative():
-    with pytest.raises(ValueError):
-        is_resonant(-1, 0, 3)
+    assert condition_polynomial(0, 0, 3) == 0
+    assert condition_polynomial(0, 3, 8) == 0
+    assert condition_polynomial(0, 0, 1) != 0
 
 
 def test_is_resonant_arbitrary_precision():
@@ -27,7 +22,7 @@ def test_is_resonant_arbitrary_precision():
     m = 10 ** 40 - 1
     n = 4 * 10 ** 40 - 1   # (m+1)(n+1) = 4e80 = (2e40)^2
     p = m + n + 1 + 2 * (2 * 10 ** 40)
-    assert is_resonant(m, n, p)
+    assert condition_polynomial(m, n, p) == 0
 
 
 def test_enumerate_small_ranges():
@@ -174,7 +169,7 @@ def _sqrt_characterization(m, n, p):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 400), st.integers(0, 400), st.integers(0, 400))
 def test_polynomial_equals_sqrt_characterization(m, n, p):
-    assert is_resonant(m, n, p) == _sqrt_characterization(m, n, p)
+    assert (condition_polynomial(m, n, p) == 0) == _sqrt_characterization(m, n, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,4 +178,4 @@ def test_partner_closed_form_property(m, n):
     prod = (m + 1) * (n + 1)
     r = math.isqrt(prod)
     if r * r == prod:
-        assert is_resonant(m, n, m + n + 1 + 2 * r)
+        assert condition_polynomial(m, n, m + n + 1 + 2 * r) == 0
