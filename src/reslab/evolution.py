@@ -67,6 +67,7 @@ K_PREF = -1.0 / (8.0 * math.pi)
 # Most stepper steps one run may take, t_end/dt * (1 + resonant_subcycle);
 # the desk config takes 2000.
 MAX_STEPS = 10 ** 7
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,21 @@ class SimConfig:
             return errs, []
         errs = [(f"/{name}", msg) for name, rule in props.items()
                 for msg in _rule_violations(getattr(self, name), rule)]
-        if not errs and self.t_end / self.dt > MAX_STEPS / (1 + self.resonant_subcycle):
-            errs.append(("/t_end", "t_end/dt * (1 + resonant_subcycle) must be at "
-                                   f"most {MAX_STEPS}"))
+        if not errs:   # the step budget and the weights need every field in range
+            if self.t_end / self.dt > MAX_STEPS / (1 + self.resonant_subcycle):
+                errs.append(("/t_end", "t_end/dt * (1 + resonant_subcycle) must be at "
+                                       f"most {MAX_STEPS}"))
+            # each norm weight at the largest mode and frequency is a finite
+            # float; compared in log space, so the check itself cannot overflow
+            xi_max = math.pi * self.n_x1 / self.length_x1   # inf for a tiny box
+            log_2p = math.log(2.0 * self.P)
+            errs += [(ptr, f"norm weight {w} overflows a float") for ptr, w, log_w in (
+                ("/M", "(2P)^(2M)", 2.0 * self.M * log_2p),
+                ("/M0", "(2P)^(2M0)", 2.0 * self.M0 * log_2p),
+                ("/N", "((pi n_x1/length_x1)^2 + 2P)^(2N)",
+                 4.0 * self.N * math.log(math.hypot(xi_max, math.sqrt(2.0 * self.P)))),
+                ("/length_x1", "(1 + (pi n_x1/length_x1)^2)^(3/2)",
+                 3.0 * math.log(math.hypot(xi_max, 1.0)))) if log_w >= _LOG_FLOAT_MAX]
         if self.n_x1 & (self.n_x1 - 1):
             errs.append(("/n_x1", "must be a power of two"))
         if self.t_end < self.dt:
@@ -221,7 +234,7 @@ def init_profile(config: SimConfig, grid: Grid | None = None) -> tuple[Grid, Spe
     if config.eps == 0.0:
         state.coeffs[:] = 0.0
         return grid, state
-    norm = composite_norms(state, grid, config.M, config.N, t=0.0).S_MN_t
+    norm = composite_norms(state, grid, config.M, config.N).S_MN_t
     if not (math.isfinite(norm) and norm > 0.0):
         raise BlowupDetected(f"initial S^(M,N) norm {norm:.3g} is not finite and positive; "
                              "the state cannot be scaled to eps/2")
@@ -377,7 +390,6 @@ class TrajectoryRecord:
 
 
 def run_compare(config: SimConfig, grid: Grid | None = None,
-                state0: SpectralState | None = None,
                 observer=None, resume: dict | None = None) -> TrajectoryRecord:
     """Evolve the full profile f from 0 to t_end and the resonant profile g
     from s0 (g(s0) = f(s0)); record composite norms and the difference norm
@@ -389,21 +401,20 @@ def run_compare(config: SimConfig, grid: Grid | None = None,
     {"step", "f", "g", "tv"} and restarts the loop mid-trajectory; checkpoints
     land on output times, so total-variation accumulation continues exactly.
     """
-    return _run(config, "compare", grid, state0, observer, resume)
+    return _run(config, "compare", grid, observer, resume)
 
 
 def run_single(config: SimConfig, which: str, grid: Grid | None = None,
-               state0: SpectralState | None = None,
                observer=None, resume: dict | None = None) -> TrajectoryRecord:
     """Evolve only the full system ("full") or only the resonant one
     ("resonant", started from the initial profile at s0)."""
     if which not in ("full", "resonant"):
         raise ValueError("which must be 'full' or 'resonant'")
-    return _run(config, which, grid, state0, observer, resume)
+    return _run(config, which, grid, observer, resume)
 
 
-def _run(config: SimConfig, which: str, grid: Grid | None,
-         state0: SpectralState | None, observer, resume: dict | None) -> TrajectoryRecord:
+def _run(config: SimConfig, which: str, grid: Grid | None, observer,
+         resume: dict | None) -> TrajectoryRecord:
     """The one run loop.  The primary state f is stepped by the full stepper,
     or by the resonant sub-cycle when ``which == "resonant"``; in "compare" g
     forks from f at s0 and then runs the same sub-cycle."""
@@ -431,11 +442,13 @@ def _run(config: SimConfig, which: str, grid: Grid | None,
             state = resonant.step(state, ds)
         return state
 
-    out_stride = max(1, round(config.out_every / config.dt))
-    ckpt_stride = max(out_stride,
-                      (config.checkpoint_every // out_stride) * out_stride)
     t_start = config.s0 if which == "resonant" else 0.0
     n_total = round(max(config.t_end - t_start, 0.0) / config.dt)
+    # a stride beyond the run emits only the first and last rows; clamping it
+    # there keeps a huge out_every/dt from overflowing round()
+    out_stride = max(1, round(min(config.out_every / config.dt, n_total + 1)))
+    ckpt_stride = max(out_stride,
+                      (config.checkpoint_every // out_stride) * out_stride)
     i_s0 = round(min(config.s0, config.t_end) / config.dt) if which == "compare" else -1
 
     if resume is not None:
@@ -446,9 +459,7 @@ def _run(config: SimConfig, which: str, grid: Grid | None,
         prev_out = f.coeffs.copy() if g is not None else None
     else:
         i_start = 0
-        if state0 is None:
-            _, state0 = init_profile(config, grid)
-        f = state0.copy()
+        _, f = init_profile(config, grid)
         if which == "resonant":
             f.time = t_start
         g = None

@@ -113,15 +113,14 @@ class HermiteBasis:
     cubic_phi: np.ndarray
 
     @classmethod
-    def build(cls, max_mode: int, quad_order: int | None = None) -> "HermiteBasis":
+    def build(cls, max_mode: int) -> "HermiteBasis":
         if max_mode < 0:
             raise ValueError("max_mode must be >= 0")
-        if quad_order is None:
-            # exact for phi_a phi_b projections and for the quadratic
-            # nonlinearity projected onto modes <= max_mode; the floor keeps
-            # the node extent wide enough that trap-confined test fields decay
-            # below 1e-12 at the boundary
-            quad_order = max((3 * max_mode) // 2 + 2, 40)
+        # exact for phi_a phi_b projections and for the quadratic nonlinearity
+        # projected onto modes <= max_mode; the floor keeps the node extent
+        # wide enough that trap-confined test fields decay below 1e-12 at the
+        # boundary
+        quad_order = max((3 * max_mode) // 2 + 2, 40)
         nodes, weights, total = gauss_hermite(quad_order)
         cubic_phi, cubic_total = _cubic_rule(quad_order, max_mode)
         return cls(
@@ -168,9 +167,8 @@ class TripleProductTable:
     _DTYPE = np.dtype([("m", np.int32), ("n", np.int32), ("p", np.int32), ("value", float)])
     _CSV_BLOCK = 4096
 
-    def __init__(self, max_mode: int, quad_order: int | None = None):
-        if quad_order is None:
-            quad_order = triple_quad_order(max_mode, max_mode, max_mode)
+    def __init__(self, max_mode: int):
+        quad_order = triple_quad_order(max_mode, max_mode, max_mode)
         self.max_mode = max_mode
         self.built_with = quad_order
         table, w_total = _cubic_rule(quad_order, max_mode)

@@ -72,17 +72,17 @@ class SmoothBump:
 
 @dataclass(frozen=True)
 class PhaseCurve:
-    """Phase psi with first derivative (second optional; finite differences
-    otherwise)."""
+    """Phase psi with first derivative (second optional; central differences
+    of dpsi with step 1e-5 otherwise)."""
 
     psi: Callable
     dpsi: Callable
     d2psi: Callable | None = None
 
-    def second(self, x: float, h: float = 1e-5) -> float:
+    def second(self, x: float) -> float:
         if self.d2psi is not None:
             return float(self.d2psi(x))
-        return float((self.dpsi(x + h) - self.dpsi(x - h)) / (2.0 * h))
+        return float((self.dpsi(x + 1e-5) - self.dpsi(x - 1e-5)) / 2e-5)
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,7 @@ def quadrature_oscillatory(spec: OscIntegralSpec, resolution: float = 1.0,
     return complex(total)
 
 
-def stationary_phase_leading(spec: OscIntegralSpec, x0: float,
-                             psi_dd_at_x0: float | None = None) -> complex:
+def stationary_phase_leading(spec: OscIntegralSpec, x0: float) -> complex:
     """Leading term sqrt(2 pi/(t |psi''(x0)|)) e^(i pi/4 sgn psi'') e^(i t psi(x0))
     chi(x0) F(x0).
 
@@ -216,7 +215,7 @@ def stationary_phase_leading(spec: OscIntegralSpec, x0: float,
     scale = 1.0 + abs(float(spec.phase.dpsi(x0 + 1.0)) - dpsi0)
     if abs(dpsi0) > 1e-6 * scale:
         raise ValueError(f"psi'({x0}) = {dpsi0:.3g} is not a stationary point")
-    dd = psi_dd_at_x0 if psi_dd_at_x0 is not None else spec.phase.second(x0)
+    dd = spec.phase.second(x0)
     if abs(dd) < 1e-12:
         raise DegenerateStationaryPoint(f"|psi''({x0})| = {abs(dd):.3g}")
     amp = complex(np.asarray(spec.amplitude(x0), dtype=complex))
@@ -271,8 +270,7 @@ def duhamel_phase(params: PhaseParams, xi: float, sign: int) -> PhaseCurve:
 
 
 def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params: PhaseParams, s: float,
-                   sign: int, grid: Grid, xi_out: np.ndarray | None = None,
-                   resolution: float = 1.0) -> np.ndarray:
+                   sign: int, grid: Grid, xi_out: np.ndarray | None = None) -> np.ndarray:
     """Direct quadrature, for each output frequency xi, of
 
         int e^(i s psi(eta)) fm~(eta)/<eta>_m fn~(xi-eta)/<xi-eta>_n deta,
@@ -290,8 +288,7 @@ def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params: PhaseParams, s: float
     # resolve both the s-oscillation (|d_eta phi| <= 2) and the x1-content of
     # the interpolants (|x| <= L/2)
     density = 2.0 * abs(s) + grid.length_x1 / 2.0 + 4.0
-    n_nodes = int(min(max(512, math.ceil(2.0 * W * density * resolution)),
-                      _MAX_NODES))
+    n_nodes = int(min(max(512, math.ceil(2.0 * W * density)), _MAX_NODES))
     if n_nodes >= _MAX_NODES:
         raise ResolutionError(f"duhamel kernel needs more than {_MAX_NODES} nodes")
     n_panels = max(1, n_nodes // _GL_ORDER)

@@ -91,11 +91,6 @@ def lambda_coeff(m: int, n: int, alpha: int, beta: int) -> float:
     return 1.0 / (1.0 + ab * math.sqrt((n + 1.0) / (m + 1.0)))
 
 
-def line_slope(m: int, n: int, alpha: int, beta: int) -> float:
-    """Slope Lambda of the space resonant line {xi = Lambda * eta} (= 1/lambda)."""
-    return 1.0 + (beta / alpha) * math.sqrt((2.0 * n + 2.0) / (2.0 * m + 2.0))
-
-
 def d2_at_stationary(m: int, n: int, alpha: int, beta: int, xi):
     """Signed d^2_eta phi at the stationary point eta0 = lambda xi, in closed
     form alpha (2m+2) / (lambda (lambda^2 xi^2 + 2m+2)^(3/2))."""
@@ -118,7 +113,7 @@ def classify(params: PhaseParams, gate: str = "printed") -> ResonanceClass:
                             and printed_gate_excludes(m, n, p, a, b)):
         return ResonanceClass(Tag.NO_TIME_RESONANCE)
     if admissible(m, n, p, a, b):
-        return ResonanceClass(Tag.SPACE_TIME_RESONANT_LINE, line_slope(m, n, a, b))
+        return ResonanceClass(Tag.SPACE_TIME_RESONANT_LINE, 1.0 / lambda_coeff(m, n, a, b))
     return ResonanceClass(Tag.SPACE_RESONANT_ONLY)
 
 
@@ -202,13 +197,14 @@ def band_width_probe(m: int, n: int, j: int, regime: Regime, k: int | None = Non
     return abs(s_outer - s_inner)
 
 
-def sampled_phase_min(params: PhaseParams, R: float, n_points: int = 400) -> float:
-    """Minimum of |phi| over a polar sampling of the ball |(xi,eta)| <= R.
+def sampled_phase_min(params: PhaseParams, R: float) -> float:
+    """Minimum of |phi| over a polar sampling of the ball |(xi,eta)| <= R,
+    400 radii by 800 angles.
 
     Raises ResolutionError when the minimum is not finite (phi overflows on
     a ball too large for floating point)."""
-    radii = np.linspace(0.0, R, n_points)
-    angles = np.linspace(0.0, 2.0 * math.pi, 2 * n_points, endpoint=False)
+    radii = np.linspace(0.0, R, 400)
+    angles = np.linspace(0.0, 2.0 * math.pi, 800, endpoint=False)
     rr, aa = np.meshgrid(radii, angles)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(np.abs(phase(params, rr * np.cos(aa), rr * np.sin(aa))).min())

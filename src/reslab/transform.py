@@ -107,23 +107,21 @@ def _reflect_index(n: int) -> np.ndarray:
 
 def forward_x1(grid: Grid, field: np.ndarray) -> np.ndarray:
     """DFT approximation of integral e^(-i x xi) f(x) dx along axis 0."""
-    return grid.dx * grid.alt[:, None] * np.fft.fft(field, axis=0) \
-        if field.ndim > 1 else grid.dx * grid.alt * np.fft.fft(field)
+    alt = grid.alt.reshape((-1,) + (1,) * (np.ndim(field) - 1))
+    return grid.dx * alt * np.fft.fft(field, axis=0)
 
 
 def inverse_x1(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of ``forward_x1`` (carries the 1/(2 pi), i.e. 1/L discretely)."""
-    if coeffs.ndim > 1:
-        return (grid.n_x1 / grid.length_x1) * np.fft.ifft(grid.alt[:, None] * coeffs, axis=0)
-    return (grid.n_x1 / grid.length_x1) * np.fft.ifft(grid.alt * coeffs)
+    alt = grid.alt.reshape((-1,) + (1,) * (np.ndim(coeffs) - 1))
+    return (grid.n_x1 / grid.length_x1) * np.fft.ifft(alt * coeffs, axis=0)
 
 
-def forward(grid: Grid, field: np.ndarray, n_modes: int | None = None,
-            confinement_tol: float = 1e-12) -> np.ndarray:
+def forward(grid: Grid, field: np.ndarray) -> np.ndarray:
     """Field sampled on (x1 grid) x (Hermite nodes) -> coefficients (P, n_x1).
 
-    Warns with ConfinementWarning when the field has not decayed below
-    ``confinement_tol`` (relative to its peak) at the outermost x2 nodes.
+    Warns with ConfinementWarning when the field has not decayed below 1e-12
+    of its peak at the outermost x2 nodes.
     """
     basis = grid.basis
     field = np.asarray(field)
@@ -132,15 +130,13 @@ def forward(grid: Grid, field: np.ndarray, n_modes: int | None = None,
     peak = np.max(np.abs(field))
     if peak > 0:
         edge = max(np.max(np.abs(field[:, 0])), np.max(np.abs(field[:, -1])))
-        if edge > confinement_tol * peak:
+        if edge > 1e-12 * peak:
             warnings.warn(
                 f"field at x2 quadrature boundary is {edge / peak:.2e} of peak",
                 ConfinementWarning,
             )
-    if n_modes is None:
-        n_modes = basis.max_mode + 1
     hat = forward_x1(grid, field)                      # (n_x1, Q)
-    weighted = basis.total_weights * basis.phi[:n_modes]   # (P, Q)
+    weighted = basis.total_weights * basis.phi         # (P, Q)
     return weighted @ hat.T                            # (P, n_x1)
 
 
@@ -194,24 +190,22 @@ def _eigenvalues(n_modes: int) -> np.ndarray:
     return 2.0 * np.arange(n_modes) + 2.0
 
 
-def composite_norms(state: SpectralState, grid: Grid, M: float, N: float,
-                    t: float | None = None) -> CompositeNorms:
+def composite_norms(state: SpectralState, grid: Grid, M: float, N: float) -> CompositeNorms:
     """All norms of Definition-style spaces for a state.
 
     tilde_HN uses the full 2D symbol (xi^2 + 2p + 2)^N; HM_HN uses eigenvalue
     multipliers (2p+2)^M on per-mode H^N norms; B_t = <t>^(-1/2) times the
     H^(3/2)(<x1>) norm; S_MN_t = tilde_HN + <t>^(-1/2) * (Hermite-weighted
-    H^(3/2)(<x1>)).  Vector norms are the sum over the two components; the
-    "-" component is the mirror of "+", so each is twice the "+" norm.
+    H^(3/2)(<x1>)), t the state's time.  Vector norms are the sum over the two
+    components; the "-" component is the mirror of "+", so each is twice the
+    "+" norm.
     """
-    if t is None:
-        t = state.time
     xi2 = grid.xi ** 2
     lam = _eigenvalues(state.n_modes)
     w_full = (xi2[None, :] + lam[:, None]) ** (2.0 * N)
     w_xi_N = (1.0 + xi2) ** N
     w_xi_32 = (1.0 + xi2) ** 1.5
-    bracket_t = math.sqrt(1.0 + t * t)
+    bracket_t = math.sqrt(1.0 + state.time * state.time)
     scale = grid.dxi / (2.0 * math.pi)
 
     a2 = np.abs(state.coeffs) ** 2

@@ -211,7 +211,7 @@ def two_component(plus: np.ndarray) -> np.ndarray:
     return np.stack((plus, np.conj(plus[:, (-np.arange(n)) % n])))
 
 
-def leapfrog_reference(grid, state0, n_modes: int, t_end: float, dt: float,
+def leapfrog_reference(grid, state, n_modes: int, t_end: float, dt: float,
                        n_x2: int = 257, x2_extent: float = 8.0):
     """Independent discretization of the trapped Klein-Gordon equation:
     leapfrog in time on u itself, uniform-grid fourth-order finite differences
@@ -230,7 +230,7 @@ def leapfrog_reference(grid, state0, n_modes: int, t_end: float, dt: float,
     def to_phys(coeff_rows):
         return (inverse_x1(grid, coeff_rows.T) @ phi_x2).real
 
-    plus, minus = two_component(state0.coeffs)
+    plus, minus = two_component(state.coeffs)
     u0 = to_phys((plus - minus) / (2j * omega))
     v0 = to_phys((plus + minus) / 2.0)
 

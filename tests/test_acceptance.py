@@ -16,7 +16,7 @@ from reslab.hermite import HermiteBasis, TripleProductTable, triple_product
 from reslab.oscillatory import (OscIntegralSpec, PhaseCurve, SmoothBump,
                                 duhamel_phase, fresnel_gaussian_spec,
                                 quadrature_oscillatory, stationary_phase_leading)
-from reslab.phase import PhaseParams, dphase_deta, line_slope, phase
+from reslab.phase import PhaseParams, dphase_deta, lambda_coeff, phase
 from reslab.transform import (Grid, SpectralState, composite_norms, forward,
                               hm_l2_norm, interp_matrix, inverse)
 from reslab.triples import enumerate_triples
@@ -119,7 +119,7 @@ def test_criterion_4_phase_suite():
     line_worst = 0.0
     for m, n, p in enumerate_triples(50):
         pp = PhaseParams(m, n, p, -1, -1)
-        slope = line_slope(m, n, -1, -1)
+        slope = 1.0 / lambda_coeff(m, n, -1, -1)
         for eta in (0.0, 1.0, -1.0, 10.0, -10.0):
             line_worst = max(line_worst, abs(phase(pp, slope * eta, eta)))
 
@@ -134,7 +134,7 @@ def test_criterion_4_phase_suite():
     core_worst = 0.0
     for m, n, p in enumerate_triples(50):
         pp = PhaseParams(m, n, p, -1, -1)
-        slope = line_slope(m, n, -1, -1)
+        slope = 1.0 / lambda_coeff(m, n, -1, -1)
         for eta in (0.5, -1.0, 3.0, 10.0):
             core_worst = max(core_worst, abs(dphase_dxi(pp, slope * eta, eta)))
 

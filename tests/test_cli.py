@@ -168,6 +168,34 @@ def test_step_budget_is_a_config_error(tmp_path, capsys):
         f"most {MAX_STEPS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,value", [("M", 1e6), ("M0", 200), ("N", 400),
+                                        ("length_x1", 1e-300)])
+def test_overflowing_norm_weight_exits_2(tmp_path, capsys, name, value):
+    # (2P)^(2M0) = 8^400 overflows to inf, and inf * 0 made every
+    # diff_HM0L2 nan; the weight rule stops the run before numpy computes it
+    cfg = write_cfg(tmp_path / "cfg.json", **{name: value})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["compare", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error at /{name}: norm weight" in err
+    assert "RuntimeWarning" not in err and not caught
+
+
+def test_out_every_beyond_the_run_is_clamped(tmp_path):
+    # 1e308/dt is inf, which round() cannot convert; any stride past the run
+    # writes the first and last rows only, and no checkpoint
+    outs = [tmp_path / "1e6", tmp_path / "1e308"]
+    for out, out_every in zip(outs, (1e6, 1e308)):
+        cfg = write_cfg(tmp_path / "cfg.json", out_every=out_every)
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    for name in ("trajectory.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert len((outs[1] / "trajectory.csv").read_text().splitlines()) == 3
+    assert not (outs[1] / CKPT).exists()
+
+
 def test_step_rounding_warns_through_the_cli(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "cfg.json", t_end=1.01)
     with warnings.catch_warnings():

@@ -40,7 +40,7 @@ def test_config_hypothesis_warnings():
 
 def test_init_profile_norm_and_reality(small_cfg, small_setup):
     grid, state = small_setup
-    norm = composite_norms(state, grid, small_cfg.M, small_cfg.N, t=0.0).S_MN_t
+    norm = composite_norms(state, grid, small_cfg.M, small_cfg.N).S_MN_t
     assert norm == pytest.approx(small_cfg.eps / 2.0, rel=1e-10)
     assert state.coeffs.shape == (small_cfg.P, small_cfg.n_x1)
 
@@ -48,7 +48,7 @@ def test_init_profile_norm_and_reality(small_cfg, small_setup):
 def test_init_profile_single_mode_literal():
     cfg = SimConfig(eps=0.1, P=4, n_x1=64, dt=0.02, t_end=1.0, init_modes=(0,))
     grid, state = init_profile(cfg)
-    norm = composite_norms(state, grid, cfg.M, cfg.N, t=0.0).S_MN_t
+    norm = composite_norms(state, grid, cfg.M, cfg.N).S_MN_t
     assert norm == pytest.approx(0.05, rel=1e-10)
 
 

@@ -10,8 +10,8 @@ from oracles import (d2phase_deta2, dphase_dxi, phase_floor, richardson_d1,
 from reslab.errors import BracketFailure, DegenerateSelfInteraction
 from reslab.phase import (PhaseParams, Regime, ResonanceClass, Tag,
                           band_width_probe, band_width_reference, classify,
-                          d2_at_stationary, dphase_deta, lambda_coeff,
-                          line_slope, phase, phase_report, sampled_phase_min)
+                          d2_at_stationary, dphase_deta, lambda_coeff, phase,
+                          phase_report, sampled_phase_min)
 from reslab.triples import (condition_polynomial, enumerate_triples,
                             printed_gate_admissible, sqrt_gate_admissible)
 
@@ -151,7 +151,7 @@ def test_classify_agrees_with_gate_functions():
 def test_resonant_line_vanishing_all_enumerated():
     for m, n, p in enumerate_triples(50):
         pp = PhaseParams(m, n, p, -1, -1)
-        slope = line_slope(m, n, -1, -1)
+        slope = 1.0 / lambda_coeff(m, n, -1, -1)
         for eta in (0.0, 1.0, -1.0, 10.0, -10.0):
             assert abs(phase(pp, slope * eta, eta)) <= 1e-10
 
@@ -169,7 +169,7 @@ def test_dxi_bounded_by_deta_on_resonant_sets():
 def test_coresonant_line_coincides():
     for m, n, p in enumerate_triples(50):
         pp = PhaseParams(m, n, p, -1, -1)
-        slope = line_slope(m, n, -1, -1)
+        slope = 1.0 / lambda_coeff(m, n, -1, -1)
         for eta in (0.5, 1.0, -2.0, 7.0):
             assert abs(dphase_dxi(pp, slope * eta, eta)) <= 1e-10
 
@@ -257,8 +257,6 @@ def test_stationary_point_property(m, n, p, a, b, xi):
     lam = lambda_coeff(m, n, a, b)
     pp = PhaseParams(m, n, p, a, b)
     assert abs(dphase_deta(pp, xi, lam * xi)) <= 1e-11 * (1.0 + abs(xi))
-    # the line slope is the reciprocal of the stationary ratio
-    assert line_slope(m, n, a, b) * lam == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -140,9 +140,8 @@ def test_multiplier_bound_exact(grid64):
 def test_composite_bracket_t_scaling(grid64):
     coeffs = np.zeros((5, 64), complex)
     coeffs[0] = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * grid64.xi ** 2)
-    st = SpectralState(0.0, coeffs)
-    n0 = composite_norms(st, grid64, 2.0, 1.0, t=0.0)
-    n3 = composite_norms(st, grid64, 2.0, 1.0, t=3.0)
+    n0 = composite_norms(SpectralState(0.0, coeffs), grid64, 2.0, 1.0)
+    n3 = composite_norms(SpectralState(3.0, coeffs), grid64, 2.0, 1.0)
     # B_t = <t>^(-1/2) * (t-free norm); <3> = sqrt(10)
     assert n0.B_t / n3.B_t == pytest.approx(10.0 ** 0.25, rel=1e-12)
     assert isinstance(n0, CompositeNorms)
@@ -151,9 +150,10 @@ def test_composite_bracket_t_scaling(grid64):
 def test_composite_norms_count_both_components(grid64):
     # the "-" component, a conjugate mirror of "+", has the same norms
     st = random_state(grid64, 5, np.random.default_rng(12))
+    st.time = 1.0
     mirrored = SpectralState(st.time, minus_component(st.coeffs))
-    for a, b in zip(dataclasses.astuple(composite_norms(st, grid64, 2.0, 1.5, t=1.0)),
-                    dataclasses.astuple(composite_norms(mirrored, grid64, 2.0, 1.5, t=1.0))):
+    for a, b in zip(dataclasses.astuple(composite_norms(st, grid64, 2.0, 1.5)),
+                    dataclasses.astuple(composite_norms(mirrored, grid64, 2.0, 1.5))):
         assert a == pytest.approx(b, rel=1e-14)
     assert hm_l2_norm(st.coeffs, grid64, 1.0) == \
         pytest.approx(hm_l2_norm(mirrored.coeffs, grid64, 1.0), rel=1e-14)
