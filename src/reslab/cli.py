@@ -238,12 +238,14 @@ def _run_trajectory(args, out_dir: str, which: str):
                 os.remove(os.path.join(out_dir, stale))
         writer.start()
     grid = writer.grid
-    if which == "compare":
-        record = run_compare(config, grid=grid, observer=writer, resume=resume)
-    else:
-        record = run_single(config, which, grid=grid, observer=writer,
-                            resume=resume)
-    writer.close()
+    try:
+        if which == "compare":
+            record = run_compare(config, grid=grid, observer=writer, resume=resume)
+        else:
+            record = run_single(config, which, grid=grid, observer=writer,
+                                resume=resume)
+    finally:
+        writer.close()
     outputs = ["trajectory.csv", "summary.json"]
     diffs = [d for d in record.diff_norms if d == d]
     summary = {

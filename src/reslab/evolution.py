@@ -12,10 +12,13 @@ One step is Strang: exact half rotation, midpoint-rule nonlinear kick computed
 by reconstructing u = 2 Re F^-1(u~_+/(2i om)) in physical space (om is even in
 xi), squaring pointwise at the cubic quadrature nodes (which makes the mode
 truncation an exact Galerkin projection through the triple-product tensor),
-transforming back, 2/3-rule dealiasing in xi, exact half rotation.  On the
-stored profile f~_{+,p} = e^(-i t om) u~_{+,p}, invariant under the linear
-flow, the rotations fold into rot = e^(i (t+dt/2) om):
-f' = f + dt conj(rot) k2(rot f).
+transforming back, 2/3-rule dealiasing in xi, exact half rotation.  The state
+is the profile f~_{+,p} = e^(-i t om) u~_{+,p}, invariant under the linear flow.
+A call steps a segment of consecutive steps in traveling variables at
+mid-step, u = e^(i (t+dt/2) om) f: the half rotations of two consecutive steps
+merge into one multiply by e^(i dt om), so a segment costs two exps, at its
+ends, whatever its length.  The run loop's segments end at the output rows
+and the s0 fork, so the norms and checkpoints see f only.
 
 Resonant system
 ---------------
@@ -270,33 +273,41 @@ class FullStepper:
         self.mask = _dealias_mask(grid.n_x1)
         self.synth = basis.cubic_phi[:n_modes]                       # (P, Qc)
         self.project = basis.cubic_total_weights * basis.cubic_phi[:n_modes]
-        self._two_i_omega = 2j * self.omega
-        self._alt = grid.alt
-        self._scale_fwd = grid.dx
-        self._scale_inv = grid.n_x1 / grid.length_x1
+        # u = 2 Re F^-1(u~/(2i om)) = Im ifft(u~ to_phys); the forward
+        # transform, its (-1)^k phases and the 2/3 rule are one real row
+        self._to_phys = (grid.n_x1 / grid.length_x1) * grid.alt / self.omega
+        self._from_phys = grid.dx * grid.alt * ~self.mask
+        self._shift_dt, self._shift = None, None
 
-    def _nonlinear_rhs(self, u: np.ndarray) -> np.ndarray:
-        """(u^2)~_p from the "+" traveling component, shape (P, n), dealiased."""
-        phys1 = (2.0 * self._scale_inv) * np.fft.ifft(
-            self._alt * (u / self._two_i_omega), axis=1).real        # real u, (P, n)
-        vals = phys1.T @ self.synth                                  # (n, Qc)
-        proj = (vals * vals) @ self.project.T                        # (n, P)
-        half = np.fft.rfft(proj.T, axis=1)                           # xi >= 0 of a real field
-        out = self._scale_fwd * self._alt * np.concatenate((half, half[:, -2:0:-1].conj()), axis=1)
-        out[:, self.mask] = 0.0
-        return out
+    def _kick(self, u: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """scale (u^2)~_p from the traveling profile u, shape (P, n), dealiased."""
+        phys = np.fft.ifft(u * self._to_phys, axis=1).imag           # real u, (P, n)
+        vals = self.synth.T @ phys                                   # (Qc, n)
+        return scale * np.fft.fft(self.project @ (vals * vals), axis=1)
 
-    def step(self, state: SpectralState, dt: float) -> SpectralState:
+    def step(self, state: SpectralState, dt: float, steps: int = 1) -> SpectralState:
+        """``steps`` Strang steps of size dt.  Between steps the state is the
+        traveling profile at mid-step, u = e^(i (t+dt/2) om) f, so consecutive
+        steps join by one rotation e^(i dt om)."""
         t, f = state.time, state.coeffs
-        coeffs = f.copy()                    # the linear flow leaves f invariant
-        if self.nonlinear:
-            rot = np.exp(1j * (t + dt / 2.0) * self.omega)  # folded Strang
-            u = f * rot                                      # traveling, mid-step
-            k1 = self._nonlinear_rhs(u)
-            k2 = self._nonlinear_rhs(u + (dt / 2.0) * k1)
-            coeffs = f + dt * k2 * rot.conj()
-        _check_ceiling(coeffs, self.norm_ceiling)
-        return SpectralState(t + dt, coeffs)
+        if not self.nonlinear:                # the linear flow leaves f invariant
+            for _ in range(steps):
+                t += dt
+            _check_ceiling(f, self.norm_ceiling)
+            return SpectralState(t, f.copy())
+        if steps > 1 and dt != self._shift_dt:
+            self._shift_dt, self._shift = dt, np.exp(1j * dt * self.omega)
+        half, full = (dt / 2.0) * self._from_phys, dt * self._from_phys
+        with np.errstate(over="ignore", invalid="ignore"):   # the ceiling reports it
+            u = f * np.exp(1j * (t + dt / 2.0) * self.omega)
+            for k in range(steps):
+                if k:
+                    u *= self._shift
+                    t += dt
+                u = u + self._kick(u + self._kick(u, half), full)
+                _check_ceiling(u, self.norm_ceiling)
+            f = u * np.exp(-1j * (t + dt / 2.0) * self.omega)
+        return SpectralState(t + dt, f)
 
 
 @dataclass
@@ -417,7 +428,10 @@ def _run(config: SimConfig, which: str, grid: Grid | None, observer,
          resume: dict | None) -> TrajectoryRecord:
     """The one run loop.  The primary state f is stepped by the full stepper,
     or by the resonant sub-cycle when ``which == "resonant"``; in "compare" g
-    forks from f at s0 and then runs the same sub-cycle."""
+    forks from f at s0 and then runs the same sub-cycle.  Both advance by
+    segments that end at the output rows, at the fork and at the last step.
+    The ends depend only on the config and every checkpoint is an output
+    row, so a resumed run replays the same segments."""
     errs, _ = config.validate()
     if errs:
         raise ValueError("invalid config: " + "; ".join(p for p, _ in errs))
@@ -437,8 +451,8 @@ def _run(config: SimConfig, which: str, grid: Grid | None, observer,
         record.resonant_couplings_all_zero = resonant.couplings_all_zero
     ds = config.dt / config.resonant_subcycle
 
-    def subcycle(state: SpectralState) -> SpectralState:
-        for _ in range(config.resonant_subcycle):
+    def subcycle(state: SpectralState, steps: int) -> SpectralState:
+        for _ in range(steps * config.resonant_subcycle):
             state = resonant.step(state, ds)
         return state
 
@@ -483,13 +497,19 @@ def _run(config: SimConfig, which: str, grid: Grid | None, observer,
 
     if resume is None:
         emit(0)
-    for i in range(i_start + 1, n_total + 1):
-        f = subcycle(f) if which == "resonant" else full.step(f, config.dt)
+    i = i_start
+    while i < n_total:
+        # one segment: up to the next output row, or to the fork before it
+        end = min((i // out_stride + 1) * out_stride, n_total)
+        if i < i_s0 < end:
+            end = i_s0
+        f = subcycle(f, end - i) if which == "resonant" else full.step(f, config.dt, end - i)
+        if g is not None:
+            g = subcycle(g, end - i)
+        i = end
         if i == i_s0:
             g = f.copy()
             prev_out = f.coeffs.copy()
-        elif g is not None:
-            g = subcycle(g)
         if i % out_stride == 0 or i == n_total:
             emit(i)
         if observer is not None and config.checkpoint_every > 0 \

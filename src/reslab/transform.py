@@ -208,13 +208,14 @@ def composite_norms(state: SpectralState, grid: Grid, M: float, N: float) -> Com
     bracket_t = math.sqrt(1.0 + state.time * state.time)
     scale = grid.dxi / (2.0 * math.pi)
 
-    a2 = np.abs(state.coeffs) ** 2
-    tilde = math.sqrt(np.sum(w_full * a2) * scale)
-    hmhn = math.sqrt(np.sum(lam ** (2.0 * M) * np.sum(w_xi_N * a2, axis=1)) * scale)
-    d1 = np.abs(xi_derivative(state.coeffs, grid.dxi)) ** 2
-    mode32 = np.sum(w_xi_32 * (a2 + d1), axis=1)   # per-mode H^(3/2)(<x>)^2
-    b_t = math.sqrt(np.sum(mode32) * scale) / math.sqrt(bracket_t)
-    bm = math.sqrt(np.sum(lam ** (2.0 * M) * mode32) * scale) / math.sqrt(bracket_t)
+    with np.errstate(over="ignore", invalid="ignore"):   # a huge state norms to inf
+        a2 = np.abs(state.coeffs) ** 2
+        tilde = math.sqrt(np.sum(w_full * a2) * scale)
+        hmhn = math.sqrt(np.sum(lam ** (2.0 * M) * np.sum(w_xi_N * a2, axis=1)) * scale)
+        d1 = np.abs(xi_derivative(state.coeffs, grid.dxi)) ** 2
+        mode32 = np.sum(w_xi_32 * (a2 + d1), axis=1)   # per-mode H^(3/2)(<x>)^2
+        b_t = math.sqrt(np.sum(mode32) * scale) / math.sqrt(bracket_t)
+        bm = math.sqrt(np.sum(lam ** (2.0 * M) * mode32) * scale) / math.sqrt(bracket_t)
     return CompositeNorms(tilde_HN=2.0 * tilde, HM_HN=2.0 * hmhn, B_t=2.0 * b_t,
                           S_MN_t=2.0 * (tilde + bm))
 
@@ -223,8 +224,9 @@ def hm_l2_norm(coeffs: np.ndarray, grid: Grid, M0: float) -> float:
     """Hermite-weighted L2 norm sum_sigma ||(2p+2)^M0 f_p||_{l2 L2}, physical
     scale: twice the norm of the "+" coefficients (P, n_x1)."""
     lam = _eigenvalues(coeffs.shape[0]) ** (2.0 * M0)
-    return 2.0 * math.sqrt(np.sum(lam[:, None] * np.abs(coeffs) ** 2)
-                           * grid.dxi / (2.0 * math.pi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * math.sqrt(np.sum(lam[:, None] * np.abs(coeffs) ** 2)
+                               * grid.dxi / (2.0 * math.pi))
 
 
 def interp_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:

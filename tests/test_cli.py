@@ -380,16 +380,17 @@ def test_summary_counts_active_resonant_slots(tmp_path):
     assert active["unit"] > 0
 
 
-def _crash_compare(cfg, out_dir, monkeypatch):
-    """Runs compare until the 81st full step, then dies as a kill would."""
+def _crash_compare(cfg, out_dir, monkeypatch, kill_after=80):
+    """Runs compare until the full stepper is asked to pass step
+    ``kill_after``, then dies as a kill would, inside that segment."""
     orig = evolution.FullStepper.step
-    calls = {"n": 0}
+    done = {"steps": 0}
 
-    def dying_step(self, state, dt):
-        calls["n"] += 1
-        if calls["n"] > 80:
+    def dying_step(self, state, dt, steps=1):
+        done["steps"] += steps
+        if done["steps"] > kill_after:
             raise KeyboardInterrupt
-        return orig(self, state, dt)
+        return orig(self, state, dt, steps)
 
     monkeypatch.setattr(evolution.FullStepper, "step", dying_step)
     with pytest.raises(KeyboardInterrupt):
@@ -427,6 +428,23 @@ def test_thread_setting_does_not_bind_resume(tmp_path, monkeypatch, capsys):
 
     crashdir = tmp_path / "crash"
     _crash_compare(cfg, crashdir, monkeypatch)
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(crashdir),
+                 "--resume"]) == EXIT_OK
+    assert (crashdir / "trajectory.csv").read_bytes() == \
+        (ref / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kill_after", [49, 80])
+def test_kill_and_resume_with_fork_off_the_output_grid(tmp_path, monkeypatch, kill_after):
+    # as at the desk, s0 = step 50 falls between the rows of out_stride 12,
+    # so a segment ends at the fork; checkpoints land on steps 24, 48 and 72,
+    # before the fork or after it
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=3.0, out_every=0.25)
+    ref = tmp_path / "ref"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(ref)]) == EXIT_OK
+
+    crashdir = tmp_path / "crash"
+    _crash_compare(cfg, crashdir, monkeypatch, kill_after=kill_after)
     assert main(["compare", "--config", str(cfg), "--out-dir", str(crashdir),
                  "--resume"]) == EXIT_OK
     assert (crashdir / "trajectory.csv").read_bytes() == \
@@ -589,6 +607,21 @@ def test_blowup_exit_code(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", norm_ceiling=1e-15)
     assert main(["compare", "--config", str(cfg),
                  "--out-dir", str(tmp_path / "bl")]) == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("field, value, cause", [
+    # the kick of a 1e300 state overflows to nan, which the ceiling reports
+    ("eps", 1e300, "coefficient magnitude nan"),
+    # the weight (2P)^(2M) is finite, its product with the state is not
+    ("M", 170.6, "initial S^(M,N) norm inf"),
+])
+def test_overflow_exits_3_without_numpy_warning(tmp_path, capsys, field, value, cause):
+    cfg = write_cfg(tmp_path / "cfg.json", P=4, n_x1=32, **{field: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "o")]) == EXIT_NUMERIC
+    assert f"numerical failure: {cause}" in capsys.readouterr().err
 
 
 def test_overflowing_box_length_exits_2(tmp_path, capsys):

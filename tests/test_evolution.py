@@ -107,6 +107,21 @@ def test_folded_step_matches_unfolded_strang():
     assert np.max(np.abs(ref[0] - state.coeffs)) >= 1e-6 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("steps", [1, 7, 50])
+def test_segment_matches_single_steps(steps):
+    cfg = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.02, t_end=1.0, init_modes=(0, 3))
+    grid, state = init_profile(cfg)
+    stepper = FullStepper(grid, 6)
+    single = state.copy()
+    for _ in range(steps):
+        single = stepper.step(single, cfg.dt)
+    segment = stepper.step(state, cfg.dt, steps)
+    assert segment.time == single.time
+    scale = np.max(np.abs(single.coeffs))
+    assert np.max(np.abs(segment.coeffs - single.coeffs)) <= 1e-13 * scale
+    assert np.max(np.abs(single.coeffs - state.coeffs)) >= 1e-7 * scale
+
+
 def test_reality_preserved_by_full_step():
     # the derived "-" component follows the two-component step's own "-" one
     cfg = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.02, t_end=2.0, init_modes=(0, 3))
