@@ -332,7 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--radius", type=_positive_float, default=20.0)
     p.add_argument("--width-probes", type=_width_probes, default=(),
-                   help="semicolon list j,regime,k (k='-' when unused)")
+                   help="semicolon list j,regime,k; RhoSmall and RhoLarge probe at "
+                        "|eta| = sqrt(2) 2^k, LowFreq takes k='-'")
     common(p, cmd_phase_report)
 
     p = sub.add_parser("stat-phase-check", help="stationary-phase decay table")

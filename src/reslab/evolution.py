@@ -45,7 +45,10 @@ the physically-coupled resonant flow is trivial: the reduced profile is
 constant in s.  The stepper builds no slot for a zero-coupling triple, and
 offers ``coupling_mode="unit"`` as a diagnostic that replaces M by 1, so the
 kernel machinery (validated against the oscillatory module) and integrator
-convergence can be measured on a non-degenerate right-hand side.
+convergence can be measured on a non-degenerate right-hand side.  Like the
+full stepper, a call steps a segment.  A flow that leaves the state invariant
+(the linear one, or one with no slot) is the one ``_idle`` flow, which checks
+nothing: the run loop checks the ceiling once, on the initial state.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .errors import BlowupDetected, ConfigError
 from .hermite import HermiteBasis, TripleProductTable
 from .transform import (Grid, SpectralState, composite_norms, hm_l2_norm,
                         interp_matrix, minus_component)
-from .phase import d2_at_stationary
+from .phase import bracket, d2_at_stationary
 from .triples import ResonantTriple, interactions_for_output
 
 K_PREF = -1.0 / (8.0 * math.pi)
@@ -227,11 +230,12 @@ def init_profile(config: SimConfig, grid: Grid | None = None) -> tuple[Grid, Spe
         grid = make_grid(config)
     rng = np.random.default_rng(config.seed)
     coeffs = np.zeros((config.P, grid.n_x1), dtype=complex)
-    w = config.packet_width
+    with np.errstate(over="ignore"):   # a narrow packet's exp(-inf) is its exact 0
+        packet = np.exp(-0.5 * (grid.xi / config.packet_width) ** 2)
     for p in config.init_modes:
         amp = 0.5 + 0.5 * rng.random()
         theta = 2.0 * math.pi * rng.random()
-        coeffs[p] = amp * np.exp(1j * theta) * np.exp(-0.5 * (grid.xi / w) ** 2)
+        coeffs[p] = amp * np.exp(1j * theta) * packet
     coeffs[:, _dealias_mask(grid.n_x1)] = 0.0
     state = SpectralState(0.0, coeffs)
     if config.eps == 0.0:
@@ -256,6 +260,14 @@ def _check_ceiling(coeffs: np.ndarray, ceiling: float) -> None:
         raise BlowupDetected(f"coefficient magnitude {peak:.3g} exceeds {ceiling:.3g}")
 
 
+def _idle(state: SpectralState, h: float, steps: int) -> SpectralState:
+    """``steps`` steps of size h of a flow that leaves the coefficients as they are."""
+    t = state.time
+    for _ in range(steps):
+        t += h
+    return SpectralState(t, state.coeffs.copy())
+
+
 class FullStepper:
     """Strang-splitting integrator for the profile of the full equation."""
 
@@ -268,8 +280,7 @@ class FullStepper:
         basis = grid.basis
         if basis.max_mode < n_modes - 1:
             raise ValueError("basis does not cover the requested mode count")
-        self.omega = np.sqrt(grid.xi[None, :] ** 2
-                             + (2.0 * np.arange(n_modes) + 2.0)[:, None])
+        self.omega = bracket(grid.xi[None, :], np.arange(n_modes)[:, None])
         self.mask = _dealias_mask(grid.n_x1)
         self.synth = basis.cubic_phi[:n_modes]                       # (P, Qc)
         self.project = basis.cubic_total_weights * basis.cubic_phi[:n_modes]
@@ -289,12 +300,9 @@ class FullStepper:
         """``steps`` Strang steps of size dt.  Between steps the state is the
         traveling profile at mid-step, u = e^(i (t+dt/2) om) f, so consecutive
         steps join by one rotation e^(i dt om)."""
-        t, f = state.time, state.coeffs
         if not self.nonlinear:                # the linear flow leaves f invariant
-            for _ in range(steps):
-                t += dt
-            _check_ceiling(f, self.norm_ceiling)
-            return SpectralState(t, f.copy())
+            return _idle(state, dt, steps)
+        t, f = state.time, state.coeffs
         if steps > 1 and dt != self._shift_dt:
             self._shift_dt, self._shift = dt, np.exp(1j * dt * self.omega)
         half, full = (dt / 2.0) * self._from_phys, dt * self._from_phys
@@ -336,7 +344,6 @@ class ResonantStepper:
         self.n_modes = n_modes
         self.norm_ceiling = norm_ceiling
         xi = grid.xi
-        bound = grid.xi_max * (1.0 + 1e-12)
         triples = [tr for p in range(n_modes)
                    for tr in interactions_for_output(p, n_modes - 1, gate=gate, table=table)]
         self.triple_count = len(triples)
@@ -346,15 +353,12 @@ class ResonantStepper:
         for tr in triples:
             coupling = tr.coupling if coupling_mode == "hermite" else 1.0
             lam = tr.lam
-            ok = (np.abs(lam * xi) <= bound) & (np.abs((1.0 - lam) * xi) <= bound)
-            idx = np.nonzero(ok)[0]
+            idx = np.nonzero(grid.in_window(lam * xi) & grid.in_window((1.0 - lam) * xi))[0]
             if idx.size == 0 or coupling == 0.0:
                 continue
             xs = xi[idx]
-            em = interp_matrix(grid, lam * xs) \
-                / np.sqrt((lam * xs) ** 2 + 2.0 * tr.m + 2.0)[:, None]
-            en = interp_matrix(grid, (1.0 - lam) * xs) \
-                / np.sqrt(((1.0 - lam) * xs) ** 2 + 2.0 * tr.n + 2.0)[:, None]
+            em = interp_matrix(grid, lam * xs) / bracket(lam * xs, tr.m)[:, None]
+            en = interp_matrix(grid, (1.0 - lam) * xs) / bracket((1.0 - lam) * xs, tr.n)[:, None]
             d_signed = d2_at_stationary(tr.m, tr.n, tr.alpha, tr.beta, xs)
             ab = float(tr.alpha * tr.beta) if include_alpha_beta else 1.0
             kernel = K_PREF * ab * coupling * np.sqrt(2.0 * math.pi / np.abs(d_signed))
@@ -375,15 +379,19 @@ class ResonantStepper:
                 out[p, slot.idx] += inv_sqrt_s * slot.kernel * slot.fresnel * a_leg * b_leg
         return out
 
-    def step(self, state: SpectralState, ds: float) -> SpectralState:
-        s = state.time
+    def step(self, state: SpectralState, ds: float, steps: int = 1) -> SpectralState:
+        """``steps`` explicit midpoint steps of size ds."""
         if not any(self.slots):   # no coupled triple: the flow is constant
-            return SpectralState(s + ds, state.coeffs.copy())
-        k1 = self.rhs(state.coeffs, s)
-        k2 = self.rhs(state.coeffs + (ds / 2.0) * k1, s + ds / 2.0)
-        coeffs = state.coeffs + ds * k2
-        _check_ceiling(coeffs, self.norm_ceiling)
-        return SpectralState(s + ds, coeffs)
+            return _idle(state, ds, steps)
+        s, coeffs = state.time, state.coeffs
+        with np.errstate(over="ignore", invalid="ignore"):   # the ceiling reports it
+            for _ in range(steps):
+                k1 = self.rhs(coeffs, s)
+                k2 = self.rhs(coeffs + (ds / 2.0) * k1, s + ds / 2.0)
+                coeffs = coeffs + ds * k2
+                _check_ceiling(coeffs, self.norm_ceiling)
+                s += ds
+        return SpectralState(s, coeffs)
 
 
 @dataclass
@@ -450,12 +458,6 @@ def _run(config: SimConfig, which: str, grid: Grid | None, observer,
         record.resonant_active_slots = sum(map(len, resonant.slots))
         record.resonant_couplings_all_zero = resonant.couplings_all_zero
     ds = config.dt / config.resonant_subcycle
-
-    def subcycle(state: SpectralState, steps: int) -> SpectralState:
-        for _ in range(steps * config.resonant_subcycle):
-            state = resonant.step(state, ds)
-        return state
-
     t_start = config.s0 if which == "resonant" else 0.0
     n_total = round(max(config.t_end - t_start, 0.0) / config.dt)
     # a stride beyond the run emits only the first and last rows; clamping it
@@ -463,7 +465,8 @@ def _run(config: SimConfig, which: str, grid: Grid | None, observer,
     out_stride = max(1, round(min(config.out_every / config.dt, n_total + 1)))
     ckpt_stride = max(out_stride,
                       (config.checkpoint_every // out_stride) * out_stride)
-    i_s0 = round(min(config.s0, config.t_end) / config.dt) if which == "compare" else -1
+    # the fork is at least one step in: the resonant kernel 1/sqrt(s) is singular at s = 0
+    i_s0 = max(1, round(min(config.s0, config.t_end) / config.dt)) if which == "compare" else -1
 
     if resume is not None:
         i_start = int(resume["step"])
@@ -474,6 +477,7 @@ def _run(config: SimConfig, which: str, grid: Grid | None, observer,
     else:
         i_start = 0
         _, f = init_profile(config, grid)
+        _check_ceiling(f.coeffs, config.norm_ceiling)
         if which == "resonant":
             f.time = t_start
         g = None
@@ -483,15 +487,21 @@ def _run(config: SimConfig, which: str, grid: Grid | None, observer,
         nonlocal prev_out
         record.times.append(f.time)
         record.norms_full.append(composite_norms(f, grid, config.M, config.N))
+        values = [*vars(record.norms_full[-1]).values()]
         if g is not None:
             record.norms_resonant.append(composite_norms(g, grid, config.M, config.N))
             record.diff_norms.append(hm_l2_norm(f.coeffs - g.coeffs, grid, config.M0))
             if prev_out is not None:
                 record.tv_full += hm_l2_norm(f.coeffs - prev_out, grid, config.M0)
             prev_out = f.coeffs.copy()
+            values += [*vars(record.norms_resonant[-1]).values(), record.diff_norms[-1],
+                       record.tv_full]
         else:
             record.norms_resonant.append(None)
             record.diff_norms.append(float("nan"))
+        # a state under the ceiling can still square past the largest float
+        if not all(map(math.isfinite, values)):
+            raise BlowupDetected(f"a norm at t = {f.time:.6g} overflows a float")
         if observer is not None:
             observer("out", step, f, g, record)
 
@@ -503,9 +513,10 @@ def _run(config: SimConfig, which: str, grid: Grid | None, observer,
         end = min((i // out_stride + 1) * out_stride, n_total)
         if i < i_s0 < end:
             end = i_s0
-        f = subcycle(f, end - i) if which == "resonant" else full.step(f, config.dt, end - i)
+        sub = (end - i) * config.resonant_subcycle
+        f = resonant.step(f, ds, sub) if which == "resonant" else full.step(f, config.dt, end - i)
         if g is not None:
-            g = subcycle(g, end - i)
+            g = resonant.step(g, ds, sub)
         i = end
         if i == i_s0:
             g = f.copy()

@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import parallel
 from .errors import DegenerateStationaryPoint, ResolutionError
-from .phase import PhaseParams, dphase_deta, phase
+from .phase import PhaseParams, bracket, dphase_deta, phase
 from .transform import Grid, interp_matrix
 
 # Fresnel normalization of the stationary-phase constant:
@@ -162,28 +162,19 @@ def _gauss_legendre_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, 
             (half[:, None] * _GL_WEIGHTS[None, :]).ravel())
 
 
-def _refine_edges(edges: np.ndarray, factor: int) -> np.ndarray:
-    """Split every panel [edges_i, edges_i+1] into ``factor`` equal panels."""
-    fine = np.linspace(edges[:-1], edges[1:], factor + 1, axis=1)[:, :-1]
-    return np.unique(np.concatenate([fine.ravel(), edges[-1:]]))
-
-
-def quadrature_oscillatory(spec: OscIntegralSpec, resolution: float = 1.0,
-                           breakpoints: tuple[float, ...] = (), threads: int = 0) -> complex:
+def quadrature_oscillatory(spec: OscIntegralSpec, breakpoints: tuple[float, ...] = (),
+                           threads: int = 0) -> complex:
     """Composite Gauss-Legendre value of the oscillatory integral.
 
-    ``resolution`` > 1 refines every panel by that factor, rounded up (used
-    by the stability tests that double the resolution).  ``threads`` workers
-    sum the node chunks; the sums are added in chunk order, so the value does
-    not depend on the thread count.  Raises ResolutionError when the
-    oscillation cannot be resolved within the node budget.
+    ``threads`` workers sum the node chunks; the sums are added in chunk
+    order, so the value does not depend on the thread count.  Raises
+    ResolutionError when the oscillation cannot be resolved within the node
+    budget.
     """
     a, b = spec.domain()
     t = spec.time
     sample = np.linspace(a, b, 2049)
     edges = _panel_edges(a, b, t, np.abs(spec.phase.dpsi(sample)), breakpoints)
-    if resolution != 1.0:
-        edges = _refine_edges(edges, math.ceil(resolution))
     los, his = edges[:-1], edges[1:]
     step = max(1, _CHUNK // _GL_ORDER)
 
@@ -294,8 +285,7 @@ def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params: PhaseParams, s: float
     n_panels = max(1, n_nodes // _GL_ORDER)
     edges = np.linspace(-W, W, n_panels + 1)
     eta, w = _gauss_legendre_panels(edges[:-1], edges[1:])
-    fm_eta = (interp_matrix(grid, eta) @ np.asarray(fm, complex)) \
-        / np.sqrt(eta ** 2 + 2.0 * params.m + 2.0)
+    fm_eta = (interp_matrix(grid, eta) @ np.asarray(fm, complex)) / bracket(eta, params.m)
     out = np.empty(xi_out.size, dtype=complex)
     for i, xi in enumerate(xi_out):
         psi = duhamel_phase(params, xi, sign).psi
@@ -304,6 +294,6 @@ def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params: PhaseParams, s: float
         # (band-limited interpolants are L-periodic in x, 2W-periodic in xi)
         folded = (shifted + W) % (2.0 * W) - W
         fn_shift = (interp_matrix(grid, folded) @ np.asarray(fn, complex)) \
-            / np.sqrt(shifted ** 2 + 2.0 * params.n + 2.0)
+            / bracket(shifted, params.n)
         out[i] = np.sum(w * np.exp(1j * s * psi(eta)) * fm_eta * fn_shift)
     return out

@@ -56,26 +56,25 @@ class PhaseParams:
             raise ValueError("signs must be +-1")
 
 
-@dataclass(frozen=True)
-class ResonanceClass:
-    tag: Tag
-    resonant_line_slope: float | None = None  # Lambda, with xi = Lambda * eta
+def bracket(xi, p):
+    """The dispersion relation <xi>_p = sqrt(xi^2 + 2p + 2) of mode p, the
+    frequency of both the full and the resonant flow."""
+    return np.sqrt(xi ** 2 + (2.0 * p + 2.0))
 
 
 def phase(params: PhaseParams, xi, eta):
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    out = (np.sqrt(xi ** 2 + 2.0 * params.p + 2.0)
-           + params.alpha * np.sqrt(eta ** 2 + 2.0 * params.m + 2.0)
-           + params.beta * np.sqrt((xi - eta) ** 2 + 2.0 * params.n + 2.0))
+    out = (bracket(xi, params.p) + params.alpha * bracket(eta, params.m)
+           + params.beta * bracket(xi - eta, params.n))
     return out if out.ndim else float(out)
 
 
 def dphase_deta(params: PhaseParams, xi, eta):
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    out = (params.alpha * eta / np.sqrt(eta ** 2 + 2.0 * params.m + 2.0)
-           - params.beta * (xi - eta) / np.sqrt((xi - eta) ** 2 + 2.0 * params.n + 2.0))
+    out = (params.alpha * eta / bracket(eta, params.m)
+           - params.beta * (xi - eta) / bracket(xi - eta, params.n))
     return out if out.ndim else float(out)
 
 
@@ -100,7 +99,7 @@ def d2_at_stationary(m: int, n: int, alpha: int, beta: int, xi):
     return out if out.ndim else float(out)
 
 
-def classify(params: PhaseParams, gate: str = "printed") -> ResonanceClass:
+def classify(params: PhaseParams, gate: str = "printed") -> Tag:
     """Full case analysis of the resonant-set theorem.
 
     (alpha, beta) = (1, 1) never has time resonances.  Otherwise the selected
@@ -108,13 +107,10 @@ def classify(params: PhaseParams, gate: str = "printed") -> ResonanceClass:
     also time resonant.
     """
     m, n, p, a, b = params.m, params.n, params.p, params.alpha, params.beta
-    admissible = GATES[gate]
     if (a, b) == (1, 1) or (gate == "printed"
                             and printed_gate_excludes(m, n, p, a, b)):
-        return ResonanceClass(Tag.NO_TIME_RESONANCE)
-    if admissible(m, n, p, a, b):
-        return ResonanceClass(Tag.SPACE_TIME_RESONANT_LINE, 1.0 / lambda_coeff(m, n, a, b))
-    return ResonanceClass(Tag.SPACE_RESONANT_ONLY)
+        return Tag.NO_TIME_RESONANCE
+    return Tag.SPACE_TIME_RESONANT_LINE if GATES[gate](m, n, p, a, b) else Tag.SPACE_RESONANT_ONLY
 
 
 class Regime(enum.Enum):
@@ -135,21 +131,20 @@ def band_width_reference(m: int, n: int, j: int, regime: Regime, k: int | None =
 
 
 def _probe_eta(m: int, n: int, j: int, regime: Regime, k: int | None) -> float:
+    """|eta| of the probe's base point: sqrt(2) 2^k outside LowFreq."""
     if regime is Regime.LOW_FREQ:
         return min(math.sqrt(m), math.sqrt(n)) / 8.0
-    if regime is Regime.RHO_SMALL:
-        if k is None:
-            raise ValueError("RhoSmall probe needs the dyadic level k")
-        eta = math.sqrt(2.0) * 2.0 ** k
-        rho = eta * eta / (2.0 ** j * max(m, 1))
-        if eta < math.sqrt(m) or rho > 0.5:
-            raise ValueError(f"(m={m}, j={j}, k={k}) is outside the small-rho regime")
-        return eta
-    return None  # caller supplies the window for RHO_LARGE
+    if k is None:
+        raise ValueError(f"{regime.value} probe needs the dyadic level k")
+    eta = math.sqrt(2.0) * 2.0 ** k
+    rho = eta * eta * 2.0 ** -j / max(m, 1)   # 2^-j overflows for a very negative j
+    if regime is Regime.RHO_SMALL and (eta < math.sqrt(m) or rho > 0.5) \
+            or regime is Regime.RHO_LARGE and rho < 2.0:
+        raise ValueError(f"(m={m}, j={j}, k={k}) is outside the {regime.value} regime")
+    return eta
 
 
-def band_width_probe(m: int, n: int, j: int, regime: Regime, k: int | None = None,
-                     eta_window: float | None = None) -> float:
+def band_width_probe(m: int, n: int, j: int, regime: Regime, k: int | None = None) -> float:
     """Measured width of the band {-2^-j <= d_eta phi <= -2^-(j+1)} near the
     resonant line, for the (-1,-1) phase (p drops out of d_eta phi).
 
@@ -161,9 +156,7 @@ def band_width_probe(m: int, n: int, j: int, regime: Regime, k: int | None = Non
     params = PhaseParams(m, n, 0, -1, -1)
     lam = lambda_coeff(m, n, -1, -1)
     slope = 1.0 / lam   # xi = slope * eta on the resonant line
-    eta0 = eta_window if regime is Regime.RHO_LARGE else _probe_eta(m, n, j, regime, k)
-    if eta0 is None:
-        raise ValueError("RhoLarge probe needs eta_window")
+    eta0 = _probe_eta(m, n, j, regime, k)
     base = np.array([slope * eta0, eta0])        # (xi, eta) on the line
     normal = np.array([1.0, -slope]) / math.hypot(1.0, slope)
 
@@ -242,9 +235,9 @@ def phase_report(params: PhaseParams, R: float = 20.0,
     return {
         "params": {"m": params.m, "n": params.n, "p": params.p,
                    "alpha": params.alpha, "beta": params.beta},
-        "class": printed.tag.value,
-        "class_sqrt_gate": sqrt_cls.tag.value,
-        "gates_disagree": printed.tag is not sqrt_cls.tag,
+        "class": printed.value,
+        "class_sqrt_gate": sqrt_cls.value,
+        "gates_disagree": printed is not sqrt_cls,
         "lambda": lam,
         "d2_at_zero": d2,
         "sampled_phase_min": sampled_phase_min(params, R),

@@ -69,6 +69,10 @@ class Grid:
     def xi_max(self) -> float:
         return math.pi * self.n_x1 / self.length_x1
 
+    def in_window(self, xi) -> np.ndarray:
+        """Whether each frequency lies in [-xi_max, xi_max], up to rounding."""
+        return np.abs(xi) <= self.xi_max * (1.0 + 1e-12)
+
     @property
     def alt(self) -> np.ndarray:
         """(-1)^k phases translating the FFT to the centered-box transform."""
@@ -238,8 +242,7 @@ def interp_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:
     Raises InterpolationRangeError outside [-xi_max, xi_max].
     """
     targets = np.asarray(targets, dtype=float)
-    bound = grid.xi_max * (1.0 + 1e-12)
-    if np.any(np.abs(targets) > bound):
+    if not np.all(grid.in_window(targets)):
         raise InterpolationRangeError(
             f"target frequency beyond window +-{grid.xi_max:.6g}")
     return grid.alt * np.fft.ifft(np.exp(-1j * np.outer(targets, grid.x1)), axis=1)

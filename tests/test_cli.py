@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import math
 import os
 import warnings
 import zipfile
@@ -270,6 +271,20 @@ def test_phase_report_command(tmp_path):
     # a probe whose scale overflows is reported, not raised
     assert report["width_probes"][1]["measured_width"] is None
     assert "error" in report["width_probes"][1]
+
+
+def test_phase_report_rho_large_probe(tmp_path):
+    # the probe point of RhoLarge comes from k, as for RhoSmall
+    out = tmp_path / "pr"
+    assert main(["phase-report", "--m", "4", "--n", "4", "--p", "1", "--width-probes",
+                 "0,RhoLarge,5;0,RhoLarge,-;-2000,RhoSmall,3", "--out-dir", str(out)]) == EXIT_OK
+    probe, no_k, huge = json.loads((out / "phase_report.json").read_text())["width_probes"]
+    assert math.isfinite(probe["measured_width"]) and "error" not in probe
+    ref = probe["reference_scale"]
+    assert ref / 4.0 <= probe["measured_width"] <= 4.0 * ref
+    assert no_k["measured_width"] is None and "needs the dyadic level k" in no_k["error"]
+    # 2^j underflows to 0 here, so rho is computed with 2^-j, which overflows
+    assert huge["measured_width"] is None and "error" in huge
 
 
 def test_phase_report_overflowing_radius_exits_3(tmp_path, capsys):
@@ -610,8 +625,9 @@ def test_blowup_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("field, value, cause", [
-    # the kick of a 1e300 state overflows to nan, which the ceiling reports
-    ("eps", 1e300, "coefficient magnitude nan"),
+    # the initial state is checked before the first row and the first kick,
+    # so the ceiling reports its real magnitude, not the kick's overflow
+    ("eps", 1e300, "coefficient magnitude 5.65e+295 exceeds 1e+06"),
     # the weight (2P)^(2M) is finite, its product with the state is not
     ("M", 170.6, "initial S^(M,N) norm inf"),
 ])
@@ -622,6 +638,8 @@ def test_overflow_exits_3_without_numpy_warning(tmp_path, capsys, field, value, 
         assert main(["compare", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "o")]) == EXIT_NUMERIC
     assert f"numerical failure: {cause}" in capsys.readouterr().err
+    assert (tmp_path / "o" / "trajectory.csv").read_text().splitlines() == \
+        ["t,tilde_HN_f,S_MN_f,S_MN_g,diff_HM0L2"]
 
 
 def test_overflowing_box_length_exits_2(tmp_path, capsys):

@@ -1,0 +1,152 @@
+"""The run commands' contract on configs drawn from the schema itself: at,
+inside and just past each bound, huge ints and values of the wrong type.
+Whatever the config, a run exits 0, 2 or 3 without a traceback or a numpy
+warning, and a run that exits 0 wrote finite norms and a manifest that
+lists exactly the files of its directory.  Only the size fields are clamped,
+so that a valid draw stays a run of a few steps on a small grid."""
+
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+import warnings
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from reslab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from reslab.evolution import MAX_STEPS, SCHEMA
+
+FLOAT_MAX = sys.float_info.max
+HUGE_INTS = (2 ** 63, 2 ** 64 + 1, 10 ** 400, -(2 ** 63))
+# a small valid run that the drawn fields override
+BASE = {"P": 4, "n_x1": 32, "t_end": 0.2, "dt": 0.02, "s0": 0.1,
+        "init_modes": [0, 1], "out_every": 0.05, "checkpoint_every": 5}
+MAX_RATIO = 20      # t_end/dt of a valid draw
+MAX_SUBCYCLE = 3
+
+
+def _near(bound) -> list:
+    """The bound, the floats next to it and the integers either side."""
+    return [bound, float(bound), math.nextafter(bound, -math.inf),
+            math.nextafter(bound, math.inf), bound - 1, bound + 1]
+
+
+def field_values(rule: dict):
+    """Values for one schema field: its edges and a range inside it."""
+    if "enum" in rule:
+        return st.sampled_from(rule["enum"] + ["neither"])
+    kind = rule["type"]
+    if kind == "boolean":
+        return st.sampled_from([True, False, 0, 1, None])
+    if kind == "array":
+        return st.one_of(st.lists(field_values(rule["items"]), max_size=3),
+                         st.sampled_from([7, "0"]))
+    lo = rule.get("minimum", rule.get("exclusiveMinimum", -1e6))
+    hi = rule.get("maximum", 1e6)
+    edges = [0, 1, -1, 0.5, 1e-300, FLOAT_MAX, -FLOAT_MAX, math.inf, math.nan,
+             True, "1", *HUGE_INTS]
+    for key in ("minimum", "exclusiveMinimum", "maximum"):
+        if key in rule:
+            edges += _near(rule[key])
+    if kind == "integer":
+        inside = st.integers(int(lo), int(min(hi, lo + 1000)))
+    else:
+        inside = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    return st.one_of(st.sampled_from(edges), inside)
+
+
+def _integral(value) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+def _positive(value) -> bool:
+    return not isinstance(value, (bool, str)) and isinstance(value, (int, float)) \
+        and 0 < value <= FLOAT_MAX
+
+
+def clamp_sizes(cfg: dict) -> dict:
+    """P <= 4, n_x1 in {16, 32}, t_end/dt <= 20 and at most 3 resonant
+    substeps where the drawn value is valid; an invalid value is kept, since
+    it exits 2 before any step."""
+    cfg = dict(cfg)
+    if _integral(cfg["P"]) and 4 < cfg["P"] <= 213:
+        cfg["P"] = 4
+    n = cfg["n_x1"]
+    if _integral(n) and 32 < n <= 2 ** 20 and not int(n) & (int(n) - 1):
+        cfg["n_x1"] = 32
+    sub = cfg.get("resonant_subcycle", 1)
+    if _integral(sub) and MAX_SUBCYCLE < sub <= MAX_STEPS:
+        cfg["resonant_subcycle"] = MAX_SUBCYCLE
+    t_end, dt = cfg["t_end"], cfg["dt"]
+    if _positive(t_end) and _positive(dt) and MAX_RATIO < t_end / dt <= MAX_STEPS:
+        cfg["t_end"] = MAX_RATIO * dt
+    return cfg
+
+
+def run_cli(argv: list) -> tuple[int, str]:
+    """Exit code and stderr of one in-process CLI call; a numpy warning is
+    an error, so it fails the test as an escaped exception."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def check_outputs(out: str, compare: bool) -> None:
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert sorted(manifest["outputs"] + ["manifest.json"]) == sorted(os.listdir(out))
+    with open(os.path.join(out, "trajectory.csv"), encoding="utf-8") as fh:
+        rows = [[float(v) for v in line.split(",")] for line in fh.read().splitlines()[1:]]
+    assert rows
+    for row in rows:
+        assert all(math.isfinite(v) for v in (row[:3] if compare else row)), row
+    if compare:
+        # the g columns are nan only before the fork at s0, so in a leading block
+        started = [math.isfinite(row[3]) for row in rows]
+        assert started[-1] and started == sorted(started), started
+        assert all(math.isfinite(row[4]) == s for row, s in zip(rows, started))
+
+
+PROPERTIES = SCHEMA["properties"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["compare", "simulate-resonant"]),
+       drawn=st.lists(st.sampled_from(sorted(PROPERTIES)), max_size=4, unique=True).flatmap(
+           lambda names: st.fixed_dictionaries(
+               {name: field_values(PROPERTIES[name]) for name in names})))
+# a packet narrower than the grid spacing squares xi/w to inf; its Gaussian
+# is exp(-inf) = 0 there, which must not warn
+@example(command="compare", drawn={"packet_width": 1e-300})
+# the linear flow keeps a state just under the largest ceiling, whose norms
+# square past the largest float
+@example(command="compare", drawn={"eps": 1e300, "norm_ceiling": FLOAT_MAX, "nonlinear": False})
+# s0 rounds to step 0, where g must still fork
+@example(command="compare", drawn={"s0": 0.0078125})
+# a kernel of 1/sqrt(1e-300) overflows the right-hand side below the largest ceiling
+@example(command="simulate-resonant", drawn={"s0": 1e-300, "norm_ceiling": FLOAT_MAX})
+def test_run_contract_on_schema_draws(command, drawn):
+    cfg = clamp_sizes({**BASE, **drawn})
+    if command == "simulate-resonant":   # the hermite-mode flow is idle
+        cfg["coupling_mode"] = "unit"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        code, err = run_cli([command, "--config", path, "--out-dir", out])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), (code, err)
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            check_outputs(out, compare=(command == "compare"))

@@ -11,7 +11,8 @@ from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               init_profile, make_grid, run_compare, run_single)
 from reslab.phase import d2_at_stationary, lambda_coeff
 from reslab.triples import interactions_for_output
-from reslab.transform import composite_norms, interp_matrix, minus_component
+from reslab.transform import (SpectralState, composite_norms, interp_matrix,
+                              minus_component)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,20 @@ def test_segment_matches_single_steps(steps):
     assert np.max(np.abs(single.coeffs - state.coeffs)) >= 1e-7 * scale
 
 
+def test_resonant_segment_matches_single_steps(small_setup):
+    # the midpoint arithmetic is unchanged, so a segment equals its steps bit for bit
+    grid, state = small_setup
+    stepper = ResonantStepper(grid, 4, coupling_mode="unit")
+    start = SpectralState(1.0, state.coeffs)
+    single = start
+    for _ in range(7):
+        single = stepper.step(single, 0.05)
+    segment = stepper.step(start, 0.05, 7)
+    assert segment.time == single.time
+    assert np.array_equal(segment.coeffs, single.coeffs)
+    assert not np.array_equal(segment.coeffs, state.coeffs)
+
+
 def test_reality_preserved_by_full_step():
     # the derived "-" component follows the two-component step's own "-" one
     cfg = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.02, t_end=2.0, init_modes=(0, 3))
@@ -229,6 +244,8 @@ def test_resonant_couplings_all_zero_by_parity(monkeypatch):
     s = idle.step(s, 0.1)
     assert s.time == 1.1
     assert np.array_equal(s.coeffs, state.coeffs)
+    # a segment of the idle flow makes the same additions as its steps
+    assert idle.step(s, 0.1, 3).time == 1.1 + 0.1 + 0.1 + 0.1
 
 
 def test_resonant_single_triple_hand_rhs(small_setup):

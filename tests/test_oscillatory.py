@@ -10,7 +10,7 @@ from reslab.errors import DegenerateStationaryPoint, ResolutionError
 from reslab.hermite import HermiteBasis
 from reslab.oscillatory import (_CHUNK, _GL_NODES, _GL_ORDER, _GL_WEIGHTS,
                                 _PHASE_BUDGET, C_SP, OscIntegralSpec, PhaseCurve,
-                                SmoothBump, _panel_edges, _refine_edges,
+                                SmoothBump, _panel_edges,
                                 duhamel_kernel, duhamel_phase,
                                 fresnel_gaussian_spec, quadrature_oscillatory,
                                 stat_phase_decay_table,
@@ -61,10 +61,12 @@ def test_zero_amplitude():
     assert quadrature_oscillatory(spec) == 0.0
 
 
-def test_resolution_doubling_stability():
+def test_resolution_doubling_stability(monkeypatch):
     spec = fresnel_gaussian_spec(100.0)
     v1 = quadrature_oscillatory(spec)
-    v2 = quadrature_oscillatory(spec, resolution=2.0)
+    monkeypatch.setattr(oscillatory, "_panel_edges",
+                        lambda *args: refine_edges_per_panel(_panel_edges(*args), 2))
+    v2 = quadrature_oscillatory(spec)
     assert abs(v1 - v2) <= 1e-9 * abs(v1)
 
 
@@ -95,15 +97,6 @@ def test_decay_table_matches_uniform_layout(monkeypatch):
     for row, ref in zip(local["rows"], uniform["rows"]):
         for key, value in ref.items():
             assert abs(row[key] - value) <= 1e-11 * abs(value), key
-
-
-@pytest.mark.parametrize("resolution", [1.5, 2.0, 3.0])
-def test_refined_edges_match_per_panel_oracle(resolution):
-    edges = kinked_edges(100.0)
-    fine = _refine_edges(edges, math.ceil(resolution))
-    oracle = refine_edges_per_panel(edges, resolution)
-    assert fine.shape == oracle.shape
-    assert np.all(np.abs(fine - oracle) <= np.spacing(np.abs(oracle)))
 
 
 def test_chunk_pool_independent_of_thread_count():

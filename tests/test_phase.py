@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import (d2phase_deta2, dphase_dxi, phase_floor, richardson_d1,
                      richardson_d2)
 from reslab.errors import BracketFailure, DegenerateSelfInteraction
-from reslab.phase import (PhaseParams, Regime, ResonanceClass, Tag,
+from reslab.phase import (PhaseParams, Regime, Tag,
                           band_width_probe, band_width_reference, classify,
                           d2_at_stationary, dphase_deta, lambda_coeff, phase,
                           phase_report, sampled_phase_min)
@@ -116,22 +116,20 @@ def test_d2_decays_in_xi():
 
 
 def test_classify_resonant_line():
-    cls = classify(PhaseParams(0, 0, 3, -1, -1))
-    assert cls.tag is Tag.SPACE_TIME_RESONANT_LINE
-    assert cls.resonant_line_slope == pytest.approx(2.0, rel=1e-14)
-    assert classify(PhaseParams(0, 0, 3, -1, -1), "sqrt").tag is \
-        Tag.SPACE_TIME_RESONANT_LINE
+    assert classify(PhaseParams(0, 0, 3, -1, -1)) is Tag.SPACE_TIME_RESONANT_LINE
+    assert classify(PhaseParams(0, 0, 3, -1, -1), "sqrt") is Tag.SPACE_TIME_RESONANT_LINE
+    assert 1.0 / lambda_coeff(0, 0, -1, -1) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_classify_all_plus_never_time_resonant():
     rng = np.random.default_rng(3)
     for _ in range(25):
         m, n, p = (int(v) for v in rng.integers(0, 40, 3))
-        assert classify(PhaseParams(m, n, p, 1, 1)).tag is Tag.NO_TIME_RESONANCE
+        assert classify(PhaseParams(m, n, p, 1, 1)) is Tag.NO_TIME_RESONANCE
 
 
 def test_classify_space_resonant_only():
-    assert classify(PhaseParams(0, 0, 1, -1, -1)).tag is Tag.SPACE_RESONANT_ONLY
+    assert classify(PhaseParams(0, 0, 1, -1, -1)) is Tag.SPACE_RESONANT_ONLY
 
 
 def test_classify_agrees_with_gate_functions():
@@ -143,7 +141,7 @@ def test_classify_agrees_with_gate_functions():
                     for b in (-1, 1):
                         params = PhaseParams(m, n, p, a, b)
                         for gate, admissible in gates:
-                            on_line = classify(params, gate).tag is \
+                            on_line = classify(params, gate) is \
                                 Tag.SPACE_TIME_RESONANT_LINE
                             assert on_line == admissible(m, n, p, a, b)
 
@@ -200,7 +198,8 @@ def test_band_width_probe_low_freq():
 
 
 def test_band_width_probe_rho_large():
-    width = band_width_probe(4, 4, 0, Regime.RHO_LARGE, eta_window=50.0)
+    # eta = sqrt(2) 2^k = 45.3 gives rho = 512
+    width = band_width_probe(4, 4, 0, Regime.RHO_LARGE, k=5)
     ref = band_width_reference(4, 4, 0, Regime.RHO_LARGE)
     assert ref / 4.0 <= width <= 4.0 * ref
 
@@ -215,12 +214,16 @@ def test_band_width_probe_rho_small():
 def test_band_width_probe_rejects_wrong_regime():
     with pytest.raises(ValueError):
         band_width_probe(100, 36, 3, Regime.RHO_SMALL, k=4)  # rho too large
+    with pytest.raises(ValueError):
+        band_width_probe(100, 36, 3, Regime.RHO_LARGE, k=4)  # rho = 32/800, too small
+    with pytest.raises(ValueError):
+        band_width_probe(4, 4, 0, Regime.RHO_LARGE)          # no k
 
 
 def test_band_width_probe_empty_level_set():
     # |d_eta phi| < 2 everywhere, so the level -2^(-j) with j = -2 is empty
     with pytest.raises(BracketFailure):
-        band_width_probe(4, 4, -2, Regime.RHO_LARGE, eta_window=10.0)
+        band_width_probe(4, 4, -2, Regime.RHO_LARGE, k=3)
 
 
 def test_phase_report_structure():
@@ -238,11 +241,6 @@ def test_phase_report_flags_gate_disagreement():
     # inequalities reject it
     report = phase_report(PhaseParams(8, 0, 3, -1, 1), R=5.0)
     assert report["gates_disagree"] is True
-
-
-def test_resonance_class_dataclass():
-    cls = ResonanceClass(Tag.NO_TIME_RESONANCE)
-    assert cls.resonant_line_slope is None
 
 
 @settings(max_examples=60, deadline=None)
