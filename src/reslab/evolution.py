@@ -8,12 +8,13 @@ u_tt - Lap u + x2^2 u + u = u^2 is split as u_pm = u_t +- i sqrt(-Lap+x2^2+1) u,
 giving d/dt u~_{pm,p}(xi) = +-i om u~_{pm,p} + (u^2)~_p, om = sqrt(xi^2+2p+2).
 u is real, so u~_{-,p}(xi) = conj(u~_{+,p}(-xi)): states hold the "+" profile
 only, and ``transform.minus_component`` derives the "-" one.
-One step is Strang: exact half rotation, midpoint-rule nonlinear kick computed
-by reconstructing u = 2 Re F^-1(u~_+/(2i om)) in physical space (om is even in
-xi), squaring pointwise at the cubic quadrature nodes (which makes the mode
-truncation an exact Galerkin projection through the triple-product tensor),
-transforming back, 2/3-rule dealiasing in xi, exact half rotation.  The state
-is the profile f~_{+,p} = e^(-i t om) u~_{+,p}, invariant under the linear flow.
+One step is Strang: exact half rotation, one kick, exact half rotation.  The
+nonlinear sub-flow adds (u^2)~ to u~_+ and u~_- alike (it forces u_t only), so
+u = (u~_+ - u~_-)/(2i om) is constant and the kick solves it exactly.  It
+squares u = 2 Re F^-1(u~_+/(2i om)) (om is even in xi) at the cubic quadrature
+nodes, an exact Galerkin projection through the triple-product tensor, and
+dealiases by the 2/3 rule in xi.  The state is the profile
+f~_{+,p} = e^(-i t om) u~_{+,p}, invariant under the linear flow.
 A call steps a segment of consecutive steps in traveling variables at
 mid-step, u = e^(i (t+dt/2) om) f: the half rotations of two consecutive steps
 merge into one multiply by e^(i dt om), so a segment costs two exps, at its
@@ -297,22 +298,22 @@ class FullStepper:
         return scale * np.fft.fft(self.project @ (vals * vals), axis=1)
 
     def step(self, state: SpectralState, dt: float, steps: int = 1) -> SpectralState:
-        """``steps`` Strang steps of size dt.  Between steps the state is the
-        traveling profile at mid-step, u = e^(i (t+dt/2) om) f, so consecutive
-        steps join by one rotation e^(i dt om)."""
+        """``steps`` Strang steps of size dt, each with one kick, the exact
+        nonlinear sub-flow.  Between steps the state is the traveling profile at
+        mid-step, u = e^(i (t+dt/2) om) f, joined by one rotation e^(i dt om)."""
         if not self.nonlinear:                # the linear flow leaves f invariant
             return _idle(state, dt, steps)
         t, f = state.time, state.coeffs
         if steps > 1 and dt != self._shift_dt:
             self._shift_dt, self._shift = dt, np.exp(1j * dt * self.omega)
-        half, full = (dt / 2.0) * self._from_phys, dt * self._from_phys
+        scale = dt * self._from_phys
         with np.errstate(over="ignore", invalid="ignore"):   # the ceiling reports it
             u = f * np.exp(1j * (t + dt / 2.0) * self.omega)
             for k in range(steps):
                 if k:
                     u *= self._shift
                     t += dt
-                u = u + self._kick(u + self._kick(u, half), full)
+                u = u + self._kick(u, scale)
                 _check_ceiling(u, self.norm_ceiling)
             f = u * np.exp(-1j * (t + dt / 2.0) * self.omega)
         return SpectralState(t + dt, f)

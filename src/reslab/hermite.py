@@ -123,16 +123,9 @@ class HermiteBasis:
         quad_order = max((3 * max_mode) // 2 + 2, 40)
         nodes, weights, total = gauss_hermite(quad_order)
         cubic_phi, cubic_total = _cubic_rule(quad_order, max_mode)
-        return cls(
-            max_mode=max_mode,
-            quad_order=quad_order,
-            nodes=nodes,
-            weights=weights,
-            total_weights=total,
-            phi=hermite_table(max_mode, nodes),
-            cubic_total_weights=cubic_total,
-            cubic_phi=cubic_phi,
-        )
+        return cls(max_mode=max_mode, quad_order=quad_order, nodes=nodes, weights=weights,
+                   total_weights=total, phi=hermite_table(max_mode, nodes),
+                   cubic_total_weights=cubic_total, cubic_phi=cubic_phi)
 
 
 def triple_quad_order(m: int, n: int, p: int) -> int:

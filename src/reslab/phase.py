@@ -151,7 +151,9 @@ def band_width_probe(m: int, n: int, j: int, regime: Regime, k: int | None = Non
     The probe walks along the inward normal of the resonant line from a base
     point chosen for the regime and brackets both level crossings by bisection;
     the width is the distance between them.  Raises BracketFailure when a level
-    is not reached inside the probe window (empty level set).
+    is not reached inside the probe window (empty level set), ValueError
+    when a level underflows or the two crossings are not resolved apart, and
+    FloatingPointError when d_eta phi overflows on the walk.
     """
     params = PhaseParams(m, n, 0, -1, -1)
     lam = lambda_coeff(m, n, -1, -1)
@@ -161,13 +163,14 @@ def band_width_probe(m: int, n: int, j: int, regime: Regime, k: int | None = Non
     normal = np.array([1.0, -slope]) / math.hypot(1.0, slope)
 
     def g(s: float) -> float:
-        return dphase_deta(params, base[0] + s * normal[0], base[1] + s * normal[1])
+        with np.errstate(over="raise", invalid="raise"):
+            return dphase_deta(params, base[0] + s * normal[0], base[1] + s * normal[1])
 
     # d_eta phi decreases away from the line on the chosen side; orient the walk
     probe = 1e-6 * (1.0 + abs(eta0))
     direction = -1.0 if g(probe) > 0.0 else 1.0
 
-    def crossing(level: float) -> float:
+    def crossing(level: float) -> tuple[float, float]:
         lo, hi = 0.0, probe
         span = 4.0 * (1.0 + abs(eta0) + math.sqrt(m + n + 2.0))
         while g(direction * hi) > level:
@@ -183,11 +186,15 @@ def band_width_probe(m: int, n: int, j: int, regime: Regime, k: int | None = Non
                 hi = mid
             if hi - lo < 1e-13 * (1.0 + hi):
                 break
-        return 0.5 * (lo + hi)
+        return lo, hi
 
-    s_outer = crossing(-(2.0 ** -j))
-    s_inner = crossing(-(2.0 ** -(j + 1)))
-    return abs(s_outer - s_inner)
+    if 2.0 ** -(j + 1) == 0.0:
+        raise ValueError(f"the levels of the j={j} band underflow a float")
+    (lo_out, hi_out), (lo_in, hi_in) = crossing(-(2.0 ** -j)), crossing(-(2.0 ** -(j + 1)))
+    width = abs(0.5 * (lo_out + hi_out) - 0.5 * (lo_in + hi_in))
+    if width <= (hi_out - lo_out) + (hi_in - lo_in):   # the error could reach half of it
+        raise ValueError(f"the crossings of the j={j} band are not resolved apart")
+    return width
 
 
 def sampled_phase_min(params: PhaseParams, R: float) -> float:
@@ -196,10 +203,9 @@ def sampled_phase_min(params: PhaseParams, R: float) -> float:
 
     Raises ResolutionError when the minimum is not finite (phi overflows on
     a ball too large for floating point)."""
-    radii = np.linspace(0.0, R, 400)
     angles = np.linspace(0.0, 2.0 * math.pi, 800, endpoint=False)
-    rr, aa = np.meshgrid(radii, angles)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):   # R near the largest float
+        rr, aa = np.meshgrid(np.linspace(0.0, R, 400), angles)
         value = float(np.abs(phase(params, rr * np.cos(aa), rr * np.sin(aa))).min())
     if not math.isfinite(value):
         raise ResolutionError(f"sampled |phi| on the ball of radius {R:.3g} is not finite")
@@ -228,7 +234,7 @@ def phase_report(params: PhaseParams, R: float = 20.0,
         try:
             entry["measured_width"] = band_width_probe(params.m, params.n, j, regime, k=k)
             entry["reference_scale"] = band_width_reference(params.m, params.n, j, regime, k=k)
-        except (BracketFailure, ValueError, OverflowError) as exc:
+        except (BracketFailure, ValueError, ArithmeticError) as exc:
             entry["measured_width"] = None
             entry["error"] = str(exc)
         probes.append(entry)

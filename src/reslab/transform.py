@@ -160,7 +160,10 @@ def xi_derivative(coeffs: np.ndarray, dxi: float, order: int = 1) -> np.ndarray:
     """
     out = np.asarray(coeffs, dtype=complex)
     for _ in range(order):
-        out = (np.roll(out, -1, axis=-1) - np.roll(out, 1, axis=-1)) / (2.0 * dxi)
+        d = np.empty_like(out)
+        d[..., 1:-1] = out[..., 2:] - out[..., :-2]
+        d[..., 0], d[..., -1] = out[..., 1] - out[..., -1], out[..., 0] - out[..., -2]
+        out = d / (2.0 * dxi)
     return out
 
 

@@ -52,13 +52,7 @@ def sqrt_gate_admissible(m: int, n: int, p: int, alpha: int, beta: int) -> bool:
     """
     if (alpha, beta) == (1, 1):
         return False
-    if (alpha, beta) == (-1, -1):
-        big, rest = p, (m, n)
-    elif (alpha, beta) == (-1, 1):
-        big, rest = m, (n, p)
-    else:
-        big, rest = n, (m, p)
-    a, b = rest
+    big, a, b = {(-1, -1): (p, m, n), (-1, 1): (m, n, p), (1, -1): (n, m, p)}[alpha, beta]
     return _partner(a, b) == big
 
 

@@ -287,6 +287,22 @@ def test_phase_report_rho_large_probe(tmp_path):
     assert huge["measured_width"] is None and "error" in huge
 
 
+def test_phase_report_unresolved_band_is_null(tmp_path):
+    # from j ~ 42 the bisection cannot tell the two crossings apart, and from
+    # j = 1074 a level underflows: either is reported, never a width of 0.0
+    out = tmp_path / "pr"
+    assert main(["phase-report", "--m", "4", "--n", "4", "--p", "1", "--width-probes",
+                 "40,LowFreq,-;45,LowFreq,-;2000,LowFreq,-;2000,RhoSmall,3",
+                 "--out-dir", str(out)]) == EXIT_OK
+    fine, *failed = json.loads((out / "phase_report.json").read_text())["width_probes"]
+    ref = fine["reference_scale"]
+    assert ref / 4.0 <= fine["measured_width"] <= 4.0 * ref and "error" not in fine
+    unresolved, underflow, underflow_small = failed
+    assert all(probe["measured_width"] is None for probe in failed)
+    assert "not resolved apart" in unresolved["error"]
+    assert "underflow" in underflow["error"] and "underflow" in underflow_small["error"]
+
+
 def test_phase_report_overflowing_radius_exits_3(tmp_path, capsys):
     # phi overflows on this ball: its sampled minimum would be NaN
     out = tmp_path / "pr"

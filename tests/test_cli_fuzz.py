@@ -3,7 +3,11 @@ inside and just past each bound, huge ints and values of the wrong type.
 Whatever the config, a run exits 0, 2 or 3 without a traceback or a numpy
 warning, and a run that exits 0 wrote finite norms and a manifest that
 lists exactly the files of its directory.  Only the size fields are clamped,
-so that a valid draw stays a run of a few steps on a small grid."""
+so that a valid draw stays a run of a few steps on a small grid.
+
+``phase-report`` keeps the same contract on drawn radii and width probes
+over a wide range of levels j and of dyadic levels k, and a probe it cannot
+measure reports a null width with an error, never a measured width of 0."""
 
 import contextlib
 import io
@@ -150,3 +154,40 @@ def test_run_contract_on_schema_draws(command, drawn):
         assert "Traceback" not in err
         if code == EXIT_OK:
             check_outputs(out, compare=(command == "compare"))
+
+
+# levels j and dyadic levels k: small, wide, at the float limits and huge
+LEVELS = st.one_of(st.integers(-60, 60), st.integers(-3000, 3000),
+                   st.sampled_from([40, 45, 1074, 1075, 2000, -1100, 10 ** 400]))
+PROBES = st.lists(st.tuples(LEVELS, st.sampled_from(["LowFreq", "RhoSmall", "RhoLarge"]),
+                            st.one_of(st.none(), LEVELS)), min_size=1, max_size=3)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(m=st.integers(0, 64), n=st.integers(0, 64), p=st.integers(0, 8),
+       radius=st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300, FLOAT_MAX])),
+       probes=PROBES)
+# the bisection cannot resolve the two crossings of this band
+@example(m=4, n=4, p=1, radius=20.0, probes=[(45, "LowFreq", None)])
+# the band's levels underflow a float
+@example(m=4, n=4, p=1, radius=20.0, probes=[(2000, "LowFreq", None), (2000, "RhoSmall", 3)])
+# the sampling radii of the largest float overflow
+@example(m=0, n=0, p=0, radius=FLOAT_MAX, probes=[(0, "LowFreq", None)])
+def test_phase_report_contract_on_drawn_probes(m, n, p, radius, probes):
+    spec = ";".join(f"{j},{regime},{'-' if k is None else k}" for j, regime, k in probes)
+    with tempfile.TemporaryDirectory() as out:
+        code, err = run_cli(["phase-report", "--m", str(m), "--n", str(n), "--p", str(p),
+                             "--radius", repr(radius), "--width-probes", spec,
+                             "--out-dir", out])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), (code, err)
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            with open(os.path.join(out, "phase_report.json"), encoding="utf-8") as fh:
+                entries = json.load(fh)["width_probes"]
+            assert len(entries) == len(probes)
+            for entry in entries:
+                if entry["measured_width"] is None:
+                    assert entry["error"], entry
+                else:
+                    assert 0.0 < entry["measured_width"] < math.inf, entry
+                    assert 0.0 <= entry["reference_scale"] < math.inf, entry

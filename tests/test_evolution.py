@@ -108,6 +108,29 @@ def test_folded_step_matches_unfolded_strang():
     assert np.max(np.abs(ref[0] - state.coeffs)) >= 1e-6 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("P,n_x1,length_x1", [(8, 128, 16.0), (32, 1024, 128.0)])
+def test_kick_leaves_physical_field_unchanged(P, n_x1, length_x1):
+    # the nonlinear sub-flow forces u_t only, so one kick solves it exactly:
+    # the midpoint's inner kick moves the field, and so the increment, by roundoff
+    cfg = SimConfig(eps=200.0, P=P, n_x1=n_x1, length_x1=length_x1, dt=0.02,
+                    t_end=1.0, init_modes=(0, 3))
+    grid, state = init_profile(cfg)
+    stepper = FullStepper(grid, P)
+    u = state.coeffs * np.exp(1j * (cfg.dt / 2.0) * stepper.omega)
+    scale = cfg.dt * stepper._from_phys
+    kick = stepper._kick(u, scale)
+
+    def field(v):
+        return np.fft.ifft(v * stepper._to_phys, axis=1).imag
+
+    before = field(u)
+    assert np.max(np.abs(field(u + kick) - before)) <= 1e-14 * np.max(np.abs(before))
+    midpoint = stepper._kick(u + stepper._kick(u, scale / 2.0), scale)
+    assert np.max(np.abs(midpoint - kick)) <= 1e-14 * np.max(np.abs(kick))
+    # the kick is far above roundoff, so neither comparison is vacuous
+    assert np.max(np.abs(kick)) >= 1e-6 * np.max(np.abs(u))
+
+
 @pytest.mark.parametrize("steps", [1, 7, 50])
 def test_segment_matches_single_steps(steps):
     cfg = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.02, t_end=1.0, init_modes=(0, 3))
