@@ -326,8 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, cmd_enumerate)
 
     p = sub.add_parser("phase-report", help="diagnostics for one phase")
-    for mode in ("--m", "--n", "--p"):
-        p.add_argument(mode, type=_int_range(0), required=True)
+    for mode in ("--m", "--n", "--p"):   # the triple table's bound, far inside float range
+        p.add_argument(mode, type=_int_range(0, MAX_MODE), required=True)
     p.add_argument("--alpha", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--beta", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--radius", type=_positive_float, default=20.0)

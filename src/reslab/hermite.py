@@ -99,8 +99,9 @@ class HermiteBasis:
 
     ``nodes``/``weights`` form the plain Gauss-Hermite rule used for mode
     projections (integrands poly * e^(-x^2)); ``cubic_phi`` and
-    ``cubic_total_weights`` are the sqrt(2/3)-substituted rule that makes
-    triple integrals exact.
+    ``cubic_total_weights`` are the sqrt(2/3)-substituted rule of order
+    ``triple_quad_order(max_mode, max_mode, max_mode)``, the fewest nodes that
+    make every triple integral of the basis exact.
     """
 
     max_mode: int
@@ -110,19 +111,20 @@ class HermiteBasis:
     total_weights: np.ndarray
     phi: np.ndarray          # (max_mode+1, quad_order) values at nodes
     cubic_total_weights: np.ndarray   # includes the sqrt(2/3) Jacobian
-    cubic_phi: np.ndarray
+    cubic_phi: np.ndarray    # (max_mode+1, 3 max_mode // 2 + 2)
 
     @classmethod
     def build(cls, max_mode: int) -> "HermiteBasis":
         if max_mode < 0:
             raise ValueError("max_mode must be >= 0")
-        # exact for phi_a phi_b projections and for the quadratic nonlinearity
-        # projected onto modes <= max_mode; the floor keeps the node extent
-        # wide enough that trap-confined test fields decay below 1e-12 at the
-        # boundary
-        quad_order = max((3 * max_mode) // 2 + 2, 40)
+        # the cubic rule projects the square of a field of modes <= max_mode
+        # onto those modes exactly, so it takes no more nodes than that needs;
+        # the plain rule's floor keeps its node extent wide enough that
+        # trap-confined test fields decay below 1e-12 at the boundary
+        cubic_order = triple_quad_order(max_mode, max_mode, max_mode)
+        quad_order = max(cubic_order, 40)
         nodes, weights, total = gauss_hermite(quad_order)
-        cubic_phi, cubic_total = _cubic_rule(quad_order, max_mode)
+        cubic_phi, cubic_total = _cubic_rule(cubic_order, max_mode)
         return cls(max_mode=max_mode, quad_order=quad_order, nodes=nodes, weights=weights,
                    total_weights=total, phi=hermite_table(max_mode, nodes),
                    cubic_total_weights=cubic_total, cubic_phi=cubic_phi)

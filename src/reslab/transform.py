@@ -27,6 +27,7 @@ import os
 import warnings
 import zipfile
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -160,10 +161,8 @@ def xi_derivative(coeffs: np.ndarray, dxi: float, order: int = 1) -> np.ndarray:
     """
     out = np.asarray(coeffs, dtype=complex)
     for _ in range(order):
-        d = np.empty_like(out)
-        d[..., 1:-1] = out[..., 2:] - out[..., :-2]
-        d[..., 0], d[..., -1] = out[..., 1] - out[..., -1], out[..., 0] - out[..., -2]
-        out = d / (2.0 * dxi)
+        wrapped = np.concatenate((out[..., -1:], out, out[..., :1]), axis=-1)
+        out = (wrapped[..., 2:] - wrapped[..., :-2]) / (2.0 * dxi)
     return out
 
 
@@ -197,6 +196,28 @@ def _eigenvalues(n_modes: int) -> np.ndarray:
     return 2.0 * np.arange(n_modes) + 2.0
 
 
+@lru_cache(maxsize=32)
+def _norm_weights(n_modes: int, M: float, n_x1: int | None = None,
+                  length_x1: float | None = None, N: float | None = None) -> tuple:
+    """The weights of the norms, built once per grid and exponents and
+    read-only: (lam^(2M),) for ``hm_l2_norm``, and with the x1 grid and N
+    also (xi^2 + lam)^(2N), <xi>^(2N) and <xi>^3 for ``composite_norms``.
+    A ``Grid`` holds arrays and cannot be hashed, so its size and length key
+    the cache."""
+    lam = _eigenvalues(n_modes)
+    if n_x1 is None:
+        weights = (lam ** (2.0 * M),)
+    else:
+        xi2 = (2.0 * math.pi * np.fft.fftfreq(n_x1, d=length_x1 / n_x1)) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflowing weight norms to inf
+            lam_m = lam ** (2.0 * M)
+        weights = (lam_m, (xi2[None, :] + lam[:, None]) ** (2.0 * N),
+                   (1.0 + xi2) ** N, (1.0 + xi2) ** 1.5)
+    for w in weights:
+        w.flags.writeable = False
+    return weights
+
+
 def composite_norms(state: SpectralState, grid: Grid, M: float, N: float) -> CompositeNorms:
     """All norms of Definition-style spaces for a state.
 
@@ -207,22 +228,19 @@ def composite_norms(state: SpectralState, grid: Grid, M: float, N: float) -> Com
     components; the "-" component is the mirror of "+", so each is twice the
     "+" norm.
     """
-    xi2 = grid.xi ** 2
-    lam = _eigenvalues(state.n_modes)
-    w_full = (xi2[None, :] + lam[:, None]) ** (2.0 * N)
-    w_xi_N = (1.0 + xi2) ** N
-    w_xi_32 = (1.0 + xi2) ** 1.5
+    lam_m, w_full, w_xi_N, w_xi_32 = _norm_weights(state.n_modes, M, grid.n_x1,
+                                                   grid.length_x1, N)
     bracket_t = math.sqrt(1.0 + state.time * state.time)
     scale = grid.dxi / (2.0 * math.pi)
 
     with np.errstate(over="ignore", invalid="ignore"):   # a huge state norms to inf
         a2 = np.abs(state.coeffs) ** 2
         tilde = math.sqrt(np.sum(w_full * a2) * scale)
-        hmhn = math.sqrt(np.sum(lam ** (2.0 * M) * np.sum(w_xi_N * a2, axis=1)) * scale)
+        hmhn = math.sqrt(np.sum(lam_m * np.sum(w_xi_N * a2, axis=1)) * scale)
         d1 = np.abs(xi_derivative(state.coeffs, grid.dxi)) ** 2
         mode32 = np.sum(w_xi_32 * (a2 + d1), axis=1)   # per-mode H^(3/2)(<x>)^2
         b_t = math.sqrt(np.sum(mode32) * scale) / math.sqrt(bracket_t)
-        bm = math.sqrt(np.sum(lam ** (2.0 * M) * mode32) * scale) / math.sqrt(bracket_t)
+        bm = math.sqrt(np.sum(lam_m * mode32) * scale) / math.sqrt(bracket_t)
     return CompositeNorms(tilde_HN=2.0 * tilde, HM_HN=2.0 * hmhn, B_t=2.0 * b_t,
                           S_MN_t=2.0 * (tilde + bm))
 
@@ -230,7 +248,7 @@ def composite_norms(state: SpectralState, grid: Grid, M: float, N: float) -> Com
 def hm_l2_norm(coeffs: np.ndarray, grid: Grid, M0: float) -> float:
     """Hermite-weighted L2 norm sum_sigma ||(2p+2)^M0 f_p||_{l2 L2}, physical
     scale: twice the norm of the "+" coefficients (P, n_x1)."""
-    lam = _eigenvalues(coeffs.shape[0]) ** (2.0 * M0)
+    (lam,) = _norm_weights(coeffs.shape[0], M0)
     with np.errstate(over="ignore", invalid="ignore"):
         return 2.0 * math.sqrt(np.sum(lam[:, None] * np.abs(coeffs) ** 2)
                                * grid.dxi / (2.0 * math.pi))

@@ -16,12 +16,14 @@ and so must agree with it byte for byte.
 The cross-checks and reference scales of the paper that no command computes
 live here as well: the Hermite eigen-residual, the interaction decay
 envelope, the closed-form phase derivatives the phase module does not need,
-the phase floor, the non-stationary bound, the physical-space frequency
-derivative and the massless resonance condition.
+the closed form of the kinked stationary-phase integral, the phase floor, the
+non-stationary bound, the physical-space frequency derivative and the
+massless resonance condition.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -109,12 +111,48 @@ def nonstationary_bound(spec, gradient_floor: float, amplitude_deriv=None) -> fl
     return math.sqrt(rho) / (spec.time * gradient_floor) * sum(norms)
 
 
+def kinked_gaussian_exact(t: float) -> complex:
+    """integral e^(i t x^2) e^(-x^2) (1 + |x|^(1/2)) dx over the real line, in
+    closed form: with a = 1 - i t, sqrt(pi/a) + Gamma(3/4) a^(-3/4), both
+    powers on the principal branch.  The window [-8, 8] of the kinked family
+    drops about e^(-64) of it."""
+    a = complex(1.0, -t)
+    return cmath.sqrt(math.pi / a) + math.gamma(0.75) * cmath.exp(-0.75 * cmath.log(a))
+
+
 def xi_derivative_physical(grid, coeffs: np.ndarray) -> np.ndarray:
     """d/dxi of one coefficient row as the transform of (-i x) f, exact for
     band-limited data."""
     from reslab.transform import forward_x1, inverse_x1
 
     return forward_x1(grid, -1j * grid.x1 * inverse_x1(grid, coeffs))
+
+
+def composite_norms_reference(coeffs: np.ndarray, time: float, grid, M: float,
+                              N: float) -> tuple[float, float, float, float]:
+    """(tilde_HN, HM_HN, B_t, S_MN_t) of a "+" state (P, n_x1) with every weight
+    built at the call and the xi derivative taken by ``np.roll``; each norm is
+    twice the "+" one."""
+    xi2 = grid.xi ** 2
+    lam = 2.0 * np.arange(coeffs.shape[0]) + 2.0
+    a2 = np.abs(coeffs) ** 2
+    d1 = np.abs((np.roll(coeffs, -1, axis=1) - np.roll(coeffs, 1, axis=1))
+                / (2.0 * grid.dxi)) ** 2
+    scale = grid.dxi / (2.0 * math.pi)
+    bracket_t = math.sqrt(1.0 + time * time)
+    tilde = math.sqrt(np.sum((xi2[None, :] + lam[:, None]) ** (2.0 * N) * a2) * scale)
+    hmhn = math.sqrt(np.sum(lam ** (2.0 * M) * np.sum((1.0 + xi2) ** N * a2, axis=1)) * scale)
+    mode32 = np.sum((1.0 + xi2) ** 1.5 * (a2 + d1), axis=1)
+    b_t = math.sqrt(np.sum(mode32) * scale / bracket_t)
+    bm = math.sqrt(np.sum(lam ** (2.0 * M) * mode32) * scale / bracket_t)
+    return 2.0 * tilde, 2.0 * hmhn, 2.0 * b_t, 2.0 * (tilde + bm)
+
+
+def hm_l2_norm_reference(coeffs: np.ndarray, grid, M0: float) -> float:
+    """sum_sigma ||(2p+2)^M0 f_p||_{l2 L2} with the weights built at the call."""
+    lam = (2.0 * np.arange(coeffs.shape[0]) + 2.0) ** (2.0 * M0)
+    return 2.0 * math.sqrt(np.sum(lam[:, None] * np.abs(coeffs) ** 2)
+                           * grid.dxi / (2.0 * math.pi))
 
 
 def is_resonant_massless(m: int, n: int, p: int) -> bool:

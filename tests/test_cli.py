@@ -314,6 +314,20 @@ def test_phase_report_overflowing_radius_exits_3(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_phase_report_at_the_mode_bound_exits_0(tmp_path):
+    # the largest accepted indices probe every regime without a numpy warning
+    out = tmp_path / "pr"
+    mode = str(MAX_MODE)
+    argv = ["phase-report", "--m", mode, "--n", mode, "--p", mode, "--width-probes",
+            "3,LowFreq,-;3,RhoSmall,4;3,RhoLarge,6", "--out-dir", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_OK
+    probes = json.loads((out / "phase_report.json").read_text())["width_probes"]
+    assert [probe["regime"] for probe in probes] == ["LowFreq", "RhoSmall", "RhoLarge"]
+    assert all(0.0 < probe["measured_width"] < math.inf for probe in probes), probes
+
+
 PHASE = ["phase-report", "--m", "0", "--n", "0", "--p", "3"]
 RUN = ["--config", "{tmp}/cfg.json"]
 BAD_ARGUMENTS = {
@@ -324,6 +338,10 @@ BAD_ARGUMENTS = {
     "phase-report m negative": PHASE + ["--m", "-1"],
     "phase-report n negative": PHASE + ["--n", "-1"],
     "phase-report p negative": PHASE + ["--p", "-1"],
+    "phase-report m beyond the mode bound": PHASE + ["--m", "213"],
+    "phase-report m beyond float range": PHASE + ["--m", "1" + "0" * 300],
+    "phase-report n beyond float conversion": PHASE + ["--n", "1" + "0" * 400],
+    "phase-report p beyond float conversion": PHASE + ["--p", "1" + "0" * 400],
     "phase-report radius negative": PHASE + ["--radius", "-1"],
     "phase-report radius zero": PHASE + ["--radius", "0"],
     "phase-report radius nan": PHASE + ["--radius", "nan"],

@@ -2,12 +2,17 @@
 inside and just past each bound, huge ints and values of the wrong type.
 Whatever the config, a run exits 0, 2 or 3 without a traceback or a numpy
 warning, and a run that exits 0 wrote finite norms and a manifest that
-lists exactly the files of its directory.  Only the size fields are clamped,
-so that a valid draw stays a run of a few steps on a small grid.
+lists exactly the files of its directory.  A ``simulate-full`` run that
+exits 0 is resumed from its checkpoint, and the resumed ``trajectory.csv``
+is the uninterrupted one byte for byte, or the resume exits 2.  Only the size
+fields are clamped, so that a valid draw stays a run of a few steps on a
+small grid.
 
 ``phase-report`` keeps the same contract on drawn radii and width probes
 over a wide range of levels j and of dyadic levels k, and a probe it cannot
-measure reports a null width with an error, never a measured width of 0."""
+measure reports a null width with an error, never a measured width of 0.
+A mode index above ``hermite.MAX_MODE``, up to far beyond float range, exits
+2 with an argparse message."""
 
 import contextlib
 import io
@@ -23,6 +28,7 @@ from hypothesis import strategies as st
 
 from reslab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from reslab.evolution import MAX_STEPS, SCHEMA
+from reslab.hermite import MAX_MODE
 
 FLOAT_MAX = sys.float_info.max
 HUGE_INTS = (2 ** 63, 2 ** 64 + 1, 10 ** 400, -(2 ** 63))
@@ -123,13 +129,21 @@ def check_outputs(out: str, compare: bool) -> None:
 
 
 PROPERTIES = SCHEMA["properties"]
+# up to four schema fields, each drawn by ``field_values``
+DRAWN = st.lists(st.sampled_from(sorted(PROPERTIES)), max_size=4, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({name: field_values(PROPERTIES[name])
+                                         for name in names}))
+
+
+def write_config(tmp: str, cfg: dict) -> str:
+    path = os.path.join(tmp, "cfg.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    return path
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(command=st.sampled_from(["compare", "simulate-resonant"]),
-       drawn=st.lists(st.sampled_from(sorted(PROPERTIES)), max_size=4, unique=True).flatmap(
-           lambda names: st.fixed_dictionaries(
-               {name: field_values(PROPERTIES[name]) for name in names})))
+@given(command=st.sampled_from(["compare", "simulate-resonant"]), drawn=DRAWN)
 # a packet narrower than the grid spacing squares xi/w to inf; its Gaussian
 # is exp(-inf) = 0 there, which must not warn
 @example(command="compare", drawn={"packet_width": 1e-300})
@@ -145,15 +159,47 @@ def test_run_contract_on_schema_draws(command, drawn):
     if command == "simulate-resonant":   # the hermite-mode flow is idle
         cfg["coupling_mode"] = "unit"
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cfg.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(cfg, fh)
         out = os.path.join(tmp, "out")
-        code, err = run_cli([command, "--config", path, "--out-dir", out])
+        code, err = run_cli([command, "--config", write_config(tmp, cfg), "--out-dir", out])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), (code, err)
         assert "Traceback" not in err
         if code == EXIT_OK:
             check_outputs(out, compare=(command == "compare"))
+
+
+# valid small grids and amplitudes under the other drawn fields, so that most
+# draws step the nonlinear kick and reach the resume
+GRIDS = st.fixed_dictionaries({"P": st.integers(2, 8), "n_x1": st.sampled_from([16, 32]),
+                               "length_x1": st.floats(2.0, 64.0), "eps": st.floats(0.0, 100.0)})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(grid=GRIDS, drawn=DRAWN)
+# the base run checkpoints at steps 4 and 8 of 10, so the resume reruns two steps
+@example(grid={}, drawn={})
+# no checkpoint is written, so the resume starts afresh
+@example(grid={}, drawn={"checkpoint_every": 0})
+def test_simulate_full_resume_on_schema_draws(grid, drawn):
+    cfg = clamp_sizes({**BASE, **grid, **drawn})
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["simulate-full", "--config", write_config(tmp, cfg),
+                "--out-dir", os.path.join(tmp, "out")]
+        code, err = run_cli(argv)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), (code, err)
+        assert "Traceback" not in err
+        if code != EXIT_OK:
+            return
+        check_outputs(argv[-1], compare=False)
+        csv = os.path.join(argv[-1], "trajectory.csv")
+        with open(csv, "rb") as fh:
+            uninterrupted = fh.read()
+        code, err = run_cli(argv + ["--resume"])
+        assert code in (EXIT_OK, EXIT_CONFIG), (code, err)
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            with open(csv, "rb") as fh:
+                assert fh.read() == uninterrupted
+            check_outputs(argv[-1], compare=False)
 
 
 # levels j and dyadic levels k: small, wide, at the float limits and huge
@@ -191,3 +237,23 @@ def test_phase_report_contract_on_drawn_probes(m, n, p, radius, probes):
                 else:
                     assert 0.0 < entry["measured_width"] < math.inf, entry
                     assert 0.0 <= entry["reference_scale"] < math.inf, entry
+
+
+# valid indices, indices just past the bound and far past float range
+MODES = st.one_of(st.integers(0, MAX_MODE), st.integers(MAX_MODE + 1, 10 ** 6),
+                  st.sampled_from([0, MAX_MODE, MAX_MODE + 1, 10 ** 300, 10 ** 400]))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(m=MODES, n=MODES, p=MODES)
+@example(m=0, n=10 ** 400, p=0)
+@example(m=10 ** 300, n=0, p=0)
+def test_phase_report_mode_bound_on_drawn_indices(m, n, p):
+    with tempfile.TemporaryDirectory() as out:
+        code, err = run_cli(["phase-report", "--m", str(m), "--n", str(n), "--p", str(p),
+                             "--out-dir", out])
+    assert "Traceback" not in err
+    if max(m, n, p) > MAX_MODE:
+        assert code == EXIT_CONFIG and f"must be an integer in [0, {MAX_MODE}]" in err, err
+    else:
+        assert code in (EXIT_OK, EXIT_NUMERIC), (code, err)

@@ -8,10 +8,12 @@ from oracles import (leapfrog_reference, physical_field_on, resonant_rhs_referen
                      strang_step_reference, two_component)
 from reslab.errors import BlowupDetected
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
-                              init_profile, make_grid, run_compare, run_single)
+                              _check_ceiling, init_profile, make_grid, run_compare,
+                              run_single)
+from reslab.hermite import _cubic_rule
 from reslab.phase import d2_at_stationary, lambda_coeff
 from reslab.triples import interactions_for_output
-from reslab.transform import (SpectralState, composite_norms, interp_matrix,
+from reslab.transform import (Grid, SpectralState, composite_norms, interp_matrix,
                               minus_component)
 
 
@@ -158,6 +160,40 @@ def test_resonant_segment_matches_single_steps(small_setup):
     assert segment.time == single.time
     assert np.array_equal(segment.coeffs, single.coeffs)
     assert not np.array_equal(segment.coeffs, state.coeffs)
+
+
+def test_exact_order_cubic_rule_matches_a_wider_rule():
+    # the projection of u^2 is exact on the 12 cubic nodes of the desk basis,
+    # so a 40-node rule steps the same trajectory up to roundoff
+    cfg = SimConfig(eps=2e4, P=8, n_x1=128, length_x1=16.0, dt=0.02, t_end=1.0)
+    grid, state = init_profile(cfg)
+    basis = grid.basis
+    assert basis.cubic_phi.shape[1] == 12
+    cubic_phi, cubic_total = _cubic_rule(40, basis.max_mode)
+    wide = Grid(grid.n_x1, grid.length_x1, dataclasses.replace(
+        basis, cubic_phi=cubic_phi, cubic_total_weights=cubic_total))
+    start = state.coeffs.copy()
+    exact = FullStepper(grid, cfg.P).step(state, cfg.dt, 50)
+    assert np.array_equal(state.coeffs, start)   # the in-place kick works on a copy
+    ref = FullStepper(wide, cfg.P).step(state, cfg.dt, 50)
+    scale = np.max(np.abs(ref.coeffs))
+    assert np.max(np.abs(exact.coeffs - ref.coeffs)) <= 1e-14 * scale
+    # the kicks moved f far beyond the tolerance, so the comparison is not vacuous
+    assert np.max(np.abs(ref.coeffs - state.coeffs)) >= 1e-6 * scale
+
+
+def test_ceiling_check_decisions():
+    ceiling = 2.5
+    coeffs = np.zeros((2, 16), dtype=complex)
+    coeffs[1, 3] = ceiling
+    _check_ceiling(coeffs, ceiling)   # exactly at the ceiling passes
+    coeffs[1, 3] = 1j * ceiling
+    _check_ceiling(coeffs, ceiling)
+    for bad in (math.nextafter(ceiling, math.inf), math.inf, -math.inf, math.nan,
+                complex(0.0, math.nan)):
+        coeffs[1, 3] = bad
+        with pytest.raises(BlowupDetected, match="exceeds"):
+            _check_ceiling(coeffs, ceiling)
 
 
 def test_reality_preserved_by_full_step():

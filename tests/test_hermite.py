@@ -11,8 +11,9 @@ from scipy.special import roots_hermite
 
 from oracles import (adaptive_triple, eigen_residual, interaction_bound_ratio,
                      psi_direct, triple_table_dict, write_triple_csv)
-from reslab.hermite import (MAX_QUAD_ORDER, TripleProductTable, gauss_hermite,
-                            hermite_table, norm_constant, triple_product)
+from reslab.hermite import (MAX_QUAD_ORDER, HermiteBasis, TripleProductTable,
+                            gauss_hermite, hermite_table, norm_constant, triple_product,
+                            triple_quad_order)
 from reslab.transform import Grid, forward
 
 
@@ -30,6 +31,17 @@ def test_phi2_at_origin_frozen_oracle_value():
     phi2 = hermite_table(2, [0.0])[2, 0]
     assert phi2 == pytest.approx(-0.5311259660135984, rel=1e-13)
     assert phi2 == pytest.approx(psi_direct(2, 0.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("max_mode,cubic", [(0, 2), (7, 12), (25, 39), (31, 48)])
+def test_basis_cubic_rule_has_the_exact_order(max_mode, cubic):
+    # the cubic rule takes the fewest nodes that make every triple integral
+    # exact; only the plain rule keeps the floor of 40
+    basis = HermiteBasis.build(max_mode)
+    assert basis.cubic_phi.shape == (max_mode + 1, cubic)
+    assert cubic == triple_quad_order(max_mode, max_mode, max_mode)
+    assert basis.cubic_total_weights.shape == (cubic,)
+    assert basis.quad_order == max(cubic, 40) == basis.phi.shape[1] == basis.nodes.size
 
 
 def test_gauss_hermite_matches_scipy():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (nonstationary_bound, refine_edges_per_panel,
+from oracles import (kinked_gaussian_exact, nonstationary_bound, refine_edges_per_panel,
                      uniform_panel_edges)
 from reslab import oscillatory
 from reslab.errors import DegenerateStationaryPoint, ResolutionError
@@ -88,6 +88,17 @@ def test_panels_carry_at_most_the_phase_budget(t):
 
 def test_local_layout_uses_fewer_panels_than_uniform():
     assert kinked_edges(1e4).size - 1 <= 0.4 * (kinked_edges(1e4, uniform_panel_edges).size - 1)
+
+
+def test_decay_table_matches_kinked_closed_form():
+    # the breakpoint-graded panels resolve the |x|^(1/2) kink at the stationary
+    # point to rounding, at every time of the table
+    rows = stat_phase_decay_table()["rows"]
+    assert [row["t"] for row in rows] == [100.0, 316.23, 1000.0, 3162.3, 10000.0]
+    for row in rows:
+        exact = kinked_gaussian_exact(row["t"])
+        value = complex(row["quadrature_re"], row["quadrature_im"])
+        assert abs(value - exact) <= 1e-12 * abs(exact), row["t"]
 
 
 def test_decay_table_matches_uniform_layout(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from reslab.errors import ConfinementWarning, InterpolationRangeError
 from reslab.hermite import HermiteBasis, hermite_table
-from oracles import xi_derivative_physical
+from oracles import composite_norms_reference, hm_l2_norm_reference, xi_derivative_physical
 from reslab.transform import (CompositeNorms, Grid, SpectralState,
                               composite_norms, forward, forward_x1, hm_l2_norm,
                               interp_matrix, inverse, inverse_x1, load_state,
@@ -282,6 +282,28 @@ def test_snapshot_geometry_mismatch(tmp_path, grid64):
         save_state(path, grid64, {}, f=SpectralState(0.0, np.zeros(shape, complex)))
         with pytest.raises(ValueError, match=r"shape \(" + ", ".join(map(str, shape))):
             load_state(path, grid64)
+
+
+def test_cached_norm_weights_match_a_fresh_build():
+    # the weights are cached per grid and exponents: calls that alternate
+    # between two grids, two mode counts and several exponents and times must
+    # each read their own
+    rng = np.random.default_rng(11)
+    grids = [Grid(64, 16.0, HermiteBasis.build(5)), Grid(128, 24.0, HermiteBasis.build(5))]
+    cases = [(grid, n_modes, M, N, t) for grid in grids for n_modes in (3, 6)
+             for M, N, t in ((4.0, 2.0, 0.0), (2.0, 1.5, 3.0), (7.5, 0.0, 0.5))]
+    coeffs_of = [random_state(grid, n_modes, rng).coeffs for grid, n_modes, *_ in cases]
+    order = list(range(len(cases)))
+    for i in order + order[::-1]:
+        case, coeffs = cases[i], coeffs_of[i]
+        grid, _, M, N, t = case
+        ours = dataclasses.astuple(composite_norms(SpectralState(t, coeffs), grid, M, N))
+        ref = composite_norms_reference(coeffs, t, grid, M, N)
+        for a, b in zip(ours, ref):
+            assert a == pytest.approx(b, rel=1e-14, abs=0.0), case
+        for M0 in (0.0, M):
+            assert hm_l2_norm(coeffs, grid, M0) == pytest.approx(
+                hm_l2_norm_reference(coeffs, grid, M0), rel=1e-14, abs=0.0), case
 
 
 def test_hm_l2_norm_eigenvalue_weights(grid64):
