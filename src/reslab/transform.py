@@ -192,10 +192,6 @@ class CompositeNorms:
     S_MN_t: float
 
 
-def _eigenvalues(n_modes: int) -> np.ndarray:
-    return 2.0 * np.arange(n_modes) + 2.0
-
-
 @lru_cache(maxsize=32)
 def _norm_weights(n_modes: int, M: float, n_x1: int | None = None,
                   length_x1: float | None = None, N: float | None = None) -> tuple:
@@ -204,7 +200,7 @@ def _norm_weights(n_modes: int, M: float, n_x1: int | None = None,
     also (xi^2 + lam)^(2N), <xi>^(2N) and <xi>^3 for ``composite_norms``.
     A ``Grid`` holds arrays and cannot be hashed, so its size and length key
     the cache."""
-    lam = _eigenvalues(n_modes)
+    lam = 2.0 * np.arange(n_modes) + 2.0   # the Hermite eigenvalues 2p + 2
     if n_x1 is None:
         weights = (lam ** (2.0 * M),)
     else:
