@@ -4,8 +4,10 @@ serialization, reproducibility plumbing.
 Subcommands: enumerate, phase-report, stat-phase-check, simulate-full,
 simulate-resonant, compare, triple-table.  All take --out-dir.  The simulation
 subcommands read a JSON config via --config, and --seed overrides its seed;
-they checkpoint to out-dir/checkpoint.npz (see ``transform.save_state``), and
---resume continues from it, or starts afresh without one.  stat-phase-check
+each calls ``evolution.run`` with its system ("full", "resonant" or
+"compare").  They checkpoint to out-dir/checkpoint.npz (see
+``transform.save_state``), and --resume continues from it, or starts afresh
+without one; ``_RunWriter`` alone owns these files.  stat-phase-check
 takes --threads (0, the default, means all cores).  Exit codes: 0 success, 2 config
 error (including a checkpoint that is damaged or from another config) or an
 argument its argparse type rejects, 3 numerical failure, 64 unknown subcommand.
@@ -30,8 +32,7 @@ import sys
 import time
 
 from .errors import BlowupDetected, ConfigError, ReslabError, ResolutionError
-from .evolution import (SimConfig, config_from_json, make_grid, run_compare,
-                        run_single)
+from .evolution import SimConfig, config_from_json, make_grid, run
 from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
@@ -154,7 +155,8 @@ def cmd_triple_table(args, out_dir: str):
 
 
 class _RunWriter:
-    """Streams trajectory rows and writes the checkpoint file."""
+    """Owns a run's files in out_dir: decides between a fresh start and a
+    resume, streams the trajectory rows and writes the checkpoint file."""
 
     def __init__(self, out_dir: str, config: SimConfig, compare: bool):
         self.out_dir = out_dir
@@ -164,23 +166,44 @@ class _RunWriter:
                        else "t,tilde_HN,HM_HN,B_t,S_MN_t")
         self.grid = make_grid(config)
         self.csv_path = os.path.join(out_dir, "trajectory.csv")
+        self.ckpt_path = os.path.join(out_dir, CHECKPOINT)
         self.rows = 0
         self._fh = None
 
-    def start(self, truncate_to: int | None = None) -> None:
-        if truncate_to is None:
-            self._fh = open(self.csv_path, "w", encoding="utf-8")
-            self._fh.write(self.header + "\n")
-            self.rows = 0
-        else:
-            with open(self.csv_path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-            if len(lines) < 1 + truncate_to:
-                raise ValueError(f"trajectory.csv has fewer than {truncate_to} rows")
-            with open(self.csv_path, "w", encoding="utf-8") as fh:
-                fh.writelines(lines[:1 + truncate_to])
-            self._fh = open(self.csv_path, "a", encoding="utf-8")
-            self.rows = truncate_to
+    def begin(self, resume: bool) -> dict | None:
+        """Opens trajectory.csv and returns the run loop's ``resume`` dict.
+
+        With ``resume`` and a checkpoint in out_dir, the CSV is cut back to
+        the checkpoint's rows; a damaged checkpoint, or one of another config,
+        raises ConfigError.  Otherwise the run starts afresh, and an earlier
+        run's checkpoint is removed: it is not this run's output.
+        """
+        if resume and os.path.exists(self.ckpt_path):
+            try:
+                meta, states = load_state(self.ckpt_path, self.grid)
+                if meta["config_sha"] != _config_hash(self.config):
+                    raise ConfigError([("/", "checkpoint in out-dir was produced by a "
+                                             "different config; refusing to resume")])
+                loaded = {"step": int(meta["step"]), "f": states["f"],
+                          "g": states.get("g"), "tv": float(meta["tv"])}
+                self.rows = int(meta["rows"])
+                with open(self.csv_path, "r", encoding="utf-8") as fh:
+                    lines = fh.readlines()
+                if len(lines) < 1 + self.rows:
+                    raise ValueError(f"trajectory.csv has fewer than {self.rows} rows")
+                with open(self.csv_path, "w", encoding="utf-8") as fh:
+                    fh.writelines(lines[:1 + self.rows])
+                self._fh = open(self.csv_path, "a", encoding="utf-8")
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ConfigError([("/", f"damaged checkpoint in {self.out_dir} ({exc}); "
+                                         "remove it or run without --resume")]) from exc
+            return loaded
+        for stale in (self.ckpt_path, self.ckpt_path + ".tmp"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(stale)
+        self._fh = open(self.csv_path, "w", encoding="utf-8")
+        self._fh.write(self.header + "\n")
+        return None
 
     def __call__(self, kind: str, step: int, f, g, record) -> None:
         if kind == "out":
@@ -198,32 +221,11 @@ class _RunWriter:
             meta = {"step": step, "rows": self.rows, "tv": record.tv_full,
                     "config_sha": _config_hash(self.config)}
             states = {"f": f} if g is None else {"f": f, "g": g}
-            save_state(os.path.join(self.out_dir, CHECKPOINT), self.grid, meta,
-                       **states)
+            save_state(self.ckpt_path, self.grid, meta, **states)
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
-
-
-def _load_resume(out_dir: str, config: SimConfig, writer: _RunWriter):
-    """Reopens ``writer`` at the checkpoint in out_dir and returns the run
-    loop's ``resume`` dict, or None when out_dir holds no checkpoint."""
-    path = os.path.join(out_dir, CHECKPOINT)
-    if not os.path.exists(path):
-        return None
-    try:
-        meta, states = load_state(path, writer.grid)
-        if meta["config_sha"] != _config_hash(config):
-            raise ConfigError([("/", "checkpoint in out-dir was produced by a "
-                                     "different config; refusing to resume")])
-        resume = {"step": int(meta["step"]), "f": states["f"],
-                  "g": states.get("g"), "tv": float(meta["tv"])}
-        writer.start(truncate_to=int(meta["rows"]))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError([("/", f"damaged checkpoint in {out_dir} ({exc}); "
-                                 "remove it or run without --resume")]) from exc
-    return resume
 
 
 def _run_trajectory(args, out_dir: str, which: str):
@@ -231,19 +233,9 @@ def _run_trajectory(args, out_dir: str, which: str):
     for w in warns:
         print(f"warning: {w}", file=sys.stderr)
     writer = _RunWriter(out_dir, config, compare=(which == "compare"))
-    resume = _load_resume(out_dir, config, writer) if args.resume else None
-    if resume is None:   # an earlier run's checkpoint is not this run's output
-        for stale in (CHECKPOINT, CHECKPOINT + ".tmp"):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, stale))
-        writer.start()
-    grid = writer.grid
+    resume = writer.begin(args.resume)
     try:
-        if which == "compare":
-            record = run_compare(config, grid=grid, observer=writer, resume=resume)
-        else:
-            record = run_single(config, which, grid=grid, observer=writer,
-                                resume=resume)
+        record = run(config, which, grid=writer.grid, observer=writer, resume=resume)
     finally:
         writer.close()
     outputs = ["trajectory.csv", "summary.json"]
@@ -261,7 +253,7 @@ def _run_trajectory(args, out_dir: str, which: str):
         "tv_full_HM0L2": record.tv_full if which == "compare" else None,
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
-    if os.path.exists(os.path.join(out_dir, CHECKPOINT)):
+    if os.path.exists(writer.ckpt_path):
         outputs.append(CHECKPOINT)
     return (dataclasses.asdict(config),
             {"config": _sha256_file(args.config)} if args.config else {}, outputs)

@@ -50,6 +50,11 @@ convergence can be measured on a non-degenerate right-hand side.  Like the
 full stepper, a call steps a segment.  A flow that leaves the state invariant
 (the linear one, or one with no slot) is the one ``_idle`` flow, which checks
 nothing: the run loop checks the ceiling once, on the initial state.
+
+Runs
+----
+``run(config, which)`` is the one run loop, for "full", "resonant" or
+"compare"; a ``SimConfig`` checks its rules when it is built.
 """
 
 from __future__ import annotations
@@ -79,7 +84,9 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run configuration; ``validate`` reports violations and hypothesis warnings."""
+    """Run configuration, valid by construction: a value that breaks a rule
+    raises ConfigError with (json-pointer, message) issues.  ``warnings``
+    lists the step-rounding and hypothesis warnings."""
 
     eps: float = 0.05
     P: int = 8
@@ -105,20 +112,16 @@ class SimConfig:
     resonant_subcycle: int = 1
     coupling_mode: str = "hermite"
 
-    def validate(self) -> tuple[list[tuple[str, str]], list[str]]:
-        """Returns (errors, warnings); errors carry JSON-pointer paths.
-
-        The per-field rules are ``SCHEMA``'s; type errors are reported alone,
-        as range rules need numbers.  Then come the rules JSON Schema cannot
-        state, and, for a valid config, the step-rounding and hypothesis
-        warnings.
-        """
+    def __post_init__(self) -> None:
+        """The per-field rules are ``SCHEMA``'s; type errors are reported
+        alone, as range rules need numbers.  Then come the rules JSON Schema
+        cannot state."""
         props = SCHEMA["properties"]
         errs = [(f"/{name}", f"must be {_JSON_TYPES[rule['type']]}")
                 for name, rule in props.items()
                 if "type" in rule and not _has_json_type(getattr(self, name), rule)]
         if errs:
-            return errs, []
+            raise ConfigError(errs)
         errs = [(f"/{name}", msg) for name, rule in props.items()
                 for msg in _rule_violations(getattr(self, name), rule)]
         if not errs:   # the step budget and the weights need every field in range
@@ -143,7 +146,10 @@ class SimConfig:
         if any(p >= self.P for p in self.init_modes):
             errs.append(("/init_modes", f"entries must lie in [0, {self.P})"))
         if errs:
-            return errs, []
+            raise ConfigError(errs)
+
+    def warnings(self) -> list[str]:
+        """The step-rounding and hypothesis warnings; the run goes ahead."""
         warns = [f"{name} = {span} is not a multiple of dt = {self.dt}; it is "
                  "rounded to whole steps" for name, span in (("t_end", self.t_end),
                                                             ("s0", self.s0))
@@ -154,7 +160,7 @@ class SimConfig:
             warns.append("M <= 6 violates the resonant-existence hypothesis M > 6")
         if not self.N >= 1.5:
             warns.append("N < 3/2 violates the resonant-existence hypothesis N >= 3/2")
-        return [], warns
+        return warns
 
 
 with open(os.path.join(os.path.dirname(__file__), "config.schema.json"), encoding="utf-8") as _fh:
@@ -206,10 +212,7 @@ def config_from_json(raw: dict) -> tuple[SimConfig, list[str]]:
     if unknown:
         raise ConfigError(unknown)
     config = SimConfig(**{key: _from_json(value, props[key]) for key, value in raw.items()})
-    errors, warns = config.validate()
-    if errors:
-        raise ConfigError(errors)
-    return config, warns
+    return config, config.warnings()
 
 
 def _from_json(value, rule: dict):
@@ -283,8 +286,7 @@ class FullStepper:
             raise ValueError("basis does not cover the requested mode count")
         self.omega = bracket(grid.xi[None, :], np.arange(n_modes)[:, None])
         self.mask = _dealias_mask(grid.n_x1)
-        self.synth = basis.cubic_phi[:n_modes]                       # (P, Qc)
-        self._synth_t = np.ascontiguousarray(self.synth.T)           # (Qc, P)
+        self._synth_t = np.ascontiguousarray(basis.cubic_phi[:n_modes].T)   # (Qc, P)
         self.project = basis.cubic_total_weights * basis.cubic_phi[:n_modes]
         # u = 2 Re F^-1(u~/(2i om)) = Im ifft(u~ to_phys); the forward
         # transform, its (-1)^k phases and the 2/3 rule are one real row
@@ -414,41 +416,24 @@ class TrajectoryRecord:
     resonant_couplings_all_zero: bool = True   # every M(m,n,p) is zero
 
 
-def run_compare(config: SimConfig, grid: Grid | None = None,
-                observer=None, resume: dict | None = None) -> TrajectoryRecord:
-    """Evolve the full profile f from 0 to t_end and the resonant profile g
-    from s0 (g(s0) = f(s0)); record composite norms and the difference norm
-    at the output cadence.
+def run(config: SimConfig, which: str, grid: Grid | None = None,
+        observer=None, resume: dict | None = None) -> TrajectoryRecord:
+    """Evolve the full profile f from 0 to t_end ("full"), the resonant one
+    from the initial profile at s0 ("resonant"), or both ("compare": g forks
+    from f at s0, g(s0) = f(s0), and runs the resonant sub-cycle); record the
+    composite norms, and in "compare" the difference norm, at the output
+    cadence.  Each state advances by segments that end at the output rows, at
+    the fork and at the last step.
 
     ``observer(kind, step, f_state, g_state, record)`` is called at every
-    output time ("out") and at checkpoints ("ckpt"); used by the CLI for CSV
-    streaming and checkpoint files.  ``resume`` (from a checkpoint) carries
-    {"step", "f", "g", "tv"} and restarts the loop mid-trajectory; checkpoints
-    land on output times, so total-variation accumulation continues exactly.
+    output time ("out") and at checkpoints ("ckpt").  ``resume`` (from a
+    checkpoint) carries {"step", "f", "g", "tv"} and restarts the loop
+    mid-trajectory.  The segment ends depend only on the config and every
+    checkpoint is an output row, so a resumed run replays the same segments
+    and its total-variation sum continues exactly.
     """
-    return _run(config, "compare", grid, observer, resume)
-
-
-def run_single(config: SimConfig, which: str, grid: Grid | None = None,
-               observer=None, resume: dict | None = None) -> TrajectoryRecord:
-    """Evolve only the full system ("full") or only the resonant one
-    ("resonant", started from the initial profile at s0)."""
-    if which not in ("full", "resonant"):
-        raise ValueError("which must be 'full' or 'resonant'")
-    return _run(config, which, grid, observer, resume)
-
-
-def _run(config: SimConfig, which: str, grid: Grid | None, observer,
-         resume: dict | None) -> TrajectoryRecord:
-    """The one run loop.  The primary state f is stepped by the full stepper,
-    or by the resonant sub-cycle when ``which == "resonant"``; in "compare" g
-    forks from f at s0 and then runs the same sub-cycle.  Both advance by
-    segments that end at the output rows, at the fork and at the last step.
-    The ends depend only on the config and every checkpoint is an output
-    row, so a resumed run replays the same segments."""
-    errs, _ = config.validate()
-    if errs:
-        raise ValueError("invalid config: " + "; ".join(p for p, _ in errs))
+    if which not in ("full", "resonant", "compare"):
+        raise ValueError("which must be 'full', 'resonant' or 'compare'")
     if grid is None:
         grid = make_grid(config)
     record = TrajectoryRecord()

@@ -126,7 +126,11 @@ def band_width_reference(m: int, n: int, j: int, regime: Regime, k: int | None =
     if regime is Regime.RHO_SMALL:
         if k is None:
             raise ValueError("RhoSmall reference needs the dyadic level k of |eta|")
-        return 2.0 ** (3 * k) * 2.0 ** -j / (2.0 * m + 2.0)
+        scale = 2.0 ** (3 * k - j) / (2.0 * m + 2.0)
+        if scale == 0.0:   # a width measured against 0.0 would compare to nothing
+            raise ValueError(f"RhoSmall reference scale 2^(3k-j)/(2m+2) underflows "
+                             f"at j={j}, k={k}")
+        return scale
     return 2.0 ** (j / 2.0) * math.sqrt(2.0 * n + 2.0)
 
 

@@ -153,17 +153,15 @@ def inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return phys_x1 @ grid.basis.phi[:n_modes]          # (n_x1, Q)
 
 
-def xi_derivative(coeffs: np.ndarray, dxi: float, order: int = 1) -> np.ndarray:
+def xi_derivative(coeffs: np.ndarray, dxi: float) -> np.ndarray:
     """Centered finite difference d/dxi on the FFT-ordered frequency axis.
 
     FFT order is a cyclic shift of monotone xi, so both share the periodic
     neighbours; for trap-confined, band-limited data the wrap is negligible.
     """
-    out = np.asarray(coeffs, dtype=complex)
-    for _ in range(order):
-        wrapped = np.concatenate((out[..., -1:], out, out[..., :1]), axis=-1)
-        out = (wrapped[..., 2:] - wrapped[..., :-2]) / (2.0 * dxi)
-    return out
+    coeffs = np.asarray(coeffs, dtype=complex)
+    wrapped = np.concatenate((coeffs[..., -1:], coeffs, coeffs[..., :1]), axis=-1)
+    return (wrapped[..., 2:] - wrapped[..., :-2]) / (2.0 * dxi)
 
 
 def sobolev_weighted_norm(f_p: np.ndarray, grid: Grid, N: float, kappa: int) -> float:

@@ -308,7 +308,7 @@ def kick_reference(stepper, u: np.ndarray) -> np.ndarray:
     grid = stepper.grid
     mode = (u[0] - u[1]) / (2j * stepper.omega)                     # u~_p
     phys = (grid.n_x1 / grid.length_x1) * np.fft.ifft(grid.alt * mode, axis=1)
-    vals = phys.T @ stepper.synth                                   # (n, Qc)
+    vals = phys.T @ grid.basis.cubic_phi[:stepper.n_modes]          # (n, Qc)
     proj = (vals * vals) @ stepper.project.T                        # (n, P)
     out = grid.dx * grid.alt * np.fft.fft(proj.T, axis=1)
     out[:, stepper.mask] = 0.0

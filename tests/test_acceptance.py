@@ -11,7 +11,7 @@ from oracles import (brute_force_triples, d2phase_deta2, dphase_dxi,
                      eigen_residual, leapfrog_reference, nonstationary_bound,
                      physical_field_on, richardson_d1, richardson_d2)
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
-                              init_profile, run_compare)
+                              init_profile, run)
 from reslab.hermite import HermiteBasis, TripleProductTable, triple_product
 from reslab.oscillatory import (OscIntegralSpec, PhaseCurve, SmoothBump,
                                 duhamel_phase, fresnel_gaussian_spec,
@@ -296,7 +296,7 @@ def test_criterion_8_approximation_scaling():
         cfg = SimConfig(eps=eps, P=8, n_x1=128, length_x1=16.0, dt=0.02,
                         t_end=round(1.0 / eps), s0=1.0, init_modes=(2, 3),
                         M=4.0, N=2.0, M0=1.0, out_every=0.25, seed=7)
-        record = run_compare(cfg)
+        record = run(cfg, "compare")
         diffs = [d for d in record.diff_norms if d == d]
         end_diffs[eps] = diffs[-1]
         ratios[eps] = diffs[-1] / record.tv_full

@@ -89,14 +89,14 @@ def test_schema_matches_simconfig():
     assert SCHEMA["gate"]["enum"] == list(GATES)
 
 
-# the keywords SimConfig.validate enforces, and those that state no rule
+# the keywords SimConfig enforces, and those that state no rule
 ENFORCED = {"type", "minimum", "exclusiveMinimum", "maximum", "enum", "items",
             "minItems"}
 ANNOTATIONS = {"default", "description"}
 
 
 def test_every_schema_keyword_is_enforced():
-    # a rule in a keyword or type that validate does not read would go
+    # a rule in a keyword or type that SimConfig does not read would go
     # unenforced; arrays are read as lists of integers
     for name, prop in SCHEMA.items():
         items = prop.get("items", {})
@@ -617,10 +617,13 @@ def test_missing_checkpoint_starts_fresh(tmp_path):
     out = tmp_path / "out"
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
     (out / CKPT).unlink()
+    (out / (CKPT + ".tmp")).write_bytes(b"left by a killed write")
     _cut(out / "trajectory.csv", 40)
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out),
                  "--resume"]) == EXIT_OK
-    assert (out / "trajectory.csv").read_bytes() == (ref / "trajectory.csv").read_bytes()
+    assert not (out / (CKPT + ".tmp")).exists()
+    for name in ("trajectory.csv", CKPT):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 def test_fresh_run_drops_earlier_checkpoint(tmp_path):

@@ -6,10 +6,9 @@ import pytest
 
 from oracles import (leapfrog_reference, physical_field_on, resonant_rhs_reference,
                      strang_step_reference, two_component)
-from reslab.errors import BlowupDetected
+from reslab.errors import BlowupDetected, ConfigError
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
-                              _check_ceiling, init_profile, make_grid, run_compare,
-                              run_single)
+                              _check_ceiling, init_profile, make_grid, run)
 from reslab.hermite import _cubic_rule
 from reslab.phase import d2_at_stationary, lambda_coeff
 from reslab.triples import interactions_for_output
@@ -29,13 +28,16 @@ def small_setup(small_cfg):
 
 
 def test_config_validation_reports_pointers():
-    errs, warns = SimConfig(dt=0.0, P=0, gate="nope").validate()
-    paths = {p for p, _ in errs}
-    assert "/dt" in paths and "/P" in paths and "/gate" in paths
+    # a SimConfig is valid by construction, built directly or by replace
+    for build in (lambda: SimConfig(dt=0.0, P=0, gate="nope"),
+                  lambda: dataclasses.replace(SimConfig(), dt=0.0, P=0, gate="nope")):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert [p for p, _ in exc.value.issues] == ["/P", "/dt", "/gate", "/init_modes"]
 
 
 def test_config_hypothesis_warnings():
-    _, warns = SimConfig(M=2.0, N=1.0).validate()
+    warns = SimConfig(M=2.0, N=1.0).warnings()
     assert any("M > 3" in w for w in warns)
     assert any("M > 6" in w for w in warns)
     assert any("N >= 3/2" in w for w in warns)
@@ -62,11 +64,10 @@ def test_init_profile_zero_eps():
 
 
 def test_init_profile_non_finite_norm_raises(small_cfg):
-    # validate bounds length_x1, but init_profile is also called directly:
-    # dxi ~ 6e-308 overflows the initial norm, and scaling eps/2 by 1/inf
-    # would start the run at zero
-    cfg = dataclasses.replace(small_cfg, length_x1=1e308, n_x1=32)
-    with np.errstate(over="ignore"), pytest.raises(BlowupDetected, match="norm inf"):
+    # the weight (2P)^(2M) is finite, its product with the state is not;
+    # scaling eps/2 by 1/inf would start the run at zero
+    cfg = dataclasses.replace(small_cfg, M=170.6, n_x1=32)
+    with pytest.raises(BlowupDetected, match="norm inf"):
         init_profile(cfg)
 
 
@@ -358,7 +359,7 @@ def test_resonant_richardson_order_two(small_setup):
 def test_compare_t_end_equals_s0():
     cfg = SimConfig(eps=0.05, P=4, n_x1=64, dt=0.02, t_end=1.0, s0=1.0,
                     init_modes=(0, 3), out_every=1.0)
-    record = run_compare(cfg)
+    record = run(cfg, "compare")
     diffs = [d for d in record.diff_norms if d == d]
     assert diffs == [0.0]
 
@@ -366,7 +367,7 @@ def test_compare_t_end_equals_s0():
 def test_compare_nonlinearity_off_diff_zero():
     cfg = SimConfig(eps=0.05, P=4, n_x1=64, dt=0.02, t_end=2.0, s0=1.0,
                     init_modes=(0, 3), out_every=0.5, nonlinear=False)
-    record = run_compare(cfg)
+    record = run(cfg, "compare")
     diffs = np.array([d for d in record.diff_norms if d == d])
     assert np.max(diffs) <= 1e-14
 
@@ -374,7 +375,7 @@ def test_compare_nonlinearity_off_diff_zero():
 def test_compare_trivial_resonant_flow_flagged():
     cfg = SimConfig(eps=0.05, P=8, n_x1=64, dt=0.02, t_end=2.0, s0=1.0,
                     init_modes=(2, 3), out_every=0.5)
-    record = run_compare(cfg)
+    record = run(cfg, "compare")
     assert record.resonant_triple_count == 6
     assert record.resonant_couplings_all_zero
 
@@ -385,7 +386,7 @@ def test_short_time_agreement_desk_grid():
     horizon = min(20.0, 0.1 * eps ** (-4.0 / 3.0))
     cfg = SimConfig(eps=eps, P=8, n_x1=128, dt=0.02, t_end=20.0, s0=1.0,
                     init_modes=(2, 3), out_every=0.25, seed=7)
-    record = run_compare(cfg)
+    record = run(cfg, "compare")
     times = np.array(record.times)
     diffs = np.array(record.diff_norms)
     window = (times <= horizon) & np.isfinite(diffs)
@@ -395,12 +396,12 @@ def test_short_time_agreement_desk_grid():
 def test_run_single_full_and_resonant():
     cfg = SimConfig(eps=0.05, P=4, n_x1=64, dt=0.02, t_end=1.5, s0=1.0,
                     init_modes=(0, 3), out_every=0.5)
-    rec_f = run_single(cfg, "full")
+    rec_f = run(cfg, "full")
     assert rec_f.times[0] == 0.0 and rec_f.times[-1] == pytest.approx(1.5)
-    rec_r = run_single(cfg, "resonant")
+    rec_r = run(cfg, "resonant")
     assert rec_r.times[0] == 1.0 and rec_r.times[-1] == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        run_single(cfg, "neither")
+    with pytest.raises(ValueError, match="which must be"):
+        run(cfg, "neither")
 
 
 def test_run_single_resonant_honours_subcycle():
@@ -412,7 +413,7 @@ def test_run_single_resonant_honours_subcycle():
 
         def observer(kind, step, f, g, record):
             last["f"] = f
-        run_single(config, "resonant", observer=observer)
+        run(config, "resonant", observer=observer)
         return last["f"]
 
     one = end_state(cfg)

@@ -211,6 +211,17 @@ def test_band_width_probe_rho_small():
     assert ref / 4.0 <= width <= 4.0 * ref
 
 
+def test_rho_small_reference_underflow_is_reported():
+    # at m = 0 the probe still measures a width (0.881) at k = -575, but
+    # 2^(3k) underflows: a reference scale of 0.0 would compare to nothing
+    with pytest.raises(ValueError, match="underflows"):
+        band_width_reference(0, 16, 0, Regime.RHO_SMALL, k=-575)
+    report = phase_report(PhaseParams(0, 16, 3, -1, -1), width_specs=((0, "RhoSmall", -575),))
+    probe, = report["width_probes"]
+    assert probe["measured_width"] is None and "underflows" in probe["error"]
+    assert "reference_scale" not in probe
+
+
 def test_band_width_probe_rejects_wrong_regime():
     with pytest.raises(ValueError):
         band_width_probe(100, 36, 3, Regime.RHO_SMALL, k=4)  # rho too large
