@@ -32,7 +32,7 @@ import sys
 import time
 
 from .errors import BlowupDetected, ConfigError, ReslabError, ResolutionError
-from .evolution import SimConfig, config_from_json, make_grid, run
+from .evolution import COLUMNS, SimConfig, config_from_json, make_grid, run
 from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
@@ -158,12 +158,10 @@ class _RunWriter:
     """Owns a run's files in out_dir: decides between a fresh start and a
     resume, streams the trajectory rows and writes the checkpoint file."""
 
-    def __init__(self, out_dir: str, config: SimConfig, compare: bool):
+    def __init__(self, out_dir: str, config: SimConfig, which: str):
         self.out_dir = out_dir
         self.config = config
-        self.compare = compare
-        self.header = ("t,tilde_HN_f,S_MN_f,S_MN_g,diff_HM0L2" if compare
-                       else "t,tilde_HN,HM_HN,B_t,S_MN_t")
+        self.which = which
         self.grid = make_grid(config)
         self.csv_path = os.path.join(out_dir, "trajectory.csv")
         self.ckpt_path = os.path.join(out_dir, CHECKPOINT)
@@ -174,16 +172,17 @@ class _RunWriter:
         """Opens trajectory.csv and returns the run loop's ``resume`` dict.
 
         With ``resume`` and a checkpoint in out_dir, the CSV is cut back to
-        the checkpoint's rows; a damaged checkpoint, or one of another config,
-        raises ConfigError.  Otherwise the run starts afresh, and an earlier
-        run's checkpoint is removed: it is not this run's output.
+        the checkpoint's rows; a damaged checkpoint, or one of another config
+        or command, raises ConfigError before the CSV is touched.  Otherwise
+        the run starts afresh and removes an earlier run's checkpoint.
         """
         if resume and os.path.exists(self.ckpt_path):
             try:
                 meta, states = load_state(self.ckpt_path, self.grid)
-                if meta["config_sha"] != _config_hash(self.config):
+                if meta["config_sha"] != _config_hash(self.config) \
+                        or meta.get("which") != self.which:
                     raise ConfigError([("/", "checkpoint in out-dir was produced by a "
-                                             "different config; refusing to resume")])
+                                             "different config or command; refusing to resume")])
                 loaded = {"step": int(meta["step"]), "f": states["f"],
                           "g": states.get("g"), "tv": float(meta["tv"])}
                 self.rows = int(meta["rows"])
@@ -202,24 +201,17 @@ class _RunWriter:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(stale)
         self._fh = open(self.csv_path, "w", encoding="utf-8")
-        self._fh.write(self.header + "\n")
+        self._fh.write(",".join(COLUMNS[self.which]) + "\n")
         return None
 
     def __call__(self, kind: str, step: int, f, g, record) -> None:
         if kind == "out":
-            i = len(record.times) - 1
-            nf, ng = record.norms_full[i], record.norms_resonant[i]
-            if self.compare:
-                row = (record.times[i], nf.tilde_HN, nf.S_MN_t,
-                       ng.S_MN_t if ng is not None else float("nan"), record.diff_norms[i])
-            else:
-                row = (record.times[i], nf.tilde_HN, nf.HM_HN, nf.B_t, nf.S_MN_t)
-            self._fh.write(",".join(_fmt(v) for v in row) + "\n")
+            self._fh.write(",".join(map(_fmt, record.row)) + "\n")
             self._fh.flush()
             self.rows += 1
         elif kind == "ckpt":
             meta = {"step": step, "rows": self.rows, "tv": record.tv_full,
-                    "config_sha": _config_hash(self.config)}
+                    "which": self.which, "config_sha": _config_hash(self.config)}
             states = {"f": f} if g is None else {"f": f, "g": g}
             save_state(self.ckpt_path, self.grid, meta, **states)
 
@@ -232,14 +224,13 @@ def _run_trajectory(args, out_dir: str, which: str):
     config, warns = load_config(args.config, {"seed": args.seed})
     for w in warns:
         print(f"warning: {w}", file=sys.stderr)
-    writer = _RunWriter(out_dir, config, compare=(which == "compare"))
+    writer = _RunWriter(out_dir, config, which)
     resume = writer.begin(args.resume)
     try:
         record = run(config, which, grid=writer.grid, observer=writer, resume=resume)
     finally:
         writer.close()
     outputs = ["trajectory.csv", "summary.json"]
-    diffs = [d for d in record.diff_norms if d == d]
     summary = {
         "which": which,
         "gate": config.gate,
@@ -248,8 +239,8 @@ def _run_trajectory(args, out_dir: str, which: str):
         "resonant_triple_count": record.resonant_triple_count,
         "resonant_active_slots": record.resonant_active_slots,
         "resonant_couplings_all_zero": record.resonant_couplings_all_zero,
-        "end_time": record.times[-1] if record.times else None,
-        "end_diff_HM0L2": diffs[-1] if diffs else None,
+        "end_time": record.row[0],
+        "end_diff_HM0L2": record.diff,
         "tv_full_HM0L2": record.tv_full if which == "compare" else None,
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)

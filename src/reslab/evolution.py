@@ -54,7 +54,8 @@ nothing: the run loop checks the ceiling once, on the initial state.
 Runs
 ----
 ``run(config, which)`` is the one run loop, for "full", "resonant" or
-"compare"; a ``SimConfig`` checks its rules when it is built.
+"compare"; a ``SimConfig`` checks its rules when it is built.  It keeps only
+the latest output row, so its memory does not grow with the rows.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -402,12 +403,16 @@ class ResonantStepper:
         return SpectralState(s, coeffs)
 
 
+# the columns of an output row: t and norms of f; in "compare" also the
+# S^(M,N) norm of g and ||f - g||_{H^M0 L2}, both nan before s0
+COLUMNS = {which: ("t", "tilde_HN", "HM_HN", "B_t", "S_MN_t") for which in ("full", "resonant")}
+COLUMNS["compare"] = ("t", "tilde_HN_f", "S_MN_f", "S_MN_g", "diff_HM0L2")
+
+
 @dataclass
 class TrajectoryRecord:
-    times: list[float] = field(default_factory=list)
-    norms_full: list = field(default_factory=list)      # CompositeNorms of f
-    norms_resonant: list = field(default_factory=list)  # CompositeNorms of g or None
-    diff_norms: list = field(default_factory=list)      # ||f-g||_{H^M0 L2} or nan
+    row: tuple = ()     # the latest output row, in the order of COLUMNS[which]
+    diff: float | None = None   # the latest ||f-g||_{H^M0 L2}, None before s0
     # discrete total variation sum_i ||f(t_{i+1}) - f(t_i)||_{H^M0 L2} over the
     # output times of the comparison window [s0, t_end]
     tv_full: float = 0.0
@@ -420,19 +425,20 @@ def run(config: SimConfig, which: str, grid: Grid | None = None,
         observer=None, resume: dict | None = None) -> TrajectoryRecord:
     """Evolve the full profile f from 0 to t_end ("full"), the resonant one
     from the initial profile at s0 ("resonant"), or both ("compare": g forks
-    from f at s0, g(s0) = f(s0), and runs the resonant sub-cycle); record the
-    composite norms, and in "compare" the difference norm, at the output
-    cadence.  Each state advances by segments that end at the output rows, at
-    the fork and at the last step.
+    from f at s0, g(s0) = f(s0), and runs the resonant sub-cycle); build a
+    row of ``COLUMNS[which]`` at the output cadence, which ``record.row``
+    holds until the next.  Each state advances by segments that end at the
+    output rows, at the fork and at the last step.
 
     ``observer(kind, step, f_state, g_state, record)`` is called at every
     output time ("out") and at checkpoints ("ckpt").  ``resume`` (from a
     checkpoint) carries {"step", "f", "g", "tv"} and restarts the loop
     mid-trajectory.  The segment ends depend only on the config and every
-    checkpoint is an output row, so a resumed run replays the same segments
-    and its total-variation sum continues exactly.
+    checkpoint is an output row, so a resumed run replays the same segments,
+    its total-variation sum continues exactly and the checkpoint's states
+    give ``record`` the last row written before the stop.
     """
-    if which not in ("full", "resonant", "compare"):
+    if which not in COLUMNS:
         raise ValueError("which must be 'full', 'resonant' or 'compare'")
     if grid is None:
         grid = make_grid(config)
@@ -459,46 +465,47 @@ def run(config: SimConfig, which: str, grid: Grid | None = None,
     # the fork is at least one step in: the resonant kernel 1/sqrt(s) is singular at s = 0
     i_s0 = max(1, round(min(config.s0, config.t_end) / config.dt)) if which == "compare" else -1
 
-    if resume is not None:
-        i_start = int(resume["step"])
-        f = resume["f"].copy()
-        g = resume["g"].copy() if resume["g"] is not None else None
-        record.tv_full = float(resume.get("tv", 0.0))
-        prev_out = f.coeffs.copy() if g is not None else None
-    else:
-        i_start = 0
-        _, f = init_profile(config, grid)
-        _check_ceiling(f.coeffs, config.norm_ceiling)
-        if which == "resonant":
-            f.time = t_start
-        g = None
-        prev_out = None
+    def measure() -> list[float]:
+        """Sets ``record.row`` from the states; returns every norm it computed."""
+        nf = composite_norms(f, grid, config.M, config.N)
+        values = [*vars(nf).values()]
+        if which != "compare":
+            record.row = (f.time, *values)
+        elif g is None:
+            record.row = (f.time, nf.tilde_HN, nf.S_MN_t, math.nan, math.nan)
+        else:
+            ng = composite_norms(g, grid, config.M, config.N)
+            record.diff = hm_l2_norm(f.coeffs - g.coeffs, grid, config.M0)
+            record.row = (f.time, nf.tilde_HN, nf.S_MN_t, ng.S_MN_t, record.diff)
+            values += [*vars(ng).values(), record.diff]
+        return values
 
     def emit(step: int) -> None:
         nonlocal prev_out
-        record.times.append(f.time)
-        record.norms_full.append(composite_norms(f, grid, config.M, config.N))
-        values = [*vars(record.norms_full[-1]).values()]
-        if g is not None:
-            record.norms_resonant.append(composite_norms(g, grid, config.M, config.N))
-            record.diff_norms.append(hm_l2_norm(f.coeffs - g.coeffs, grid, config.M0))
-            if prev_out is not None:
-                record.tv_full += hm_l2_norm(f.coeffs - prev_out, grid, config.M0)
+        values = measure()
+        if g is not None:   # prev_out is f at the last row, or at the fork
+            record.tv_full += hm_l2_norm(f.coeffs - prev_out, grid, config.M0)
             prev_out = f.coeffs.copy()
-            values += [*vars(record.norms_resonant[-1]).values(), record.diff_norms[-1],
-                       record.tv_full]
-        else:
-            record.norms_resonant.append(None)
-            record.diff_norms.append(float("nan"))
+            values.append(record.tv_full)
         # a state under the ceiling can still square past the largest float
         if not all(map(math.isfinite, values)):
             raise BlowupDetected(f"a norm at t = {f.time:.6g} overflows a float")
         if observer is not None:
             observer("out", step, f, g, record)
 
-    if resume is None:
+    if resume is not None:
+        i, f, g = resume["step"], resume["f"], resume["g"]   # no step mutates a state
+        record.tv_full = resume["tv"]
+        prev_out = f.coeffs.copy()
+        measure()   # the row written last before the stop
+    else:
+        i = 0
+        _, f = init_profile(config, grid)
+        _check_ceiling(f.coeffs, config.norm_ceiling)
+        if which == "resonant":
+            f.time = t_start
+        g = prev_out = None
         emit(0)
-    i = i_start
     while i < n_total:
         # one segment: up to the next output row, or to the fork before it
         end = min((i // out_stride + 1) * out_stride, n_total)

@@ -297,9 +297,8 @@ def test_criterion_8_approximation_scaling():
                         t_end=round(1.0 / eps), s0=1.0, init_modes=(2, 3),
                         M=4.0, N=2.0, M0=1.0, out_every=0.25, seed=7)
         record = run(cfg, "compare")
-        diffs = [d for d in record.diff_norms if d == d]
-        end_diffs[eps] = diffs[-1]
-        ratios[eps] = diffs[-1] / record.tv_full
+        end_diffs[eps] = record.diff
+        ratios[eps] = record.diff / record.tv_full
     eps_arr = np.array([0.1, 0.05, 0.025])
     d_arr = np.array([end_diffs[e] for e in eps_arr])
     exponent = float(np.polyfit(np.log(eps_arr), np.log(d_arr), 1)[0])

@@ -496,8 +496,8 @@ def test_kill_and_resume_with_fork_off_the_output_grid(tmp_path, monkeypatch, ki
     _crash_compare(cfg, crashdir, monkeypatch, kill_after=kill_after)
     assert main(["compare", "--config", str(cfg), "--out-dir", str(crashdir),
                  "--resume"]) == EXIT_OK
-    assert (crashdir / "trajectory.csv").read_bytes() == \
-        (ref / "trajectory.csv").read_bytes()
+    for name in ("trajectory.csv", "summary.json"):
+        assert (crashdir / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 # every file operation one checkpoint makes, in order: the whole file is
@@ -653,6 +653,45 @@ def test_resume_rejects_other_config(tmp_path, capsys):
     assert main(["compare", "--config", str(other), "--out-dir", str(out),
                  "--resume"]) == EXIT_CONFIG
     assert "different config" in capsys.readouterr().err
+
+
+def test_resume_at_the_final_step_rewrites_identical_outputs(tmp_path):
+    # checkpoints land on steps 100 and 200 of 200: the resume steps nothing
+    # and its one row is the checkpoint's
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=4.0, out_every=0.2, checkpoint_every=100)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    before = {name: (out / name).read_bytes() for name in ("trajectory.csv", "summary.json")}
+    assert json.loads(before["summary.json"])["end_diff_HM0L2"] is not None
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out),
+                 "--resume"]) == EXIT_OK
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def _drop_which(d):
+    """Rewrites the checkpoint's meta without the command, as earlier code wrote it."""
+    grid = make_grid(load_config(str(d.parent / "cfg.json"), {})[0])
+    meta, states = transform.load_state(d / CKPT, grid)
+    del meta["which"]
+    transform.save_state(d / CKPT, grid, meta, **states)
+
+
+@pytest.mark.parametrize("first, second", [("simulate-full", "compare"),
+                                           ("simulate-full", "simulate-resonant"),
+                                           ("compare", "compare")])
+def test_resume_rejects_other_command(tmp_path, capsys, first, second):
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=4.0, out_every=0.2, checkpoint_every=60)
+    out = tmp_path / "out"
+    assert main([first, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    if first == second:   # a checkpoint that does not name its command
+        _drop_which(out)
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main([second, "--config", str(cfg), "--out-dir", str(out),
+                 "--resume"]) == EXIT_CONFIG
+    assert "different config or command" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
 
 def test_blowup_exit_code(tmp_path):

@@ -4,9 +4,9 @@ Whatever the config, a run exits 0, 2 or 3 without a traceback or a numpy
 warning, and a run that exits 0 wrote finite norms and a manifest that
 lists exactly the files of its directory.  A ``simulate-full`` run that
 exits 0 is resumed from its checkpoint, and the resumed ``trajectory.csv``
-is the uninterrupted one byte for byte, or the resume exits 2.  Only the size
-fields are clamped, so that a valid draw stays a run of a few steps on a
-small grid.
+and ``summary.json`` are the uninterrupted ones byte for byte, or the resume
+exits 2.  Only the size fields are clamped, so that a valid draw stays a run
+of a few steps on a small grid.
 
 ``phase-report`` keeps the same contract on drawn radii and width probes
 over a wide range of levels j and of dyadic levels k, and a probe it cannot
@@ -135,6 +135,11 @@ DRAWN = st.lists(st.sampled_from(sorted(PROPERTIES)), max_size=4, unique=True).f
                                          for name in names}))
 
 
+def _read(out: str, name: str) -> bytes:
+    with open(os.path.join(out, name), "rb") as fh:
+        return fh.read()
+
+
 def write_config(tmp: str, cfg: dict) -> str:
     path = os.path.join(tmp, "cfg.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -179,6 +184,8 @@ GRIDS = st.fixed_dictionaries({"P": st.integers(2, 8), "n_x1": st.sampled_from([
 @example(grid={}, drawn={})
 # no checkpoint is written, so the resume starts afresh
 @example(grid={}, drawn={"checkpoint_every": 0})
+# the last checkpoint is at the last step, so the resume steps nothing
+@example(grid={}, drawn={"checkpoint_every": 10})
 def test_simulate_full_resume_on_schema_draws(grid, drawn):
     cfg = clamp_sizes({**BASE, **grid, **drawn})
     with tempfile.TemporaryDirectory() as tmp:
@@ -190,15 +197,13 @@ def test_simulate_full_resume_on_schema_draws(grid, drawn):
         if code != EXIT_OK:
             return
         check_outputs(argv[-1], compare=False)
-        csv = os.path.join(argv[-1], "trajectory.csv")
-        with open(csv, "rb") as fh:
-            uninterrupted = fh.read()
+        uninterrupted = {name: _read(argv[-1], name) for name in ("trajectory.csv", "summary.json")}
         code, err = run_cli(argv + ["--resume"])
         assert code in (EXIT_OK, EXIT_CONFIG), (code, err)
         assert "Traceback" not in err
         if code == EXIT_OK:
-            with open(csv, "rb") as fh:
-                assert fh.read() == uninterrupted
+            for name, data in uninterrupted.items():
+                assert _read(argv[-1], name) == data, name
             check_outputs(argv[-1], compare=False)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,19 +357,29 @@ def test_resonant_richardson_order_two(small_setup):
     assert 3.5 <= ratio <= 4.5
 
 
+def run_rows(config, which):
+    """The run's record and every output row, collected by an observer."""
+    rows = []
+
+    def observer(kind, step, f, g, record):
+        if kind == "out":
+            rows.append(record.row)
+    return run(config, which, observer=observer), rows
+
+
 def test_compare_t_end_equals_s0():
     cfg = SimConfig(eps=0.05, P=4, n_x1=64, dt=0.02, t_end=1.0, s0=1.0,
                     init_modes=(0, 3), out_every=1.0)
-    record = run(cfg, "compare")
-    diffs = [d for d in record.diff_norms if d == d]
+    _, rows = run_rows(cfg, "compare")
+    diffs = [row[4] for row in rows if row[4] == row[4]]
     assert diffs == [0.0]
 
 
 def test_compare_nonlinearity_off_diff_zero():
     cfg = SimConfig(eps=0.05, P=4, n_x1=64, dt=0.02, t_end=2.0, s0=1.0,
                     init_modes=(0, 3), out_every=0.5, nonlinear=False)
-    record = run(cfg, "compare")
-    diffs = np.array([d for d in record.diff_norms if d == d])
+    _, rows = run_rows(cfg, "compare")
+    diffs = np.array([row[4] for row in rows if row[4] == row[4]])
     assert np.max(diffs) <= 1e-14
 
 
@@ -386,9 +397,8 @@ def test_short_time_agreement_desk_grid():
     horizon = min(20.0, 0.1 * eps ** (-4.0 / 3.0))
     cfg = SimConfig(eps=eps, P=8, n_x1=128, dt=0.02, t_end=20.0, s0=1.0,
                     init_modes=(2, 3), out_every=0.25, seed=7)
-    record = run(cfg, "compare")
-    times = np.array(record.times)
-    diffs = np.array(record.diff_norms)
+    record, rows = run_rows(cfg, "compare")
+    times, diffs = np.array(rows)[:, [0, 4]].T
     window = (times <= horizon) & np.isfinite(diffs)
     assert np.all(diffs[window] <= 0.1 * record.tv_full)
 
@@ -396,12 +406,30 @@ def test_short_time_agreement_desk_grid():
 def test_run_single_full_and_resonant():
     cfg = SimConfig(eps=0.05, P=4, n_x1=64, dt=0.02, t_end=1.5, s0=1.0,
                     init_modes=(0, 3), out_every=0.5)
-    rec_f = run(cfg, "full")
-    assert rec_f.times[0] == 0.0 and rec_f.times[-1] == pytest.approx(1.5)
-    rec_r = run(cfg, "resonant")
-    assert rec_r.times[0] == 1.0 and rec_r.times[-1] == pytest.approx(1.5)
+    for which, t0 in (("full", 0.0), ("resonant", 1.0)):
+        record, rows = run_rows(cfg, which)
+        assert rows[0][0] == t0 and rows[-1][0] == pytest.approx(1.5)
+        assert record.row == rows[-1] and record.diff is None
     with pytest.raises(ValueError, match="which must be"):
         run(cfg, "neither")
+
+
+def test_run_memory_does_not_grow_with_rows():
+    # the run streams its rows: holding them all would retain about 0.35 kB
+    # a row, 155 kB more for 500 rows than for 50
+    def retained(rows):
+        cfg = SimConfig(P=2, n_x1=16, init_modes=(0, 1), dt=0.01, t_end=rows * 0.01,
+                        out_every=0.01)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            record = run(cfg, "full")
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    retained(50)   # warm-up: the basis, weight and rule caches
+    assert retained(500) - retained(50) < 10_000
 
 
 def test_run_single_resonant_honours_subcycle():
