@@ -186,12 +186,11 @@ class _RunWriter:
                 loaded = {"step": int(meta["step"]), "f": states["f"],
                           "g": states.get("g"), "tv": float(meta["tv"])}
                 self.rows = int(meta["rows"])
-                with open(self.csv_path, "r", encoding="utf-8") as fh:
-                    lines = fh.readlines()
-                if len(lines) < 1 + self.rows:
-                    raise ValueError(f"trajectory.csv has fewer than {self.rows} rows")
-                with open(self.csv_path, "w", encoding="utf-8") as fh:
-                    fh.writelines(lines[:1 + self.rows])
+                with open(self.csv_path, "r+b") as fh:
+                    for _ in range(1 + self.rows):
+                        if not fh.readline().endswith(b"\n"):
+                            raise ValueError(f"trajectory.csv has fewer than {self.rows} rows")
+                    fh.truncate(fh.tell())
                 self._fh = open(self.csv_path, "a", encoding="utf-8")
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise ConfigError([("/", f"damaged checkpoint in {self.out_dir} ({exc}); "

@@ -4,15 +4,16 @@ the bilinear Duhamel frequency convolution.
 
 Quadrature is composite Gauss-Legendre, chosen over FFT methods because the
 phases here are not polynomial.  Panel width follows the local |psi'|, so no
-panel carries more than _PHASE_BUDGET = 12 radians of phase (Deano, Huybrechs
-& Iserles, Computing Highly Oscillatory Integrals, 2017).  The 16-point
-remainder for e^(i kappa x) on [-1, 1] is 2^33 (16!)^4 / (33 (32!)^3) kappa^32,
-about 2.7e-45 kappa^32 (Davis & Rabinowitz, Methods of Numerical Integration,
-2.7): 2e-20 at such a panel's kappa = 6, but 2e-16 at kappa = 8.
+panel carries more than _PHASE_BUDGET = 48 radians of phase (Deano, Huybrechs
+& Iserles, Computing Highly Oscillatory Integrals, 2017).  The 32-point
+remainder for e^(i kappa x) on [-1, 1] is 2^65 (32!)^4 / (65 (64!)^3) kappa^64,
+about 1.3e-108 kappa^64 (Davis & Rabinowitz, Methods of Numerical Integration,
+2.7): 2.9e-20 at such a panel's kappa = 24, 1e-17 at kappa = 26.3.
 Optional breakpoints get geometrically graded panels so mildly singular
-amplitudes (|x - a|^gamma, gamma > -1) integrate accurately.  Node chunks are
-summed in real arithmetic, and ``--threads`` splits the chunks of each
-integral, not the list of times.
+amplitudes (|x - a|^gamma, gamma > -1) integrate accurately.  A node chunk
+holds _CHUNK = 2^15 nodes, 256 kB per float64 array, so its live temporaries
+fit a 2 MiB L2 cache; chunks are summed in real arithmetic, and ``--threads``
+splits the chunks of each integral, not the list of times.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from .transform import Grid, interp_matrix
 # int e^(i t x^2) dx = sqrt(pi/t) e^(i pi/4).
 C_SP = math.sqrt(2.0 * math.pi)
 
-_GL_ORDER = 16
+_GL_ORDER = 32
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 _MAX_NODES = 20_000_000
-_CHUNK = 1 << 18
+_CHUNK = 1 << 15
 _BLOCKS = 64
-_PHASE_BUDGET = 12.0
+_PHASE_BUDGET = 48.0
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def _panel_edges(a: float, b: float, t: float, dpsi_abs: np.ndarray,
     the block's samples plus one more on each side, and the block is filled
     with equal panels no wider than min(span/8, _PHASE_BUDGET/(|t| bound), 1).
     So no panel carries more than _PHASE_BUDGET radians of phase, where the
-    16-point remainder, about 2.7e-45 (_PHASE_BUDGET/2)^32, is below rounding.
+    32-point remainder, about 1.3e-108 (_PHASE_BUDGET/2)^64, is below rounding.
     Each breakpoint gets panels graded geometrically towards it, starting
     from the width of the block that contains it.
     """
