@@ -593,6 +593,8 @@ DAMAGE = {
     "checkpoint garbage": lambda d: (d / CKPT).write_bytes(b"{step: 7"),
     "payload byte flipped": lambda d: _flip(d / CKPT, _mid_payload(d / CKPT)),
     "trajectory rows missing": lambda d: _cut(d / "trajectory.csv", 40),
+    "last row cut": lambda d: _cut(d / "trajectory.csv",
+                                   (d / "trajectory.csv").stat().st_size - 1),
 }
 
 
