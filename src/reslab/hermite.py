@@ -22,8 +22,10 @@ e^(-y^2) and makes the rule exact for m + n + p <= 2*order - 1.  That
 substituted rule is built in one place, ``_cubic_rule``, for the basis's
 cubic nodes, ``triple_product`` and ``TripleProductTable``; ``MAX_MODE`` is
 the largest mode count it can serve within ``MAX_QUAD_ORDER``.  The table
-stores columns m, n, p, value in one structured array, filled from one Gram
-matmul per p and sorted once.
+stores columns m, n, p, value in one structured array in lexicographic
+order: one run of rows per pair m <= n, holding the even-parity p >= n
+(``_row_runs``).  The values are gathered from one Gram matmul per p, the
+index columns are computed from the runs, and a row is found by arithmetic.
 """
 
 from __future__ import annotations
@@ -150,13 +152,25 @@ def triple_product(m: int, n: int, p: int, quad_order: int | None = None) -> flo
     return float(np.sum(w * table[m] * table[n] * table[p]))
 
 
+def _row_runs(max_mode: int):
+    """The table's row layout: one run per pair m <= n, pairs in row-major
+    order, and the run of (m, n) holds the even-parity p >= n, that is
+    p = first, first + 2, ..., max_mode with first = n + m % 2, in ``count``
+    rows (0 when first > max_mode).  Returns ``mm, nn, first, count``."""
+    mm, nn = np.triu_indices(max_mode + 1)
+    first = nn + mm % 2
+    return mm, nn, first, (max_mode - first) // 2 + 1
+
+
 class TripleProductTable:
     """Symmetric sparse table of T(m,n,p) for m <= n <= p <= max_mode.
 
     ``entries`` is a structured array of rows (m, n, p, value) in
     lexicographic (m, n, p) order, one row per even-parity triple; odd-parity
-    entries are exactly 0 and not stored.  Each value is computed once, in
-    canonical order, so all index permutations return bit-identical values.
+    entries are exactly 0 and not stored.  The rows form the runs of
+    ``_row_runs``, so a row's index is its run's start plus (p - first) // 2.
+    Each value is computed once, in canonical order, so all index
+    permutations return bit-identical values.
     """
 
     _DTYPE = np.dtype([("m", np.int32), ("n", np.int32), ("p", np.int32), ("value", float)])
@@ -167,25 +181,21 @@ class TripleProductTable:
         self.max_mode = max_mode
         self.built_with = quad_order
         table, w_total = _cubic_rule(quad_order, max_mode)
-        blocks = []
+        # G_p[m, n] = sum_i w_i phi_p phi_m phi_n for m, n <= p, stored
+        # row-major at offset sum_{q<p} (q+1)^2 of one flat buffer
+        offset = np.cumsum([0] + [(p + 1) ** 2 for p in range(max_mode + 1)])
+        gram = np.empty(offset[-1])
         for p in range(max_mode + 1):
-            w = w_total * table[p]
-            # G[m, n] = sum_i w_i phi_m phi_n for m, n <= p
-            g = (table[: p + 1] * w) @ table[: p + 1].T
-            mm, nn = np.triu_indices(p + 1)
-            even = (mm + nn + p) % 2 == 0
-            block = np.empty(int(even.sum()), self._DTYPE)
-            block["m"], block["n"], block["p"] = mm[even], nn[even], p
-            block["value"] = g[mm[even], nn[even]]
-            blocks.append(block)
-        rows = np.concatenate(blocks)
-        self.entries = rows[np.lexsort((rows["p"], rows["n"], rows["m"]))]
-        self._keys = self._key(self.entries["m"], self.entries["n"], self.entries["p"])
-
-    def _key(self, m, n, p):
-        """Row key, increasing in lexicographic (m, n, p) order."""
-        base = self.max_mode + 1
-        return (np.asarray(m, np.int64) * base + n) * base + p
+            np.matmul(table[: p + 1] * (w_total * table[p]), table[: p + 1].T,
+                      out=gram[offset[p]:offset[p + 1]].reshape(p + 1, p + 1))
+        mm, nn, first, count = _row_runs(max_mode)
+        self._first, self._start = first, np.cumsum(count) - count
+        m, n = np.repeat(mm, count), np.repeat(nn, count)
+        # row i of run k has p = first[k] + 2 (i - start[k])
+        p = np.repeat(first - 2 * self._start, count) + 2 * np.arange(len(m))
+        self.entries = np.empty(len(m), self._DTYPE)
+        self.entries["m"], self.entries["n"], self.entries["p"] = m, n, p
+        self.entries["value"] = gram[offset[p] + m * (p + 1) + n]
 
     def get(self, m: int, n: int, p: int) -> float:
         if min(m, n, p) < 0:
@@ -195,14 +205,26 @@ class TripleProductTable:
         if (m + n + p) % 2 == 1:
             return 0.0
         a, b, c = sorted((m, n, p))
-        return float(self.entries["value"][np.searchsorted(self._keys, self._key(a, b, c))])
+        run = a * (2 * self.max_mode + 3 - a) // 2 + b - a   # (a, b) in row-major order
+        return float(self.entries["value"][self._start[run] + (c - self._first[run]) // 2])
 
     def write_csv(self, path) -> None:
-        """Columns m,n,p,value with m<=n<=p, lexicographic row order; written
-        in blocks of rows, so the whole text never sits in memory."""
+        """Columns m,n,p,value with m<=n<=p, lexicographic row order.  Each
+        run of ``_row_runs`` is one ``%`` template with its index digits
+        written in and a ``%.17g`` per row; runs are gathered into blocks of
+        at least ``_CSV_BLOCK`` rows and each block is formatted and written
+        as one string, so the whole text never sits in memory."""
+        values = self.entries["value"]
+        tails = [f"{p},%.17g\n" for p in range(self.max_mode + 1)]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("m,n,p,value\n")
-            for start in range(0, len(self.entries), self._CSV_BLOCK):
-                block = self.entries[start:start + self._CSV_BLOCK]
-                rows = zip(*(block[col].tolist() for col in ("m", "n", "p", "value")))
-                fh.write("".join(map("%d,%d,%d,%.17g\n".__mod__, rows)))
+            at, rows, parts = 0, 0, []
+            for m, n, first, count in zip(*(col.tolist() for col in _row_runs(self.max_mode))):
+                if count:
+                    pre = f"{m},{n},"
+                    parts.append(pre + pre.join(tails[first::2]))
+                    rows += count
+                if rows >= self._CSV_BLOCK:
+                    fh.write("".join(parts) % tuple(values[at:at + rows].tolist()))
+                    at, rows, parts = at + rows, 0, []
+            fh.write("".join(parts) % tuple(values[at:at + rows].tolist()))

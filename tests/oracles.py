@@ -9,9 +9,10 @@ The two-component references carry both traveling components, build the
 "-" one by their own conjugate mirror, and compute the kick with complex
 transforms and matmuls; the unfolded Strang step rotates with four separate
 exponentials, as the splitting is written on paper.  The triple-table
-oracle is the exception: it is the package's earlier dict-walk build and
-row-by-row writer, which share the Gram matmul with ``TripleProductTable``
-and so must agree with it byte for byte.
+oracle is the exception: it walks the per-p Gram matmul of
+``TripleProductTable`` into a dict one entry at a time and writes one sorted
+row at a time with ``%d,%d,%d,%.17g``, against the table's run layout and
+per-run templates, and so must agree with it byte for byte.
 
 The cross-checks and reference scales of the paper that no command computes
 live here as well: the Hermite eigen-residual, the interaction decay

@@ -16,7 +16,7 @@ import reslab.evolution as evolution
 import reslab.transform as transform
 from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         load_config, main)
-from oracles import two_component
+from oracles import triple_table_dict, two_component, write_triple_csv
 from reslab.errors import ConfigError
 from reslab.evolution import MAX_STEPS, SimConfig, config_from_json, make_grid
 from reslab.hermite import MAX_MODE
@@ -382,6 +382,13 @@ def test_triple_table_command(tmp_path):
     keys = [tuple(int(v) for v in r.split(",")[:3]) for r in rows[1:]]
     assert keys == sorted(keys)
 
+
+
+def test_triple_table_at_the_benchmark_size_matches_dict_walk(tmp_path):
+    out = tmp_path / "tt"
+    assert main(["triple-table", "--max-mode", "120", "--out-dir", str(out)]) == EXIT_OK
+    write_triple_csv(triple_table_dict(120), tmp_path / "oracle.csv")
+    assert (out / "triple_products.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 def test_compare_deterministic_outputs(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json")

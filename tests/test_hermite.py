@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ def test_quadrature_order_doubling_stability():
         assert abs(v1 - v2) <= 1e-12 * abs(v1) + 1e-14
 
 
-@pytest.mark.parametrize("max_mode", [0, 1, 2, 7, 60])
+@pytest.mark.parametrize("max_mode", [0, 1, 2, 7, 60, 61])
 def test_table_matches_dict_walk_oracle(tmp_path, max_mode):
     table = TripleProductTable(max_mode)
     oracle = triple_table_dict(max_mode)
@@ -185,6 +186,29 @@ def test_table_matches_dict_walk_oracle(tmp_path, max_mode):
         for perm in ((m, n, p), (m, p, n), (n, m, p), (n, p, m), (p, m, n), (p, n, m)):
             assert table.get(*perm) == v
 
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_table_csv_blocks_smaller_than_a_run(tmp_path, monkeypatch, block):
+    # a block closes after the run that fills it, so at these sizes most
+    # blocks hold one or two runs of up to 7 rows, and some runs are empty
+    monkeypatch.setattr(TripleProductTable, "_CSV_BLOCK", block)
+    TripleProductTable(12).write_csv(tmp_path / "table.csv")
+    write_triple_csv(triple_table_dict(12), tmp_path / "oracle.csv")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_table_csv_memory_stays_bounded(tmp_path):
+    # the text at max_mode 120 is 4.7 MB; the writer holds one block of it
+    table = TripleProductTable(120)
+    tracemalloc.start()
+    try:
+        table.write_csv(tmp_path / "table.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "table.csv").stat().st_size > 4_500_000
+    assert peak < 1_500_000
 
 def test_bound_ratio_all_unit_scales():
     # m = n = p = 1: every envelope factor is 1, so the ratio equals |T(1,1,1)|
