@@ -47,9 +47,6 @@ EXIT_USAGE = 64
 
 CHECKPOINT = "checkpoint.npz"
 
-_COMMANDS = ("enumerate", "phase-report", "stat-phase-check", "simulate-full",
-             "simulate-resonant", "compare", "triple-table")
-
 
 def _fmt(x) -> str:
     return "%.17g" % float(x)
@@ -289,7 +286,8 @@ def _width_probes(text: str) -> tuple:
             f"and regime one of {', '.join(r.value for r in Regime)}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
+    """The parser and the names of its subcommands."""
     parser = argparse.ArgumentParser(
         prog="reslab",
         description="Fourier-Hermite resonance toolkit for the trapped "
@@ -335,19 +333,19 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="continue from a checkpoint in out-dir")
         p.add_argument("--seed", type=_int_range(0), default=None)
         common(p, lambda args, out_dir, which=which: _run_trajectory(args, out_dir, which))
-    return parser
+    return parser, tuple(sub.choices)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     if not argv or argv[0] in ("-h", "--help"):
-        _build_parser().print_help()
+        parser.print_help()
         return EXIT_OK
-    if argv[0] not in _COMMANDS:
+    if argv[0] not in commands:
         print(f"unknown subcommand: {argv[0]}", file=sys.stderr)
-        print(f"usage: reslab {{{','.join(_COMMANDS)}}} ...", file=sys.stderr)
+        print(f"usage: reslab {{{','.join(commands)}}} ...", file=sys.stderr)
         return EXIT_USAGE
-    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         out_dir = _ensure_out_dir(args.out_dir or ".")

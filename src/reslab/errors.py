@@ -36,7 +36,3 @@ class ConfigError(ReslabError):
     def __init__(self, issues):
         self.issues = list(issues)
         super().__init__("; ".join(f"{path}: {msg}" for path, msg in self.issues))
-
-
-class ConfinementWarning(UserWarning):
-    """Field mass at the trapped-direction quadrature boundary exceeds tolerance."""

@@ -1,6 +1,6 @@
-"""Oscillatory integrals: direct quadrature of int e^(i t psi(x)) F(x) chi(x) dx,
-the stationary-phase leading term with the Fresnel-normalized constant, and
-the bilinear Duhamel frequency convolution.
+"""Oscillatory integrals: direct quadrature of int e^(i t psi(x)) F(x) chi(x) dx
+and the stationary-phase leading term with the Fresnel-normalized constant,
+checked against each other by ``stat_phase_decay_table``.
 
 Quadrature is composite Gauss-Legendre, chosen over FFT methods because the
 phases here are not polynomial.  Panel width follows the local |psi'|, so no
@@ -27,8 +27,6 @@ from numpy.polynomial.legendre import leggauss
 
 from . import parallel
 from .errors import DegenerateStationaryPoint, ResolutionError
-from .phase import PhaseParams, bracket, dphase_deta, phase
-from .transform import Grid, interp_matrix
 
 # Fresnel normalization of the stationary-phase constant:
 # int e^(i t x^2) dx = sqrt(pi/t) e^(i pi/4).
@@ -73,17 +71,11 @@ class SmoothBump:
 
 @dataclass(frozen=True)
 class PhaseCurve:
-    """Phase psi with first derivative (second optional; central differences
-    of dpsi with step 1e-5 otherwise)."""
+    """Phase psi with its first and second derivatives."""
 
     psi: Callable
     dpsi: Callable
-    d2psi: Callable | None = None
-
-    def second(self, x: float) -> float:
-        if self.d2psi is not None:
-            return float(self.d2psi(x))
-        return float((self.dpsi(x + 1e-5) - self.dpsi(x - 1e-5)) / 2e-5)
+    d2psi: Callable
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,7 @@ def stationary_phase_leading(spec: OscIntegralSpec, x0: float) -> complex:
     scale = 1.0 + abs(float(spec.phase.dpsi(x0 + 1.0)) - dpsi0)
     if abs(dpsi0) > 1e-6 * scale:
         raise ValueError(f"psi'({x0}) = {dpsi0:.3g} is not a stationary point")
-    dd = spec.phase.second(x0)
+    dd = float(spec.phase.d2psi(x0))
     if abs(dd) < 1e-12:
         raise DegenerateStationaryPoint(f"|psi''({x0})| = {abs(dd):.3g}")
     amp = complex(np.asarray(spec.amplitude(x0), dtype=complex))
@@ -248,53 +240,3 @@ def stat_phase_decay_table(times=(100.0, 316.23, 1000.0, 3162.3, 10000.0),
     logs = np.log([r["abs_diff"] for r in rows])
     exponent = float(np.polyfit(np.log(list(times)), logs, 1)[0])
     return {"rows": rows, "fitted_exponent": exponent}
-
-
-def duhamel_phase(params: PhaseParams, xi: float, sign: int) -> PhaseCurve:
-    """psi(eta) = -sign * phi(xi, eta): the component-(+) integrand carries
-    e^(-i s phi), the component-(-) one e^(+i s phi)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 (top) or -1 (bottom)")
-    return PhaseCurve(
-        psi=lambda eta: -sign * phase(params, xi, eta),
-        dpsi=lambda eta: -sign * dphase_deta(params, xi, eta),
-    )
-
-
-def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params: PhaseParams, s: float,
-                   sign: int, grid: Grid, xi_out: np.ndarray | None = None) -> np.ndarray:
-    """Direct quadrature, for each output frequency xi, of
-
-        int e^(i s psi(eta)) fm~(eta)/<eta>_m fn~(xi-eta)/<xi-eta>_n deta,
-
-    psi = -sign phi(xi, .) the ``duhamel_phase`` (so sign must be +-1), with
-    fm~, fn~ band-limited interpolants of the coefficient arrays.  The
-    prefactors (alpha beta, coupling, -1/(8 pi)) are the caller's business.
-    This is the slow reference for the solver nonlinearity and the calibration
-    target of the resonant kernel.
-    """
-    if xi_out is None:
-        xi_out = grid.xi
-    xi_out = np.atleast_1d(np.asarray(xi_out, dtype=float))
-    W = grid.xi_max
-    # resolve both the s-oscillation (|d_eta phi| <= 2) and the x1-content of
-    # the interpolants (|x| <= L/2)
-    density = 2.0 * abs(s) + grid.length_x1 / 2.0 + 4.0
-    n_nodes = int(min(max(512, math.ceil(2.0 * W * density)), _MAX_NODES))
-    if n_nodes >= _MAX_NODES:
-        raise ResolutionError(f"duhamel kernel needs more than {_MAX_NODES} nodes")
-    n_panels = max(1, n_nodes // _GL_ORDER)
-    edges = np.linspace(-W, W, n_panels + 1)
-    eta, w = _gauss_legendre_panels(edges[:-1], edges[1:])
-    fm_eta = (interp_matrix(grid, eta) @ np.asarray(fm, complex)) / bracket(eta, params.m)
-    out = np.empty(xi_out.size, dtype=complex)
-    for i, xi in enumerate(xi_out):
-        psi = duhamel_phase(params, xi, sign).psi
-        shifted = xi - eta
-        # the convolution partner may leave the window; fold it in periodically
-        # (band-limited interpolants are L-periodic in x, 2W-periodic in xi)
-        folded = (shifted + W) % (2.0 * W) - W
-        fn_shift = (interp_matrix(grid, folded) @ np.asarray(fn, complex)) \
-            / bracket(shifted, params.n)
-        out[i] = np.sum(w * np.exp(1j * s * psi(eta)) * fm_eta * fn_shift)
-    return out

@@ -1,17 +1,16 @@
-"""Fourier-Hermite transforms between physical fields and mode coefficients,
-Sobolev-type norms, and the checkpoint file.
+"""The Fourier-Hermite grid, the spectral state, its norms, band-limited
+interpolation in frequency, and the checkpoint file.
 
 Conventions (fixed once, used everywhere)
 -----------------------------------------
 Fourier transform in the free direction x1:  F(g)(xi) = integral e^(-i x xi) g dx,
 inverse carries 1/(2 pi).  The x1 box is [-L/2, L/2) with n equispaced points and
 frequencies xi_k = 2 pi k / L, k = -n/2 .. n/2 - 1, stored in FFT order.
-The trapped direction x2 is sampled at the Gauss-Hermite nodes of the basis and
-projected onto normalized phi_p.
+The trapped direction x2 is carried by the normalized phi_p; the steppers
+sample it at the cubic nodes of the basis.
 
-With this convention ||f||^2_{L2(R^2)} = (2 pi)^(-1) sum_p ||f~_p||^2_{L2(dxi)}.
-``sobolev_weighted_norm`` is the plain frequency-side norm (no 1/(2 pi)); the
-composite norms include the (2 pi)^(-1/2) physical normalization.
+With this convention ||f||^2_{L2(R^2)} = (2 pi)^(-1) sum_p ||f~_p||^2_{L2(dxi)};
+the composite norms include the (2 pi)^(-1/2) physical normalization.
 
 The <x1>^kappa weights are realized as kappa frequency derivatives taken by
 centered finite differences on the periodic frequency grid; the tests check
@@ -24,14 +23,13 @@ import io
 import json
 import math
 import os
-import warnings
 import zipfile
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfinementWarning, InterpolationRangeError
+from .errors import InterpolationRangeError
 from .hermite import HermiteBasis
 
 
@@ -110,49 +108,6 @@ def _reflect_index(n: int) -> np.ndarray:
     return (-np.arange(n)) % n
 
 
-def forward_x1(grid: Grid, field: np.ndarray) -> np.ndarray:
-    """DFT approximation of integral e^(-i x xi) f(x) dx along axis 0."""
-    alt = grid.alt.reshape((-1,) + (1,) * (np.ndim(field) - 1))
-    return grid.dx * alt * np.fft.fft(field, axis=0)
-
-
-def inverse_x1(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of ``forward_x1`` (carries the 1/(2 pi), i.e. 1/L discretely)."""
-    alt = grid.alt.reshape((-1,) + (1,) * (np.ndim(coeffs) - 1))
-    return (grid.n_x1 / grid.length_x1) * np.fft.ifft(alt * coeffs, axis=0)
-
-
-def forward(grid: Grid, field: np.ndarray) -> np.ndarray:
-    """Field sampled on (x1 grid) x (Hermite nodes) -> coefficients (P, n_x1).
-
-    Warns with ConfinementWarning when the field has not decayed below 1e-12
-    of its peak at the outermost x2 nodes.
-    """
-    basis = grid.basis
-    field = np.asarray(field)
-    if field.shape != (grid.n_x1, basis.quad_order):
-        raise ValueError(f"field must have shape ({grid.n_x1}, {basis.quad_order})")
-    peak = np.max(np.abs(field))
-    if peak > 0:
-        edge = max(np.max(np.abs(field[:, 0])), np.max(np.abs(field[:, -1])))
-        if edge > 1e-12 * peak:
-            warnings.warn(
-                f"field at x2 quadrature boundary is {edge / peak:.2e} of peak",
-                ConfinementWarning,
-            )
-    hat = forward_x1(grid, field)                      # (n_x1, Q)
-    weighted = basis.total_weights * basis.phi         # (P, Q)
-    return weighted @ hat.T                            # (P, n_x1)
-
-
-def inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients (P, n_x1) -> field on (x1 grid) x (Hermite nodes)."""
-    coeffs = np.asarray(coeffs)
-    n_modes = coeffs.shape[0]
-    phys_x1 = inverse_x1(grid, coeffs.T)               # (n_x1, P)
-    return phys_x1 @ grid.basis.phi[:n_modes]          # (n_x1, Q)
-
-
 def xi_derivative(coeffs: np.ndarray, dxi: float) -> np.ndarray:
     """Centered finite difference d/dxi on the FFT-ordered frequency axis.
 
@@ -162,24 +117,6 @@ def xi_derivative(coeffs: np.ndarray, dxi: float) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=complex)
     wrapped = np.concatenate((coeffs[..., -1:], coeffs, coeffs[..., :1]), axis=-1)
     return (wrapped[..., 2:] - wrapped[..., :-2]) / (2.0 * dxi)
-
-
-def sobolev_weighted_norm(f_p: np.ndarray, grid: Grid, N: float, kappa: int) -> float:
-    """|| <xi>^N f~ ||-type norm of one mode with kappa frequency derivatives.
-
-    norm^2 = sum_{j<=kappa} binom(kappa, j) || <xi>^N d^j f~ ||^2_{L2(dxi)}.
-    Plain frequency-side L2 for N = kappa = 0 (no Parseval factor).
-    """
-    if N < 0 or kappa not in (0, 1, 2):
-        raise ValueError("need N >= 0 and kappa in {0, 1, 2}")
-    w = (1.0 + grid.xi ** 2) ** N   # <xi>^(2N)
-    f_p = np.asarray(f_p, dtype=complex)
-    total = np.sum(w * np.abs(f_p) ** 2)
-    d = f_p
-    for j in range(1, kappa + 1):
-        d = xi_derivative(d, grid.dxi)
-        total += math.comb(kappa, j) * np.sum(w * np.abs(d) ** 2)
-    return float(math.sqrt(total * grid.dxi))
 
 
 @dataclass(frozen=True)
@@ -252,7 +189,8 @@ def interp_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:
     """Matrix evaluating the band-limited interpolant of f~ at ``targets``.
 
     The interpolant is the unique trigonometric polynomial through the grid
-    values: f~(xi*) = dx * sum_j f_j e^(-i x_j xi*), with f_j = inverse_x1(f~).
+    values: f~(xi*) = dx * sum_j f_j e^(-i x_j xi*), with f_j the inverse
+    DFT (n/L) alt ifft(f~) of the grid values.
     Since dx n / L = 1, entry (t, k) is alt_k ifft_j(e^(-i x_j xi*_t))_k.
     Raises InterpolationRangeError outside [-xi_max, xi_max].
     """

@@ -1,4 +1,4 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and reference implementations used by the test suite.
 
 Everything here deliberately avoids the package's own computational paths:
 Hermite functions come from scipy's polynomial evaluation, integrals from
@@ -14,23 +14,111 @@ oracle is the exception: it walks the per-p Gram matmul of
 row at a time with ``%d,%d,%d,%.17g``, against the table's run layout and
 per-run templates, and so must agree with it byte for byte.
 
-The cross-checks and reference scales of the paper that no command computes
-live here as well: the Hermite eigen-residual, the interaction decay
-envelope, the closed-form phase derivatives the phase module does not need,
-the closed form of the kinked stationary-phase integral, the phase floor, the
-non-stationary bound, the physical-space frequency derivative and the
-massless resonance condition.
+The package holds only what the CLI runs, so the reference implementations,
+cross-checks and reference scales of the paper that no command computes live
+here as well: the x1 transforms ``forward_x1``/``inverse_x1``; the
+physical-space Fourier-Hermite transforms ``forward``/``inverse`` on a plain
+Gauss-Hermite rule of their own (``plain_rule``, at least 40 nodes), which
+warn with ``ConfinementWarning`` on a field that is not trap-confined; the
+weighted Sobolev norm; the bilinear Duhamel convolution ``duhamel_kernel``
+and its phase ``duhamel_phase``; the Hermite eigen-residual, the interaction
+decay envelope, the closed-form phase derivatives the phase module does not
+need, the closed form of the kinked stationary-phase integral, the phase
+floor, the non-stationary bound, the physical-space frequency derivative and
+the massless resonance condition.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import eval_hermite
+
+
+class ConfinementWarning(UserWarning):
+    """Field mass at the trapped-direction quadrature boundary exceeds tolerance."""
+
+
+class PlainRule(NamedTuple):
+    """The Gauss-Hermite rule of ``forward``/``inverse``: nodes, weights,
+    total weights w e^(x^2), and phi_0..phi_max_mode at the nodes."""
+    quad_order: int
+    nodes: np.ndarray
+    weights: np.ndarray
+    total_weights: np.ndarray
+    phi: np.ndarray
+
+
+def plain_rule(max_mode: int) -> PlainRule:
+    """The plain rule for modes <= max_mode: the order of the cubic rule, but
+    at least 40, so that trap-confined test fields decay below 1e-12 of their
+    peak inside its node extent."""
+    from reslab.hermite import gauss_hermite, hermite_table, triple_quad_order
+
+    order = max(triple_quad_order(max_mode, max_mode, max_mode), 40)
+    nodes, weights, total = gauss_hermite(order)
+    return PlainRule(order, nodes, weights, total, hermite_table(max_mode, nodes))
+
+
+def forward_x1(grid, field: np.ndarray) -> np.ndarray:
+    """DFT approximation of integral e^(-i x xi) f(x) dx along axis 0."""
+    alt = grid.alt.reshape((-1,) + (1,) * (np.ndim(field) - 1))
+    return grid.dx * alt * np.fft.fft(field, axis=0)
+
+
+def inverse_x1(grid, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of ``forward_x1`` (carries the 1/(2 pi), i.e. 1/L discretely)."""
+    alt = grid.alt.reshape((-1,) + (1,) * (np.ndim(coeffs) - 1))
+    return (grid.n_x1 / grid.length_x1) * np.fft.ifft(alt * coeffs, axis=0)
+
+
+def forward(grid, field: np.ndarray) -> np.ndarray:
+    """Field sampled on (x1 grid) x (plain-rule nodes) -> coefficients (P, n_x1).
+
+    Warns with ConfinementWarning when the field has not decayed below 1e-12
+    of its peak at the outermost x2 nodes.
+    """
+    rule = plain_rule(grid.basis.max_mode)
+    field = np.asarray(field)
+    if field.shape != (grid.n_x1, rule.quad_order):
+        raise ValueError(f"field must have shape ({grid.n_x1}, {rule.quad_order})")
+    peak = np.max(np.abs(field))
+    if peak > 0:
+        edge = max(np.max(np.abs(field[:, 0])), np.max(np.abs(field[:, -1])))
+        if edge > 1e-12 * peak:
+            warnings.warn(f"field at x2 quadrature boundary is {edge / peak:.2e} of peak",
+                          ConfinementWarning)
+    return (rule.total_weights * rule.phi) @ forward_x1(grid, field).T   # (P, n_x1)
+
+
+def inverse(grid, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients (P, n_x1) -> field on (x1 grid) x (plain-rule nodes)."""
+    coeffs = np.asarray(coeffs)
+    return inverse_x1(grid, coeffs.T) @ plain_rule(grid.basis.max_mode).phi[:len(coeffs)]
+
+
+def sobolev_weighted_norm(f_p: np.ndarray, grid, N: float, kappa: int) -> float:
+    """|| <xi>^N f~ ||-type norm of one mode with kappa frequency derivatives:
+    norm^2 = sum_{j<=kappa} binom(kappa, j) || <xi>^N d^j f~ ||^2_{L2(dxi)},
+    plain frequency-side L2 for N = kappa = 0 (no Parseval factor)."""
+    from reslab.transform import xi_derivative
+
+    if N < 0 or kappa not in (0, 1, 2):
+        raise ValueError("need N >= 0 and kappa in {0, 1, 2}")
+    w = (1.0 + grid.xi ** 2) ** N   # <xi>^(2N)
+    f_p = np.asarray(f_p, dtype=complex)
+    total = np.sum(w * np.abs(f_p) ** 2)
+    d = f_p
+    for j in range(1, kappa + 1):
+        d = xi_derivative(d, grid.dxi)
+        total += math.comb(kappa, j) * np.sum(w * np.abs(d) ** 2)
+    return float(math.sqrt(total * grid.dxi))
 
 
 def psi_direct(n: int, x):
@@ -88,6 +176,60 @@ def d2phase_deta2(params, xi, eta):
             + params.beta * (2.0 * params.n + 2.0) / ((xi - eta) ** 2 + 2.0 * params.n + 2.0) ** 1.5)
 
 
+def duhamel_phase(params, xi: float, sign: int):
+    """The ``PhaseCurve`` psi(eta) = -sign * phi(xi, eta) with its closed-form
+    derivatives: the component-(+) integrand carries e^(-i s phi), the
+    component-(-) one e^(+i s phi)."""
+    from reslab.oscillatory import PhaseCurve
+    from reslab.phase import dphase_deta, phase
+
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 (top) or -1 (bottom)")
+    return PhaseCurve(psi=lambda eta: -sign * phase(params, xi, eta),
+                      dpsi=lambda eta: -sign * dphase_deta(params, xi, eta),
+                      d2psi=lambda eta: -sign * d2phase_deta2(params, xi, eta))
+
+
+def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params, s: float, sign: int,
+                   grid, xi_out: np.ndarray | None = None) -> np.ndarray:
+    """Direct quadrature, for each output frequency xi, of
+
+        int e^(i s psi(eta)) fm~(eta)/<eta>_m fn~(xi-eta)/<xi-eta>_n deta,
+
+    psi = -sign phi(xi, .) the ``duhamel_phase`` (so sign must be +-1), with
+    fm~, fn~ band-limited interpolants (``transform.interp_matrix``) of the
+    coefficient arrays, on 32-point Gauss-Legendre panels over the window.
+    The prefactors (alpha beta, coupling, -1/(8 pi)) are the caller's
+    business.  This is the calibration target of the resonant kernel.
+    """
+    from reslab.phase import bracket
+    from reslab.transform import interp_matrix
+
+    xi_out = grid.xi if xi_out is None else np.atleast_1d(np.asarray(xi_out, dtype=float))
+    W = grid.xi_max
+    # resolve both the s-oscillation (|d_eta phi| <= 2) and the x1-content of
+    # the interpolants (|x| <= L/2)
+    density = 2.0 * abs(s) + grid.length_x1 / 2.0 + 4.0
+    n_panels = max(1, max(512, math.ceil(2.0 * W * density)) // 32)
+    edges = np.linspace(-W, W, n_panels + 1)
+    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+    nodes, weights = leggauss(32)
+    eta = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * weights).ravel()
+    fm_eta = (interp_matrix(grid, eta) @ np.asarray(fm, complex)) / bracket(eta, params.m)
+    out = np.empty(xi_out.size, dtype=complex)
+    for i, xi in enumerate(xi_out):
+        psi = duhamel_phase(params, xi, sign).psi
+        shifted = xi - eta
+        # the convolution partner may leave the window; fold it in periodically
+        # (band-limited interpolants are L-periodic in x, 2W-periodic in xi)
+        folded = (shifted + W) % (2.0 * W) - W
+        fn_shift = (interp_matrix(grid, folded) @ np.asarray(fn, complex)) \
+            / bracket(shifted, params.n)
+        out[i] = np.sum(w * np.exp(1j * s * psi(eta)) * fm_eta * fn_shift)
+    return out
+
+
 def phase_floor(m: int, n: int, R: float) -> float:
     """Reference lower-bound scale 1/((sqrt(n+1)+sqrt(m+1))^2 R) of |phi| on the
     ball of radius R, meaningful only away from space-time resonance."""
@@ -124,8 +266,6 @@ def kinked_gaussian_exact(t: float) -> complex:
 def xi_derivative_physical(grid, coeffs: np.ndarray) -> np.ndarray:
     """d/dxi of one coefficient row as the transform of (-i x) f, exact for
     band-limited data."""
-    from reslab.transform import forward_x1, inverse_x1
-
     return forward_x1(grid, -1j * grid.x1 * inverse_x1(grid, coeffs))
 
 
@@ -259,7 +399,6 @@ def leapfrog_reference(grid, state, n_modes: int, t_end: float, dt: float,
     Returns (x2 grid, u at t_end sampled on x1-grid x x2-grid).
     """
     from reslab.hermite import hermite_table
-    from reslab.transform import inverse_x1
 
     x2 = np.linspace(-x2_extent, x2_extent, n_x2)
     h2 = x2[1] - x2[0]
@@ -294,7 +433,6 @@ def leapfrog_reference(grid, state, n_modes: int, t_end: float, dt: float,
 def physical_field_on(grid, state, n_modes: int, x2: np.ndarray) -> np.ndarray:
     """u(t) from a profile state, sampled on x1-grid x given x2 points."""
     from reslab.hermite import hermite_table
-    from reslab.transform import inverse_x1
 
     omega = np.sqrt(grid.xi[None, :] ** 2 + (2.0 * np.arange(n_modes) + 2.0)[:, None])
     sgn = np.array([1.0, -1.0])[:, None, None]

