@@ -32,7 +32,7 @@ import sys
 import time
 
 from .errors import BlowupDetected, ConfigError, ReslabError, ResolutionError
-from .evolution import COLUMNS, SimConfig, config_from_json, make_grid, run
+from .evolution import COLUMNS, SimConfig, config_from_json, make_grid, run, schedule
 from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
@@ -169,9 +169,10 @@ class _RunWriter:
         """Opens trajectory.csv and returns the run loop's ``resume`` dict.
 
         With ``resume`` and a checkpoint in out_dir, the CSV is cut back to
-        the checkpoint's rows; a damaged checkpoint, or one of another config
-        or command, raises ConfigError before the CSV is touched.  Otherwise
-        the run starts afresh and removes an earlier run's checkpoint.
+        the checkpoint's rows.  A damaged checkpoint (also one with a step,
+        rows or state times this run never writes) or one of another config or
+        command raises ConfigError before the CSV is touched.  Otherwise the
+        run starts afresh and removes an earlier run's checkpoint.
         """
         if resume and os.path.exists(self.ckpt_path):
             try:
@@ -180,9 +181,13 @@ class _RunWriter:
                         or meta.get("which") != self.which:
                     raise ConfigError([("/", "checkpoint in out-dir was produced by a "
                                              "different config or command; refusing to resume")])
-                loaded = {"step": int(meta["step"]), "f": states["f"],
-                          "g": states.get("g"), "tv": float(meta["tv"])}
-                self.rows = int(meta["rows"])
+                t_start, n_total, out_stride, ckpt_stride = schedule(self.config, self.which)
+                step, self.rows, dt = meta["step"], meta["rows"], self.config.dt
+                if not (isinstance(step, int) and 0 < step <= n_total and step % ckpt_stride == 0
+                        and self.rows == step // out_stride + 1 and all(
+                            abs(st.time - t_start - step * dt) < dt / 2 for st in states.values())):
+                    raise ValueError("step, rows or state times of no checkpoint of this run")
+                loaded = dict(step=step, f=states["f"], g=states.get("g"), tv=float(meta["tv"]))
                 with open(self.csv_path, "r+b") as fh:
                     for _ in range(1 + self.rows):
                         if not fh.readline().endswith(b"\n"):

@@ -53,9 +53,9 @@ nothing: the run loop checks the ceiling once, on the initial state.
 
 Runs
 ----
-``run(config, which)`` is the one run loop, for "full", "resonant" or
-"compare"; a ``SimConfig`` checks its rules when it is built.  It keeps only
-the latest output row, so its memory does not grow with the rows.
+``run(config, which, grid)`` is the one run loop, for "full", "resonant" or
+"compare", on the step count and strides of ``schedule``.  It keeps only the
+latest output row, so its memory does not grow with the rows.
 """
 
 from __future__ import annotations
@@ -228,11 +228,9 @@ def make_grid(config: SimConfig) -> Grid:
     return Grid(config.n_x1, config.length_x1, basis)
 
 
-def init_profile(config: SimConfig, grid: Grid | None = None) -> tuple[Grid, SpectralState]:
-    """Seeded Gaussian packets on the configured modes, scaled so the S^{M,N}_0
-    norm of the state (both paired components) equals eps/2."""
-    if grid is None:
-        grid = make_grid(config)
+def init_profile(config: SimConfig, grid: Grid) -> SpectralState:
+    """Seeded Gaussian packets on the configured modes of ``grid``, scaled so
+    the S^{M,N}_0 norm of the state (both paired components) equals eps/2."""
     rng = np.random.default_rng(config.seed)
     coeffs = np.zeros((config.P, grid.n_x1), dtype=complex)
     with np.errstate(over="ignore"):   # a narrow packet's exp(-inf) is its exact 0
@@ -245,13 +243,13 @@ def init_profile(config: SimConfig, grid: Grid | None = None) -> tuple[Grid, Spe
     state = SpectralState(0.0, coeffs)
     if config.eps == 0.0:
         state.coeffs[:] = 0.0
-        return grid, state
+        return state
     norm = composite_norms(state, grid, config.M, config.N).S_MN_t
     if not (math.isfinite(norm) and norm > 0.0):
         raise BlowupDetected(f"initial S^(M,N) norm {norm:.3g} is not finite and positive; "
                              "the state cannot be scaled to eps/2")
     state.coeffs *= (config.eps / 2.0) / norm
-    return grid, state
+    return state
 
 
 def _dealias_mask(n: int) -> np.ndarray:
@@ -421,14 +419,26 @@ class TrajectoryRecord:
     resonant_couplings_all_zero: bool = True   # every M(m,n,p) is zero
 
 
-def run(config: SimConfig, which: str, grid: Grid | None = None,
-        observer=None, resume: dict | None = None) -> TrajectoryRecord:
-    """Evolve the full profile f from 0 to t_end ("full"), the resonant one
-    from the initial profile at s0 ("resonant"), or both ("compare": g forks
-    from f at s0, g(s0) = f(s0), and runs the resonant sub-cycle); build a
-    row of ``COLUMNS[which]`` at the output cadence, which ``record.row``
-    holds until the next.  Each state advances by segments that end at the
-    output rows, at the fork and at the last step.
+def schedule(config: SimConfig, which: str) -> tuple[float, int, int, int]:
+    """A ``run``'s start time, its step count and the strides, in steps, of its
+    output rows and of its checkpoints (a multiple of the first)."""
+    t_start = config.s0 if which == "resonant" else 0.0
+    n_total = round(max(config.t_end - t_start, 0.0) / config.dt)
+    # a stride beyond the run emits only the first and last rows; clamping it
+    # there keeps a huge out_every/dt from overflowing round()
+    out_stride = max(1, round(min(config.out_every / config.dt, n_total + 1)))
+    ckpt_stride = max(out_stride, (config.checkpoint_every // out_stride) * out_stride)
+    return t_start, n_total, out_stride, ckpt_stride
+
+
+def run(config: SimConfig, which: str, grid: Grid, observer=None,
+        resume: dict | None = None) -> TrajectoryRecord:
+    """Evolve on ``grid`` the full profile f from 0 to t_end ("full"), the
+    resonant one from the initial profile at s0 ("resonant"), or both
+    ("compare": g forks from f at s0, g(s0) = f(s0), and runs the resonant
+    sub-cycle); build a row of ``COLUMNS[which]`` at the output cadence,
+    which ``record.row`` holds until the next.  Each state advances by
+    segments that end at the output rows, at the fork and at the last step.
 
     ``observer(kind, step, f_state, g_state, record)`` is called at every
     output time ("out") and at checkpoints ("ckpt").  ``resume`` (from a
@@ -440,8 +450,6 @@ def run(config: SimConfig, which: str, grid: Grid | None = None,
     """
     if which not in COLUMNS:
         raise ValueError("which must be 'full', 'resonant' or 'compare'")
-    if grid is None:
-        grid = make_grid(config)
     record = TrajectoryRecord()
     if which != "resonant":
         full = FullStepper(grid, config.P, nonlinear=config.nonlinear,
@@ -455,13 +463,7 @@ def run(config: SimConfig, which: str, grid: Grid | None = None,
         record.resonant_active_slots = sum(map(len, resonant.slots))
         record.resonant_couplings_all_zero = resonant.couplings_all_zero
     ds = config.dt / config.resonant_subcycle
-    t_start = config.s0 if which == "resonant" else 0.0
-    n_total = round(max(config.t_end - t_start, 0.0) / config.dt)
-    # a stride beyond the run emits only the first and last rows; clamping it
-    # there keeps a huge out_every/dt from overflowing round()
-    out_stride = max(1, round(min(config.out_every / config.dt, n_total + 1)))
-    ckpt_stride = max(out_stride,
-                      (config.checkpoint_every // out_stride) * out_stride)
+    t_start, n_total, out_stride, ckpt_stride = schedule(config, which)
     # the fork is at least one step in: the resonant kernel 1/sqrt(s) is singular at s = 0
     i_s0 = max(1, round(min(config.s0, config.t_end) / config.dt)) if which == "compare" else -1
 
@@ -500,7 +502,7 @@ def run(config: SimConfig, which: str, grid: Grid | None = None,
         measure()   # the row written last before the stop
     else:
         i = 0
-        _, f = init_profile(config, grid)
+        f = init_profile(config, grid)
         _check_ceiling(f.coeffs, config.norm_ceiling)
         if which == "resonant":
             f.time = t_start

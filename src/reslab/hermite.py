@@ -8,7 +8,7 @@ The stored functions are the L2-normalized Hermite functions
     phi_n = psi_n / ||psi_n||_2,      ||psi_n||_2 = (2^n n! sqrt(pi))^(1/2),
 
 where psi_n(x) = (-1)^n e^(x^2/2) d^n/dx^n e^(-x^2) is the unnormalized
-family.  Either convention is recoverable through ``norm_constant``.
+family: multiply phi_n by (2^n n! sqrt(pi))^(1/2) to recover psi_n.
 phi_n is an eigenfunction of -d^2/dx^2 + x^2 with eigenvalue 2n+1.  Every
 value of phi_n comes from the recurrence in ``hermite_table``.
 
@@ -45,11 +45,6 @@ _SCALE = math.sqrt(2.0 / 3.0)
 MAX_QUAD_ORDER = 320
 # The largest max_mode whose cubic rule, of order 3 max_mode // 2 + 2, fits.
 MAX_MODE = 2 * (MAX_QUAD_ORDER - 2) // 3
-
-
-def norm_constant(n: int) -> float:
-    """||psi_n||_2 = (2^n n! sqrt(pi))^(1/2), computed in log space."""
-    return math.exp(0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0) + 0.5 * math.log(math.pi)))
 
 
 def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -121,7 +116,7 @@ def triple_quad_order(m: int, n: int, p: int) -> int:
     return (m + n + p) // 2 + 2
 
 
-def triple_product(m: int, n: int, p: int, quad_order: int | None = None) -> float:
+def triple_product(m: int, n: int, p: int) -> float:
     """integral phi_m phi_n phi_p dx, exact by substituted Gauss-Hermite.
 
     Zero is returned exactly for odd m+n+p (odd integrand).
@@ -131,9 +126,7 @@ def triple_product(m: int, n: int, p: int, quad_order: int | None = None) -> flo
     if (m + n + p) % 2 == 1:
         return 0.0
     m, n, p = sorted((m, n, p))   # canonical order: permutations agree bitwise
-    if quad_order is None:
-        quad_order = triple_quad_order(m, n, p)
-    table, w = _cubic_rule(quad_order, p)
+    table, w = _cubic_rule(triple_quad_order(m, n, p), p)
     return float(np.sum(w * table[m] * table[n] * table[p]))
 
 

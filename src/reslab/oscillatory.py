@@ -1,4 +1,4 @@
-"""Oscillatory integrals: direct quadrature of int e^(i t psi(x)) F(x) chi(x) dx
+"""Oscillatory integrals over a window: direct quadrature of int_a^b e^(i t psi(x)) F(x) dx
 and the stationary-phase leading term with the Fresnel-normalized constant,
 checked against each other by ``stat_phase_decay_table``.
 
@@ -28,45 +28,12 @@ from numpy.polynomial.legendre import leggauss
 from . import parallel
 from .errors import DegenerateStationaryPoint, ResolutionError
 
-# Fresnel normalization of the stationary-phase constant:
-# int e^(i t x^2) dx = sqrt(pi/t) e^(i pi/4).
-C_SP = math.sqrt(2.0 * math.pi)
-
 _GL_ORDER = 32
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 _MAX_NODES = 20_000_000
 _CHUNK = 1 << 15
 _BLOCKS = 64
 _PHASE_BUDGET = 48.0
-
-
-@dataclass(frozen=True)
-class SmoothBump:
-    """C-infinity cutoff supported on [center - radius, center + radius].
-
-    chi(x) = exp(1 - 1/(1 - u^2)), u = (x - center)/radius; chi(center) = 1
-    and max |chi'| is about 2.1/radius.  Only the support and the 1/radius
-    slope scale matter to the estimates; the exact shape is a free choice.
-    """
-
-    center: float
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("cutoff radius must be positive")
-
-    def __call__(self, x):
-        u = (np.asarray(x, dtype=float) - self.center) / self.radius
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-        return out if out.ndim else float(out)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.center - self.radius, self.center + self.radius)
 
 
 @dataclass(frozen=True)
@@ -80,30 +47,12 @@ class PhaseCurve:
 
 @dataclass(frozen=True)
 class OscIntegralSpec:
-    """Everything defining I = int e^(i t psi) F chi dx.
-
-    With ``cutoff`` None the integral runs over ``window`` with chi = 1
-    (used when closed-form comparisons need chi identically one where the
-    amplitude lives).
-    """
+    """I = int_a^b e^(i t psi) F dx over the window (a, b); a taper is a factor of F."""
 
     phase: PhaseCurve
     amplitude: Callable
     time: float
-    cutoff: SmoothBump | None = None
-    window: tuple[float, float] | None = None
-
-    def domain(self) -> tuple[float, float]:
-        if self.cutoff is not None:
-            return self.cutoff.support
-        if self.window is None:
-            raise ValueError("spec needs a cutoff or an explicit window")
-        return self.window
-
-    def chi(self, x):
-        if self.cutoff is None:
-            return np.ones_like(np.asarray(x, dtype=float))
-        return self.cutoff(x)
+    window: tuple[float, float]
 
 
 def _panel_edges(a: float, b: float, t: float, dpsi_abs: np.ndarray,
@@ -164,7 +113,7 @@ def quadrature_oscillatory(spec: OscIntegralSpec, breakpoints: tuple[float, ...]
     ResolutionError when the oscillation cannot be resolved within the node
     budget.
     """
-    a, b = spec.domain()
+    a, b = spec.window
     t = spec.time
     sample = np.linspace(a, b, 2049)
     edges = _panel_edges(a, b, t, np.abs(spec.phase.dpsi(sample)), breakpoints)
@@ -176,8 +125,6 @@ def quadrature_oscillatory(spec: OscIntegralSpec, breakpoints: tuple[float, ...]
         theta = t * np.asarray(spec.phase.psi(x), dtype=float)
         # real and imaginary parts of sum a e^(i theta); a keeps F's dtype
         amp = w * np.asarray(spec.amplitude(x))
-        if spec.cutoff is not None:
-            amp = amp * spec.cutoff(x)
         return np.sum(amp * np.cos(theta)) + 1j * np.sum(amp * np.sin(theta))
 
     total = 0.0 + 0.0j
@@ -187,8 +134,7 @@ def quadrature_oscillatory(spec: OscIntegralSpec, breakpoints: tuple[float, ...]
 
 
 def stationary_phase_leading(spec: OscIntegralSpec, x0: float) -> complex:
-    """Leading term sqrt(2 pi/(t |psi''(x0)|)) e^(i pi/4 sgn psi'') e^(i t psi(x0))
-    chi(x0) F(x0).
+    """Leading term sqrt(2 pi/(t |psi''(x0)|)) e^(i pi/4 sgn psi'') e^(i t psi(x0)) F(x0).
 
     The constant is fixed by the Fresnel normalization and validated against
     the exact Fresnel-Gaussian integral in the tests.
@@ -203,40 +149,36 @@ def stationary_phase_leading(spec: OscIntegralSpec, x0: float) -> complex:
     if abs(dd) < 1e-12:
         raise DegenerateStationaryPoint(f"|psi''({x0})| = {abs(dd):.3g}")
     amp = complex(np.asarray(spec.amplitude(x0), dtype=complex))
-    chi0 = float(spec.chi(x0))
     return (math.sqrt(2.0 * math.pi / (spec.time * abs(dd)))
             * np.exp(1j * (math.pi / 4.0) * np.sign(dd))
-            * np.exp(1j * spec.time * float(spec.phase.psi(x0)))
-            * chi0 * amp)
+            * np.exp(1j * spec.time * float(spec.phase.psi(x0))) * amp)
 
 
-def fresnel_gaussian_spec(t: float, kink: bool = False) -> OscIntegralSpec:
-    """The Gaussian test family: psi = x^2, F = e^(-x^2) (optionally times the
-    borderline factor 1 + |x|^(1/2), whose stationary-point singularity makes
-    the remainder attain the t^(-3/4) scale); window [-8, 8]."""
-    if kink:
-        amp = lambda x: np.exp(-x * x) * (1.0 + np.sqrt(np.abs(x)))
-    else:
-        amp = lambda x: np.exp(-x * x)
+def kinked_gaussian_spec(t: float) -> OscIntegralSpec:
+    """psi = x^2, F = e^(-x^2) (1 + |x|^(1/2)) on [-8, 8]: the kink of F at the
+    stationary point makes the remainder attain the t^(-3/4) scale."""
     return OscIntegralSpec(
         phase=PhaseCurve(psi=lambda x: x * x, dpsi=lambda x: 2.0 * x,
                          d2psi=lambda x: 2.0 + 0.0 * np.asarray(x, float)),
-        amplitude=amp, time=t, window=(-8.0, 8.0))
+        amplitude=lambda x: np.exp(-x * x) * (1.0 + np.sqrt(np.abs(x))),
+        time=t, window=(-8.0, 8.0))
 
 
-def stat_phase_decay_table(times=(100.0, 316.23, 1000.0, 3162.3, 10000.0),
-                           threads: int = 0) -> dict:
-    """Quadrature vs leading term across t in [1e2, 1e4] for the kinked
-    Gaussian family, one time after another, each integral on ``threads``
-    workers; returns rows and the fitted exponent of |quad - leading|."""
+DECAY_TIMES = (100.0, 316.23, 1000.0, 3162.3, 10000.0)   # two a decade over [1e2, 1e4]
+
+
+def stat_phase_decay_table(threads: int = 0) -> dict:
+    """Quadrature vs leading term at ``DECAY_TIMES`` for the kinked Gaussian
+    family, one time after another, each integral on ``threads`` workers;
+    returns rows and the fitted exponent of |quad - leading|."""
     rows = []
-    for t in times:
-        spec = fresnel_gaussian_spec(t, kink=True)
+    for t in DECAY_TIMES:
+        spec = kinked_gaussian_spec(t)
         quad = quadrature_oscillatory(spec, breakpoints=(0.0,), threads=threads)
         lead = stationary_phase_leading(spec, 0.0)
         rows.append({"t": t, "quadrature_re": quad.real, "quadrature_im": quad.imag,
                      "leading_re": lead.real, "leading_im": lead.imag,
                      "abs_diff": abs(quad - lead)})
     logs = np.log([r["abs_diff"] for r in rows])
-    exponent = float(np.polyfit(np.log(list(times)), logs, 1)[0])
+    exponent = float(np.polyfit(np.log(list(DECAY_TIMES)), logs, 1)[0])
     return {"rows": rows, "fitted_exponent": exponent}

@@ -222,8 +222,8 @@ def load_state(path, grid: Grid) -> tuple[dict, dict[str, SpectralState]]:
     """Read a ``save_state`` file; returns (meta, {name: state}).  Each member
     is read whole, so its CRC-32 is checked, and each state the header lists
     must be present (a damaged zip directory can hide members silently).
-    Raises ValueError when the file is damaged or its geometry or a state's
-    shape (P, n_x1) differs."""
+    Raises ValueError when the file is damaged, a state's time is not a
+    finite float, or its geometry or a state's shape (P, n_x1) differs."""
     try:
         with zipfile.ZipFile(path) as zf:
             arrays = {name.removesuffix(".npy"):
@@ -232,8 +232,9 @@ def load_state(path, grid: Grid) -> tuple[dict, dict[str, SpectralState]]:
         meta, header = (json.loads(str(arrays[key])) for key in ("meta", "header"))
         states = {name: SpectralState(time, arrays[name])
                   for name, time in header["times"].items()}
-    except (OSError, EOFError, KeyError, RuntimeError, zipfile.BadZipFile) as exc:
-        # a flipped compression or encryption flag raises NotImplementedError
+    except (OSError, EOFError, KeyError, AttributeError, RuntimeError, zipfile.BadZipFile) as exc:
+        # a flipped compression or encryption flag raises NotImplementedError,
+        # header times that are no JSON object AttributeError
         raise ValueError(f"unreadable checkpoint file: {exc!r}") from exc
     if header["n_x1"] != grid.n_x1 or abs(header["length_x1"] - grid.length_x1) > 1e-12:
         raise ValueError("checkpoint geometry does not match grid")
@@ -242,4 +243,6 @@ def load_state(path, grid: Grid) -> tuple[dict, dict[str, SpectralState]]:
         if state.coeffs.shape != shape:
             raise ValueError(f"checkpoint state {name!r} has shape "
                              f"{state.coeffs.shape}, expected {shape}")
+        if not (isinstance(state.time, float) and math.isfinite(state.time)):
+            raise ValueError(f"checkpoint state {name!r} has time {state.time!r}")
     return meta, states

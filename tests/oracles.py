@@ -22,17 +22,24 @@ Gauss-Hermite rule of their own (``plain_rule``, at least 40 nodes), which
 warn with ``ConfinementWarning`` on a field that is not trap-confined; the
 weighted Sobolev norm; the bilinear Duhamel convolution ``duhamel_kernel``
 and its phase ``duhamel_phase``; the Hermite eigen-residual, the interaction
-decay envelope, the closed-form phase derivatives the phase module does not
-need, the closed form of the kinked stationary-phase integral, the phase
-floor, the non-stationary bound, the physical-space frequency derivative and
-the massless resonance condition.
+decay envelope, the triple product on the substituted rule of any order
+(``triple_product_at_order``, for the order-doubling checks), the
+closed-form phase derivatives the phase module does not need, the plain
+Gaussian stationary-phase family ``fresnel_gaussian_spec`` (the package
+keeps the kinked one that ``stat-phase-check`` runs), the closed form of the
+kinked stationary-phase integral, the smooth cutoff ``SmoothBump`` with
+``cut_spec``, which folds it into the amplitude on the bump's support, the
+phase floor, the non-stationary bound, the physical-space frequency
+derivative and the massless resonance condition.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import warnings
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -136,6 +143,17 @@ def adaptive_triple(m: int, n: int, p: int) -> float:
     return val
 
 
+def triple_product_at_order(m: int, n: int, p: int, order: int) -> float:
+    """T(m, n, p) of ``hermite.triple_product`` on the order-point substituted
+    rule ``hermite._cubic_rule`` instead of the exact order, for the
+    order-doubling checks."""
+    from reslab.hermite import _cubic_rule
+
+    m, n, p = sorted((m, n, p))
+    table, w = _cubic_rule(order, p)
+    return float(np.sum(w * table[m] * table[n] * table[p]))
+
+
 def eigen_residual(n: int, grid: np.ndarray) -> float:
     """Max-norm residual of (-phi_n'' + x^2 phi_n) - (2n+1) phi_n at the
     interior points of a uniform grid: phi_n from ``hermite_table``, phi_n''
@@ -236,22 +254,73 @@ def phase_floor(m: int, n: int, R: float) -> float:
     return 1.0 / ((math.sqrt(n + 1.0) + math.sqrt(m + 1.0)) ** 2 * R)
 
 
-def nonstationary_bound(spec, gradient_floor: float, amplitude_deriv=None) -> float:
+@dataclass(frozen=True)
+class SmoothBump:
+    """C-infinity cutoff supported on [center - radius, center + radius].
+
+    chi(x) = exp(1 - 1/(1 - u^2)), u = (x - center)/radius; chi(center) = 1
+    and max |chi'| is about 2.1/radius.  Only the support and the 1/radius
+    slope scale matter to the estimates; the exact shape is a free choice.
+    """
+
+    center: float
+    radius: float
+
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ValueError("cutoff radius must be positive")
+
+    def __call__(self, x):
+        u = (np.asarray(x, dtype=float) - self.center) / self.radius
+        out = np.zeros_like(u)
+        inside = np.abs(u) < 1.0
+        with np.errstate(divide="ignore", over="ignore"):
+            out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
+        return out if out.ndim else float(out)
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.center - self.radius, self.center + self.radius)
+
+
+def cut_spec(phase, amplitude, time: float, bump: SmoothBump):
+    """The ``OscIntegralSpec`` of int e^(i t psi) F chi dx: the amplitude F chi
+    on the window ``bump.support``."""
+    from reslab.oscillatory import OscIntegralSpec
+
+    return OscIntegralSpec(phase=phase, amplitude=lambda x: amplitude(x) * bump(x),
+                           time=time, window=bump.support)
+
+
+def fresnel_gaussian_spec(t: float):
+    """The plain Gaussian family: psi = x^2, F = e^(-x^2) on the window
+    [-8, 8]; its integral over the line is sqrt(pi/(1 - i t))."""
+    from reslab.oscillatory import OscIntegralSpec, PhaseCurve
+
+    return OscIntegralSpec(
+        phase=PhaseCurve(psi=lambda x: x * x, dpsi=lambda x: 2.0 * x,
+                         d2psi=lambda x: 2.0 + 0.0 * np.asarray(x, float)),
+        amplitude=lambda x: np.exp(-x * x), time=t, window=(-8.0, 8.0))
+
+
+def nonstationary_bound(amplitude, bump: SmoothBump, time: float, gradient_floor: float,
+                        amplitude_deriv=None) -> float:
     """Upper bound sqrt(rho)/(t m) (||F||_2 + ||F'||_2) on the integral of
-    ``spec`` when |psi'| >= m = ``gradient_floor`` on its support of radius
-    rho; F' is ``amplitude_deriv``, or a centered difference without one."""
-    a, b = spec.domain()
-    rho = 0.5 * (b - a) if spec.cutoff is None else spec.cutoff.radius
+    e^(i t psi) F chi, chi = ``bump`` of radius rho, when |psi'| >= m =
+    ``gradient_floor`` on its support; the norms are of the uncut F =
+    ``amplitude`` over the support, F' is ``amplitude_deriv``, or a centered
+    difference without one."""
+    a, b = bump.support
     nodes, weights = leggauss(64)
     x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
     w = 0.5 * (b - a) * weights
     h = 1e-6 * (1.0 + abs(b - a))
-    deriv = amplitude_deriv or (lambda y: (np.asarray(spec.amplitude(y + h), complex)
-                                           - np.asarray(spec.amplitude(y - h), complex))
+    deriv = amplitude_deriv or (lambda y: (np.asarray(amplitude(y + h), complex)
+                                           - np.asarray(amplitude(y - h), complex))
                                 / (2.0 * h))
     norms = [math.sqrt(float(np.sum(w * np.abs(np.asarray(g(x), complex)) ** 2)))
-             for g in (spec.amplitude, deriv)]
-    return math.sqrt(rho) / (spec.time * gradient_floor) * sum(norms)
+             for g in (amplitude, deriv)]
+    return math.sqrt(bump.radius) / (time * gradient_floor) * sum(norms)
 
 
 def kinked_gaussian_exact(t: float) -> complex:
@@ -382,6 +451,18 @@ def richardson_d2(f, x: float, h: float) -> float:
     def d2(step):
         return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
     return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
+
+
+def rewrite_checkpoint(path, member: str, **fields) -> None:
+    """Sets ``fields`` in the JSON member ``member`` ("meta" or "header") of a
+    checkpoint file and writes the file back with valid CRCs, as a forged or
+    corrupted-in-memory checkpoint would be."""
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    doc = json.loads(str(arrays[member]))
+    doc.update(fields)
+    arrays[member] = np.asarray(json.dumps(doc))
+    np.savez(path, **arrays)
 
 
 def two_component(plus: np.ndarray) -> np.ndarray:

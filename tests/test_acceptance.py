@@ -7,16 +7,15 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from oracles import (brute_force_triples, d2phase_deta2, dphase_dxi, duhamel_phase,
-                     eigen_residual, forward, inverse, leapfrog_reference,
-                     nonstationary_bound, physical_field_on, plain_rule, richardson_d1,
-                     richardson_d2)
+from oracles import (SmoothBump, brute_force_triples, cut_spec, d2phase_deta2, dphase_dxi,
+                     duhamel_phase, eigen_residual, forward, fresnel_gaussian_spec, inverse,
+                     leapfrog_reference, nonstationary_bound, physical_field_on, plain_rule,
+                     richardson_d1, richardson_d2, triple_product_at_order)
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
-                              init_profile, run)
+                              init_profile, make_grid, run)
 from reslab.hermite import HermiteBasis, TripleProductTable, triple_product
-from reslab.oscillatory import (OscIntegralSpec, PhaseCurve, SmoothBump,
-                                fresnel_gaussian_spec, quadrature_oscillatory,
-                                stationary_phase_leading)
+from reslab.oscillatory import (OscIntegralSpec, PhaseCurve, kinked_gaussian_spec,
+                                quadrature_oscillatory, stationary_phase_leading)
 from reslab.phase import PhaseParams, dphase_deta, lambda_coeff, phase
 from reslab.transform import Grid, SpectralState, composite_norms, hm_l2_norm, interp_matrix
 from reslab.triples import enumerate_triples
@@ -60,8 +59,8 @@ def test_criterion_2_hermite_suite():
     stab = 0.0
     for m, n, p in [(0, 0, 0), (10, 20, 30), (40, 40, 40), (0, 20, 40), (6, 7, 9)]:
         base = (m + n + p) // 2 + 2
-        v1 = triple_product(m, n, p, quad_order=base)
-        v2 = triple_product(m, n, p, quad_order=2 * base)
+        v1 = triple_product(m, n, p)
+        v2 = triple_product_at_order(m, n, p, 2 * base)
         stab = max(stab, abs(v1 - v2) / max(abs(v1), 1e-2))
 
     ok = ortho <= 1e-10 and eig <= 1e-5 and perm_ok and parity_ok and stab <= 1e-12
@@ -158,7 +157,7 @@ def test_criterion_5_stationary_phase():
     times = np.array([100.0, 316.23, 1000.0, 3162.3, 10000.0])
     diffs = []
     for t in times:
-        spec = fresnel_gaussian_spec(t, kink=True)
+        spec = kinked_gaussian_spec(t)
         quad = quadrature_oscillatory(spec, breakpoints=(0.0,))
         lead = stationary_phase_leading(spec, 0.0)
         diffs.append(abs(quad - lead))
@@ -178,12 +177,12 @@ def test_criterion_5_stationary_phase():
             + c * np.asarray(x, float) ** 3 / 3.0,
             dpsi=lambda x, s=slope, c=curv: s + c * np.asarray(x, float) ** 2,
             d2psi=lambda x, c=curv: 2.0 * c * np.asarray(x, float))
-        spec = OscIntegralSpec(
-            phase=curve, amplitude=lambda x, a=a: np.exp(-a * np.asarray(x, float) ** 2),
-            time=t, cutoff=SmoothBump(center, radius))
-        lo, hi = spec.domain()
+        amp = lambda x, a=a: np.exp(-a * np.asarray(x, float) ** 2)
+        bump = SmoothBump(center, radius)
+        lo, hi = bump.support
         floor = float(np.min(np.abs(curve.dpsi(np.linspace(lo, hi, 512))))) * 0.999
-        bound_ok &= abs(quadrature_oscillatory(spec)) <= nonstationary_bound(spec, floor)
+        bound_ok &= abs(quadrature_oscillatory(cut_spec(curve, amp, t, bump))) \
+            <= nonstationary_bound(amp, bump, t, floor)
 
     elapsed = time.time() - t0
     ok = (fresnel_worst <= 1e-6 and abs(exponent + 0.75) <= 0.15 and bound_ok
@@ -196,7 +195,8 @@ def test_criterion_5_stationary_phase():
 def test_criterion_6_integrators():
     cfg = SimConfig(eps=0.05, P=4, n_x1=64, dt=0.02, t_end=1.0,
                     init_modes=(0, 3), seed=7)
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
 
     lin = FullStepper(grid, 4, nonlinear=False)
     s = state.copy()
@@ -231,7 +231,8 @@ def test_criterion_6_integrators():
 
     cfg6 = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.005, t_end=1.0,
                      init_modes=(0, 1), seed=7)
-    grid6, state6 = init_profile(cfg6)
+    grid6 = make_grid(cfg6)
+    state6 = init_profile(cfg6, grid6)
     x2, u_ref = leapfrog_reference(grid6, state6, 6, 1.0, 5e-4)
     stepper6 = FullStepper(grid6, 6, norm_ceiling=1e9)
     s6 = state6.copy()
@@ -252,7 +253,8 @@ def test_criterion_7_resonant_kernel_consistency():
     t0 = time.time()
     cfg = SimConfig(eps=0.05, P=4, n_x1=64, dt=0.02, t_end=1.0,
                     init_modes=(0, 3), seed=7)
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     stepper = ResonantStepper(grid, 4, coupling_mode="unit")
     params = PhaseParams(0, 0, 3, -1, -1)
     plus0 = state.coeffs[0]
@@ -298,7 +300,7 @@ def test_criterion_8_approximation_scaling():
         cfg = SimConfig(eps=eps, P=8, n_x1=128, length_x1=16.0, dt=0.02,
                         t_end=round(1.0 / eps), s0=1.0, init_modes=(2, 3),
                         M=4.0, N=2.0, M0=1.0, out_every=0.25, seed=7)
-        record = run(cfg, "compare")
+        record = run(cfg, "compare", make_grid(cfg))
         end_diffs[eps] = record.diff
         ratios[eps] = record.diff / record.tv_full
     eps_arr = np.array([0.1, 0.05, 0.025])

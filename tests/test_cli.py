@@ -16,7 +16,7 @@ import reslab.evolution as evolution
 import reslab.transform as transform
 from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         load_config, main)
-from oracles import triple_table_dict, two_component, write_triple_csv
+from oracles import rewrite_checkpoint, triple_table_dict, two_component, write_triple_csv
 from reslab.errors import ConfigError
 from reslab.evolution import MAX_STEPS, SimConfig, config_from_json, make_grid
 from reslab.hermite import MAX_MODE
@@ -597,7 +597,18 @@ def _two_components(d):
         name: SpectralState(st.time, two_component(st.coeffs)) for name, st in states.items()})
 
 
+# the run checkpoints at steps 25, 50, 75 and 100 of 100, after 2, 3, 4 and 5
+# rows, so its checkpoint holds step 100 and rows 5
 DAMAGE = {
+    "meta step negative": lambda d: rewrite_checkpoint(d / CKPT, "meta", step=-7),
+    "meta rows negative": lambda d: rewrite_checkpoint(d / CKPT, "meta", rows=-3),
+    "meta of an earlier checkpoint": lambda d: rewrite_checkpoint(d / CKPT, "meta",
+                                                                  step=50, rows=3),
+    "state times a list": lambda d: rewrite_checkpoint(d / CKPT, "header", times=[1]),
+    "state times not numbers": lambda d: rewrite_checkpoint(d / CKPT, "header",
+                                                            times={"f": "x", "g": "x"}),
+    "state time of g forged": lambda d: rewrite_checkpoint(d / CKPT, "header",
+                                                           times={"f": 2.0, "g": 50.0}),
     "state header cut": lambda d: _cut(d / CKPT, 20),
     "two-component states": _two_components,
     "state payload cut": lambda d: _cut(d / CKPT, _mid_payload(d / CKPT)),
@@ -679,6 +690,21 @@ def test_resume_at_the_final_step_rewrites_identical_outputs(tmp_path):
     assert json.loads(before["summary.json"])["end_diff_HM0L2"] is not None
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out),
                  "--resume"]) == EXIT_OK
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_resonant_resume_rewrites_identical_outputs(tmp_path):
+    # the resonant run starts at s0 = 1.5 and checkpoints at steps 30, 60, 90
+    # and 120 of 125, so its last checkpoint's f is at 1.5 + 120 dt
+    cfg = write_cfg(tmp_path / "cfg.json", s0=1.5, t_end=4.0, out_every=0.2,
+                    checkpoint_every=30, coupling_mode="unit")
+    out = tmp_path / "out"
+    argv = ["simulate-resonant", "--config", str(cfg), "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    before = {name: (out / name).read_bytes()
+              for name in ("trajectory.csv", "summary.json", CKPT)}
+    assert main(argv + ["--resume"]) == EXIT_OK
     for name, data in before.items():
         assert (out / name).read_bytes() == data, name
 

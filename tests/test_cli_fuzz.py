@@ -6,7 +6,8 @@ lists exactly the files of its directory.  A ``simulate-full`` run that
 exits 0 is resumed from its checkpoint, and the resumed ``trajectory.csv``
 and ``summary.json`` are the uninterrupted ones byte for byte, or the resume
 exits 2.  Only the size fields are clamped, so that a valid draw stays a run
-of a few steps on a small grid.
+of a few steps on a small grid.  A checkpoint whose step and rows are
+rewritten with valid CRCs resumes only when they are the written values.
 
 ``phase-report`` keeps the same contract on drawn radii and width probes
 over a wide range of levels j and of dyadic levels k, and a probe it cannot
@@ -19,13 +20,17 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import rewrite_checkpoint
 from reslab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from reslab.evolution import MAX_STEPS, SCHEMA
 from reslab.hermite import MAX_MODE
@@ -205,6 +210,47 @@ def test_simulate_full_resume_on_schema_draws(grid, drawn):
             for name, data in uninterrupted.items():
                 assert _read(argv[-1], name) == data, name
             check_outputs(argv[-1], compare=False)
+
+
+@pytest.fixture(scope="module")
+def base_run(tmp_path_factory):
+    """An uninterrupted ``simulate-full`` of BASE, which checkpoints at steps
+    4 and 8 of 10: its argv, its outputs and the written step and rows."""
+    tmp = str(tmp_path_factory.mktemp("base"))
+    argv = ["simulate-full", "--config", write_config(tmp, BASE),
+            "--out-dir", os.path.join(tmp, "out")]
+    assert run_cli(argv)[0] == EXIT_OK
+    with np.load(os.path.join(argv[-1], "checkpoint.npz")) as npz:
+        meta = json.loads(str(npz["meta"]))
+    outputs = {name: _read(argv[-1], name) for name in ("trajectory.csv", "summary.json")}
+    return argv, outputs, (meta["step"], meta["rows"])
+
+
+COUNTS = st.one_of(st.integers(-2, 12), st.integers())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(step=COUNTS, rows=COUNTS)
+@example(step=8, rows=5)   # the written values: the resume reruns two steps
+@example(step=4, rows=3)   # the earlier checkpoint's, with the later state
+@example(step=-7, rows=5)
+@example(step=8, rows=-3)
+@example(step=10 ** 400, rows=10 ** 400)
+def test_resume_only_from_the_written_step_and_rows(base_run, step, rows):
+    argv, outputs, written = base_run
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        shutil.copytree(argv[-1], out)
+        rewrite_checkpoint(os.path.join(out, "checkpoint.npz"), "meta", step=step, rows=rows)
+        code, err = run_cli(argv[:-1] + [out, "--resume"])
+        assert "Traceback" not in err
+        if (step, rows) == written:
+            assert code == EXIT_OK, err
+            for name, data in outputs.items():
+                assert _read(out, name) == data, name
+        else:
+            assert code == EXIT_CONFIG, (code, err)
+            assert "damaged checkpoint" in err
 
 
 # levels j and dyadic levels k: small, wide, at the float limits and huge

@@ -25,7 +25,8 @@ def small_cfg():
 
 @pytest.fixture(scope="module")
 def small_setup(small_cfg):
-    return init_profile(small_cfg)
+    grid = make_grid(small_cfg)
+    return grid, init_profile(small_cfg, grid)
 
 
 def test_config_validation_reports_pointers():
@@ -53,14 +54,15 @@ def test_init_profile_norm_and_reality(small_cfg, small_setup):
 
 def test_init_profile_single_mode_literal():
     cfg = SimConfig(eps=0.1, P=4, n_x1=64, dt=0.02, t_end=1.0, init_modes=(0,))
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     norm = composite_norms(state, grid, cfg.M, cfg.N).S_MN_t
     assert norm == pytest.approx(0.05, rel=1e-10)
 
 
 def test_init_profile_zero_eps():
     cfg = SimConfig(eps=0.0, P=4, n_x1=64, t_end=1.0, dt=0.02, init_modes=(0,))
-    _, state = init_profile(cfg)
+    state = init_profile(cfg, make_grid(cfg))
     assert np.all(state.coeffs == 0.0)
 
 
@@ -69,12 +71,12 @@ def test_init_profile_non_finite_norm_raises(small_cfg):
     # scaling eps/2 by 1/inf would start the run at zero
     cfg = dataclasses.replace(small_cfg, M=170.6, n_x1=32)
     with pytest.raises(BlowupDetected, match="norm inf"):
-        init_profile(cfg)
+        init_profile(cfg, make_grid(cfg))
 
 
 def test_init_profile_deterministic(small_cfg):
-    _, a = init_profile(small_cfg)
-    _, b = init_profile(small_cfg)
+    a = init_profile(small_cfg, make_grid(small_cfg))
+    b = init_profile(small_cfg, make_grid(small_cfg))
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
@@ -99,7 +101,8 @@ def test_linear_step_returns_coefficients_exactly(small_setup):
 
 def test_folded_step_matches_unfolded_strang():
     cfg = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.02, t_end=1.0, init_modes=(0, 3))
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     stepper = FullStepper(grid, 6)
     folded = state.copy()
     ref_t, ref = state.time, two_component(state.coeffs)
@@ -118,7 +121,8 @@ def test_kick_leaves_physical_field_unchanged(P, n_x1, length_x1):
     # the midpoint's inner kick moves the field, and so the increment, by roundoff
     cfg = SimConfig(eps=200.0, P=P, n_x1=n_x1, length_x1=length_x1, dt=0.02,
                     t_end=1.0, init_modes=(0, 3))
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     stepper = FullStepper(grid, P)
     u = state.coeffs * np.exp(1j * (cfg.dt / 2.0) * stepper.omega)
     scale = cfg.dt * stepper._from_phys
@@ -138,7 +142,8 @@ def test_kick_leaves_physical_field_unchanged(P, n_x1, length_x1):
 @pytest.mark.parametrize("steps", [1, 7, 50])
 def test_segment_matches_single_steps(steps):
     cfg = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.02, t_end=1.0, init_modes=(0, 3))
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     stepper = FullStepper(grid, 6)
     single = state.copy()
     for _ in range(steps):
@@ -168,7 +173,8 @@ def test_exact_order_cubic_rule_matches_a_wider_rule():
     # the projection of u^2 is exact on the 12 cubic nodes of the desk basis,
     # so a 40-node rule steps the same trajectory up to roundoff
     cfg = SimConfig(eps=2e4, P=8, n_x1=128, length_x1=16.0, dt=0.02, t_end=1.0)
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     basis = grid.basis
     assert basis.cubic_phi.shape[1] == 12
     cubic_phi, cubic_total = _cubic_rule(40, basis.max_mode)
@@ -201,7 +207,8 @@ def test_ceiling_check_decisions():
 def test_reality_preserved_by_full_step():
     # the derived "-" component follows the two-component step's own "-" one
     cfg = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.02, t_end=2.0, init_modes=(0, 3))
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     stepper = FullStepper(grid, 6)
     s = state.copy()
     t, ref = state.time, two_component(state.coeffs)
@@ -228,13 +235,15 @@ def test_full_step_richardson_order_two(small_setup):
 
 
 def test_kick_size_scales_with_eps_squared(small_cfg):
-    grid, state = init_profile(small_cfg)
+    grid = make_grid(small_cfg)
+    state = init_profile(small_cfg, grid)
     stepper = FullStepper(grid, small_cfg.P)
     lin = FullStepper(grid, small_cfg.P, nonlinear=False)
     dt = 0.02
     kick = np.max(np.abs(stepper.step(state, dt).coeffs - lin.step(state, dt).coeffs))
     cfg_half = SimConfig(**{**small_cfg.__dict__, "eps": small_cfg.eps / 2.0})
-    grid2, state2 = init_profile(cfg_half)
+    grid2 = make_grid(cfg_half)
+    state2 = init_profile(cfg_half, grid2)
     kick_half = np.max(np.abs(FullStepper(grid2, 4).step(state2, dt).coeffs
                               - FullStepper(grid2, 4, nonlinear=False).step(state2, dt).coeffs))
     assert kick / kick_half == pytest.approx(4.0, rel=1e-3)
@@ -243,7 +252,8 @@ def test_kick_size_scales_with_eps_squared(small_cfg):
 def test_full_solver_vs_leapfrog_oracle():
     cfg = SimConfig(eps=20.0, P=6, n_x1=64, length_x1=16.0, dt=0.005,
                     t_end=1.0, init_modes=(0, 1), M=4.0, N=2.0, seed=7)
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     x2, u_ref = leapfrog_reference(grid, state, cfg.P, 1.0, 5e-4)
     stepper = FullStepper(grid, cfg.P, norm_ceiling=1e9)
     s = state.copy()
@@ -263,7 +273,8 @@ def test_blowup_detection(small_setup):
 
 def test_resonant_no_triples_constant():
     cfg = SimConfig(eps=0.05, P=3, n_x1=64, t_end=2.0, dt=0.02, init_modes=(0, 2))
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     stepper = ResonantStepper(grid, 3)
     assert stepper.triple_count == 0
     s = state.copy()
@@ -293,7 +304,8 @@ def test_resonant_couplings_all_zero_by_parity(monkeypatch):
     assert [s.triple for sp in unit.slots for s in sp] == in_window
     assert unit.couplings_all_zero
     cfg = SimConfig(eps=0.05, P=8, n_x1=64, t_end=2.0, dt=0.02, init_modes=(2, 3))
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     s = state.copy()
     s.time = 1.0
     # with no slot the step is idle: it never evaluates the right-hand side
@@ -364,7 +376,7 @@ def run_rows(config, which):
     def observer(kind, step, f, g, record):
         if kind == "out":
             rows.append(record.row)
-    return run(config, which, observer=observer), rows
+    return run(config, which, make_grid(config), observer=observer), rows
 
 
 def test_compare_t_end_equals_s0():
@@ -386,7 +398,7 @@ def test_compare_nonlinearity_off_diff_zero():
 def test_compare_trivial_resonant_flow_flagged():
     cfg = SimConfig(eps=0.05, P=8, n_x1=64, dt=0.02, t_end=2.0, s0=1.0,
                     init_modes=(2, 3), out_every=0.5)
-    record = run(cfg, "compare")
+    record = run(cfg, "compare", make_grid(cfg))
     assert record.resonant_triple_count == 6
     assert record.resonant_couplings_all_zero
 
@@ -411,7 +423,7 @@ def test_run_single_full_and_resonant():
         assert rows[0][0] == t0 and rows[-1][0] == pytest.approx(1.5)
         assert record.row == rows[-1] and record.diff is None
     with pytest.raises(ValueError, match="which must be"):
-        run(cfg, "neither")
+        run(cfg, "neither", make_grid(cfg))
 
 
 def test_run_memory_does_not_grow_with_rows():
@@ -423,7 +435,7 @@ def test_run_memory_does_not_grow_with_rows():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            record = run(cfg, "full")
+            record = run(cfg, "full", make_grid(cfg))
             return tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -441,14 +453,15 @@ def test_run_single_resonant_honours_subcycle():
 
         def observer(kind, step, f, g, record):
             last["f"] = f
-        run(config, "resonant", observer=observer)
+        run(config, "resonant", make_grid(config), observer=observer)
         return last["f"]
 
     one = end_state(cfg)
     two = end_state(dataclasses.replace(cfg, resonant_subcycle=2))
     assert not np.array_equal(one.coeffs, two.coeffs)
 
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     stepper = ResonantStepper(grid, cfg.P, coupling_mode="unit")
     state.time = cfg.s0
     for _ in range(round((cfg.t_end - cfg.s0) / cfg.dt) * 2):
@@ -461,7 +474,8 @@ def test_kernel_consistency_sample():
     # single-triple resonant RHS term vs direct oscillatory quadrature of the
     # bilinear integrand (couplings and prefactors divided out of both sides)
     cfg = SimConfig(eps=0.05, P=4, n_x1=64, dt=0.02, t_end=1.0, init_modes=(0, 3), seed=7)
-    grid, state = init_profile(cfg)
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
     stepper = ResonantStepper(grid, 4, coupling_mode="unit")
     from reslab.phase import PhaseParams
     params = PhaseParams(0, 0, 3, -1, -1)

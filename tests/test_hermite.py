@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from oracles import (adaptive_triple, eigen_residual, forward, interaction_bound_ratio,
-                     plain_rule, psi_direct, triple_table_dict, write_triple_csv)
+                     plain_rule, psi_direct, triple_product_at_order, triple_table_dict,
+                     write_triple_csv)
 from reslab.hermite import (MAX_QUAD_ORDER, HermiteBasis, TripleProductTable,
-                            gauss_hermite, hermite_table, norm_constant, triple_product,
-                            triple_quad_order)
+                            gauss_hermite, hermite_table, triple_product, triple_quad_order)
 from reslab.transform import Grid
 
 
@@ -94,12 +94,6 @@ def test_recurrence_matches_direct_evaluation():
         b = psi_direct(n, x)
         scale = np.max(np.abs(b))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
-
-
-def test_norm_constant_closed_form():
-    for n in (0, 1, 5, 20):
-        assert norm_constant(n) == pytest.approx(
-            math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi)), rel=1e-13)
 
 
 def test_orthonormality_to_mode_60():
@@ -182,8 +176,9 @@ def test_quadrature_order_doubling_stability():
         if (m + n + p) % 2 or m + n + p > 120:
             continue
         base = (m + n + p) // 2 + 2
-        v1 = triple_product(m, n, p, quad_order=base)
-        v2 = triple_product(m, n, p, quad_order=2 * base)
+        v1 = triple_product(m, n, p)
+        assert v1 == triple_product_at_order(m, n, p, base)
+        v2 = triple_product_at_order(m, n, p, 2 * base)
         # 1e-12 relative, with an absolute floor for entries that are
         # themselves below quadrature roundoff (e.g. T(0,0,60) ~ 1e-16)
         assert abs(v1 - v2) <= 1e-12 * abs(v1) + 1e-14

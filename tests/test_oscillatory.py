@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (duhamel_kernel, duhamel_phase, forward_x1, inverse_x1,
-                     kinked_gaussian_exact, nonstationary_bound, refine_edges_per_panel,
-                     uniform_panel_edges)
+from oracles import (SmoothBump, cut_spec, duhamel_kernel, duhamel_phase,
+                     forward_x1, fresnel_gaussian_spec, inverse_x1, kinked_gaussian_exact,
+                     nonstationary_bound, refine_edges_per_panel, uniform_panel_edges)
 from reslab import oscillatory
 from reslab.errors import DegenerateStationaryPoint, ResolutionError
 from reslab.hermite import HermiteBasis
 from reslab.oscillatory import (_CHUNK, _GL_NODES, _GL_ORDER, _GL_WEIGHTS,
-                                _PHASE_BUDGET, C_SP, OscIntegralSpec, PhaseCurve,
-                                SmoothBump, _panel_edges, fresnel_gaussian_spec, quadrature_oscillatory,
-                                stat_phase_decay_table,
-                                stationary_phase_leading)
+                                _PHASE_BUDGET, DECAY_TIMES, OscIntegralSpec, PhaseCurve,
+                                _panel_edges, kinked_gaussian_spec, quadrature_oscillatory,
+                                stat_phase_decay_table, stationary_phase_leading)
 from reslab.phase import PhaseParams, d2_at_stationary, lambda_coeff
 from reslab.transform import Grid, interp_matrix
 
@@ -72,7 +71,7 @@ def test_resolution_doubling_stability(monkeypatch):
 def kinked_edges(t: float, layout=_panel_edges) -> np.ndarray:
     """Panel edges of the kinked Gaussian family at time t, as
     ``quadrature_oscillatory`` lays them out."""
-    spec = fresnel_gaussian_spec(t, kink=True)
+    spec = kinked_gaussian_spec(t)
     a, b = spec.window
     return layout(a, b, t, np.abs(spec.phase.dpsi(np.linspace(a, b, 2049))), (0.0,))
 
@@ -81,7 +80,7 @@ def kinked_edges(t: float, layout=_panel_edges) -> np.ndarray:
 def test_panels_carry_at_most_the_phase_budget(t):
     edges = kinked_edges(t)
     x = edges[:-1, None] + np.diff(edges)[:, None] * np.linspace(0.0, 1.0, 33)[None, :]
-    dpsi = np.abs(fresnel_gaussian_spec(t, kink=True).phase.dpsi(x)).max(axis=1)
+    dpsi = np.abs(kinked_gaussian_spec(t).phase.dpsi(x)).max(axis=1)
     assert np.all(t * dpsi * np.diff(edges) <= _PHASE_BUDGET * (1.0 + 1e-9))
 
 
@@ -92,8 +91,7 @@ def test_local_layout_uses_fewer_panels_than_uniform():
 def test_decay_table_layout_node_count():
     # the 16-point rule at 12 radians laid out 2 580 768 nodes over the five
     # times; the 32-point rule at 48 radians needs about half of them
-    times = (100.0, 316.23, 1000.0, 3162.3, 10000.0)
-    nodes = sum(kinked_edges(t).size - 1 for t in times) * _GL_ORDER
+    nodes = sum(kinked_edges(t).size - 1 for t in DECAY_TIMES) * _GL_ORDER
     assert nodes <= 0.51 * 2_580_768
 
 
@@ -118,7 +116,7 @@ def test_decay_table_matches_uniform_layout(monkeypatch):
 
 
 def test_chunk_pool_independent_of_thread_count():
-    spec = fresnel_gaussian_spec(1e4, kink=True)
+    spec = kinked_gaussian_spec(1e4)
     panels = kinked_edges(spec.time).size - 1
     # more chunks than the largest pool, so every pool splits the integral
     threads = (1, 2, 3)
@@ -128,8 +126,8 @@ def test_chunk_pool_independent_of_thread_count():
 
 
 def test_thread_map_results_independent_of_thread_count():
-    serial = stat_phase_decay_table(times=(100.0, 1000.0), threads=1)
-    threaded = stat_phase_decay_table(times=(100.0, 1000.0), threads=4)
+    serial = stat_phase_decay_table(threads=1)
+    threaded = stat_phase_decay_table(threads=4)
     assert serial == threaded
 
 
@@ -144,7 +142,15 @@ def test_leading_term_fresnel():
     lead = stationary_phase_leading(spec, 0.0)
     assert abs(lead) == pytest.approx(math.sqrt(math.pi / 100.0), rel=1e-13)
     assert np.angle(lead) == pytest.approx(math.pi / 4.0, rel=1e-12)
-    assert C_SP == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("t", [100.0, 1e4])
+def test_leading_term_of_the_kinked_family(t):
+    # the kink 1 + |x|^(1/2) is 1 at the stationary point, so the leading term
+    # of the family the CLI runs is the Fresnel one
+    lead = stationary_phase_leading(kinked_gaussian_spec(t), 0.0)
+    exact = math.sqrt(math.pi / t) * complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
+    assert abs(lead - exact) <= 1e-13 * abs(exact)
 
 
 def test_leading_term_large_t_agreement():
@@ -178,7 +184,7 @@ def test_leading_term_guards():
 
 
 def test_decay_law_exponent():
-    result = stat_phase_decay_table(times=(100.0, 1000.0, 10000.0))
+    result = stat_phase_decay_table()
     assert result["fitted_exponent"] == pytest.approx(-0.75, abs=0.15)
 
 
@@ -195,19 +201,17 @@ def test_fresnel_remainder_times_t34_bounded():
 
 
 def test_nonstationary_bound_example():
-    spec = OscIntegralSpec(
-        phase=PhaseCurve(psi=lambda x: np.asarray(x, float),
-                         dpsi=lambda x: np.ones_like(np.asarray(x, float)),
-                         d2psi=lambda x: np.zeros_like(np.asarray(x, float))),
-        amplitude=lambda x: np.exp(-np.asarray(x, float) ** 2),
-        time=50.0, cutoff=SmoothBump(2.0, 1.0))
+    phase = PhaseCurve(psi=lambda x: np.asarray(x, float),
+                       dpsi=lambda x: np.ones_like(np.asarray(x, float)),
+                       d2psi=lambda x: np.zeros_like(np.asarray(x, float)))
+    amp = lambda x: np.exp(-np.asarray(x, float) ** 2)
+    bump = SmoothBump(2.0, 1.0)
     deriv = lambda x: -2.0 * np.asarray(x, float) * np.exp(-np.asarray(x, float) ** 2)
-    bound = nonstationary_bound(spec, 1.0, deriv)
-    assert abs(quadrature_oscillatory(spec)) <= bound
+    bound = nonstationary_bound(amp, bump, 50.0, 1.0, deriv)
+    assert abs(quadrature_oscillatory(cut_spec(phase, amp, 50.0, bump))) <= bound
     # bound halves when t doubles
-    spec2 = OscIntegralSpec(phase=spec.phase, amplitude=spec.amplitude,
-                            time=100.0, cutoff=spec.cutoff)
-    assert nonstationary_bound(spec2, 1.0, deriv) == pytest.approx(bound / 2.0, rel=1e-12)
+    assert nonstationary_bound(amp, bump, 100.0, 1.0, deriv) == pytest.approx(bound / 2.0,
+                                                                             rel=1e-12)
 
 
 def test_nonstationary_bound_randomized():
@@ -225,13 +229,12 @@ def test_nonstationary_bound_randomized():
             dpsi=lambda x, s=slope, c=curv: s + c * np.asarray(x, float) ** 2,
             d2psi=lambda x, c=curv: 2.0 * c * np.asarray(x, float))
         amp = lambda x, a=a: np.exp(-a * np.asarray(x, float) ** 2)
-        spec = OscIntegralSpec(phase=phase, amplitude=amp, time=t,
-                               cutoff=SmoothBump(center, radius))
-        lo, hi = spec.domain()
+        bump = SmoothBump(center, radius)
+        lo, hi = bump.support
         floor = float(np.min(np.abs(phase.dpsi(np.linspace(lo, hi, 512))))) * 0.999
         assert floor > 0
-        bound = nonstationary_bound(spec, floor)
-        assert abs(quadrature_oscillatory(spec)) <= bound
+        bound = nonstationary_bound(amp, bump, t, floor)
+        assert abs(quadrature_oscillatory(cut_spec(phase, amp, t, bump))) <= bound
 
 
 def test_smooth_bump_shape():
