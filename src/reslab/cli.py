@@ -170,9 +170,10 @@ class _RunWriter:
 
         With ``resume`` and a checkpoint in out_dir, the CSV is cut back to
         the checkpoint's rows.  A damaged checkpoint (also one with a step,
-        rows or state times this run never writes) or one of another config or
-        command raises ConfigError before the CSV is touched.  Otherwise the
-        run starts afresh and removes an earlier run's checkpoint.
+        rows, state times or total variation this run never writes) or one of
+        another config or command raises ConfigError before the CSV is
+        touched.  Otherwise the run starts afresh and removes an earlier run's
+        checkpoint.
         """
         if resume and os.path.exists(self.ckpt_path):
             try:
@@ -187,7 +188,10 @@ class _RunWriter:
                         and self.rows == step // out_stride + 1 and all(
                             abs(st.time - t_start - step * dt) < dt / 2 for st in states.values())):
                     raise ValueError("step, rows or state times of no checkpoint of this run")
-                loaded = dict(step=step, f=states["f"], g=states.get("g"), tv=float(meta["tv"]))
+                tv = meta["tv"]   # a sum of norms: a finite number >= 0 (a bool is none)
+                if type(tv) not in (int, float) or not 0.0 <= tv < math.inf:
+                    raise ValueError(f"total variation {tv!r} of no run")
+                loaded = dict(step=step, f=states["f"], g=states.get("g"), tv=float(tv))
                 with open(self.csv_path, "r+b") as fh:
                     for _ in range(1 + self.rows):
                         if not fh.readline().endswith(b"\n"):

@@ -24,8 +24,8 @@ cubic nodes, ``triple_product`` and ``TripleProductTable``; ``MAX_MODE`` is
 the largest mode count it can serve within ``MAX_QUAD_ORDER``.  The table
 stores columns m, n, p, value in one structured array in lexicographic
 order: one run of rows per pair m <= n, holding the even-parity p >= n
-(``_row_runs``).  The values are gathered from one Gram matmul per p, the
-index columns are computed from the runs, and a row is found by arithmetic.
+(``_row_runs``).  One Gram matmul per p gives that p's rows, which are
+scattered straight to their places, and a row is found by arithmetic.
 """
 
 from __future__ import annotations
@@ -146,9 +146,9 @@ class TripleProductTable:
     ``entries`` is a structured array of rows (m, n, p, value) in
     lexicographic (m, n, p) order, one row per even-parity triple; odd-parity
     entries are exactly 0 and not stored.  The rows form the runs of
-    ``_row_runs``, so a row's index is its run's start plus (p - first) // 2.
-    Each value is computed once, in canonical order, so all index
-    permutations return bit-identical values.
+    ``_row_runs``, so a row's index is its run's start plus (p - first) // 2;
+    the table is built one p at a time, each Gram matrix G_p scattered to its
+    rows, so each value is computed once and all index permutations agree.
     """
 
     _DTYPE = np.dtype([("m", np.int32), ("n", np.int32), ("p", np.int32), ("value", float)])
@@ -159,21 +159,23 @@ class TripleProductTable:
         self.max_mode = max_mode
         self.built_with = quad_order
         table, w_total = _cubic_rule(quad_order, max_mode)
-        # G_p[m, n] = sum_i w_i phi_p phi_m phi_n for m, n <= p, stored
-        # row-major at offset sum_{q<p} (q+1)^2 of one flat buffer
-        offset = np.cumsum([0] + [(p + 1) ** 2 for p in range(max_mode + 1)])
-        gram = np.empty(offset[-1])
-        for p in range(max_mode + 1):
-            np.matmul(table[: p + 1] * (w_total * table[p]), table[: p + 1].T,
-                      out=gram[offset[p]:offset[p + 1]].reshape(p + 1, p + 1))
         mm, nn, first, count = _row_runs(max_mode)
         self._first, self._start = first, np.cumsum(count) - count
-        m, n = np.repeat(mm, count), np.repeat(nn, count)
-        # row i of run k has p = first[k] + 2 (i - start[k])
-        p = np.repeat(first - 2 * self._start, count) + 2 * np.arange(len(m))
-        self.entries = np.empty(len(m), self._DTYPE)
-        self.entries["m"], self.entries["n"], self.entries["p"] = m, n, p
-        self.entries["value"] = gram[offset[p] + m * (p + 1) + n]
+        self.entries = np.empty(int(count.sum()), self._DTYPE)
+        # the runs holding a row at p are those with m + n + p even and
+        # n <= p: ordered by n, a prefix of the runs of p's parity, and each
+        # row sits at its run's start + (p - first) // 2 = row0 + p // 2
+        by_n = np.lexsort((mm, nn))
+        mm, nn, row0 = mm[by_n], nn[by_n], (self._start - first // 2)[by_n]
+        runs = [(mm[sel], nn[sel], row0[sel]) for sel in ((mm + nn) % 2 == q for q in (0, 1))]
+        for p in range(max_mode + 1):
+            m, n, r = runs[p % 2]
+            cut = np.searchsorted(n, p, side="right")
+            m, n, r = m[:cut], n[:cut], r[:cut] + p // 2
+            # G_p[m, n] = sum_i w_i phi_p phi_m phi_n for m, n <= p
+            g = (table[: p + 1] * (w_total * table[p])) @ table[: p + 1].T
+            self.entries["m"][r], self.entries["n"][r], self.entries["p"][r] = m, n, p
+            self.entries["value"][r] = g[m, n]
 
     def get(self, m: int, n: int, p: int) -> float:
         if min(m, n, p) < 0:

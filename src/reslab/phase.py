@@ -205,12 +205,18 @@ def sampled_phase_min(params: PhaseParams, R: float) -> float:
     """Minimum of |phi| over a polar sampling of the ball |(xi,eta)| <= R,
     400 radii by 800 angles.
 
-    Raises ResolutionError when the minimum is not finite (phi overflows on
-    a ball too large for floating point)."""
-    angles = np.linspace(0.0, 2.0 * math.pi, 800, endpoint=False)
+    It is taken in blocks of angle rows of about 2^15 points, 256 kB per
+    float64 temporary, as ``np.min`` of the block minima.  Raises
+    ResolutionError when it is not finite (phi overflows to NaN, in any
+    block, on a ball too large for floating point)."""
+    angles = np.linspace(0.0, 2.0 * math.pi, 800, endpoint=False)[:, None]
+    cos, sin = np.cos(angles), np.sin(angles)
+    rows = (1 << 15) // 400   # angles per block
     with np.errstate(over="ignore", invalid="ignore"):   # R near the largest float
-        rr, aa = np.meshgrid(np.linspace(0.0, R, 400), angles)
-        value = float(np.abs(phase(params, rr * np.cos(aa), rr * np.sin(aa))).min())
+        radii = np.linspace(0.0, R, 400)
+        value = float(np.min([np.abs(phase(params, radii * cos[i:i + rows],
+                                           radii * sin[i:i + rows])).min()
+                              for i in range(0, angles.size, rows)]))
     if not math.isfinite(value):
         raise ResolutionError(f"sampled |phi| on the ball of radius {R:.3g} is not finite")
     return value

@@ -7,11 +7,12 @@ A triple (m, n, p) is resonant exactly when
 a fully symmetric condition equivalent to one of sqrt(m+1), sqrt(n+1),
 sqrt(p+1) being the sum of the other two.  It is quadratic in each index:
 for a fixed output mode p the inputs are n = m + p + 1 +- 2 sqrt((m+1)(p+1)),
-so the resonant set is walked once, one ``isqrt`` per (m, p) in ``_partner``:
-O(max_mode) per output mode, O(max_mode^2) over all of them.  Every listing
-reads that one walk (``_resonant_inputs``): the interactions per output mode,
-the gate disagreements, and ``enumerate_triples``, which keeps its canonical
-(-1, -1) entries.  The cubic brute-force scan survives only as a test oracle.
+and with p+1 = d c^2, d squarefree, they are m+1 = d a^2, n+1 = d (a -+ c)^2.
+So the resonant set is walked once in closed form, O(sqrt(max_mode)) per
+output mode, O(max_mode^(3/2)) over all of them.  Every listing reads that
+one walk (``_resonant_inputs``): the interactions per output mode, the gate
+disagreements, and ``enumerate_triples``, which keeps its canonical (-1, -1)
+entries.  The cubic brute-force scan survives only as a test oracle.
 
 All arithmetic is exact (Python integers); there is no overflow bound.
 """
@@ -109,14 +110,15 @@ def _resonant_inputs(p: int, max_mode: int):
     in lexicographic order; the degenerate m = n, alpha = -beta is skipped.
 
     For fixed (m, p) the polynomial is quadratic in n with roots
-    n = m + p + 1 -+ 2 sqrt((m+1)(p+1)), integral iff (m+1)(p+1) is a square:
-    the upper root is ``_partner(m, p)``, the lower one 2(m+p+1) minus it.
+    n = m + p + 1 -+ 2 sqrt((m+1)(p+1)), integral iff (m+1)(p+1) is a square.
+    With p+1 = d c^2, d squarefree, that holds iff m+1 = d a^2, and then
+    n+1 = d (a -+ c)^2: the walk visits only m = d a^2 - 1, a = 1, 2, ...
     """
-    for m in range(max_mode + 1):
-        upper = _partner(m, p)
-        if upper is None:
-            continue
-        for n in (2 * (m + p + 1) - upper, upper):
+    c = max(k for k in range(1, math.isqrt(p + 1) + 1) if (p + 1) % (k * k) == 0)
+    d = (p + 1) // (c * c)
+    for a in range(1, math.isqrt((max_mode + 1) // d) + 1):
+        m = d * a * a - 1
+        for n in (d * (a - c) ** 2 - 1, d * (a + c) ** 2 - 1):
             if not 0 <= n <= max_mode:
                 continue
             for alpha in (-1, 1):

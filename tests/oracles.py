@@ -12,7 +12,11 @@ exponentials, as the splitting is written on paper.  The triple-table
 oracle is the exception: it walks the per-p Gram matmul of
 ``TripleProductTable`` into a dict one entry at a time and writes one sorted
 row at a time with ``%d,%d,%d,%.17g``, against the table's run layout and
-per-run templates, and so must agree with it byte for byte.
+per-run templates, and so must agree with it byte for byte.  Two more
+oracles are the earlier all-at-once forms of kernels that now work in
+cache-sized pieces, and must agree with them bit for bit: the flat-Gram
+build of the table's ``entries`` (``triple_entries_flat_gram``) and the
+full-grid sampled phase minimum (``sampled_phase_min_grid``).
 
 The package holds only what the CLI runs, so the reference implementations,
 cross-checks and reference scales of the paper that no command computes live
@@ -402,6 +406,39 @@ def triple_table_dict(max_mode: int) -> dict[tuple[int, int, int], float]:
                 if (m + n + p) % 2 == 0:
                     entries[(m, n, p)] = float(g[m, n])
     return entries
+
+
+def triple_entries_flat_gram(max_mode: int) -> np.ndarray:
+    """``TripleProductTable.entries`` built all at once: every G_p is written
+    row-major at offset sum_{q<p} (q+1)^2 of one flat buffer, and the rows
+    are gathered from it by the index columns of the run layout."""
+    from reslab.hermite import TripleProductTable, _cubic_rule, _row_runs, triple_quad_order
+
+    table, w_total = _cubic_rule(triple_quad_order(max_mode, max_mode, max_mode), max_mode)
+    offset = np.cumsum([0] + [(p + 1) ** 2 for p in range(max_mode + 1)])
+    gram = np.empty(offset[-1])
+    for p in range(max_mode + 1):
+        np.matmul(table[: p + 1] * (w_total * table[p]), table[: p + 1].T,
+                  out=gram[offset[p]:offset[p + 1]].reshape(p + 1, p + 1))
+    mm, nn, first, count = _row_runs(max_mode)
+    start = np.cumsum(count) - count
+    m, n = np.repeat(mm, count), np.repeat(nn, count)
+    p = np.repeat(first - 2 * start, count) + 2 * np.arange(len(m))
+    entries = np.empty(len(m), TripleProductTable._DTYPE)
+    entries["m"], entries["n"], entries["p"] = m, n, p
+    entries["value"] = gram[offset[p] + m * (p + 1) + n]
+    return entries
+
+
+def sampled_phase_min_grid(params, R: float) -> float:
+    """``np.min`` of |phi| over the whole 800-angle by 400-radius polar grid
+    of the ball of radius R at once, NaN or inf included."""
+    from reslab.phase import phase
+
+    angles = np.linspace(0.0, 2.0 * math.pi, 800, endpoint=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rr, aa = np.meshgrid(np.linspace(0.0, R, 400), angles)
+        return float(np.abs(phase(params, rr * np.cos(aa), rr * np.sin(aa))).min())
 
 
 def write_triple_csv(entries: dict[tuple[int, int, int], float], path) -> None:

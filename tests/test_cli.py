@@ -319,6 +319,15 @@ def test_phase_report_overflowing_radius_exits_3(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_phase_report_nan_phase_at_1e200_exits_3(tmp_path, capsys):
+    # with alpha = beta = -1 phi is inf - inf = NaN where the squares overflow
+    out = tmp_path / "pr"
+    assert main(["phase-report", "--m", "2", "--n", "3", "--p", "1",
+                 "--radius", "1e200", "--out-dir", str(out)]) == EXIT_NUMERIC
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "phase_report.json").exists()
+
+
 def test_phase_report_at_the_mode_bound_exits_0(tmp_path):
     # the largest accepted indices probe every regime without a numpy warning
     out = tmp_path / "pr"
@@ -604,6 +613,9 @@ DAMAGE = {
     "meta rows negative": lambda d: rewrite_checkpoint(d / CKPT, "meta", rows=-3),
     "meta of an earlier checkpoint": lambda d: rewrite_checkpoint(d / CKPT, "meta",
                                                                   step=50, rows=3),
+    "meta tv negative": lambda d: rewrite_checkpoint(d / CKPT, "meta", tv=-5.0),
+    "meta tv NaN": lambda d: rewrite_checkpoint(d / CKPT, "meta", tv=math.nan),
+    "meta tv a bool": lambda d: rewrite_checkpoint(d / CKPT, "meta", tv=True),
     "state times a list": lambda d: rewrite_checkpoint(d / CKPT, "header", times=[1]),
     "state times not numbers": lambda d: rewrite_checkpoint(d / CKPT, "header",
                                                             times={"f": "x", "g": "x"}),

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from oracles import (adaptive_triple, eigen_residual, forward, interaction_bound_ratio,
-                     plain_rule, psi_direct, triple_product_at_order, triple_table_dict,
-                     write_triple_csv)
+                     plain_rule, psi_direct, triple_entries_flat_gram, triple_product_at_order,
+                     triple_table_dict, write_triple_csv)
 from reslab.hermite import (MAX_QUAD_ORDER, HermiteBasis, TripleProductTable,
                             gauss_hermite, hermite_table, triple_product, triple_quad_order)
 from reslab.transform import Grid
@@ -196,6 +196,25 @@ def test_table_matches_dict_walk_oracle(tmp_path, max_mode):
         for perm in ((m, n, p), (m, p, n), (n, m, p), (n, p, m), (p, m, n), (p, n, m)):
             assert table.get(*perm) == v
 
+
+
+@pytest.mark.parametrize("max_mode", [0, 1, 2, 7, 60, 61, 120])
+def test_table_entries_match_flat_gram_build(max_mode):
+    assert TripleProductTable(max_mode).entries.tobytes() == \
+        triple_entries_flat_gram(max_mode).tobytes()
+
+
+def test_table_build_memory_stays_per_p():
+    # at max_mode 120 the entries keep 3.0 MB; a flat buffer of every G_p
+    # would add 4.8 MB, and index columns for a gather 1.2 MB each
+    TripleProductTable(120)
+    tracemalloc.start()
+    try:
+        TripleProductTable(120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7_000_000
 
 
 @pytest.mark.parametrize("block", [1, 5])

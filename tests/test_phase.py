@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (d2phase_deta2, dphase_dxi, phase_floor, richardson_d1,
-                     richardson_d2)
-from reslab.errors import BracketFailure, DegenerateSelfInteraction
+                     richardson_d2, sampled_phase_min_grid)
+from reslab.errors import BracketFailure, DegenerateSelfInteraction, ResolutionError
 from reslab.phase import (PhaseParams, Regime, Tag,
                           band_width_probe, band_width_reference, classify,
                           d2_at_stationary, dphase_deta, lambda_coeff, phase,
@@ -189,6 +190,47 @@ def test_sampled_phase_min_respects_floor():
                       / phase_floor(m, n, 20.0))
     fitted_c = min(ratios)
     assert fitted_c >= 1.0
+
+
+@pytest.mark.parametrize("m, n, p, alpha, beta, R", [
+    (0, 0, 3, -1, -1, 20.0), (4, 9, 1, 1, -1, 20.0), (30, 2, 17, -1, 1, 20.0),
+    (5, 5, 0, 1, 1, 20.0), (12, 3, 40, -1, -1, 20.0), (0, 0, 3, -1, -1, 1e-3),
+    (0, 7, 2, 1, -1, 1e200), (9, 0, 4, -1, 1, 1e155), (3, 3, 3, 1, 1, 1.7e308),
+])
+def test_sampled_phase_min_blocks_match_full_grid(m, n, p, alpha, beta, R):
+    params = PhaseParams(m, n, p, alpha, beta)
+    ref = sampled_phase_min_grid(params, R)
+    if math.isfinite(ref):
+        assert sampled_phase_min(params, R) == ref
+    else:
+        with pytest.raises(ResolutionError, match="not finite"):
+            sampled_phase_min(params, R)
+
+
+def test_sampled_phase_min_at_overflowing_radius():
+    # from |(xi, eta)| ~ 1.3e154 the squares overflow: with alpha = beta = -1
+    # phi is inf - inf = NaN there, with +1, +1 it is inf, and the minimum,
+    # at small radii in every block, stays finite
+    minus, plus = PhaseParams(2, 3, 1, -1, -1), PhaseParams(2, 3, 1, 1, 1)
+    assert math.isnan(sampled_phase_min_grid(minus, 1e200))
+    with pytest.raises(ResolutionError, match="not finite"):
+        sampled_phase_min(minus, 1e200)
+    assert math.isfinite(sampled_phase_min_grid(plus, 1e200))
+    assert sampled_phase_min(plus, 1e200) == sampled_phase_min_grid(plus, 1e200)
+
+
+def test_sampled_phase_min_memory_stays_in_blocks():
+    # a float64 temporary of the whole 800 x 400 grid is 2.56 MB; one of a
+    # block of about 2^15 points is 256 kB
+    params = PhaseParams(0, 0, 3, -1, -1)
+    sampled_phase_min(params, 20.0)
+    tracemalloc.start()
+    try:
+        sampled_phase_min(params, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_band_width_probe_low_freq():
