@@ -188,9 +188,9 @@ class _RunWriter:
                         and self.rows == step // out_stride + 1 and all(
                             abs(st.time - t_start - step * dt) < dt / 2 for st in states.values())):
                     raise ValueError("step, rows or state times of no checkpoint of this run")
-                tv = meta["tv"]   # a sum of norms: a finite number >= 0 (a bool is none)
+                tv = meta["tv"]   # a sum of norms: an int or float, finite, >= 0
                 if type(tv) not in (int, float) or not 0.0 <= tv < math.inf:
-                    raise ValueError(f"total variation {tv!r} of no run")
+                    raise ValueError(f"total variation {tv!r} is not a finite number >= 0")
                 loaded = dict(step=step, f=states["f"], g=states.get("g"), tv=float(tv))
                 with open(self.csv_path, "r+b") as fh:
                     for _ in range(1 + self.rows):

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own computational paths:
 Hermite functions come from scipy's polynomial evaluation, integrals from
-adaptive quadrature, the resonance scan is a vectorized cubic brute force,
+adaptive quadrature, the resonance scan is a vectorized cubic brute force
+(and, per output mode, a scan of every m with an integer square root),
 derivatives are Richardson-extrapolated differences, and the reference PDE
 solver is a leapfrog scheme with a uniform finite-difference trap direction.
 The two-component references carry both traveling components, build the
@@ -389,6 +390,23 @@ def brute_force_triples(max_mode: int) -> set[tuple[int, int, int]]:
     for a, b, c in sols:
         a, b, c = sorted((int(a), int(b), int(c)))
         out.add((a, b, c))
+    return out
+
+
+def resonant_inputs_scan(p: int, max_mode: int):
+    """(m, n, alpha, beta) of the resonant set for output mode p in
+    lexicographic order, scanning every m: n is a root of the polynomial,
+    m + p + 1 -+ 2 sqrt((m+1)(p+1)), when (m+1)(p+1) is a perfect square;
+    m = n with alpha = -beta is skipped."""
+    out = []
+    for m in range(max_mode + 1):
+        r = math.isqrt((m + 1) * (p + 1))
+        if r * r != (m + 1) * (p + 1):
+            continue
+        for n in (m + p + 1 - 2 * r, m + p + 1 + 2 * r):
+            if 0 <= n <= max_mode:
+                out.extend((m, n, a, b) for a in (-1, 1) for b in (-1, 1)
+                           if m != n or a == b)
     return out
 
 

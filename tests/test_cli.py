@@ -309,23 +309,16 @@ def test_phase_report_unresolved_band_is_null(tmp_path):
 
 
 def test_phase_report_overflowing_radius_exits_3(tmp_path, capsys):
-    # phi overflows on this ball: its sampled minimum would be NaN
-    out = tmp_path / "pr"
-    assert main(["phase-report", "--m", "0", "--n", "0", "--p", "3",
-                 "--radius", "1e300", "--out-dir", str(out)]) == EXIT_NUMERIC
-    err = capsys.readouterr().err
-    assert "numerical failure" in err and "not finite" in err
-    assert not (out / "phase_report.json").exists()
-    assert not (out / "manifest.json").exists()
-
-
-def test_phase_report_nan_phase_at_1e200_exits_3(tmp_path, capsys):
-    # with alpha = beta = -1 phi is inf - inf = NaN where the squares overflow
-    out = tmp_path / "pr"
-    assert main(["phase-report", "--m", "2", "--n", "3", "--p", "1",
-                 "--radius", "1e200", "--out-dir", str(out)]) == EXIT_NUMERIC
-    assert "not finite" in capsys.readouterr().err
-    assert not (out / "phase_report.json").exists()
+    # phi overflows on these balls: with alpha = beta = -1 it is inf - inf =
+    # NaN where the squares overflow, so its sampled minimum would be NaN
+    for i, (m, n, p, radius) in enumerate((("0", "0", "3", "1e300"), ("2", "3", "1", "1e200"))):
+        out = tmp_path / f"pr{i}"
+        assert main(["phase-report", "--m", m, "--n", n, "--p", p,
+                     "--radius", radius, "--out-dir", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "not finite" in err
+        assert not (out / "phase_report.json").exists()
+        assert not (out / "manifest.json").exists()
 
 
 def test_phase_report_at_the_mode_bound_exits_0(tmp_path):

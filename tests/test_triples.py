@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_triples, is_resonant_massless
-from reslab.triples import (ResonantTriple, condition_polynomial,
+from oracles import brute_force_triples, is_resonant_massless, resonant_inputs_scan
+from reslab.triples import (ResonantTriple, _resonant_inputs, condition_polynomial,
                             enumerate_triples, gate_disagreements,
                             interactions_for_output, printed_gate_admissible,
                             sqrt_gate_admissible)
@@ -101,6 +101,12 @@ def test_interactions_output_matches_brute_force(p):
     if p == 0:
         # mode 0 is never the largest root: only mixed-sign branches feed it
         assert expected and all((t.alpha, t.beta) != (-1, -1) for t in out)
+
+
+@pytest.mark.parametrize("max_mode", [0, 1, 2, 7, 50, 200])
+def test_closed_form_walk_matches_scan_of_every_m(max_mode):
+    for p in range(max_mode + 1):
+        assert list(_resonant_inputs(p, max_mode)) == resonant_inputs_scan(p, max_mode)
 
 
 def test_interactions_sorted_lexicographically():
