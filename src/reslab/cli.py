@@ -37,7 +37,7 @@ from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
 from .transform import load_state, save_state
-from .triples import GATES, gate_disagreements, interactions_for_output
+from .triples import GATES, interactions_for_output
 from . import __version__
 
 EXIT_OK = 0
@@ -99,10 +99,9 @@ def _config_hash(config: SimConfig) -> str:
 # records of it: (config snapshot, input hashes, output file names).
 
 def cmd_enumerate(args, out_dir: str):
-    rows = []
-    if not args.massless:   # the massless variant has a provably empty set
-        for p in range(args.max_mode + 1):
-            rows.extend(interactions_for_output(p, args.max_mode, gate=args.gate))
+    # the massless variant has a provably empty set
+    rows, disagreements = (([], []) if args.massless else
+                           interactions_for_output(args.max_mode, gate=args.gate))
     csv_path = os.path.join(out_dir, "resonant_interactions.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("m,n,p,alpha,beta,lambda,coupling\n")
@@ -115,8 +114,7 @@ def cmd_enumerate(args, out_dir: str):
         "max_mode": args.max_mode,
         "gate": args.gate,
         "massless": args.massless,
-        "gate_disagreements": [] if args.massless else
-            [list(t) for t in gate_disagreements(args.max_mode)],
+        "gate_disagreements": [list(t) for t in disagreements],
         "all_couplings_zero": all(tr.coupling == 0.0 for tr in rows),
     })
     return ({"max_mode": args.max_mode, "gate": args.gate, "massless": args.massless},

@@ -336,10 +336,12 @@ class _TripleSlot:
 
 
 class ResonantStepper:
-    """Explicit midpoint integrator for the resonant system.  ``slots`` holds
-    the triples with in-window samples and a non-zero coupling.  Couplings
-    come from ``table`` if given, else from ``triple_product``, which is an
-    exact 0.0 for every resonant triple (odd parity)."""
+    """Explicit midpoint integrator for the resonant system.  The triples are
+    the ``gate``-admitted interactions of one ``interactions_for_output``
+    walk over modes 0..n_modes-1; ``slots`` holds those with in-window
+    samples and a non-zero coupling.  Couplings come from ``table`` if given,
+    else from ``triple_product``, which is an exact 0.0 for every resonant
+    triple (odd parity)."""
 
     def __init__(self, grid: Grid, n_modes: int, gate: str = "sqrt",
                  table: TripleProductTable | None = None,
@@ -351,8 +353,7 @@ class ResonantStepper:
         self.n_modes = n_modes
         self.norm_ceiling = norm_ceiling
         xi = grid.xi
-        triples = [tr for p in range(n_modes)
-                   for tr in interactions_for_output(p, n_modes - 1, gate=gate, table=table)]
+        triples, _ = interactions_for_output(n_modes - 1, gate, table)
         self.triple_count = len(triples)
         # every Hermite M(m,n,p) is zero, whatever coupling_mode is
         self.couplings_all_zero = all(tr.coupling == 0.0 for tr in triples)

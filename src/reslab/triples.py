@@ -8,11 +8,12 @@ a fully symmetric condition equivalent to one of sqrt(m+1), sqrt(n+1),
 sqrt(p+1) being the sum of the other two.  It is quadratic in each index:
 for a fixed output mode p the inputs are n = m + p + 1 +- 2 sqrt((m+1)(p+1)),
 and with p+1 = d c^2, d squarefree, they are m+1 = d a^2, n+1 = d (a -+ c)^2.
-So the resonant set is walked once in closed form, O(sqrt(max_mode)) per
-output mode, O(max_mode^(3/2)) over all of them.  Every listing reads that
-one walk (``_resonant_inputs``): the interactions per output mode, the gate
-disagreements, and ``enumerate_triples``, which keeps its canonical (-1, -1)
-entries.  The cubic brute-force scan survives only as a test oracle.
+So the resonant set is walked in closed form, O(sqrt(max_mode)) per output
+mode, O(max_mode^(3/2)) over all of them.  ``interactions_for_output`` is
+the one listing: a single pass over that walk (``_resonant_inputs``) judges
+each tuple by both gates, and returns the interactions the chosen gate
+admits together with the tuples on which the gates disagree.  The cubic
+brute-force scan and the canonical triple list survive only as test oracles.
 
 All arithmetic is exact (Python integers); there is no overflow bound.
 """
@@ -127,47 +128,30 @@ def _resonant_inputs(p: int, max_mode: int):
                         yield m, n, alpha, beta
 
 
-def enumerate_triples(max_mode: int) -> list[tuple[int, int, int]]:
-    """Sorted triples (m, n, p), m <= n, p in the largest-root position,
-    with all indices <= max_mode.
+def interactions_for_output(max_mode: int, gate: str = "sqrt", table=None
+                            ) -> tuple[list[ResonantTriple], list[tuple[int, int, int, int, int]]]:
+    """One walk of the resonant set with every index <= max_mode, both gates
+    judged on each (m, n, p, alpha, beta).
 
-    Every solution of the resonance polynomial is an index permutation of an
-    entry of this list: the entries are the walk's (-1, -1) inputs with
-    m <= n <= p.
-    """
-    if max_mode < 0:
-        raise ValueError("max_mode must be >= 0")
-    return sorted((m, n, p) for p in range(max_mode + 1)
-                  for m, n, alpha, beta in _resonant_inputs(p, max_mode)
-                  if (alpha, beta) == (-1, -1) and m <= n <= p)
-
-
-def interactions_for_output(p: int, max_mode: int, gate: str = "sqrt",
-                            table=None) -> list[ResonantTriple]:
-    """All (m, n, alpha, beta) interactions entering the resonant sum for
-    output mode p, in lexicographic (m, n, alpha, beta) order.
-
-    ``gate`` is "sqrt" or "printed".  ``table`` is an optional
+    Returns the interactions that ``gate`` ("sqrt" or "printed") admits, in
+    (p, m, n, alpha, beta) order, and the sorted (m, n, p, alpha, beta) tuples
+    on which the two gates disagree.  ``table`` is an optional
     TripleProductTable; without it couplings are computed on the fly.
     """
     from .hermite import triple_product
     from .phase import lambda_coeff
 
-    if p > max_mode:
-        raise ValueError("output mode exceeds max_mode")
-    admissible = GATES[gate]
-    return [ResonantTriple(m=m, n=n, p=p, alpha=alpha, beta=beta,
-                           lam=lambda_coeff(m, n, alpha, beta),
-                           coupling=(table.get(m, n, p) if table is not None
-                                     else triple_product(m, n, p)))
-            for m, n, alpha, beta in _resonant_inputs(p, max_mode)
-            if admissible(m, n, p, alpha, beta)]
-
-
-def gate_disagreements(max_mode: int) -> list[tuple[int, int, int, int, int]]:
-    """(m, n, p, alpha, beta) tuples on which the two admissibility gates differ."""
-    return sorted((m, n, p, alpha, beta)
-                  for p in range(max_mode + 1)
-                  for m, n, alpha, beta in _resonant_inputs(p, max_mode)
-                  if sqrt_gate_admissible(m, n, p, alpha, beta)
-                  != printed_gate_admissible(m, n, p, alpha, beta))
+    admitted, disagreements = [], []
+    for p in range(max_mode + 1):
+        for m, n, alpha, beta in _resonant_inputs(p, max_mode):
+            verdict = {name: admissible(m, n, p, alpha, beta)
+                       for name, admissible in GATES.items()}
+            if verdict["sqrt"] != verdict["printed"]:
+                disagreements.append((m, n, p, alpha, beta))
+            if verdict[gate]:
+                admitted.append(ResonantTriple(
+                    m=m, n=n, p=p, alpha=alpha, beta=beta,
+                    lam=lambda_coeff(m, n, alpha, beta),
+                    coupling=(table.get(m, n, p) if table is not None
+                              else triple_product(m, n, p))))
+    return admitted, sorted(disagreements)

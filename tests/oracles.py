@@ -17,7 +17,9 @@ per-run templates, and so must agree with it byte for byte.  Two more
 oracles are the earlier all-at-once forms of kernels that now work in
 cache-sized pieces, and must agree with them bit for bit: the flat-Gram
 build of the table's ``entries`` (``triple_entries_flat_gram``) and the
-full-grid sampled phase minimum (``sampled_phase_min_grid``).
+full-grid sampled phase minimum (``sampled_phase_min_grid``).  The canonical
+triple list ``enumerate_triples`` is not an oracle but a test helper: it
+reads the package's closed-form walk, and ``brute_force_triples`` checks it.
 
 The package holds only what the CLI runs, so the reference implementations,
 cross-checks and reference scales of the paper that no command computes live
@@ -391,6 +393,16 @@ def brute_force_triples(max_mode: int) -> set[tuple[int, int, int]]:
         a, b, c = sorted((int(a), int(b), int(c)))
         out.add((a, b, c))
     return out
+
+
+def enumerate_triples(max_mode: int) -> list[tuple[int, int, int]]:
+    """Sorted canonical triples (m, n, p), m <= n <= p <= max_mode, p in the
+    largest-root position: the (-1, -1) entries of the package's walk.  Every
+    solution of the resonance polynomial is an index permutation of one."""
+    from reslab.triples import _resonant_inputs
+    return sorted((m, n, p) for p in range(max_mode + 1)
+                  for m, n, alpha, beta in _resonant_inputs(p, max_mode)
+                  if (alpha, beta) == (-1, -1) and m <= n <= p)
 
 
 def resonant_inputs_scan(p: int, max_mode: int):

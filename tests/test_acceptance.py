@@ -8,9 +8,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from oracles import (SmoothBump, brute_force_triples, cut_spec, d2phase_deta2, dphase_dxi,
-                     duhamel_phase, eigen_residual, forward, fresnel_gaussian_spec, inverse,
-                     leapfrog_reference, nonstationary_bound, physical_field_on, plain_rule,
-                     richardson_d1, richardson_d2, triple_product_at_order)
+                     duhamel_phase, eigen_residual, enumerate_triples, forward,
+                     fresnel_gaussian_spec, inverse, leapfrog_reference, nonstationary_bound,
+                     physical_field_on, plain_rule, richardson_d1, richardson_d2,
+                     triple_product_at_order)
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               init_profile, make_grid, run)
 from reslab.hermite import HermiteBasis, TripleProductTable, triple_product
@@ -18,7 +19,6 @@ from reslab.oscillatory import (OscIntegralSpec, PhaseCurve, kinked_gaussian_spe
                                 quadrature_oscillatory, stationary_phase_leading)
 from reslab.phase import PhaseParams, dphase_deta, lambda_coeff, phase
 from reslab.transform import Grid, SpectralState, composite_norms, hm_l2_norm, interp_matrix
-from reslab.triples import enumerate_triples
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (d2phase_deta2, dphase_dxi, phase_floor, richardson_d1,
-                     richardson_d2, sampled_phase_min_grid)
+from oracles import (d2phase_deta2, dphase_dxi, enumerate_triples, phase_floor,
+                     richardson_d1, richardson_d2, sampled_phase_min_grid)
 from reslab.errors import BracketFailure, DegenerateSelfInteraction, ResolutionError
 from reslab.phase import (PhaseParams, Regime, Tag,
                           band_width_probe, band_width_reference, classify,
                           d2_at_stationary, dphase_deta, lambda_coeff, phase,
                           phase_report, sampled_phase_min)
-from reslab.triples import (condition_polynomial, enumerate_triples,
-                            printed_gate_admissible, sqrt_gate_admissible)
+from reslab.triples import (condition_polynomial, printed_gate_admissible,
+                            sqrt_gate_admissible)
 
 
 def test_phase_all_plus_at_origin():

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_triples, is_resonant_massless, resonant_inputs_scan
+import reslab.triples
+from oracles import (brute_force_triples, enumerate_triples, is_resonant_massless,
+                     resonant_inputs_scan)
+from reslab.cli import main
+from reslab.evolution import ResonantStepper, SimConfig, make_grid
 from reslab.triples import (ResonantTriple, _resonant_inputs, condition_polynomial,
-                            enumerate_triples, gate_disagreements,
                             interactions_for_output, printed_gate_admissible,
                             sqrt_gate_admissible)
 
@@ -41,12 +44,16 @@ def test_sqrt_identity_for_enumerated():
         assert abs(math.sqrt(p + 1) - math.sqrt(m + 1) - math.sqrt(n + 1)) <= 1e-12
 
 
-def test_every_resonant_triple_has_odd_parity():
-    # the polynomial reduces mod 2 to m + n + p + 1, so solutions are odd;
-    # combined with the parity of the Hermite triple integral this zeroes
-    # every resonant coupling
-    for m, n, p in enumerate_triples(200):
-        assert (m + n + p) % 2 == 1
+def test_resonant_walk_has_odd_parity_and_zero_couplings(table60):
+    # with p+1 = d c^2 the walk's inputs are m+1 = d a^2, n+1 = d (a -+ c)^2,
+    # so m + n + p = 2d(a^2 -+ ac + c^2) - 3 is odd; the Hermite triple
+    # integral vanishes for odd total parity, which zeroes every coupling
+    # either gate can admit
+    walked = [(m, n, p) for p in range(501) for m, n, _, _ in _resonant_inputs(p, 500)]
+    assert len(walked) == 8498
+    assert all((m + n + p) % 2 == 1 for m, n, p in walked)
+    small = [t for t in walked if max(t) <= 60]
+    assert small and all(table60.get(*t) == 0.0 for t in small)
 
 
 def test_symmetry_closure():
@@ -63,25 +70,31 @@ def test_density_monotone_and_oracle_count():
     assert counts[1] == len(brute_force_triples(50))
 
 
+def _feeding(p, max_mode, gate="sqrt"):
+    """The interactions of output mode p, out of the one listing."""
+    admitted, _ = interactions_for_output(max_mode, gate=gate)
+    return [t for t in admitted if t.p == p]
+
+
 def test_interactions_for_output_p3():
-    out = interactions_for_output(3, 8, gate="sqrt")
+    out = _feeding(3, 8)
     keys = {(t.m, t.n, t.alpha, t.beta) for t in out}
     assert (0, 0, -1, -1) in keys
     tr = [t for t in out if (t.m, t.n) == (0, 0)][0]
     assert tr.lam == pytest.approx(0.5, rel=1e-15)
-    out_printed = interactions_for_output(3, 8, gate="printed")
+    out_printed = _feeding(3, 8, gate="printed")
     assert (0, 0, -1, -1) in {(t.m, t.n, t.alpha, t.beta) for t in out_printed}
 
 
 def test_interactions_for_output_p7():
-    out = interactions_for_output(7, 7, gate="sqrt")
+    out = _feeding(7, 7)
     tr = [t for t in out if (t.m, t.n) == (1, 1)]
     assert len(tr) == 1 and tr[0].lam == pytest.approx(0.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("p", range(51))
 def test_interactions_output_matches_brute_force(p):
-    out = interactions_for_output(p, 50, gate="sqrt")
+    out = _feeding(p, 50)
     # brute-force classification: (m, n) with some permutation of (m, n, p)
     # resonant and the root of the opposite-signed index dominant
     expected = set()
@@ -110,13 +123,30 @@ def test_closed_form_walk_matches_scan_of_every_m(max_mode):
 
 
 def test_interactions_sorted_lexicographically():
-    out = interactions_for_output(0, 50, gate="sqrt")
-    keys = [(t.m, t.n, t.alpha, t.beta) for t in out]
+    out, _ = interactions_for_output(50)
+    keys = [(t.p, t.m, t.n, t.alpha, t.beta) for t in out]
     assert keys == sorted(keys)
 
 
+def test_enumerate_and_resonant_stepper_walk_the_set_once(tmp_path, monkeypatch):
+    # one call of the walk per output mode: the gate disagreements ride on it
+    calls = []
+    walk = reslab.triples._resonant_inputs
+
+    def counting(p, max_mode):
+        calls.append(p)
+        return walk(p, max_mode)
+
+    monkeypatch.setattr(reslab.triples, "_resonant_inputs", counting)
+    assert main(["enumerate", "--max-mode", "50", "--out-dir", str(tmp_path)]) == 0
+    assert calls == list(range(51))
+    calls.clear()
+    ResonantStepper(make_grid(SimConfig(P=8)), 8)
+    assert calls == list(range(8))
+
+
 def test_gate_disagreements_nonempty_and_flagged():
-    dis = gate_disagreements(10)
+    _, dis = interactions_for_output(10)
     assert (8, 0, 3, -1, 1) in dis
     # the disagreeing entry is sqrt-admissible but rejected as printed
     assert sqrt_gate_admissible(8, 0, 3, -1, 1)
@@ -139,13 +169,14 @@ def test_gate_disagreements_match_brute_force():
                 if not (m == n and a == -b)
                 and sqrt_gate_admissible(m, n, p, a, b)
                 != printed_gate_admissible(m, n, p, a, b)]
-    assert expected and gate_disagreements(30) == expected
+    assert expected and interactions_for_output(30)[1] == expected
 
 
 def test_counts_at_max_mode_200():
     # the numbers the benchmark gate checks on ``enumerate --max-mode 200``
-    assert sum(len(interactions_for_output(p, 200, gate="sqrt")) for p in range(201)) == 744
-    assert len(gate_disagreements(200)) == 347
+    admitted, disagreements = interactions_for_output(200, gate="sqrt")
+    assert len(admitted) == 744
+    assert len(disagreements) == 347
 
 
 def test_massless_variant_empty():
