@@ -4,7 +4,7 @@ equation with a harmonic trap in the second direction.
 Submodules
 ----------
 hermite     normalized Hermite functions, quadrature, triple interaction tensor
-transform   grid and spectral state, composite norms, interpolation, checkpoint file
+transform   grid and spectral state, composite norms, checkpoint file
 phase       three-wave phase functions, stationary points, resonance classification
 triples     integer enumeration of space-time resonant mode triples
 oscillatory oscillatory quadrature and the stationary-phase approximation

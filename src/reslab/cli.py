@@ -9,8 +9,9 @@ each calls ``evolution.run`` with its system ("full", "resonant" or
 ``transform.save_state``), and --resume continues from it, or starts afresh
 without one; ``_RunWriter`` alone owns these files.  stat-phase-check
 takes --threads (0, the default, means all cores).  Exit codes: 0 success, 2 config
-error (including a checkpoint that is damaged or from another config) or an
-argument its argparse type rejects, 3 numerical failure, 64 unknown subcommand.
+error (including a checkpoint that is damaged or from another config), an
+argument its argparse type rejects or an output file that cannot be written,
+3 numerical failure, 64 unknown subcommand.
 
 Outputs are deterministic for a fixed config and seed: floats are printed
 with repr-faithful %.17g, JSON keys are sorted, and all numerics run on the
@@ -366,6 +367,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for path, msg in exc.issues:
             print(f"config error at {path}: {msg}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:   # an output that cannot be written; a rename names it second
+        print(f"error: cannot write {exc.filename2 or exc.filename or out_dir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BlowupDetected, ResolutionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -26,10 +26,6 @@ class BlowupDetected(ReslabError):
     """A trajectory norm exceeded the configured ceiling."""
 
 
-class InterpolationRangeError(ReslabError):
-    """Band-limited interpolation was requested outside the frequency window."""
-
-
 class ConfigError(ReslabError):
     """Invalid run configuration; carries a list of (json_pointer, message) pairs."""
 

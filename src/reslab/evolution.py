@@ -35,9 +35,14 @@ comparable).  The field components carry signs (-sigma a, -sigma b): pairing
 e^(-+ i s phi^(a,b)) with fields labeled (a, b) directly would be
 inconsistent, and the relabeled form is the one that preserves the reality
 pairing; only the sigma = +1 output is computed.
-Off-grid samples f~(lam xi) use band-limited trigonometric interpolation;
-samples beyond the frequency window are truncated to zero (out-of-band
-interactions are not representable on the grid).
+Off-grid samples f~(lam xi) are values of the trigonometric polynomial
+through the grid values; samples beyond the frequency window are truncated
+to zero (out-of-band interactions are not representable on the grid).  With
+g = ifft(alt f~), f~(r xi_k) = e^(i pi r k) sum_j g_j e^(-2 pi i r j k/n), k
+the signed index, and jk = (j^2 + k^2 - (k-j)^2)/2 makes the sum a circular
+convolution of length 2n whose chirp holds k-j at its representative in
+[-3n/2, n/2): Bluestein's chirp-z transform, one batched fft, multiply and
+ifft for every leg of every triple.
 
 A structural fact surfaces here: the resonance condition forces m + n + p to
 be odd (reduce the polynomial mod 2), while M(m,n,p) vanishes exactly for odd
@@ -71,8 +76,7 @@ import numpy as np
 
 from .errors import BlowupDetected, ConfigError
 from .hermite import HermiteBasis, TripleProductTable
-from .transform import (Grid, SpectralState, composite_norms, hm_l2_norm,
-                        interp_matrix, minus_component)
+from .transform import Grid, SpectralState, composite_norms, hm_l2_norm, minus_component
 from .phase import bracket, d2_at_stationary
 from .triples import ResonantTriple, interactions_for_output
 
@@ -325,23 +329,16 @@ class FullStepper:
         return SpectralState(t + dt, f)
 
 
-@dataclass
-class _TripleSlot:
-    triple: ResonantTriple
-    idx: np.ndarray        # output-frequency indices with both reads in-window
-    em: np.ndarray         # interpolation at lam*xi, divided by <lam xi>_m
-    en: np.ndarray         # interpolation at (1-lam)*xi, divided by <(1-lam) xi>_n
-    kernel: np.ndarray     # ab * M * sqrt(2 pi / |D|)
-    fresnel: np.ndarray    # e^(-i pi/4 sgn D), the sigma = +1 factor
-
-
 class ResonantStepper:
     """Explicit midpoint integrator for the resonant system.  The triples are
     the ``gate``-admitted interactions of one ``interactions_for_output``
-    walk over modes 0..n_modes-1; ``slots`` holds those with in-window
+    walk over modes 0..n_modes-1; ``active`` lists those with in-window
     samples and a non-zero coupling.  Couplings come from ``table`` if given,
     else from ``triple_product``, which is an exact 0.0 for every resonant
-    triple (odd parity)."""
+    triple (odd parity).  Each leg, f~_m at lam xi or f~_n at (1-lam) xi,
+    keeps its pre-chirp and the FFT of its chirp; the post-chirps, brackets,
+    kernel, Fresnel factor and in-window mask make one weight row per active
+    triple."""
 
     def __init__(self, grid: Grid, n_modes: int, gate: str = "sqrt",
                  table: TripleProductTable | None = None,
@@ -352,44 +349,60 @@ class ResonantStepper:
         self.grid = grid
         self.n_modes = n_modes
         self.norm_ceiling = norm_ceiling
-        xi = grid.xi
+        xi, n = grid.xi, grid.n_x1
         triples, _ = interactions_for_output(n_modes - 1, gate, table)
         self.triple_count = len(triples)
         # every Hermite M(m,n,p) is zero, whatever coupling_mode is
         self.couplings_all_zero = all(tr.coupling == 0.0 for tr in triples)
-        self.slots: list[list[_TripleSlot]] = [[] for _ in range(n_modes)]
+        self.active: list[ResonantTriple] = []
+        weights = []
         for tr in triples:
             coupling = tr.coupling if coupling_mode == "hermite" else 1.0
             lam = tr.lam
-            idx = np.nonzero(grid.in_window(lam * xi) & grid.in_window((1.0 - lam) * xi))[0]
-            if idx.size == 0 or coupling == 0.0:
+            inw = grid.in_window(lam * xi) & grid.in_window((1.0 - lam) * xi)
+            if not inw.any() or coupling == 0.0:
                 continue
-            xs = xi[idx]
-            em = interp_matrix(grid, lam * xs) / bracket(lam * xs, tr.m)[:, None]
-            en = interp_matrix(grid, (1.0 - lam) * xs) / bracket((1.0 - lam) * xs, tr.n)[:, None]
+            xs = xi[inw]
             d_signed = d2_at_stationary(tr.m, tr.n, tr.alpha, tr.beta, xs)
             ab = float(tr.alpha * tr.beta) if include_alpha_beta else 1.0
-            kernel = K_PREF * ab * coupling * np.sqrt(2.0 * math.pi / np.abs(d_signed))
-            fresnel = np.exp(-1j * (math.pi / 4.0) * np.sign(d_signed))
-            self.slots[tr.p].append(_TripleSlot(tr, idx, em, en, kernel, fresnel))
+            w = np.zeros(n, dtype=complex)
+            w[inw] = (K_PREF * ab * coupling * np.sqrt(2.0 * math.pi / np.abs(d_signed))
+                      * np.exp(-1j * (math.pi / 4.0) * np.sign(d_signed))
+                      / (bracket(lam * xs, tr.m) * bracket((1.0 - lam) * xs, tr.n)))
+            self.active.append(tr)
+            weights.append(w)
+        # the lam legs, then the 1-lam legs; component 1 is the derived f~_-
+        legs = np.array([(tr.lam, tr.alpha, tr.m) for tr in self.active]
+                        + [(1.0 - tr.lam, tr.beta, tr.n) for tr in self.active]).reshape(-1, 3)
+        ratio = legs[:, 0]
+        self._comp, self._mode = (legs[:, 1] > 0).astype(int), legs[:, 2].astype(int)
+        self._p = np.array([tr.p for tr in self.active], dtype=int)
+        k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)   # signed index, FFT order
+        j = np.arange(n, dtype=np.int64)
+        z = np.arange(2 * n, dtype=np.int64)
+        z = np.where(z < n // 2, z, z - 2 * n)   # k - j mod 2n, in [-3n/2, n/2)
+        self._out = k % (2 * n)                  # where the convolution holds k
+        arg = (math.pi / n) * ratio[:, None]
+        self._pre = np.exp(-1j * arg * (j * j))                        # (L, n)
+        self._chirp = np.fft.fft(np.exp(1j * arg * (z * z)), axis=1)  # (L, 2n)
+        post = np.exp(1j * arg * (k * (n - k)))   # e^(i pi r k) e^(-i pi r k^2/n)
+        post_a, post_b = post.reshape(2, -1, n)
+        self._weight = np.array(weights).reshape(-1, n) * post_a * post_b
 
     def rhs(self, coeffs: np.ndarray, s: float) -> np.ndarray:
         """d/ds of the "+" profile; a leg of sign -a reads f~_+ when a = -1
         and the derived f~_- when a = +1."""
+        n = coeffs.shape[1]
+        g = np.fft.ifft(np.stack((coeffs, minus_component(coeffs))) * self.grid.alt, axis=2)
+        legs = np.fft.fft(g[self._comp, self._mode] * self._pre, 2 * n, axis=1)
+        leg_a, leg_b = np.fft.ifft(legs * self._chirp, axis=1)[:, self._out].reshape(2, -1, n)
         out = np.zeros_like(coeffs)
-        legs = {-1: coeffs, 1: minus_component(coeffs)}
-        inv_sqrt_s = 1.0 / math.sqrt(s)
-        for p, slots_p in enumerate(self.slots):
-            for slot in slots_p:
-                tr = slot.triple
-                a_leg = slot.em @ legs[tr.alpha][tr.m]
-                b_leg = slot.en @ legs[tr.beta][tr.n]
-                out[p, slot.idx] += inv_sqrt_s * slot.kernel * slot.fresnel * a_leg * b_leg
+        np.add.at(out, self._p, leg_a * leg_b * (self._weight / math.sqrt(s)))
         return out
 
     def step(self, state: SpectralState, ds: float, steps: int = 1) -> SpectralState:
         """``steps`` explicit midpoint steps of size ds."""
-        if not any(self.slots):   # no coupled triple: the flow is constant
+        if not self.active:   # no coupled triple: the flow is constant
             return _idle(state, ds, steps)
         s, coeffs = state.time, state.coeffs
         with np.errstate(over="ignore", invalid="ignore"):   # the ceiling reports it
@@ -461,7 +474,7 @@ def run(config: SimConfig, which: str, grid: Grid, observer=None,
                                    norm_ceiling=config.norm_ceiling,
                                    coupling_mode=config.coupling_mode)
         record.resonant_triple_count = resonant.triple_count
-        record.resonant_active_slots = sum(map(len, resonant.slots))
+        record.resonant_active_slots = len(resonant.active)
         record.resonant_couplings_all_zero = resonant.couplings_all_zero
     ds = config.dt / config.resonant_subcycle
     t_start, n_total, out_stride, ckpt_stride = schedule(config, which)

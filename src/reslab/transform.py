@@ -1,5 +1,5 @@
-"""The Fourier-Hermite grid, the spectral state, its norms, band-limited
-interpolation in frequency, and the checkpoint file.
+"""The Fourier-Hermite grid, the spectral state, its norms and the
+checkpoint file.
 
 Conventions (fixed once, used everywhere)
 -----------------------------------------
@@ -29,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InterpolationRangeError
 from .hermite import HermiteBasis
 
 
@@ -183,22 +182,6 @@ def hm_l2_norm(coeffs: np.ndarray, grid: Grid, M0: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         return 2.0 * math.sqrt(np.sum(lam[:, None] * np.abs(coeffs) ** 2)
                                * grid.dxi / (2.0 * math.pi))
-
-
-def interp_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:
-    """Matrix evaluating the band-limited interpolant of f~ at ``targets``.
-
-    The interpolant is the unique trigonometric polynomial through the grid
-    values: f~(xi*) = dx * sum_j f_j e^(-i x_j xi*), with f_j the inverse
-    DFT (n/L) alt ifft(f~) of the grid values.
-    Since dx n / L = 1, entry (t, k) is alt_k ifft_j(e^(-i x_j xi*_t))_k.
-    Raises InterpolationRangeError outside [-xi_max, xi_max].
-    """
-    targets = np.asarray(targets, dtype=float)
-    if not np.all(grid.in_window(targets)):
-        raise InterpolationRangeError(
-            f"target frequency beyond window +-{grid.xi_max:.6g}")
-    return grid.alt * np.fft.ifft(np.exp(-1j * np.outer(targets, grid.x1)), axis=1)
 
 
 def save_state(path, grid: Grid, meta: dict, **states: SpectralState) -> None:

@@ -9,7 +9,9 @@ solver is a leapfrog scheme with a uniform finite-difference trap direction.
 The two-component references carry both traveling components, build the
 "-" one by their own conjugate mirror, and compute the kick with complex
 transforms and matmuls; the unfolded Strang step rotates with four separate
-exponentials, as the splitting is written on paper.  The triple-table
+exponentials, as the splitting is written on paper; the resonant right-hand
+side reads its legs through dense interpolation matrices (``interp_matrix``),
+one triple at a time, where the stepper runs one batched chirp-z transform.  The triple-table
 oracle is the exception: it walks the per-p Gram matmul of
 ``TripleProductTable`` into a dict one entry at a time and writes one sorted
 row at a time with ``%d,%d,%d,%.17g``, against the table's run layout and
@@ -215,6 +217,21 @@ def duhamel_phase(params, xi: float, sign: int):
                       d2psi=lambda eta: -sign * d2phase_deta2(params, xi, eta))
 
 
+def interp_matrix(grid, targets: np.ndarray) -> np.ndarray:
+    """Dense matrix evaluating the band-limited interpolant of f~ at ``targets``.
+
+    The interpolant is the unique trigonometric polynomial through the grid
+    values: f~(xi*) = dx * sum_j f_j e^(-i x_j xi*), with f_j the inverse
+    DFT (n/L) alt ifft(f~) of the grid values.
+    Since dx n / L = 1, entry (t, k) is alt_k ifft_j(e^(-i x_j xi*_t))_k.
+    Raises ValueError outside [-xi_max, xi_max].
+    """
+    targets = np.asarray(targets, dtype=float)
+    if not np.all(np.abs(targets) <= grid.xi_max * (1.0 + 1e-12)):
+        raise ValueError(f"target frequency beyond window +-{grid.xi_max:.6g}")
+    return grid.alt * np.fft.ifft(np.exp(-1j * np.outer(targets, grid.x1)), axis=1)
+
+
 def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params, s: float, sign: int,
                    grid, xi_out: np.ndarray | None = None) -> np.ndarray:
     """Direct quadrature, for each output frequency xi, of
@@ -222,13 +239,12 @@ def duhamel_kernel(fm: np.ndarray, fn: np.ndarray, params, s: float, sign: int,
         int e^(i s psi(eta)) fm~(eta)/<eta>_m fn~(xi-eta)/<xi-eta>_n deta,
 
     psi = -sign phi(xi, .) the ``duhamel_phase`` (so sign must be +-1), with
-    fm~, fn~ band-limited interpolants (``transform.interp_matrix``) of the
+    fm~, fn~ band-limited interpolants (``interp_matrix``) of the
     coefficient arrays, on 32-point Gauss-Legendre panels over the window.
     The prefactors (alpha beta, coupling, -1/(8 pi)) are the caller's
     business.  This is the calibration target of the resonant kernel.
     """
     from reslab.phase import bracket
-    from reslab.transform import interp_matrix
 
     xi_out = grid.xi if xi_out is None else np.atleast_1d(np.asarray(xi_out, dtype=float))
     W = grid.xi_max
@@ -619,23 +635,33 @@ def strang_step_reference(stepper, coeffs: np.ndarray, t: float, dt: float):
     return t + dt, u * np.exp(-1j * sgn * (t + dt) * om)
 
 
-def resonant_rhs_reference(stepper, coeffs: np.ndarray, s: float) -> np.ndarray:
-    """``ResonantStepper`` right-hand side on both components (2, P, n): output
-    sigma reads the field components (-sigma a, -sigma b) and carries the
-    Fresnel factor e^(i pi/4 (-sigma) sgn D)."""
+def resonant_rhs_reference(grid, triples, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """The unit-coupling resonant right-hand side on both components (2, P, n),
+    one triple at a time with dense ``interp_matrix`` legs: output sigma of
+    mode p reads the field components (-sigma a, -sigma b) of modes m and n
+    at lam xi and (1-lam) xi, wherever both lie in the window, and carries
+    K ab sqrt(2 pi/(s |D|)) e^(i pi/4 (-sigma) sgn D)."""
+    from reslab.evolution import K_PREF
     from reslab.phase import d2_at_stationary
 
     out = np.zeros_like(coeffs)
-    for p, slots_p in enumerate(stepper.slots):
-        for slot in slots_p:
-            tr = slot.triple
-            xs = stepper.grid.xi[slot.idx]
-            sgn_d = np.sign(d2_at_stationary(tr.m, tr.n, tr.alpha, tr.beta, xs))
-            for comp, sigma in enumerate((1, -1)):
-                comp_m = 0 if -sigma * tr.alpha == 1 else 1
-                comp_n = 0 if -sigma * tr.beta == 1 else 1
-                fresnel = np.exp(1j * (math.pi / 4.0) * -sigma * sgn_d)
-                out[comp, p, slot.idx] += (slot.kernel * fresnel / math.sqrt(s)
-                                           * (slot.em @ coeffs[comp_m, tr.m])
-                                           * (slot.en @ coeffs[comp_n, tr.n]))
+    bound = grid.xi_max * (1.0 + 1e-12)
+    for tr in triples:
+        lam = tr.lam
+        idx = np.nonzero((np.abs(lam * grid.xi) <= bound)
+                         & (np.abs((1.0 - lam) * grid.xi) <= bound))[0]
+        if idx.size == 0:
+            continue
+        xs = grid.xi[idx]
+        em = interp_matrix(grid, lam * xs) / np.sqrt((lam * xs) ** 2 + 2.0 * tr.m + 2.0)[:, None]
+        en = interp_matrix(grid, (1.0 - lam) * xs) \
+            / np.sqrt(((1.0 - lam) * xs) ** 2 + 2.0 * tr.n + 2.0)[:, None]
+        d_signed = d2_at_stationary(tr.m, tr.n, tr.alpha, tr.beta, xs)
+        kernel = K_PREF * tr.alpha * tr.beta * np.sqrt(2.0 * math.pi / (s * np.abs(d_signed)))
+        for comp, sigma in enumerate((1, -1)):
+            comp_m = 0 if -sigma * tr.alpha == 1 else 1
+            comp_n = 0 if -sigma * tr.beta == 1 else 1
+            fresnel = np.exp(1j * (math.pi / 4.0) * -sigma * np.sign(d_signed))
+            out[comp, tr.p, idx] += (kernel * fresnel * (em @ coeffs[comp_m, tr.m])
+                                     * (en @ coeffs[comp_n, tr.n]))
     return out

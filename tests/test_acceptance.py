@@ -9,7 +9,8 @@ from scipy.optimize import brentq
 
 from oracles import (SmoothBump, brute_force_triples, cut_spec, d2phase_deta2, dphase_dxi,
                      duhamel_phase, eigen_residual, enumerate_triples, forward,
-                     fresnel_gaussian_spec, inverse, leapfrog_reference, nonstationary_bound,
+                     fresnel_gaussian_spec, interp_matrix, inverse, leapfrog_reference,
+                     nonstationary_bound,
                      physical_field_on, plain_rule, richardson_d1, richardson_d2,
                      triple_product_at_order)
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
@@ -18,7 +19,7 @@ from reslab.hermite import HermiteBasis, TripleProductTable, triple_product
 from reslab.oscillatory import (OscIntegralSpec, PhaseCurve, kinked_gaussian_spec,
                                 quadrature_oscillatory, stationary_phase_leading)
 from reslab.phase import PhaseParams, dphase_deta, lambda_coeff, phase
-from reslab.transform import Grid, SpectralState, composite_norms, hm_l2_norm, interp_matrix
+from reslab.transform import Grid, SpectralState, composite_norms, hm_l2_norm
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -381,6 +381,26 @@ def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
     assert "error" in err and "Traceback" not in err
 
 
+UNWRITABLE = {
+    "compare trajectory": (["compare", *RUN], "trajectory.csv"),
+    "enumerate csv": (["enumerate", "--max-mode", "7"], "resonant_interactions.csv"),
+    "enumerate manifest": (["enumerate", "--max-mode", "7"], "manifest.json"),
+}
+
+
+@pytest.mark.parametrize("argv, output", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, argv, output):
+    # a directory squats on the output: writing it, or renaming onto it, fails
+    write_cfg(tmp_path / "cfg.json")
+    out_dir = tmp_path / "out"
+    (out_dir / output).mkdir(parents=True)
+    code = main([arg.format(tmp=tmp_path) for arg in argv] + ["--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert f"error: cannot write {out_dir / output}: " in err
+    assert "Traceback" not in err
+
+
 def test_triple_table_command(tmp_path):
     out = tmp_path / "tt"
     assert main(["triple-table", "--max-mode", "12", "--out-dir", str(out)]) == EXIT_OK

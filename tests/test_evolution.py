@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (duhamel_kernel, leapfrog_reference, physical_field_on,
+from oracles import (duhamel_kernel, interp_matrix, leapfrog_reference, physical_field_on,
                      resonant_rhs_reference, strang_step_reference, two_component)
 from reslab.errors import BlowupDetected, ConfigError
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
@@ -13,8 +13,7 @@ from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
 from reslab.hermite import _cubic_rule
 from reslab.phase import d2_at_stationary, lambda_coeff
 from reslab.triples import interactions_for_output
-from reslab.transform import (Grid, SpectralState, composite_norms, interp_matrix,
-                              minus_component)
+from reslab.transform import Grid, SpectralState, composite_norms, minus_component
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +306,7 @@ def test_resonant_couplings_all_zero_by_parity(monkeypatch):
     stepper = ResonantStepper(grid, 8)
     assert stepper.triple_count == len(triples)
     assert stepper.couplings_all_zero
-    assert all(sp == [] for sp in stepper.slots)
+    assert stepper.active == []
     # unit mode keeps one slot per triple that has in-window samples
     unit = ResonantStepper(grid, 8, coupling_mode="unit")
     bound = grid.xi_max * (1.0 + 1e-12)
@@ -315,7 +314,7 @@ def test_resonant_couplings_all_zero_by_parity(monkeypatch):
                  if np.any((np.abs(tr.lam * grid.xi) <= bound)
                            & (np.abs((1.0 - tr.lam) * grid.xi) <= bound))]
     assert in_window
-    assert [s.triple for sp in unit.slots for s in sp] == in_window
+    assert unit.active == in_window
     assert unit.couplings_all_zero
     cfg = SimConfig(eps=0.05, P=8, n_x1=64, t_end=2.0, dt=0.02, init_modes=(2, 3))
     grid = make_grid(cfg)
@@ -360,11 +359,31 @@ def test_resonant_rhs_preserves_reality(small_setup):
     grid, state = small_setup
     stepper = ResonantStepper(grid, 4, coupling_mode="unit")
     rhs = stepper.rhs(state.coeffs, 2.0)
-    ref = resonant_rhs_reference(stepper, two_component(state.coeffs), 2.0)
+    ref = resonant_rhs_reference(grid, interactions_for_output(3)[0],
+                                 two_component(state.coeffs), 2.0)
     scale = np.max(np.abs(ref))
     assert scale > 0.0
     assert np.max(np.abs(rhs - ref[0])) <= 1e-13 * scale
     assert np.max(np.abs(minus_component(rhs) - ref[1])) <= 1e-13 * scale
+
+
+def test_resonant_chirp_z_legs_match_dense_legs_at_unit_resonant_size():
+    # the unit_resonant benchmark grid, 66 active triples; a random state
+    # reads every frequency, where a smooth packet would hide a wrong branch
+    # of the chirp
+    grid = make_grid(SimConfig(P=32, n_x1=512, length_x1=64.0))
+    stepper = ResonantStepper(grid, 32, coupling_mode="unit")
+    assert len(stepper.active) == 66
+    # O(triples n) state: no dense (n, n) leg
+    arrays = [v for v in vars(stepper).values() if isinstance(v, np.ndarray)]
+    assert all(a.ndim < 2 or a.shape[0] <= 2 * len(stepper.active) for a in arrays)
+    assert sum(a.nbytes for a in arrays) < 8e6
+    rng = np.random.default_rng(27)
+    coeffs = rng.standard_normal((32, 512)) + 1j * rng.standard_normal((32, 512))
+    rhs = stepper.rhs(coeffs, 2.0)
+    ref = resonant_rhs_reference(grid, interactions_for_output(31)[0],
+                                 two_component(coeffs), 2.0)[0]
+    assert np.max(np.abs(rhs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_resonant_richardson_order_two(small_setup):

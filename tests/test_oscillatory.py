@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import (SmoothBump, cut_spec, duhamel_kernel, duhamel_phase,
-                     forward_x1, fresnel_gaussian_spec, inverse_x1, kinked_gaussian_exact,
-                     nonstationary_bound, refine_edges_per_panel, uniform_panel_edges)
+                     forward_x1, fresnel_gaussian_spec, interp_matrix, inverse_x1,
+                     kinked_gaussian_exact, nonstationary_bound, refine_edges_per_panel,
+                     uniform_panel_edges)
 from reslab import oscillatory
 from reslab.errors import DegenerateStationaryPoint, ResolutionError
 from reslab.hermite import HermiteBasis
@@ -14,7 +15,7 @@ from reslab.oscillatory import (_CHUNK, _GL_NODES, _GL_ORDER, _GL_WEIGHTS,
                                 _panel_edges, kinked_gaussian_spec, quadrature_oscillatory,
                                 stat_phase_decay_table, stationary_phase_leading)
 from reslab.phase import PhaseParams, d2_at_stationary, lambda_coeff
-from reslab.transform import Grid, interp_matrix
+from reslab.transform import Grid
 
 
 def fresnel_exact(t: float) -> complex:
