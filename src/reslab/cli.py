@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -37,7 +36,7 @@ from .evolution import COLUMNS, SimConfig, config_from_json, make_grid, run, sch
 from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
-from .transform import load_state, save_state
+from .transform import load_state, replace_on_close, save_state
 from .triples import GATES, interactions_for_output
 from . import __version__
 
@@ -54,6 +53,8 @@ def _fmt(x) -> str:
 
 
 def _sha256_file(path) -> str:
+    import hashlib   # here, not at the top: it loads OpenSSL, and only runs hash
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
@@ -62,11 +63,9 @@ def _sha256_file(path) -> str:
 
 
 def _write_json(path, payload) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with replace_on_close(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_config(path: str | None, overrides: dict) -> tuple[SimConfig, list[str]]:
@@ -92,6 +91,8 @@ def load_config(path: str | None, overrides: dict) -> tuple[SimConfig, list[str]
 
 
 def _config_hash(config: SimConfig) -> str:
+    import hashlib   # as in _sha256_file
+
     return hashlib.sha256(
         json.dumps(dataclasses.asdict(config), sort_keys=True).encode()).hexdigest()
 

@@ -22,10 +22,11 @@ e^(-y^2) and makes the rule exact for m + n + p <= 2*order - 1.  That
 substituted rule is built in one place, ``_cubic_rule``, for the basis's
 cubic nodes, ``triple_product`` and ``TripleProductTable``; ``MAX_MODE`` is
 the largest mode count it can serve within ``MAX_QUAD_ORDER``.  The table
-stores columns m, n, p, value in one structured array in lexicographic
+stores only the values, one float64 per row in lexicographic (m, n, p)
 order: one run of rows per pair m <= n, holding the even-parity p >= n
-(``_row_runs``).  One Gram matmul per p gives that p's rows, which are
-scattered straight to their places, and a row is found by arithmetic.
+(``_row_runs``), so a row's m, n and p follow from its place.  One Gram
+matmul per p gives that p's rows, which are scattered straight to their
+places, and a row is found by arithmetic.
 """
 
 from __future__ import annotations
@@ -143,15 +144,15 @@ def _row_runs(max_mode: int):
 class TripleProductTable:
     """Symmetric sparse table of T(m,n,p) for m <= n <= p <= max_mode.
 
-    ``entries`` is a structured array of rows (m, n, p, value) in
-    lexicographic (m, n, p) order, one row per even-parity triple; odd-parity
-    entries are exactly 0 and not stored.  The rows form the runs of
-    ``_row_runs``, so a row's index is its run's start plus (p - first) // 2;
-    the table is built one p at a time, each Gram matrix G_p scattered to its
-    rows, so each value is computed once and all index permutations agree.
+    ``entries`` is a float64 array of the values T(m, n, p) in lexicographic
+    (m, n, p) order, one row per even-parity triple; odd-parity entries are
+    exactly 0 and not stored.  The rows form the runs of ``_row_runs``, which
+    give each row's m, n and p: a row's index is its run's start plus
+    (p - first) // 2.  The table is built one p at a time, each Gram matrix
+    G_p scattered to its rows, so each value is computed once and all index
+    permutations agree.
     """
 
-    _DTYPE = np.dtype([("m", np.int32), ("n", np.int32), ("p", np.int32), ("value", float)])
     _CSV_BLOCK = 4096
 
     def __init__(self, max_mode: int):
@@ -161,7 +162,7 @@ class TripleProductTable:
         table, w_total = _cubic_rule(quad_order, max_mode)
         mm, nn, first, count = _row_runs(max_mode)
         self._first, self._start = first, np.cumsum(count) - count
-        self.entries = np.empty(int(count.sum()), self._DTYPE)
+        self.entries = np.empty(int(count.sum()))
         # the runs holding a row at p are those with m + n + p even and
         # n <= p: ordered by n, a prefix of the runs of p's parity, and each
         # row sits at its run's start + (p - first) // 2 = row0 + p // 2
@@ -174,8 +175,7 @@ class TripleProductTable:
             m, n, r = m[:cut], n[:cut], r[:cut] + p // 2
             # G_p[m, n] = sum_i w_i phi_p phi_m phi_n for m, n <= p
             g = (table[: p + 1] * (w_total * table[p])) @ table[: p + 1].T
-            self.entries["m"][r], self.entries["n"][r], self.entries["p"][r] = m, n, p
-            self.entries["value"][r] = g[m, n]
+            self.entries[r] = g[m, n]
 
     def get(self, m: int, n: int, p: int) -> float:
         if min(m, n, p) < 0:
@@ -186,7 +186,7 @@ class TripleProductTable:
             return 0.0
         a, b, c = sorted((m, n, p))
         run = a * (2 * self.max_mode + 3 - a) // 2 + b - a   # (a, b) in row-major order
-        return float(self.entries["value"][self._start[run] + (c - self._first[run]) // 2])
+        return float(self.entries[self._start[run] + (c - self._first[run]) // 2])
 
     def write_csv(self, path) -> None:
         """Columns m,n,p,value with m<=n<=p, lexicographic row order.  Each
@@ -194,7 +194,6 @@ class TripleProductTable:
         written in and a ``%.17g`` per row; runs are gathered into blocks of
         at least ``_CSV_BLOCK`` rows and each block is formatted and written
         as one string, so the whole text never sits in memory."""
-        values = self.entries["value"]
         tails = [f"{p},%.17g\n" for p in range(self.max_mode + 1)]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("m,n,p,value\n")
@@ -205,6 +204,6 @@ class TripleProductTable:
                     parts.append(pre + pre.join(tails[first::2]))
                     rows += count
                 if rows >= self._CSV_BLOCK:
-                    fh.write("".join(parts) % tuple(values[at:at + rows].tolist()))
+                    fh.write("".join(parts) % tuple(self.entries[at:at + rows].tolist()))
                     at, rows, parts = at + rows, 0, []
-            fh.write("".join(parts) % tuple(values[at:at + rows].tolist()))
+            fh.write("".join(parts) % tuple(self.entries[at:at + rows].tolist()))

@@ -92,7 +92,9 @@ def _panel_edges(a: float, b: float, t: float, dpsi_abs: np.ndarray,
         local = np.concatenate([c - width[k] * 0.5 ** np.arange(48),
                                 [c], c + width[k] * 0.5 ** np.arange(48)])
         edges = np.concatenate([edges, local[(local > a) & (local < b)]])
-    return np.unique(edges)
+    # sorted and deduplicated by hand: np.unique imports numpy.ma on first use
+    edges.sort()
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 def _gauss_legendre_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

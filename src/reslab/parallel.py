@@ -1,15 +1,17 @@
-"""Thread-pool helper for the embarrassingly parallel loops.
+"""Thread helper for the embarrassingly parallel loops.
 
 Its one caller is ``oscillatory.quadrature_oscillatory``, which hands it the
 node chunks of one integral; numpy releases the interpreter lock inside the
-chunk arithmetic, so the threads overlap.  Workers only read immutable inputs
-and results are returned in submission order, so output is identical for any
-thread count.
+chunk arithmetic, so the threads overlap.  With n threads, n - 1 are started
+and the calling thread works the first share itself.  Workers only read
+immutable inputs and results are returned in item order, so output is
+identical for any thread count.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 
 
 def resolve_threads(threads: int = 0) -> int:
@@ -18,12 +20,28 @@ def resolve_threads(threads: int = 0) -> int:
 
 
 def thread_map(fn, items, threads: int = 0) -> list:
-    n = resolve_threads(threads)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    # imported on first use: loading concurrent.futures adds 10-20 ms to
-    # every `import reslab`, and most commands never start a pool
-    from concurrent.futures import ThreadPoolExecutor
+    """[fn(it) for it in items] on ``threads`` threads, the caller one of them.
 
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    Share k holds items k, k + n, k + 2n, ...; every thread is joined before
+    this returns, and then the exception of the lowest-numbered failing share,
+    if any, is raised."""
+    items = list(items)
+    n = max(1, min(resolve_threads(threads), len(items)))
+    results, errors = [None] * len(items), [None] * n
+
+    def share(k: int) -> None:
+        try:
+            results[k::n] = [fn(it) for it in items[k::n]]
+        except BaseException as exc:   # raised below, once every thread is joined
+            errors[k] = exc
+
+    workers = [threading.Thread(target=share, args=(k,)) for k in range(1, n)]
+    for w in workers:
+        w.start()
+    share(0)
+    for w in workers:
+        w.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results

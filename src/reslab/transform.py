@@ -19,6 +19,7 @@ them against the physical-space multiplication route.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -184,21 +185,34 @@ def hm_l2_norm(coeffs: np.ndarray, grid: Grid, M0: float) -> float:
                                * grid.dxi / (2.0 * math.pi))
 
 
+@contextlib.contextmanager
+def replace_on_close(path, mode: str):
+    """Open ``path + ".tmp"`` in ``mode`` and commit it to ``path`` by one
+    ``os.replace`` when the block ends, so a kill leaves the old file or the
+    new one, never a mix.  On any error the temporary is removed."""
+    tmp = str(path) + ".tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_state(path, grid: Grid, meta: dict, **states: SpectralState) -> None:
     """Write one checkpoint: ``meta`` (a JSON object), the grid geometry and
-    the named states, as an .npz (zip) archive with a CRC-32 per member.  It
-    is written to ``path + ".tmp"`` and committed by one ``os.replace``, so a
-    kill leaves the old file or the new one, never a mix."""
+    the named states, as an .npz (zip) archive with a CRC-32 per member,
+    through ``replace_on_close``."""
     header = {"n_x1": grid.n_x1, "length_x1": grid.length_x1,
               "times": {name: state.time for name, state in states.items()}}
     arrays = {"meta": json.dumps(meta, sort_keys=True), "header": json.dumps(header),
               **{name: state.coeffs for name, state in states.items()}}
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+    with replace_on_close(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
         for name, array in arrays.items():   # fixed ZipInfo date: equal bytes
             with zf.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as member:
                 np.lib.format.write_array(member, np.asarray(array), allow_pickle=False)
-    os.replace(tmp, path)
 
 
 def load_state(path, grid: Grid) -> tuple[dict, dict[str, SpectralState]]:

@@ -18,10 +18,11 @@ row at a time with ``%d,%d,%d,%.17g``, against the table's run layout and
 per-run templates, and so must agree with it byte for byte.  Two more
 oracles are the earlier all-at-once forms of kernels that now work in
 cache-sized pieces, and must agree with them bit for bit: the flat-Gram
-build of the table's ``entries`` (``triple_entries_flat_gram``) and the
-full-grid sampled phase minimum (``sampled_phase_min_grid``).  The canonical
-triple list ``enumerate_triples`` is not an oracle but a test helper: it
-reads the package's closed-form walk, and ``brute_force_triples`` checks it.
+build of the table (``triple_entries_flat_gram``) and the full-grid sampled
+phase minimum (``sampled_phase_min_grid``).  The canonical triple list
+``enumerate_triples`` is not an oracle but a test helper: it reads the
+package's closed-form walk, and ``brute_force_triples`` checks it; so is
+``table_rows``, the m, n and p of the table's rows read off its run layout.
 
 The package holds only what the CLI runs, so the reference implementations,
 cross-checks and reference scales of the paper that no command computes live
@@ -39,7 +40,8 @@ keeps the kinked one that ``stat-phase-check`` runs), the closed form of the
 kinked stationary-phase integral, the smooth cutoff ``SmoothBump`` with
 ``cut_spec``, which folds it into the amplitude on the bump's support, the
 phase floor, the non-stationary bound, the physical-space frequency
-derivative and the massless resonance condition.
+derivative, the massless resonance condition and the discrete energy of
+the full stepper (``discrete_energy``).
 """
 
 from __future__ import annotations
@@ -455,10 +457,12 @@ def triple_table_dict(max_mode: int) -> dict[tuple[int, int, int], float]:
 
 
 def triple_entries_flat_gram(max_mode: int) -> np.ndarray:
-    """``TripleProductTable.entries`` built all at once: every G_p is written
-    row-major at offset sum_{q<p} (q+1)^2 of one flat buffer, and the rows
-    are gathered from it by the index columns of the run layout."""
-    from reslab.hermite import TripleProductTable, _cubic_rule, _row_runs, triple_quad_order
+    """The triple table built all at once, as rows (m, n, p, value): every
+    G_p is written row-major at offset sum_{q<p} (q+1)^2 of one flat buffer,
+    and the rows are gathered from it by index columns that list the
+    even-parity m <= n <= p in lexicographic order, taken from a mask over
+    the whole cube rather than from the table's run layout."""
+    from reslab.hermite import _cubic_rule, triple_quad_order
 
     table, w_total = _cubic_rule(triple_quad_order(max_mode, max_mode, max_mode), max_mode)
     offset = np.cumsum([0] + [(p + 1) ** 2 for p in range(max_mode + 1)])
@@ -466,14 +470,24 @@ def triple_entries_flat_gram(max_mode: int) -> np.ndarray:
     for p in range(max_mode + 1):
         np.matmul(table[: p + 1] * (w_total * table[p]), table[: p + 1].T,
                   out=gram[offset[p]:offset[p + 1]].reshape(p + 1, p + 1))
-    mm, nn, first, count = _row_runs(max_mode)
-    start = np.cumsum(count) - count
-    m, n = np.repeat(mm, count), np.repeat(nn, count)
-    p = np.repeat(first - 2 * start, count) + 2 * np.arange(len(m))
-    entries = np.empty(len(m), TripleProductTable._DTYPE)
+    m, n, p = np.ogrid[: max_mode + 1, : max_mode + 1, : max_mode + 1]
+    m, n, p = np.nonzero((m <= n) & (n <= p) & ((m + n + p) % 2 == 0))
+    entries = np.empty(len(m), [("m", np.int32), ("n", np.int32), ("p", np.int32),
+                                ("value", float)])
     entries["m"], entries["n"], entries["p"] = m, n, p
     entries["value"] = gram[offset[p] + m * (p + 1) + n]
     return entries
+
+
+def table_rows(max_mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m, n and p of each row of ``TripleProductTable(max_mode).entries``,
+    which holds values only, expanded from the runs of ``_row_runs``."""
+    from reslab.hermite import _row_runs
+
+    mm, nn, first, count = _row_runs(max_mode)
+    start = np.cumsum(count) - count
+    p = np.repeat(first - 2 * start, count) + 2 * np.arange(int(count.sum()))
+    return np.repeat(mm, count), np.repeat(nn, count), p
 
 
 def sampled_phase_min_grid(params, R: float) -> float:
@@ -633,6 +647,22 @@ def strang_step_reference(stepper, coeffs: np.ndarray, t: float, dt: float):
         u = u + dt * k2[None, :, :]
     u = u * np.exp(1j * sgn * (dt / 2.0) * om)
     return t + dt, u * np.exp(-1j * sgn * (t + dt) * om)
+
+
+def discrete_energy(stepper, state) -> tuple[float, float]:
+    """The energy that ``FullStepper``'s splitting nearly conserves, and its
+    cubic term: with u~ = e^(i t om) f,
+    E = (4 pi)^-1 dxi sum |u~|^2 - 1/3 dx sum_x sum_q w_q u(x, y_q)^3, u at
+    the cubic nodes y_q with total weights w_q.  Both sums are exact on the
+    2/3-rule band: the rule integrates degree 3 max_mode in x2, and the
+    x1-frequencies of u^3 stay below n, so the x1 sum does not alias."""
+    grid, basis = stepper.grid, stepper.grid.basis
+    u = np.exp(1j * state.time * stepper.omega) * state.coeffs
+    quadratic = grid.dxi * float(np.sum(np.abs(u) ** 2)) / (4.0 * math.pi)
+    phys = np.fft.ifft(u * (grid.n_x1 / grid.length_x1) * grid.alt / stepper.omega, axis=1).imag
+    vals = basis.cubic_phi[:stepper.n_modes].T @ phys                # (Qc, n)
+    cubic = -grid.dx * float(np.sum(basis.cubic_total_weights[:, None] * vals ** 3)) / 3.0
+    return quadratic + cubic, cubic
 
 
 def resonant_rhs_reference(grid, triples, coeffs: np.ndarray, s: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from oracles import (SmoothBump, brute_force_triples, cut_spec, d2phase_deta2, d
                      fresnel_gaussian_spec, interp_matrix, inverse, leapfrog_reference,
                      nonstationary_bound,
                      physical_field_on, plain_rule, richardson_d1, richardson_d2,
-                     triple_product_at_order)
+                     table_rows, triple_product_at_order)
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               init_profile, make_grid, run)
 from reslab.hermite import HermiteBasis, TripleProductTable, triple_product
@@ -49,7 +49,8 @@ def test_criterion_2_hermite_suite():
     table = TripleProductTable(30)
     rng = np.random.default_rng(0)
     perm_ok = True
-    parity_ok = all((m + n + p) % 2 == 0 for m, n, p, _ in table.entries.tolist())
+    m, n, p = table_rows(30)
+    parity_ok = len(m) == len(table.entries) and bool(np.all((m + n + p) % 2 == 0))
     for _ in range(100):
         m, n, p = (int(v) for v in rng.integers(0, 31, 3))
         vals = {table.get(*q) for q in ((m, n, p), (p, n, m), (n, p, m))}

@@ -1,8 +1,11 @@
 import ast
 import dataclasses
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import zipfile
@@ -399,6 +402,40 @@ def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, argv, output):
     assert code == EXIT_CONFIG
     assert f"error: cannot write {out_dir / output}: " in err
     assert "Traceback" not in err
+    assert not list(out_dir.rglob("*.tmp"))
+
+
+def test_analysis_commands_load_no_hashing_masked_arrays_or_pool(tmp_path):
+    # _hashlib (OpenSSL) serves only the runs' hashes; numpy.ma comes with
+    # np.unique and concurrent.futures with a thread pool
+    calls = [["enumerate", "--max-mode", "7"], ["triple-table", "--max-mode", "7"],
+             ["stat-phase-check", "--threads", "2"],
+             ["phase-report", "--m", "0", "--n", "0", "--p", "3",
+              "--width-probes", "3,LowFreq,-"]]
+    calls = [argv + ["--out-dir", str(tmp_path / argv[0])] for argv in calls]
+    probe = ("import sys\nfrom reslab.cli import main\n"
+             f"for argv in {calls!r}:\n    assert main(argv) == 0, argv\n"
+             "print(sorted({'_hashlib', 'numpy.ma', 'concurrent.futures'} & set(sys.modules)))")
+    src = Path(__file__).parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+    assert (tmp_path / "stat-phase-check" / "stat_phase_decay.csv").exists()
+
+
+def test_desk_compare_keeps_its_config_hashes(tmp_path):
+    # the checkpoint's hash of the parsed config is pinned: a checkpoint
+    # written before hashlib moved into the hash helper must still resume
+    desk = Path(__file__).parents[1] / "configs" / "compare_desk.json"
+    out = tmp_path / "desk"
+    assert main(["compare", "--config", str(desk), "--out-dir", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input_hashes"] == {"config": hashlib.sha256(desk.read_bytes()).hexdigest()}
+    config, _ = cli.load_config(str(desk), {})
+    meta, _ = transform.load_state(out / CKPT, make_grid(config))
+    assert meta["config_sha"] == \
+        "bc122005c4752a4bdb9db6f155f4453f244dfad5b86cd55bcad44aedd8764981"
 
 
 def test_triple_table_command(tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from oracles import (adaptive_triple, eigen_residual, forward, interaction_bound_ratio,
-                     plain_rule, psi_direct, triple_entries_flat_gram, triple_product_at_order,
-                     triple_table_dict, write_triple_csv)
+                     plain_rule, psi_direct, table_rows, triple_entries_flat_gram,
+                     triple_product_at_order, triple_table_dict, write_triple_csv)
 from reslab.hermite import (MAX_QUAD_ORDER, HermiteBasis, TripleProductTable,
                             gauss_hermite, hermite_table, triple_product, triple_quad_order)
 from reslab.transform import Grid
@@ -82,7 +82,8 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_leaves_thread_pool_out():
-    # only stat-phase-check starts a pool; the import would cost every command
+    # stat-phase-check starts plain threads; the pool's import would cost
+    # every command
     assert not _loaded_by_cli_import("concurrent.futures")
 
 
@@ -158,8 +159,9 @@ def test_table_permutation_symmetry_bitwise(table60):
 
 
 def test_table_parity_zero_exact(table60):
-    for m, n, p, _ in table60.entries.tolist():
-        assert (m + n + p) % 2 == 0
+    m, n, p = table_rows(60)
+    assert len(m) == len(table60.entries)
+    assert np.all((m + n + p) % 2 == 0)
     assert table60.get(0, 0, 1) == 0.0
 
 
@@ -200,13 +202,18 @@ def test_table_matches_dict_walk_oracle(tmp_path, max_mode):
 
 @pytest.mark.parametrize("max_mode", [0, 1, 2, 7, 60, 61, 120])
 def test_table_entries_match_flat_gram_build(max_mode):
-    assert TripleProductTable(max_mode).entries.tobytes() == \
-        triple_entries_flat_gram(max_mode).tobytes()
+    entries = TripleProductTable(max_mode).entries
+    oracle = triple_entries_flat_gram(max_mode)
+    assert entries.dtype == np.float64
+    assert entries.tobytes() == oracle["value"].tobytes()
+    for got, want in zip(table_rows(max_mode), (oracle["m"], oracle["n"], oracle["p"])):
+        assert np.array_equal(got, want)
 
 
 def test_table_build_memory_stays_per_p():
-    # at max_mode 120 the entries keep 3.0 MB; a flat buffer of every G_p
-    # would add 4.8 MB, and index columns for a gather 1.2 MB each
+    # at max_mode 120 the values keep 1.2 MB and the build peaks at 2.4 MB;
+    # (m, n, p) rows of 20 bytes would peak at 4.2 MB, a flat buffer of
+    # every G_p would add 4.8 MB, and index columns for a gather 1.2 MB each
     TripleProductTable(120)
     tracemalloc.start()
     try:
@@ -214,7 +221,7 @@ def test_table_build_memory_stays_per_p():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7_000_000
+    assert peak < 3_000_000
 
 
 @pytest.mark.parametrize("block", [1, 5])
@@ -255,7 +262,7 @@ def test_bound_ratio_finite_values():
 
 def test_bound_ratio_non_explosion_proxy(table60):
     best = {"lo": 0.0, "hi": 0.0}
-    for m, n, p, v in table60.entries.tolist():
+    for m, n, p, v in zip(*(col.tolist() for col in table_rows(60)), table60.entries.tolist()):
         if v == 0.0:
             continue
         r = interaction_bound_ratio(m, n, p, K=4, nu=0.2, beta=0.04, table=table60)

@@ -270,6 +270,19 @@ def test_state_snapshot_roundtrip(tmp_path, grid64):
         assert (out / "again.npz").read_bytes() == path.read_bytes()
 
 
+def test_failed_snapshot_commit_removes_its_temporary(tmp_path, grid64):
+    # a directory squats on the checkpoint, so the rename fails; an object
+    # array fails while the archive is written
+    n_modes = grid64.basis.max_mode + 1
+    st = SpectralState(0.0, np.zeros((n_modes, 64), complex))
+    (tmp_path / "checkpoint.npz").mkdir()
+    with pytest.raises(OSError):
+        save_state(tmp_path / "checkpoint.npz", grid64, {}, f=st)
+    with pytest.raises(ValueError, match="allow_pickle"):
+        save_state(tmp_path / "other.npz", grid64, {}, f=SpectralState(0.0, object()))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+
+
 def test_snapshot_geometry_mismatch(tmp_path, grid64):
     n_modes = grid64.basis.max_mode + 1
     st = SpectralState(0.0, np.zeros((n_modes, 64), complex))
