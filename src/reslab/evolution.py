@@ -48,12 +48,13 @@ A structural fact surfaces here: the resonance condition forces m + n + p to
 be odd (reduce the polynomial mod 2), while M(m,n,p) vanishes exactly for odd
 total parity.  Every admissible triple therefore carries coupling zero and
 the physically-coupled resonant flow is trivial: the reduced profile is
-constant in s.  The stepper builds no slot for a zero-coupling triple, and
-offers ``coupling_mode="unit"`` as a diagnostic that replaces M by 1, so the
+constant in s.  So no M is computed: the walk lists triples only, and the
+stepper checks their parity and builds no leg in hermite mode.  It offers
+``coupling_mode="unit"`` as a diagnostic that replaces M by 1, so the
 kernel machinery (validated against the oscillatory module) and integrator
 convergence can be measured on a non-degenerate right-hand side.  Like the
 full stepper, a call steps a segment.  A flow that leaves the state invariant
-(the linear one, or one with no slot) is the one ``_idle`` flow, which checks
+(the linear one, or one with no leg) is the one ``_idle`` flow, which checks
 nothing: the run loop checks the ceiling once, on the initial state.
 
 Runs
@@ -75,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupDetected, ConfigError
-from .hermite import HermiteBasis, TripleProductTable
+from .hermite import HermiteBasis
 from .transform import Grid, SpectralState, composite_norms, hm_l2_norm, minus_component
 from .phase import bracket, d2_at_stationary
 from .triples import ResonantTriple, interactions_for_output
@@ -332,16 +333,17 @@ class FullStepper:
 class ResonantStepper:
     """Explicit midpoint integrator for the resonant system.  The triples are
     the ``gate``-admitted interactions of one ``interactions_for_output``
-    walk over modes 0..n_modes-1; ``active`` lists those with in-window
-    samples and a non-zero coupling.  Couplings come from ``table`` if given,
-    else from ``triple_product``, which is an exact 0.0 for every resonant
-    triple (odd parity).  Each leg, f~_m at lam xi or f~_n at (1-lam) xi,
-    keeps its pre-chirp and the FFT of its chirp; the post-chirps, brackets,
-    kernel, Fresnel factor and in-window mask make one weight row per active
-    triple."""
+    walk over modes 0..n_modes-1.  Each has odd m+n+p, so its Hermite
+    coupling is exactly 0 (``couplings_all_zero`` checks the parity) and
+    hermite mode builds no leg.  In unit mode every coupling is 1 and
+    ``active`` lists the triples with in-window samples.  Each leg, f~_m at
+    lam xi or f~_n at (1-lam) xi, keeps its pre-chirp and the FFT of its
+    chirp; the post-chirps, brackets, kernel, Fresnel factor and in-window
+    mask make one weight row per active triple.  ``table`` is never read, so
+    it cannot change a result: ``perfbench/worker.py`` passes it, and the
+    benchmark's next change deletes it."""
 
-    def __init__(self, grid: Grid, n_modes: int, gate: str = "sqrt",
-                 table: TripleProductTable | None = None,
+    def __init__(self, grid: Grid, n_modes: int, gate: str = "sqrt", table=None,
                  include_alpha_beta: bool = True, norm_ceiling: float = 1e6,
                  coupling_mode: str = "hermite"):
         if coupling_mode not in ("hermite", "unit"):
@@ -350,23 +352,21 @@ class ResonantStepper:
         self.n_modes = n_modes
         self.norm_ceiling = norm_ceiling
         xi, n = grid.xi, grid.n_x1
-        triples, _ = interactions_for_output(n_modes - 1, gate, table)
+        triples, _ = interactions_for_output(n_modes - 1, gate)
         self.triple_count = len(triples)
-        # every Hermite M(m,n,p) is zero, whatever coupling_mode is
-        self.couplings_all_zero = all(tr.coupling == 0.0 for tr in triples)
+        self.couplings_all_zero = all((tr.m + tr.n + tr.p) % 2 == 1 for tr in triples)
         self.active: list[ResonantTriple] = []
         weights = []
-        for tr in triples:
-            coupling = tr.coupling if coupling_mode == "hermite" else 1.0
+        for tr in triples if coupling_mode == "unit" else ():
             lam = tr.lam
             inw = grid.in_window(lam * xi) & grid.in_window((1.0 - lam) * xi)
-            if not inw.any() or coupling == 0.0:
+            if not inw.any():
                 continue
             xs = xi[inw]
             d_signed = d2_at_stationary(tr.m, tr.n, tr.alpha, tr.beta, xs)
             ab = float(tr.alpha * tr.beta) if include_alpha_beta else 1.0
             w = np.zeros(n, dtype=complex)
-            w[inw] = (K_PREF * ab * coupling * np.sqrt(2.0 * math.pi / np.abs(d_signed))
+            w[inw] = (K_PREF * ab * np.sqrt(2.0 * math.pi / np.abs(d_signed))
                       * np.exp(-1j * (math.pi / 4.0) * np.sign(d_signed))
                       / (bracket(lam * xs, tr.m) * bracket((1.0 - lam) * xs, tr.n)))
             self.active.append(tr)
@@ -430,7 +430,7 @@ class TrajectoryRecord:
     tv_full: float = 0.0
     resonant_triple_count: int = 0
     resonant_active_slots: int = 0      # slots the resonant stepper steps
-    resonant_couplings_all_zero: bool = True   # every M(m,n,p) is zero
+    resonant_couplings_all_zero: bool = True   # every m+n+p odd, so every M(m,n,p) is 0
 
 
 def schedule(config: SimConfig, which: str) -> tuple[float, int, int, int]:

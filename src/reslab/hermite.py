@@ -20,8 +20,9 @@ by Gauss-Hermite quadrature after the substitution x = sqrt(2/3) y, which
 turns the total Gaussian factor e^(-3x^2/2) into the quadrature weight
 e^(-y^2) and makes the rule exact for m + n + p <= 2*order - 1.  That
 substituted rule is built in one place, ``_cubic_rule``, for the basis's
-cubic nodes, ``triple_product`` and ``TripleProductTable``; ``MAX_MODE`` is
-the largest mode count it can serve within ``MAX_QUAD_ORDER``.  The table
+cubic nodes and ``TripleProductTable``, the one home of T in the package;
+``MAX_MODE`` is the largest mode count it can serve within
+``MAX_QUAD_ORDER``.  The table
 stores only the values, one float64 per row in lexicographic (m, n, p)
 order: one run of rows per pair m <= n, holding the even-parity p >= n
 (``_row_runs``), so a row's m, n and p follow from its place.  One Gram
@@ -115,20 +116,6 @@ class HermiteBasis:
 
 def triple_quad_order(m: int, n: int, p: int) -> int:
     return (m + n + p) // 2 + 2
-
-
-def triple_product(m: int, n: int, p: int) -> float:
-    """integral phi_m phi_n phi_p dx, exact by substituted Gauss-Hermite.
-
-    Zero is returned exactly for odd m+n+p (odd integrand).
-    """
-    if min(m, n, p) < 0:
-        raise ValueError("mode indices must be >= 0")
-    if (m + n + p) % 2 == 1:
-        return 0.0
-    m, n, p = sorted((m, n, p))   # canonical order: permutations agree bitwise
-    table, w = _cubic_rule(triple_quad_order(m, n, p), p)
-    return float(np.sum(w * table[m] * table[n] * table[p]))
 
 
 def _row_runs(max_mode: int):

@@ -12,8 +12,9 @@ So the resonant set is walked in closed form, O(sqrt(max_mode)) per output
 mode, O(max_mode^(3/2)) over all of them.  ``interactions_for_output`` is
 the one listing: a single pass over that walk (``_resonant_inputs``) judges
 each tuple by both gates, and returns the interactions the chosen gate
-admits together with the tuples on which the gates disagree.  The cubic
-brute-force scan and the canonical triple list survive only as test oracles.
+admits together with the tuples on which the gates disagree.  It computes
+no coupling: m + n + p is odd on the walk, so every T(m, n, p) is exactly 0.
+The cubic brute-force scan and the canonical triple list are test oracles.
 
 All arithmetic is exact (Python integers); there is no overflow bound.
 """
@@ -87,8 +88,7 @@ class ResonantTriple:
     """One admissible interaction feeding output mode p.
 
     ``alpha``/``beta`` are the phase-class signs of the m- and n-legs; ``lam``
-    is the stationary frequency ratio and ``coupling`` the (normalized) triple
-    interaction coefficient.
+    is the stationary frequency ratio.
     """
 
     m: int
@@ -97,7 +97,6 @@ class ResonantTriple:
     alpha: int
     beta: int
     lam: float
-    coupling: float
 
     def __post_init__(self):
         if condition_polynomial(self.m, self.n, self.p) != 0:
@@ -128,17 +127,15 @@ def _resonant_inputs(p: int, max_mode: int):
                         yield m, n, alpha, beta
 
 
-def interactions_for_output(max_mode: int, gate: str = "sqrt", table=None
+def interactions_for_output(max_mode: int, gate: str = "sqrt"
                             ) -> tuple[list[ResonantTriple], list[tuple[int, int, int, int, int]]]:
     """One walk of the resonant set with every index <= max_mode, both gates
     judged on each (m, n, p, alpha, beta).
 
     Returns the interactions that ``gate`` ("sqrt" or "printed") admits, in
     (p, m, n, alpha, beta) order, and the sorted (m, n, p, alpha, beta) tuples
-    on which the two gates disagree.  ``table`` is an optional
-    TripleProductTable; without it couplings are computed on the fly.
+    on which the two gates disagree.
     """
-    from .hermite import triple_product
     from .phase import lambda_coeff
 
     admitted, disagreements = [], []
@@ -151,7 +148,5 @@ def interactions_for_output(max_mode: int, gate: str = "sqrt", table=None
             if verdict[gate]:
                 admitted.append(ResonantTriple(
                     m=m, n=n, p=p, alpha=alpha, beta=beta,
-                    lam=lambda_coeff(m, n, alpha, beta),
-                    coupling=(table.get(m, n, p) if table is not None
-                              else triple_product(m, n, p))))
+                    lam=lambda_coeff(m, n, alpha, beta)))
     return admitted, sorted(disagreements)

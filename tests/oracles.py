@@ -33,7 +33,8 @@ warn with ``ConfinementWarning`` on a field that is not trap-confined; the
 weighted Sobolev norm; the bilinear Duhamel convolution ``duhamel_kernel``
 and its phase ``duhamel_phase``; the Hermite eigen-residual, the interaction
 decay envelope, the triple product on the substituted rule of any order
-(``triple_product_at_order``, for the order-doubling checks), the
+(``triple_product_at_order``, for the order-doubling checks) and at the
+exact order (``triple_product``, the table's one-triple reference), the
 closed-form phase derivatives the phase module does not need, the plain
 Gaussian stationary-phase family ``fresnel_gaussian_spec`` (the package
 keeps the kinked one that ``stat-phase-check`` runs), the closed form of the
@@ -155,14 +156,28 @@ def adaptive_triple(m: int, n: int, p: int) -> float:
 
 
 def triple_product_at_order(m: int, n: int, p: int, order: int) -> float:
-    """T(m, n, p) of ``hermite.triple_product`` on the order-point substituted
-    rule ``hermite._cubic_rule`` instead of the exact order, for the
-    order-doubling checks."""
+    """T(m, n, p) on the order-point substituted rule ``hermite._cubic_rule``,
+    for the order-doubling checks; the indices are sorted first, so every
+    permutation agrees bitwise."""
     from reslab.hermite import _cubic_rule
 
     m, n, p = sorted((m, n, p))
     table, w = _cubic_rule(order, p)
     return float(np.sum(w * table[m] * table[n] * table[p]))
+
+
+def triple_product(m: int, n: int, p: int) -> float:
+    """integral phi_m phi_n phi_p dx, one triple at a time: exactly 0.0 for
+    odd m+n+p (odd integrand), else the substituted rule at the exact order
+    ``hermite.triple_quad_order``.  The reference for ``TripleProductTable``,
+    which builds every value from one Gram matmul per p."""
+    from reslab.hermite import triple_quad_order
+
+    if min(m, n, p) < 0:
+        raise ValueError("mode indices must be >= 0")
+    if (m + n + p) % 2 == 1:
+        return 0.0
+    return triple_product_at_order(m, n, p, triple_quad_order(m, n, p))
 
 
 def eigen_residual(n: int, grid: np.ndarray) -> float:
@@ -183,8 +198,6 @@ def interaction_bound_ratio(m: int, n: int, p: int, K: int, nu: float, beta: flo
     """|T(m,n,p)| over the decay envelope (m^nu / p^beta) (sqrt(mn)/(sqrt(mn)+p-n))^K,
     m <= n <= p; the envelope raises each index to at least 1, so the ratio
     is finite at mode 0."""
-    from reslab.hermite import triple_product
-
     value = table.get(m, n, p) if table is not None else triple_product(m, n, p)
     m1, n1, p1 = max(1, m), max(1, n), max(1, p)
     root = math.sqrt(m1 * n1)

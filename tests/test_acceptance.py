@@ -12,10 +12,10 @@ from oracles import (SmoothBump, brute_force_triples, cut_spec, d2phase_deta2, d
                      fresnel_gaussian_spec, interp_matrix, inverse, leapfrog_reference,
                      nonstationary_bound,
                      physical_field_on, plain_rule, richardson_d1, richardson_d2,
-                     table_rows, triple_product_at_order)
+                     table_rows, triple_product, triple_product_at_order)
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               init_profile, make_grid, run)
-from reslab.hermite import HermiteBasis, TripleProductTable, triple_product
+from reslab.hermite import HermiteBasis, TripleProductTable
 from reslab.oscillatory import (OscIntegralSpec, PhaseCurve, kinked_gaussian_spec,
                                 quadrature_oscillatory, stationary_phase_leading)
 from reslab.phase import PhaseParams, dphase_deta, lambda_coeff, phase

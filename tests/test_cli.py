@@ -4,12 +4,14 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
 import warnings
 import zipfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ import reslab.transform as transform
 from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         load_config, main)
 from oracles import rewrite_checkpoint, triple_table_dict, two_component, write_triple_csv
-from reslab.errors import ConfigError
+from reslab.errors import BlowupDetected, ConfigError
 from reslab.evolution import MAX_STEPS, SimConfig, config_from_json, make_grid
 from reslab.hermite import MAX_MODE
 from reslab.triples import GATES
@@ -255,6 +257,36 @@ def test_enumerate_outputs(tmp_path):
     assert summary["gate_disagreements"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert "resonant_interactions.csv" in manifest["outputs"]
+    # T(m, n, p) vanishes for odd m+n+p, which every row has
+    cells = [row.split(",") for row in rows[1:]]
+    assert all(sum(map(int, c[:3])) % 2 == 1 and c[6] == "0" for c in cells)
+
+
+def test_enumerate_coupling_flag_is_the_parity_check(tmp_path, monkeypatch):
+    # a listed triple of even m+n+p (none is resonant) would clear the flag
+    even = SimpleNamespace(m=0, n=0, p=2, alpha=-1, beta=-1, lam=0.5)
+    monkeypatch.setattr(cli, "interactions_for_output", lambda *args, **kw: ([even], []))
+    assert main(["enumerate", "--max-mode", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "enumerate_summary.json").read_text())
+    assert summary["all_couplings_zero"] is False
+
+
+def test_readme_cli_examples_run(tmp_path):
+    # every "reslab ..." line of the README's CLI block, continuations
+    # joined and comments dropped, with configs/ read from the repo root and
+    # every --out-dir moved under tmp_path
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    calls = [argv[1:] for argv in lines if argv[:1] == ["reslab"]]
+    assert len(calls) == 9
+    for argv in calls:
+        argv = [str(root / arg) if arg.startswith("configs/") else arg for arg in argv]
+        at = argv.index("--out-dir") + 1
+        argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == EXIT_OK, argv
 
 
 def test_enumerate_massless_empty(tmp_path):
@@ -688,11 +720,13 @@ def test_damaged_checkpoint_exits_cleanly(tmp_path, capsys, damage):
     out = tmp_path / "out"
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
     DAMAGE[damage](out)
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out),
                  "--resume"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "damaged checkpoint" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
     if damage == "two-component states":
         assert "shape (2, 4, 64)" in err
 
@@ -728,6 +762,44 @@ def test_fresh_run_drops_earlier_checkpoint(tmp_path):
     assert main(["compare", "--config", str(second), "--out-dir", str(out),
                  "--resume"]) == EXIT_OK
     assert (out / "trajectory.csv").read_bytes() == csv
+
+
+def test_failed_run_leaves_no_earlier_manifest(tmp_path):
+    # a manifest means a finished run: the desk compare's manifest and
+    # summary must not outlive a later run in the same out-dir that fails
+    out = tmp_path / "out"
+    desk = Path(__file__).parents[1] / "configs" / "compare_desk.json"
+    assert main(["compare", "--config", str(desk), "--out-dir", str(out)]) == EXIT_OK
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"manifest.json", "summary.json", CKPT} <= set(files)
+    # a config error and a refused checkpoint leave every byte as it was
+    bad = write_cfg(tmp_path / "bad.json", dt=0.0)
+    assert main(["compare", "--config", str(bad), "--out-dir", str(out)]) == EXIT_CONFIG
+    other = write_cfg(tmp_path / "other.json")
+    assert main(["compare", "--config", str(other), "--out-dir", str(out),
+                 "--resume"]) == EXIT_CONFIG
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+    blowup = tmp_path / "blowup.json"
+    blowup.write_text(json.dumps({"eps": 1e5, "P": 4, "n_x1": 32, "t_end": 5.0,
+                                  "norm_ceiling": 1e3, "init_modes": [0]}))
+    assert main(["compare", "--config", str(blowup), "--out-dir", str(out)]) == EXIT_NUMERIC
+    assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
+
+
+def test_failed_resume_leaves_no_earlier_manifest(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=4.0, out_every=0.2, checkpoint_every=60)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    rows = len((out / "trajectory.csv").read_text().splitlines())
+
+    def fail(*args, **kwargs):
+        raise BlowupDetected("a failure after the checkpoint was accepted")
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out),
+                 "--resume"]) == EXIT_NUMERIC
+    assert sorted(p.name for p in out.iterdir()) == [CKPT, "trajectory.csv"]
+    # the checkpoint at step 180 of 200 holds rows 0..18: the CSV was cut back
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 19 < rows
 
 
 def test_resume_rejects_other_config(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from oracles import (discrete_energy, duhamel_kernel, interp_matrix, leapfrog_re
                      two_component)
 from reslab.errors import BlowupDetected, ConfigError
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
-                              _check_ceiling, init_profile, make_grid, run)
+                              _check_ceiling, config_from_json, init_profile, make_grid,
+                              run)
 from reslab.hermite import _cubic_rule
 from reslab.phase import d2_at_stationary, lambda_coeff
 from reslab.triples import interactions_for_output
@@ -326,12 +330,14 @@ def test_resonant_couplings_all_zero_by_parity(monkeypatch):
     # every admissible triple has odd m+n+p, so the physical system is trivial
     triples, _ = interactions_for_output(7)
     assert triples
-    assert all((tr.m + tr.n + tr.p) % 2 == 1 and tr.coupling == 0.0 for tr in triples)
+    assert all((tr.m + tr.n + tr.p) % 2 == 1 for tr in triples)
     grid = make_grid(SimConfig(P=8, n_x1=64))
     stepper = ResonantStepper(grid, 8)
     assert stepper.triple_count == len(triples)
     assert stepper.couplings_all_zero
     assert stepper.active == []
+    # hermite mode builds no leg, whatever table is passed: it is never read
+    assert ResonantStepper(grid, 8, table=object()).active == []
     # unit mode keeps one slot per triple that has in-window samples
     unit = ResonantStepper(grid, 8, coupling_mode="unit")
     bound = grid.xi_max * (1.0 + 1e-12)
@@ -357,6 +363,12 @@ def test_resonant_couplings_all_zero_by_parity(monkeypatch):
     assert np.array_equal(s.coeffs, state.coeffs)
     # a segment of the idle flow makes the same additions as its steps
     assert idle.step(s, 0.1, 3).time == 1.1 + 0.1 + 0.1 + 0.1
+    # the flag is the parity check the stepper makes: a listed triple of even
+    # m+n+p (none is resonant) would clear it
+    even = SimpleNamespace(m=0, n=0, p=2, alpha=-1, beta=-1, lam=0.5)
+    monkeypatch.setattr("reslab.evolution.interactions_for_output",
+                        lambda *args: ([*triples, even], []))
+    assert not ResonantStepper(grid, 8).couplings_all_zero
 
 
 def test_resonant_single_triple_hand_rhs(small_setup):
@@ -471,6 +483,41 @@ def test_short_time_agreement_desk_grid():
     times, diffs = np.array(rows)[:, [0, 4]].T
     window = (times <= horizon) & np.isfinite(diffs)
     assert np.all(diffs[window] <= 0.1 * record.tv_full)
+
+
+DESK = Path(__file__).parents[1] / "configs" / "compare_desk.json"
+
+
+def desk_config(**overrides) -> SimConfig:
+    """``configs/compare_desk.json`` with no checkpoints, and the overrides."""
+    return config_from_json(dict(json.loads(DESK.read_text()), checkpoint_every=0,
+                                 **overrides))[0]
+
+
+def test_approximation_error_scales_like_eps_squared():
+    # the resonant system approximates the equation to O(eps^2): from eps =
+    # 0.05 to 0.1 the end difference grows by 3.999997 and the total
+    # variation of f by 3.99999997
+    small, large = (run(cfg, "compare", make_grid(cfg))
+                    for cfg in (desk_config(eps=0.05), desk_config(eps=0.1)))
+    assert large.diff / small.diff == pytest.approx(4.0, abs=1e-3)
+    assert large.tv_full / small.tv_full == pytest.approx(4.0, abs=1e-3)
+
+
+def test_approximation_error_bounded_up_to_the_box_horizon():
+    # mode-0 data in a box of length 64 has 2.2e-3 of its u^2 beyond
+    # |x1| = 3L/8 at t = 30, so up to there the periodic box disperses it as
+    # the line would, and max ||f - g||_{H^M0 L2} / eps^2 reads 2.19e-5 (t = 6)
+    box = dict(P=8, n_x1=512, length_x1=64.0, init_modes=[0], out_every=1.0)
+
+    def worst(config):
+        _, rows = run_rows(config, "compare")
+        return np.nanmax([row[4] for row in rows]) / config.eps ** 2
+    bound = 5e-5
+    assert worst(desk_config(t_end=30.0, **box)) <= bound
+    # the defect it catches: unit couplings in place of the Hermite ones,
+    # which are 0, read 1.36e-4 by t = 5 (4.9e-4 by t = 30) in this box
+    assert worst(desk_config(t_end=5.0, coupling_mode="unit", **box)) > bound
 
 
 def test_run_single_full_and_resonant():

@@ -12,9 +12,10 @@ from scipy.special import roots_hermite
 
 from oracles import (adaptive_triple, eigen_residual, forward, interaction_bound_ratio,
                      plain_rule, psi_direct, table_rows, triple_entries_flat_gram,
-                     triple_product_at_order, triple_table_dict, write_triple_csv)
+                     triple_product, triple_product_at_order, triple_table_dict,
+                     write_triple_csv)
 from reslab.hermite import (MAX_QUAD_ORDER, HermiteBasis, TripleProductTable,
-                            gauss_hermite, hermite_table, triple_product, triple_quad_order)
+                            gauss_hermite, hermite_table, triple_quad_order)
 from reslab.transform import Grid
 
 

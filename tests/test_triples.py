@@ -188,9 +188,9 @@ def test_massless_variant_empty():
 
 def test_resonant_triple_validation():
     with pytest.raises(ValueError):
-        ResonantTriple(0, 0, 1, -1, -1, 0.5, 0.0)   # not resonant
+        ResonantTriple(0, 0, 1, -1, -1, 0.5)   # not resonant
     with pytest.raises(ValueError):
-        ResonantTriple(1, 1, 7, -1, 1, 0.5, 0.0)    # degenerate signs
+        ResonantTriple(1, 1, 7, -1, 1, 0.5)    # degenerate signs
 
 
 def _sqrt_characterization(m, n, p):
