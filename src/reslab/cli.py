@@ -13,11 +13,12 @@ error (including a checkpoint that is damaged or from another config), an
 argument its argparse type rejects or an output file that cannot be written,
 3 numerical failure, 64 unknown subcommand.
 
-Outputs are deterministic for a fixed config and seed: floats are printed
-with repr-faithful %.17g, JSON keys are sorted, and all numerics run on the
-same code path regardless of thread count.  ``main`` creates out-dir, runs
-the command and writes the run manifest atomically last; it lists every
-output file the command reports.
+Outputs are deterministic for a fixed config and seed: CSV floats are
+printed as %.17g by ``textfmt``, JSON keys are sorted, and all numerics run
+on the same code path regardless of thread count.  ``main`` creates out-dir,
+removes an earlier manifest before an analysis command (``_RunWriter`` does
+so for a simulation command), runs the command and writes the run manifest
+atomically last; it lists every output file the command reports.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .evolution import COLUMNS, SimConfig, config_from_json, make_grid, run, sch
 from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
+from .textfmt import fmt
 from .transform import load_state, replace_on_close, save_state
 from .triples import GATES, interactions_for_output
 from . import __version__
@@ -46,10 +48,6 @@ EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 
 CHECKPOINT = "checkpoint.npz"
-
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
 
 
 def _sha256_file(path) -> str:
@@ -107,7 +105,7 @@ def cmd_enumerate(args, out_dir: str):
     with open(os.path.join(out_dir, "resonant_interactions.csv"), "w", encoding="utf-8") as fh:
         fh.write("m,n,p,alpha,beta,lambda,coupling\n")
         for tr in rows:   # T(m, n, p) is exactly 0 for odd m+n+p, as every row has
-            fh.write(f"{tr.m},{tr.n},{tr.p},{tr.alpha},{tr.beta},{_fmt(tr.lam)},0\n")
+            fh.write(f"{tr.m},{tr.n},{tr.p},{tr.alpha},{tr.beta},{fmt(tr.lam)},0\n")
     _write_json(os.path.join(out_dir, "enumerate_summary.json"), {
         "count": len(rows),
         "max_mode": args.max_mode,
@@ -133,7 +131,7 @@ def cmd_stat_phase_check(args, out_dir: str):
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("t,quadrature_re,quadrature_im,leading_re,leading_im,abs_diff\n")
         for r in result["rows"]:
-            fh.write(",".join(_fmt(r[k]) for k in
+            fh.write(",".join(fmt(r[k]) for k in
                               ("t", "quadrature_re", "quadrature_im",
                                "leading_re", "leading_im", "abs_diff")) + "\n")
     _write_json(os.path.join(out_dir, "stat_phase_summary.json"),
@@ -213,7 +211,7 @@ class _RunWriter:
 
     def __call__(self, kind: str, step: int, f, g, record) -> None:
         if kind == "out":
-            self._fh.write(",".join(map(_fmt, record.row)) + "\n")
+            self._fh.write(",".join(map(fmt, record.row)) + "\n")
             self._fh.flush()
             self.rows += 1
         elif kind == "ckpt":
@@ -305,9 +303,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
                     "Klein-Gordon equation")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, run):
+    def common(p, run, simulation=False):
         p.add_argument("--out-dir", default=None)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, simulation=simulation)
 
     p = sub.add_parser("enumerate", help="list resonant interactions")
     p.add_argument("--max-mode", type=_int_range(0), required=True)
@@ -343,7 +341,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
         p.add_argument("--resume", action="store_true",
                        help="continue from a checkpoint in out-dir")
         p.add_argument("--seed", type=_int_range(0), default=None)
-        common(p, lambda args, out_dir, which=which: _run_trajectory(args, out_dir, which))
+        common(p, lambda args, out_dir, which=which: _run_trajectory(args, out_dir, which),
+               simulation=True)
     return parser, tuple(sub.choices)
 
 
@@ -360,6 +359,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out_dir = _ensure_out_dir(args.out_dir or ".")
+        if not args.simulation:   # a manifest marks a finished run; see _RunWriter.begin
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, "manifest.json"))
         t0 = time.time()
         config, input_hashes, outputs = args.run(args, out_dir)
         _write_json(os.path.join(out_dir, "manifest.json"), {

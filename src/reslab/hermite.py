@@ -27,7 +27,9 @@ stores only the values, one float64 per row in lexicographic (m, n, p)
 order: one run of rows per pair m <= n, holding the even-parity p >= n
 (``_row_runs``), so a row's m, n and p follow from its place.  One Gram
 matmul per p gives that p's rows, which are scattered straight to their
-places, and a row is found by arithmetic.
+places, and a row is found by arithmetic.  ``write_csv`` builds each
+block's indices from the runs and writes their ``%.17g`` text with
+``textfmt.format_rows``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+
+from .textfmt import format_rows
 
 # x = _SCALE * y maps the weight e^(-3x^2/2) to e^(-y^2)
 _SCALE = math.sqrt(2.0 / 3.0)
@@ -176,21 +180,23 @@ class TripleProductTable:
         return float(self.entries[self._start[run] + (c - self._first[run]) // 2])
 
     def write_csv(self, path) -> None:
-        """Columns m,n,p,value with m<=n<=p, lexicographic row order.  Each
-        run of ``_row_runs`` is one ``%`` template with its index digits
-        written in and a ``%.17g`` per row; runs are gathered into blocks of
-        at least ``_CSV_BLOCK`` rows and each block is formatted and written
-        as one string, so the whole text never sits in memory."""
-        tails = [f"{p},%.17g\n" for p in range(self.max_mode + 1)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("m,n,p,value\n")
-            at, rows, parts = 0, 0, []
-            for m, n, first, count in zip(*(col.tolist() for col in _row_runs(self.max_mode))):
-                if count:
-                    pre = f"{m},{n},"
-                    parts.append(pre + pre.join(tails[first::2]))
-                    rows += count
-                if rows >= self._CSV_BLOCK:
-                    fh.write("".join(parts) % tuple(self.entries[at:at + rows].tolist()))
-                    at, rows, parts = at + rows, 0, []
-            fh.write("".join(parts) % tuple(self.entries[at:at + rows].tolist()))
+        """Columns m,n,p,value with m<=n<=p, lexicographic row order, each
+        value as ``%.17g``.  The rows go in blocks of whole runs of
+        ``_row_runs``, at least ``_CSV_BLOCK`` rows each: a block's m, n and
+        p are built from its runs and its text by ``textfmt.format_rows``,
+        so the whole text never sits in memory."""
+        mm, nn, first, count = _row_runs(self.max_mode)
+        end = self._start + count
+        with open(path, "wb") as fh:
+            fh.write(b"m,n,p,value\n")
+            run, at = 0, 0
+            while at < self.entries.size:
+                # through the run that fills the block
+                stop = min(int(np.searchsorted(end, at + self._CSV_BLOCK)) + 1, end.size)
+                runs, rows = slice(run, stop), int(end[stop - 1]) - at
+                reps = count[runs]
+                # row i of the block in run r holds p = first + 2 (i - the run's first row)
+                p = 2 * np.arange(rows) + np.repeat(first[runs] - 2 * (self._start[runs] - at), reps)
+                fh.write(format_rows((np.repeat(mm[runs], reps), np.repeat(nn[runs], reps), p),
+                                     self.entries[at:at + rows]))
+                run, at = stop, at + rows

@@ -786,6 +786,19 @@ def test_failed_run_leaves_no_earlier_manifest(tmp_path):
     assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
 
 
+def test_failed_analysis_command_leaves_no_earlier_manifest(tmp_path):
+    # the second phase-report overflows and exits 3: the first one's manifest
+    # must not stand beside its failure
+    out = tmp_path / "ph"
+    argv = ["phase-report", "--m", "0", "--n", "0", "--p", "3", "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    assert (out / "manifest.json").exists()
+    assert main(argv + ["--radius", "1e300"]) == EXIT_NUMERIC
+    assert not (out / "manifest.json").exists()
+    assert main(argv) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["phase_report.json"]
+
+
 def test_failed_resume_leaves_no_earlier_manifest(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path / "cfg.json", t_end=4.0, out_every=0.2, checkpoint_every=60)
     out = tmp_path / "out"

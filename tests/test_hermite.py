@@ -88,6 +88,13 @@ def test_cli_import_leaves_thread_pool_out():
     assert not _loaded_by_cli_import("concurrent.futures")
 
 
+@pytest.mark.parametrize("module", ["fractions", "decimal"])
+def test_cli_import_leaves_exact_arithmetic_out(module):
+    # textfmt builds its powers of ten from ints; fractions would load
+    # decimal into every command
+    assert not _loaded_by_cli_import(module)
+
+
 def test_recurrence_matches_direct_evaluation():
     x = np.linspace(-8.0, 8.0, 641)
     table = hermite_table(40, x)
