@@ -98,8 +98,10 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if moved.size:
         k[moved] += off[moved]
         whole[moved], frac[moved] = _scaled(ax[moved], k[moved])
-    slow |= (whole < _D_MIN) | (whole >= _D_MAX) | (np.abs(frac - 0.5) < _TIE_WINDOW)
+    # where the true value sits on 10^16 or 10^17 itself, the computed one may
+    # fall a rounding error outside either k; rounded to D it lands in range
     whole += frac > 0.5
+    slow |= (whole < _D_MIN) | (whole > _D_MAX) | (np.abs(frac - 0.5) < _TIE_WINDOW)
     carry = whole == _D_MAX
     whole[carry] = _D_MIN
     k += carry

@@ -420,6 +420,9 @@ UNWRITABLE = {
     "compare trajectory": (["compare", *RUN], "trajectory.csv"),
     "enumerate csv": (["enumerate", "--max-mode", "7"], "resonant_interactions.csv"),
     "enumerate manifest": (["enumerate", "--max-mode", "7"], "manifest.json"),
+    # the earlier manifest goes before the command runs, so this is the case
+    # where a rename onto the squatter fails
+    "enumerate summary": (["enumerate", "--max-mode", "7"], "enumerate_summary.json"),
 }
 
 

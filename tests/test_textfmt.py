@@ -1,5 +1,6 @@
 import math
 import struct
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,12 @@ def percent(ints, values) -> bytes:
     line = "%d," * len(ints) + "%.17g\n"
     return "".join(line % (*row, v) for *row, v in
                    zip(*(np.asarray(col).tolist() for col in ints), list(values))).encode()
+
+
+def is_tie(v) -> bool:
+    """Whether |v| lies exactly halfway between two 17-digit decimals."""
+    scaled = Fraction(abs(v)) * Fraction(10) ** (16 - Decimal(abs(v)).adjusted())
+    return scaled.denominator == 2
 
 
 def assert_rows_match(values, ints=None):
@@ -51,13 +58,20 @@ def test_powers_of_two_down_to_the_smallest_subnormal():
     assert_rows_match(values + [-v for v in values])
 
 
-def test_powers_of_ten_and_their_neighbours():
+def test_powers_of_ten_and_their_neighbours(monkeypatch):
     tens = [float(f"1e{j}") for j in range(-323, 309)]
     # some are stored below 10^j and still print as 1e+j: their digits carry
     assert any(Fraction(t) < Fraction(10) ** j for j, t in zip(range(-323, 309), tens))
     below, above = np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)
     values = np.concatenate([tens, below, above])
+    calls = []
+    monkeypatch.setattr(textfmt, "fmt", lambda x: calls.append(x) or fmt(x))
     assert_rows_match(np.concatenate([values, -values]))
+    # log10 misses k by one next to half of these; the fast path steps k and
+    # decides them, so only the values outside its range and the exact ties
+    # (999999999999999.875 is one) take %
+    assert calls and all(not 1e-280 <= abs(v) <= 1e280 or is_tie(v) for v in calls)
+    assert is_tie(np.nextafter(1e15, 0.0))
 
 
 def test_signed_zeros_and_non_finite_values():
