@@ -37,7 +37,6 @@ from .evolution import COLUMNS, SimConfig, config_from_json, make_grid, run, sch
 from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
-from .textfmt import fmt
 from .transform import load_state, replace_on_close, save_state
 from .triples import GATES, interactions_for_output
 from . import __version__
@@ -99,6 +98,8 @@ def _config_hash(config: SimConfig) -> str:
 # records of it: (config snapshot, input hashes, output file names).
 
 def cmd_enumerate(args, out_dir: str):
+    from .textfmt import fmt   # here, not at the top: see _RunWriter.__call__
+
     # the massless variant has a provably empty set
     rows, disagreements = (([], []) if args.massless else
                            interactions_for_output(args.max_mode, gate=args.gate))
@@ -126,6 +127,8 @@ def cmd_phase_report(args, out_dir: str):
 
 
 def cmd_stat_phase_check(args, out_dir: str):
+    from .textfmt import fmt   # as in cmd_enumerate
+
     result = stat_phase_decay_table(threads=args.threads)
     csv_path = os.path.join(out_dir, "stat_phase_decay.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -211,6 +214,10 @@ class _RunWriter:
 
     def __call__(self, kind: str, step: int, f, g, record) -> None:
         if kind == "out":
+            # textfmt loads with the first CSV row, not with the package:
+            # without cached bytecode its compile would cost every command
+            from .textfmt import fmt
+
             self._fh.write(",".join(map(fmt, record.row)) + "\n")
             self._fh.flush()
             self.rows += 1

@@ -41,8 +41,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .textfmt import format_rows
-
 # x = _SCALE * y maps the weight e^(-3x^2/2) to e^(-y^2)
 _SCALE = math.sqrt(2.0 / 3.0)
 
@@ -185,6 +183,8 @@ class TripleProductTable:
         ``_row_runs``, at least ``_CSV_BLOCK`` rows each: a block's m, n and
         p are built from its runs and its text by ``textfmt.format_rows``,
         so the whole text never sits in memory."""
+        from .textfmt import format_rows   # as in cli._RunWriter.__call__
+
         mm, nn, first, count = _row_runs(self.max_mode)
         end = self._start + count
         with open(path, "wb") as fh:

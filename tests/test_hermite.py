@@ -88,10 +88,10 @@ def test_cli_import_leaves_thread_pool_out():
     assert not _loaded_by_cli_import("concurrent.futures")
 
 
-@pytest.mark.parametrize("module", ["fractions", "decimal"])
-def test_cli_import_leaves_exact_arithmetic_out(module):
-    # textfmt builds its powers of ten from ints; fractions would load
-    # decimal into every command
+@pytest.mark.parametrize("module", ["fractions", "decimal", "reslab.textfmt"])
+def test_cli_import_leaves_text_formatting_out(module):
+    # textfmt loads with the first CSV text a command writes, and builds its
+    # powers of ten from ints: fractions would load decimal into every command
     assert not _loaded_by_cli_import(module)
 
 
