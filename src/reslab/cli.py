@@ -100,9 +100,7 @@ def _config_hash(config: SimConfig) -> str:
 def cmd_enumerate(args, out_dir: str):
     from .textfmt import fmt   # here, not at the top: see _RunWriter.__call__
 
-    # the massless variant has a provably empty set
-    rows, disagreements = (([], []) if args.massless else
-                           interactions_for_output(args.max_mode, gate=args.gate))
+    rows, disagreements = interactions_for_output(args.max_mode, gate=args.gate)
     with open(os.path.join(out_dir, "resonant_interactions.csv"), "w", encoding="utf-8") as fh:
         fh.write("m,n,p,alpha,beta,lambda,coupling\n")
         for tr in rows:   # T(m, n, p) is exactly 0 for odd m+n+p, as every row has
@@ -111,11 +109,10 @@ def cmd_enumerate(args, out_dir: str):
         "count": len(rows),
         "max_mode": args.max_mode,
         "gate": args.gate,
-        "massless": args.massless,
         "gate_disagreements": [list(t) for t in disagreements],
         "all_couplings_zero": all((tr.m + tr.n + tr.p) % 2 == 1 for tr in rows),
     })
-    return ({"max_mode": args.max_mode, "gate": args.gate, "massless": args.massless},
+    return ({"max_mode": args.max_mode, "gate": args.gate},
             {}, ["resonant_interactions.csv", "enumerate_summary.json"])
 
 
@@ -317,8 +314,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
     p = sub.add_parser("enumerate", help="list resonant interactions")
     p.add_argument("--max-mode", type=_int_range(0), required=True)
     p.add_argument("--gate", choices=tuple(GATES), default="sqrt")
-    p.add_argument("--massless", action="store_true",
-                   help="drop the mass term (eigenvalues 2p+1): empty set")
     common(p, cmd_enumerate)
 
     p = sub.add_parser("phase-report", help="diagnostics for one phase")

@@ -233,16 +233,59 @@ def make_grid(config: SimConfig) -> Grid:
     return Grid(config.n_x1, config.length_x1, basis)
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def seed_uniforms(seed: int):
+    """The doubles in [0, 1) of numpy's ``default_rng(seed).random()``, in
+    plain ints: SeedSequence(seed) -> PCG64 (setseq-128, XSL-RR output) ->
+    (next64 >> 11) 2^-53.  It keeps the run commands off numpy.random."""
+    const = 0x43B0D7E5
+
+    def hashmix(w, mult=0x931E8875):
+        nonlocal const
+        w ^= const
+        const = const * mult & _MASK32
+        w = w * const & _MASK32
+        return w ^ w >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    # the 4-word pool over the seed's little-endian 32-bit words
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for w in words[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(w))
+    const = 0x8B51F9DD   # generate_state(4, uint64)
+    s = [hashmix(w, 0x58F38DED) for w in pool * 2]
+    s = [s[k] | s[k + 1] << 32 for k in range(0, 8, 2)]
+    # srandom: words 2-3 set the odd increment; step from 0, add words 0-1, step
+    inc = (s[2] << 65 | s[3] << 1 | 1) & _MASK128
+    state = ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _MASK128
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        yield (((x >> rot | x << (64 - rot)) & _MASK64) >> 11) * 2.0 ** -53
+
+
 def init_profile(config: SimConfig, grid: Grid) -> SpectralState:
     """Seeded Gaussian packets on the configured modes of ``grid``, scaled so
     the S^{M,N}_0 norm of the state (both paired components) equals eps/2."""
-    rng = np.random.default_rng(config.seed)
+    draws = seed_uniforms(config.seed)
     coeffs = np.zeros((config.P, grid.n_x1), dtype=complex)
     with np.errstate(over="ignore"):   # a narrow packet's exp(-inf) is its exact 0
         packet = np.exp(-0.5 * (grid.xi / config.packet_width) ** 2)
     for p in config.init_modes:
-        amp = 0.5 + 0.5 * rng.random()
-        theta = 2.0 * math.pi * rng.random()
+        amp = 0.5 + 0.5 * next(draws)
+        theta = 2.0 * math.pi * next(draws)
         coeffs[p] = amp * np.exp(1j * theta) * packet
     coeffs[:, _dealias_mask(grid.n_x1)] = 0.0
     state = SpectralState(0.0, coeffs)

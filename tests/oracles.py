@@ -22,7 +22,9 @@ build of the table (``triple_entries_flat_gram``) and the full-grid sampled
 phase minimum (``sampled_phase_min_grid``).  The canonical triple list
 ``enumerate_triples`` is not an oracle but a test helper: it reads the
 package's closed-form walk, and ``brute_force_triples`` checks it; so is
-``table_rows``, the m, n and p of the table's rows read off its run layout.
+``table_rows``, the m, n and p of the table's rows read off its run layout,
+and ``modules_loaded``, which reports what a snippet imports in a fresh
+interpreter.
 
 The package holds only what the CLI runs, so the reference implementations,
 cross-checks and reference scales of the paper that no command computes live
@@ -47,11 +49,16 @@ the full stepper (``discrete_energy``).
 
 from __future__ import annotations
 
+import ast
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -561,6 +568,18 @@ def richardson_d2(f, x: float, h: float) -> float:
     def d2(step):
         return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
     return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
+
+
+def modules_loaded(code: str, modules, before: str = "") -> list[str]:
+    """Those of ``modules`` that running ``code`` adds to ``sys.modules`` in a
+    fresh interpreter on the package's ``src``, after ``before`` has run,
+    sorted.  ``code`` may print; the probe's answer is the last line."""
+    probe = (f"{before}\nimport sys\nseen = set(sys.modules)\n{code}\n"
+             f"print(sorted(set({sorted(modules)!r}) & set(sys.modules) - seen))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return ast.literal_eval(out.splitlines()[-1])
 
 
 def rewrite_checkpoint(path, member: str, **fields) -> None:

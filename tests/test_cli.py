@@ -5,8 +5,6 @@ import json
 import math
 import os
 import shlex
-import subprocess
-import sys
 import tracemalloc
 import warnings
 import zipfile
@@ -21,7 +19,8 @@ import reslab.evolution as evolution
 import reslab.transform as transform
 from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         load_config, main)
-from oracles import rewrite_checkpoint, triple_table_dict, two_component, write_triple_csv
+from oracles import (modules_loaded, rewrite_checkpoint, triple_table_dict, two_component,
+                     write_triple_csv)
 from reslab.errors import BlowupDetected, ConfigError
 from reslab.evolution import MAX_STEPS, SimConfig, config_from_json, make_grid
 from reslab.hermite import MAX_MODE
@@ -281,22 +280,12 @@ def test_readme_cli_examples_run(tmp_path):
     lines = [shlex.split(line, comments=True)
              for line in block.replace("\\\n", " ").splitlines()]
     calls = [argv[1:] for argv in lines if argv[:1] == ["reslab"]]
-    assert len(calls) == 9
+    assert len(calls) == 8
     for argv in calls:
         argv = [str(root / arg) if arg.startswith("configs/") else arg for arg in argv]
         at = argv.index("--out-dir") + 1
         argv[at] = str(tmp_path / argv[at])
         assert main(argv) == EXIT_OK, argv
-
-
-def test_enumerate_massless_empty(tmp_path):
-    out = tmp_path / "massless"
-    assert main(["enumerate", "--max-mode", "50", "--massless",
-                 "--out-dir", str(out)]) == EXIT_OK
-    summary = json.loads((out / "enumerate_summary.json").read_text())
-    assert summary["count"] == 0 and summary["massless"] is True
-    assert (out / "resonant_interactions.csv").read_text().splitlines() == \
-        ["m,n,p,alpha,beta,lambda,coupling"]
 
 
 def test_phase_report_command(tmp_path):
@@ -448,15 +437,20 @@ def test_analysis_commands_load_no_hashing_masked_arrays_or_pool(tmp_path):
              ["phase-report", "--m", "0", "--n", "0", "--p", "3",
               "--width-probes", "3,LowFreq,-"]]
     calls = [argv + ["--out-dir", str(tmp_path / argv[0])] for argv in calls]
-    probe = ("import sys\nfrom reslab.cli import main\n"
-             f"for argv in {calls!r}:\n    assert main(argv) == 0, argv\n"
-             "print(sorted({'_hashlib', 'numpy.ma', 'concurrent.futures'} & set(sys.modules)))")
-    src = Path(__file__).parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code = f"from reslab.cli import main\nfor argv in {calls!r}:\n    assert main(argv) == 0, argv"
+    assert modules_loaded(code, ["_hashlib", "numpy.ma", "concurrent.futures"]) == []
     assert (tmp_path / "stat-phase-check" / "stat_phase_decay.csv").exists()
+
+
+def test_run_commands_leave_numpy_random_unloaded(tmp_path):
+    # the seeded packet draws from evolution.seed_uniforms; numpy 1.x loads
+    # numpy.random with numpy itself, which the probe does not count
+    desk = Path(__file__).parents[1] / "configs" / "compare_desk.json"
+    argv = ["compare", "--config", str(desk), "--out-dir", str(tmp_path / "desk")]
+    code = (f"from reslab.cli import main\nassert main({argv!r}) == 0\n"
+            f"assert main({argv + ['--resume']!r}) == 0")
+    assert modules_loaded(code, ["numpy.random"], before="import numpy") == []
+    assert (tmp_path / "desk" / "trajectory.csv").exists()
 
 
 def test_desk_compare_keeps_its_config_hashes(tmp_path):

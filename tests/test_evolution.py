@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+import random
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +16,7 @@ from oracles import (discrete_energy, duhamel_kernel, interp_matrix, leapfrog_re
 from reslab.errors import BlowupDetected, ConfigError
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               _check_ceiling, config_from_json, init_profile, make_grid,
-                              run)
+                              run, seed_uniforms)
 from reslab.hermite import _cubic_rule
 from reslab.phase import d2_at_stationary, lambda_coeff
 from reslab.triples import interactions_for_output
@@ -82,6 +84,45 @@ def test_init_profile_deterministic(small_cfg):
     a = init_profile(small_cfg, make_grid(small_cfg))
     b = init_profile(small_cfg, make_grid(small_cfg))
     assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_seed_stream_matches_pcg64():
+    # numpy's SeedSequence -> PCG64 -> random(), draw for draw: one-word
+    # seeds, both sides of every 32-bit word boundary up to eight words, and
+    # seeds of up to 400 bits, whose words past the fourth mix in last
+    rng = random.Random(31)
+    seeds = list(range(256)) + [2 ** (32 * k) + d for k in range(1, 9) for d in (-1, 1)]
+    seeds += [rng.getrandbits(bits) for bits in range(1, 401, 3)]
+    for seed in seeds:
+        reference = np.random.Generator(np.random.PCG64(seed))
+        draws = list(itertools.islice(seed_uniforms(seed), 8))
+        assert draws == [reference.random() for _ in range(8)], seed
+
+
+def _coeffs_with_default_rng(config, grid) -> np.ndarray:
+    """init_profile's coefficients, drawn by numpy's own generator."""
+    rng = np.random.default_rng(config.seed)
+    coeffs = np.zeros((config.P, grid.n_x1), dtype=complex)
+    packet = np.exp(-0.5 * (grid.xi / config.packet_width) ** 2)
+    for p in config.init_modes:
+        amp = 0.5 + 0.5 * rng.random()
+        theta = 2.0 * math.pi * rng.random()
+        coeffs[p] = amp * np.exp(1j * theta) * packet
+    coeffs[:, np.abs(np.fft.fftfreq(grid.n_x1, d=1.0 / grid.n_x1)) > grid.n_x1 / 3.0] = 0.0
+    norm = composite_norms(SpectralState(0.0, coeffs), grid, config.M, config.N).S_MN_t
+    return coeffs * ((config.eps / 2.0) / norm)
+
+
+def test_init_profile_draws_as_default_rng():
+    desk = Path(__file__).parents[1] / "configs" / "compare_desk.json"
+    configs = [config_from_json(json.loads(desk.read_text()))[0]]
+    configs += [SimConfig(P=8, n_x1=64, t_end=1.0, seed=seed, init_modes=modes)
+                for seed, modes in [(0, (0,)), (7, (0, 3)), (255, (1, 2, 3)),
+                                    (2 ** 64 + 1, tuple(range(8))), (10 ** 30, (5, 2))]]
+    for config in configs:
+        grid = make_grid(config)
+        assert np.array_equal(init_profile(config, grid).coeffs,
+                              _coeffs_with_default_rng(config, grid)), config
 
 
 def test_linear_flow_profile_invariant(small_setup):

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from oracles import (adaptive_triple, eigen_residual, forward, interaction_bound_ratio,
-                     plain_rule, psi_direct, table_rows, triple_entries_flat_gram,
+                     modules_loaded, plain_rule, psi_direct, table_rows, triple_entries_flat_gram,
                      triple_product, triple_product_at_order, triple_table_dict,
                      write_triple_csv)
 from reslab.hermite import (MAX_QUAD_ORDER, HermiteBasis, TripleProductTable,
@@ -70,12 +67,7 @@ def test_gauss_hermite_matches_scipy():
 
 
 def _loaded_by_cli_import(module: str) -> bool:
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    probe = f"import sys, reslab.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return out.strip() == "True"
+    return modules_loaded("import reslab.cli", [module]) == [module]
 
 
 def test_cli_import_leaves_scipy_out():

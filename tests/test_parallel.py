@@ -1,11 +1,9 @@
-import os
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
+from oracles import modules_loaded
 from reslab.parallel import thread_map
 
 
@@ -74,10 +72,6 @@ def test_thread_map_leaves_no_thread_behind():
 
 
 def test_thread_map_does_not_import_the_pool():
-    probe = ("import sys\nfrom reslab.parallel import thread_map\n"
-             "assert thread_map(abs, range(-4, 4), 4) == [4, 3, 2, 1, 0, 1, 2, 3]\n"
-             "print('concurrent.futures' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    code = ("from reslab.parallel import thread_map\n"
+            "assert thread_map(abs, range(-4, 4), 4) == [4, 3, 2, 1, 0, 1, 2, 3]")
+    assert modules_loaded(code, ["concurrent.futures"]) == []
