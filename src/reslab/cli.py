@@ -5,13 +5,13 @@ Subcommands: enumerate, phase-report, stat-phase-check, simulate-full,
 simulate-resonant, compare, triple-table.  All take --out-dir.  The simulation
 subcommands read a JSON config via --config, and --seed overrides its seed;
 each calls ``evolution.run`` with its system ("full", "resonant" or
-"compare").  They checkpoint to out-dir/checkpoint.npz (see
-``transform.save_state``), and --resume continues from it, or starts afresh
-without one; ``_RunWriter`` alone owns these files.  stat-phase-check
-takes --threads (0, the default, means all cores).  Exit codes: 0 success, 2 config
-error (including a checkpoint that is damaged or from another config), an
-argument its argparse type rejects or an output file that cannot be written,
-3 numerical failure, 64 unknown subcommand.
+"compare").  They checkpoint to out-dir/checkpoint.npz, and --resume
+continues from it, or starts afresh without one; ``_RunWriter`` alone owns
+these files and the checkpoint's layout.  stat-phase-check takes --threads
+(0, the default, means all cores).  Exit codes: 0 success, 2 config error
+(including a checkpoint that is damaged, of an earlier layout or from another
+config or command), an argument its argparse type rejects or an output file
+that cannot be written, 3 numerical failure, 64 unknown subcommand.
 
 Outputs are deterministic for a fixed config and seed: CSV floats are
 printed as %.17g by ``textfmt``, JSON keys are sorted, and all numerics run
@@ -33,12 +33,12 @@ import sys
 import time
 
 from .errors import BlowupDetected, ConfigError, ReslabError, ResolutionError
-from .evolution import COLUMNS, SimConfig, config_from_json, make_grid, run, schedule
+from .evolution import COLUMNS, SimConfig, config_from_json, run, schedule
 from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
-from .transform import load_state, replace_on_close, save_state
-from .triples import GATES, interactions_for_output
+from .transform import SpectralState, load_state, replace_on_close, save_state
+from .triples import GATES, all_couplings_zero, interactions_for_output
 from . import __version__
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def cmd_enumerate(args, out_dir: str):
         "max_mode": args.max_mode,
         "gate": args.gate,
         "gate_disagreements": [list(t) for t in disagreements],
-        "all_couplings_zero": all((tr.m + tr.n + tr.p) % 2 == 1 for tr in rows),
+        "all_couplings_zero": all_couplings_zero(rows),
     })
     return ({"max_mode": args.max_mode, "gate": args.gate},
             {}, ["resonant_interactions.csv", "enumerate_summary.json"])
@@ -148,60 +148,72 @@ def cmd_triple_table(args, out_dir: str):
 
 class _RunWriter:
     """Owns a run's files in out_dir: decides between a fresh start and a
-    resume, streams the trajectory rows and writes the checkpoint file."""
+    resume, streams the trajectory rows and writes the checkpoint.  It is the
+    one home of the checkpoint's layout: a ``save_state`` archive of the
+    (P, n_x1) profile f, and of g from the compare fork on, whose ``meta``
+    holds what the config cannot give: the step, the total variation ``tv``,
+    the state ``times``, the command ``which`` and the ``config_sha`` that
+    pins the rest, the grid among it."""
 
     def __init__(self, out_dir: str, config: SimConfig, which: str):
         self.out_dir = out_dir
         self.config = config
         self.which = which
-        self.grid = make_grid(config)
         self.csv_path = os.path.join(out_dir, "trajectory.csv")
         self.ckpt_path = os.path.join(out_dir, CHECKPOINT)
         self.records = [os.path.join(out_dir, name) for name in ("manifest.json", "summary.json")]
-        self.rows = 0
         self._fh = None
 
     def begin(self, resume: bool) -> dict | None:
         """Opens trajectory.csv and returns the run loop's ``resume`` dict.
 
         With ``resume`` and a checkpoint in out_dir, the CSV is cut back to
-        the checkpoint's rows.  A damaged checkpoint (also one with a step,
-        rows, state times or total variation this run never writes) or one of
-        another config or command raises ConfigError before any file is
-        touched.  Otherwise the run starts afresh and removes an earlier run's
-        checkpoint.  Either way the manifest and summary of an earlier run go
-        before the first output changes, so a run that fails leaves none.
+        the rows up to the checkpoint's step.  A damaged checkpoint (also one
+        with a step, set of states, state shape or time, or total variation
+        this run never writes) or one of another config or command raises
+        ConfigError before any file is touched.  Otherwise the run starts
+        afresh and removes an earlier run's checkpoint.  Either way the
+        manifest and summary of an earlier run go before the first output
+        changes, so a run that fails leaves none.
         """
         if resume and os.path.exists(self.ckpt_path):
             try:
-                meta, states = load_state(self.ckpt_path, self.grid)
+                meta, arrays = load_state(self.ckpt_path)
                 if meta["config_sha"] != _config_hash(self.config) \
                         or meta.get("which") != self.which:
                     raise ConfigError([("/", "checkpoint in out-dir was produced by a "
                                              "different config or command; refusing to resume")])
-                t_start, n_total, out_stride, ckpt_stride = schedule(self.config, self.which)
-                step, self.rows, dt = meta["step"], meta["rows"], self.config.dt
+                t_start, n_total, out_stride, ckpt_stride, fork = schedule(self.config, self.which)
+                step, times, tv, dt = meta["step"], meta["times"], meta["tv"], self.config.dt
+                names = {"f", "g"} if 0 < fork <= step else {"f"}
                 if not (isinstance(step, int) and 0 < step <= n_total and step % ckpt_stride == 0
-                        and self.rows == step // out_stride + 1 and all(
-                            abs(st.time - t_start - step * dt) < dt / 2 for st in states.values())):
-                    raise ValueError("step, rows or state times of no checkpoint of this run")
-                tv = meta["tv"]   # a sum of norms: an int or float, finite, >= 0
-                if type(tv) not in (int, float) or not 0.0 <= tv < math.inf:
+                        and arrays.keys() == times.keys() == names):
+                    raise ValueError(f"step {step!r} and states {sorted(arrays)} "
+                                     "of no checkpoint of this run")
+                shape, t = (self.config.P, self.config.n_x1), t_start + step * dt
+                for name in names:
+                    if arrays[name].shape != shape or not (
+                            isinstance(times[name], float) and abs(times[name] - t) < dt / 2):
+                        raise ValueError(f"state {name!r} has shape {arrays[name].shape} and "
+                                         f"time {times[name]!r}, expected {shape} and {t!r}")
+                if type(tv) not in (int, float) or not 0.0 <= tv < math.inf:   # a sum of norms
                     raise ValueError(f"total variation {tv!r} is not a finite number >= 0")
-                loaded = dict(step=step, f=states["f"], g=states.get("g"), tv=float(tv))
+                rows = step // out_stride + 1
                 with open(self.csv_path, "r+b") as fh:
-                    for _ in range(1 + self.rows):
+                    for _ in range(1 + rows):
                         if not fh.readline().endswith(b"\n"):
-                            raise ValueError(f"trajectory.csv has fewer than {self.rows} rows")
+                            raise ValueError(f"trajectory.csv has fewer than {rows} rows")
                     for stale in self.records:
                         with contextlib.suppress(FileNotFoundError):
                             os.remove(stale)
                     fh.truncate(fh.tell())
                 self._fh = open(self.csv_path, "a", encoding="utf-8")
-            except (OSError, ValueError, KeyError, TypeError) as exc:
+            except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+                # a meta or its times that is no JSON object raises TypeError or AttributeError
                 raise ConfigError([("/", f"damaged checkpoint in {self.out_dir} ({exc}); "
                                          "remove it or run without --resume")]) from exc
-            return loaded
+            states = {name: SpectralState(times[name], arrays[name]) for name in names}
+            return dict(step=step, f=states["f"], g=states.get("g"), tv=float(tv))
         for stale in (self.ckpt_path, self.ckpt_path + ".tmp", *self.records):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(stale)
@@ -209,20 +221,19 @@ class _RunWriter:
         self._fh.write(",".join(COLUMNS[self.which]) + "\n")
         return None
 
-    def __call__(self, kind: str, step: int, f, g, record) -> None:
-        if kind == "out":
-            # textfmt loads with the first CSV row, not with the package:
-            # without cached bytecode its compile would cost every command
-            from .textfmt import fmt
+    def __call__(self, step: int, f, g, record, checkpoint: bool) -> None:
+        # textfmt loads with the first CSV row, not with the package:
+        # without cached bytecode its compile would cost every command
+        from .textfmt import fmt
 
-            self._fh.write(",".join(map(fmt, record.row)) + "\n")
-            self._fh.flush()
-            self.rows += 1
-        elif kind == "ckpt":
-            meta = {"step": step, "rows": self.rows, "tv": record.tv_full,
-                    "which": self.which, "config_sha": _config_hash(self.config)}
+        self._fh.write(",".join(map(fmt, record.row)) + "\n")
+        self._fh.flush()
+        if checkpoint:
             states = {"f": f} if g is None else {"f": f, "g": g}
-            save_state(self.ckpt_path, self.grid, meta, **states)
+            meta = {"step": step, "tv": record.tv_full, "which": self.which,
+                    "config_sha": _config_hash(self.config),
+                    "times": {name: st.time for name, st in states.items()}}
+            save_state(self.ckpt_path, meta, **{name: st.coeffs for name, st in states.items()})
 
     def close(self) -> None:
         if self._fh is not None:
@@ -236,7 +247,7 @@ def _run_trajectory(args, out_dir: str, which: str):
     writer = _RunWriter(out_dir, config, which)
     resume = writer.begin(args.resume)
     try:
-        record = run(config, which, grid=writer.grid, observer=writer, resume=resume)
+        record = run(config, which, observer=writer, resume=resume)
     finally:
         writer.close()
     outputs = ["trajectory.csv", "summary.json"]

@@ -59,9 +59,9 @@ nothing: the run loop checks the ceiling once, on the initial state.
 
 Runs
 ----
-``run(config, which, grid)`` is the one run loop, for "full", "resonant" or
-"compare", on the step count and strides of ``schedule``.  It keeps only the
-latest output row, so its memory does not grow with the rows.
+``run(config, which)`` is the one run loop, for "full", "resonant" or
+"compare", on the step count, strides and fork of ``schedule``.  It keeps
+only the latest output row, so its memory does not grow with the rows.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from .errors import BlowupDetected, ConfigError
 from .hermite import HermiteBasis
 from .transform import Grid, SpectralState, composite_norms, hm_l2_norm, minus_component
 from .phase import bracket, d2_at_stationary
-from .triples import ResonantTriple, interactions_for_output
+from .triples import ResonantTriple, all_couplings_zero, interactions_for_output
 
 K_PREF = -1.0 / (8.0 * math.pi)
 # Most stepper steps one run may take, t_end/dt * (1 + resonant_subcycle);
@@ -397,7 +397,7 @@ class ResonantStepper:
         xi, n = grid.xi, grid.n_x1
         triples, _ = interactions_for_output(n_modes - 1, gate)
         self.triple_count = len(triples)
-        self.couplings_all_zero = all((tr.m + tr.n + tr.p) % 2 == 1 for tr in triples)
+        self.couplings_all_zero = all_couplings_zero(triples)
         self.active: list[ResonantTriple] = []
         weights = []
         for tr in triples if coupling_mode == "unit" else ():
@@ -476,37 +476,42 @@ class TrajectoryRecord:
     resonant_couplings_all_zero: bool = True   # every m+n+p odd, so every M(m,n,p) is 0
 
 
-def schedule(config: SimConfig, which: str) -> tuple[float, int, int, int]:
-    """A ``run``'s start time, its step count and the strides, in steps, of its
-    output rows and of its checkpoints (a multiple of the first)."""
+def schedule(config: SimConfig, which: str) -> tuple[float, int, int, int, int]:
+    """A ``run``'s start time, its step count, the strides, in steps, of its
+    output rows and of its checkpoints (a multiple of the first), and the
+    step at which g forks from f (-1 but in "compare")."""
     t_start = config.s0 if which == "resonant" else 0.0
     n_total = round(max(config.t_end - t_start, 0.0) / config.dt)
     # a stride beyond the run emits only the first and last rows; clamping it
     # there keeps a huge out_every/dt from overflowing round()
     out_stride = max(1, round(min(config.out_every / config.dt, n_total + 1)))
     ckpt_stride = max(out_stride, (config.checkpoint_every // out_stride) * out_stride)
-    return t_start, n_total, out_stride, ckpt_stride
+    # the fork is at least one step in: the resonant kernel 1/sqrt(s) is singular at s = 0
+    fork = max(1, round(min(config.s0, config.t_end) / config.dt)) if which == "compare" else -1
+    return t_start, n_total, out_stride, ckpt_stride, fork
 
 
-def run(config: SimConfig, which: str, grid: Grid, observer=None,
+def run(config: SimConfig, which: str, observer=None,
         resume: dict | None = None) -> TrajectoryRecord:
-    """Evolve on ``grid`` the full profile f from 0 to t_end ("full"), the
+    """Evolve the full profile f from 0 to t_end ("full"), the
     resonant one from the initial profile at s0 ("resonant"), or both
     ("compare": g forks from f at s0, g(s0) = f(s0), and runs the resonant
     sub-cycle); build a row of ``COLUMNS[which]`` at the output cadence,
     which ``record.row`` holds until the next.  Each state advances by
     segments that end at the output rows, at the fork and at the last step.
 
-    ``observer(kind, step, f_state, g_state, record)`` is called at every
-    output time ("out") and at checkpoints ("ckpt").  ``resume`` (from a
-    checkpoint) carries {"step", "f", "g", "tv"} and restarts the loop
-    mid-trajectory.  The segment ends depend only on the config and every
-    checkpoint is an output row, so a resumed run replays the same segments,
-    its total-variation sum continues exactly and the checkpoint's states
-    give ``record`` the last row written before the stop.
+    ``observer(step, f_state, g_state, record, checkpoint)`` is called once
+    per output row; ``checkpoint`` is true on the rows at the checkpoint
+    stride, whose states a resume can start from.  ``resume`` carries
+    {"step", "f", "g", "tv"} of such a row (g None before the fork) and
+    restarts the loop there.  The segment ends depend only on the config, so
+    a resumed run replays the same segments, its total-variation sum
+    continues exactly and the states give ``record`` the row written last
+    before the stop.
     """
     if which not in COLUMNS:
         raise ValueError("which must be 'full', 'resonant' or 'compare'")
+    grid = make_grid(config)
     record = TrajectoryRecord()
     if which != "resonant":
         full = FullStepper(grid, config.P, nonlinear=config.nonlinear,
@@ -520,9 +525,8 @@ def run(config: SimConfig, which: str, grid: Grid, observer=None,
         record.resonant_active_slots = len(resonant.active)
         record.resonant_couplings_all_zero = resonant.couplings_all_zero
     ds = config.dt / config.resonant_subcycle
-    t_start, n_total, out_stride, ckpt_stride = schedule(config, which)
-    # the fork is at least one step in: the resonant kernel 1/sqrt(s) is singular at s = 0
-    i_s0 = max(1, round(min(config.s0, config.t_end) / config.dt)) if which == "compare" else -1
+    t_start, n_total, out_stride, ckpt_stride, i_s0 = schedule(config, which)
+    checkpoints = config.checkpoint_every > 0
 
     def measure() -> list[float]:
         """Sets ``record.row`` from the states; returns every norm it computed."""
@@ -550,7 +554,7 @@ def run(config: SimConfig, which: str, grid: Grid, observer=None,
         if not all(map(math.isfinite, values)):
             raise BlowupDetected(f"a norm at t = {f.time:.6g} overflows a float")
         if observer is not None:
-            observer("out", step, f, g, record)
+            observer(step, f, g, record, checkpoints and step > 0 and step % ckpt_stride == 0)
 
     if resume is not None:
         i, f, g = resume["step"], resume["f"], resume["g"]   # no step mutates a state
@@ -580,7 +584,4 @@ def run(config: SimConfig, which: str, grid: Grid, observer=None,
             prev_out = f.coeffs.copy()
         if i % out_stride == 0 or i == n_total:
             emit(i)
-        if observer is not None and config.checkpoint_every > 0 \
-                and i % ckpt_stride == 0:
-            observer("ckpt", i, f, g, record)
     return record

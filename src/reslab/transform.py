@@ -1,5 +1,5 @@
 """The Fourier-Hermite grid, the spectral state, its norms and the
-checkpoint file.
+checkpoint archive.
 
 Conventions (fixed once, used everywhere)
 -----------------------------------------
@@ -201,45 +201,26 @@ def replace_on_close(path, mode: str):
         raise
 
 
-def save_state(path, grid: Grid, meta: dict, **states: SpectralState) -> None:
-    """Write one checkpoint: ``meta`` (a JSON object), the grid geometry and
-    the named states, as an .npz (zip) archive with a CRC-32 per member,
-    through ``replace_on_close``."""
-    header = {"n_x1": grid.n_x1, "length_x1": grid.length_x1,
-              "times": {name: state.time for name, state in states.items()}}
-    arrays = {"meta": json.dumps(meta, sort_keys=True), "header": json.dumps(header),
-              **{name: state.coeffs for name, state in states.items()}}
+def save_state(path, meta: dict, **arrays) -> None:
+    """Write ``meta`` (a JSON object) and the named arrays as one .npz (zip)
+    archive with a CRC-32 per member, through ``replace_on_close``."""
+    members = {"meta": json.dumps(meta, sort_keys=True), **arrays}
     with replace_on_close(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
-        for name, array in arrays.items():   # fixed ZipInfo date: equal bytes
+        for name, array in members.items():   # fixed ZipInfo date: equal bytes
             with zf.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as member:
                 np.lib.format.write_array(member, np.asarray(array), allow_pickle=False)
 
 
-def load_state(path, grid: Grid) -> tuple[dict, dict[str, SpectralState]]:
-    """Read a ``save_state`` file; returns (meta, {name: state}).  Each member
-    is read whole, so its CRC-32 is checked, and each state the header lists
-    must be present (a damaged zip directory can hide members silently).
-    Raises ValueError when the file is damaged, a state's time is not a
-    finite float, or its geometry or a state's shape (P, n_x1) differs."""
+def load_state(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a ``save_state`` file; returns (meta, {name: array}).  Each member
+    is read whole, so its CRC-32 is checked.  Raises ValueError when the file
+    is damaged; what its members must hold is the caller's to check."""
     try:
         with zipfile.ZipFile(path) as zf:
             arrays = {name.removesuffix(".npy"):
                       np.lib.format.read_array(io.BytesIO(zf.read(name)))
                       for name in zf.namelist()}
-        meta, header = (json.loads(str(arrays[key])) for key in ("meta", "header"))
-        states = {name: SpectralState(time, arrays[name])
-                  for name, time in header["times"].items()}
-    except (OSError, EOFError, KeyError, AttributeError, RuntimeError, zipfile.BadZipFile) as exc:
-        # a flipped compression or encryption flag raises NotImplementedError,
-        # header times that are no JSON object AttributeError
+        return json.loads(str(arrays.pop("meta"))), arrays
+    except (OSError, EOFError, KeyError, RuntimeError, zipfile.BadZipFile) as exc:
+        # a flipped compression or encryption flag raises NotImplementedError
         raise ValueError(f"unreadable checkpoint file: {exc!r}") from exc
-    if header["n_x1"] != grid.n_x1 or abs(header["length_x1"] - grid.length_x1) > 1e-12:
-        raise ValueError("checkpoint geometry does not match grid")
-    shape = (grid.basis.max_mode + 1, grid.n_x1)
-    for name, state in states.items():
-        if state.coeffs.shape != shape:
-            raise ValueError(f"checkpoint state {name!r} has shape "
-                             f"{state.coeffs.shape}, expected {shape}")
-        if not (isinstance(state.time, float) and math.isfinite(state.time)):
-            raise ValueError(f"checkpoint state {name!r} has time {state.time!r}")
-    return meta, states

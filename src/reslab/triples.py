@@ -32,15 +32,6 @@ def condition_polynomial(m: int, n: int, p: int) -> int:
             - 2 * m - 2 * n - 2 * p - 3)
 
 
-def _partner(m: int, n: int) -> int | None:
-    """p with sqrt(p+1) = sqrt(m+1) + sqrt(n+1), or None if not an integer."""
-    prod = (m + 1) * (n + 1)
-    r = math.isqrt(prod)
-    if r * r != prod:
-        return None
-    return m + n + 1 + 2 * r
-
-
 def sqrt_gate_admissible(m: int, n: int, p: int, alpha: int, beta: int) -> bool:
     """Root-characterization gate: the index whose sign opposes the output
     carries the largest root.
@@ -52,11 +43,14 @@ def sqrt_gate_admissible(m: int, n: int, p: int, alpha: int, beta: int) -> bool:
       (alpha, beta) = (-1, +1): sqrt(m+1) = sqrt(n+1) + sqrt(p+1)
       (alpha, beta) = (+1, -1): sqrt(n+1) = sqrt(m+1) + sqrt(p+1)
       (alpha, beta) = (+1, +1): never.
+    On the resonant set (the polynomial is 0) one root is the sum of the
+    other two, so its index is the strict largest: the gate asks that the
+    index the signs pick be larger than the other two.
     """
     if (alpha, beta) == (1, 1):
         return False
     big, a, b = {(-1, -1): (p, m, n), (-1, 1): (m, n, p), (1, -1): (n, m, p)}[alpha, beta]
-    return _partner(a, b) == big
+    return big > a and big > b and condition_polynomial(m, n, p) == 0
 
 
 def printed_gate_excludes(m: int, n: int, p: int, alpha: int, beta: int) -> bool:
@@ -76,6 +70,12 @@ def printed_gate_admissible(m: int, n: int, p: int, alpha: int, beta: int) -> bo
         return False
     return (condition_polynomial(m, n, p) == 0
             and alpha * beta * p + beta * m + alpha * n >= 0)
+
+
+def all_couplings_zero(triples) -> bool:
+    """Whether every triple has odd m + n + p, so that its Hermite coupling
+    T(m, n, p) is exactly 0."""
+    return all((tr.m + tr.n + tr.p) % 2 == 1 for tr in triples)
 
 
 # gate name (the ``gate`` config value, ``--gate`` and ``phase.classify``'s

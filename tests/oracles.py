@@ -582,15 +582,36 @@ def modules_loaded(code: str, modules, before: str = "") -> list[str]:
     return ast.literal_eval(out.splitlines()[-1])
 
 
-def rewrite_checkpoint(path, member: str, **fields) -> None:
-    """Sets ``fields`` in the JSON member ``member`` ("meta" or "header") of a
-    checkpoint file and writes the file back with valid CRCs, as a forged or
+def rewrite_checkpoint(path, **fields) -> None:
+    """Sets ``fields`` in the JSON ``meta`` member of a checkpoint file and
+    writes the file back with valid CRCs, as a forged or
     corrupted-in-memory checkpoint would be."""
     with np.load(path) as npz:
         arrays = dict(npz)
-    doc = json.loads(str(arrays[member]))
+    doc = json.loads(str(arrays["meta"]))
     doc.update(fields)
-    arrays[member] = np.asarray(json.dumps(doc))
+    arrays["meta"] = np.asarray(json.dumps(doc))
+    np.savez(path, **arrays)
+
+
+def forge_g(path, add: bool) -> None:
+    """Rewrites a checkpoint file with a state g equal to f added, or with g
+    dropped, the state times of each JSON member to match and valid CRCs: a
+    whole checkpoint of a set of states that its run never writes."""
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    if add:
+        arrays["g"] = arrays["f"]
+    else:
+        del arrays["g"]
+    for name, member in arrays.items():
+        doc = json.loads(str(member)) if member.dtype.kind == "U" else None
+        if isinstance(doc, dict) and "times" in doc:
+            if add:
+                doc["times"]["g"] = doc["times"]["f"]
+            else:
+                del doc["times"]["g"]
+            arrays[name] = np.asarray(json.dumps(doc))
     np.savez(path, **arrays)
 
 

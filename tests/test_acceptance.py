@@ -302,7 +302,7 @@ def test_criterion_8_approximation_scaling():
         cfg = SimConfig(eps=eps, P=8, n_x1=128, length_x1=16.0, dt=0.02,
                         t_end=round(1.0 / eps), s0=1.0, init_modes=(2, 3),
                         M=4.0, N=2.0, M0=1.0, out_every=0.25, seed=7)
-        record = run(cfg, "compare", make_grid(cfg))
+        record = run(cfg, "compare")
         end_diffs[eps] = record.diff
         ratios[eps] = record.diff / record.tv_full
     eps_arr = np.array([0.1, 0.05, 0.025])

@@ -19,13 +19,12 @@ import reslab.evolution as evolution
 import reslab.transform as transform
 from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         load_config, main)
-from oracles import (modules_loaded, rewrite_checkpoint, triple_table_dict, two_component,
-                     write_triple_csv)
+from oracles import (forge_g, modules_loaded, rewrite_checkpoint, triple_table_dict,
+                     two_component, write_triple_csv)
 from reslab.errors import BlowupDetected, ConfigError
-from reslab.evolution import MAX_STEPS, SimConfig, config_from_json, make_grid
+from reslab.evolution import MAX_STEPS, SimConfig, config_from_json
 from reslab.hermite import MAX_MODE
 from reslab.triples import GATES
-from reslab.transform import SpectralState
 
 SCHEMA = evolution.SCHEMA["properties"]
 CKPT = "checkpoint.npz"
@@ -461,8 +460,7 @@ def test_desk_compare_keeps_its_config_hashes(tmp_path):
     assert main(["compare", "--config", str(desk), "--out-dir", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["input_hashes"] == {"config": hashlib.sha256(desk.read_bytes()).hexdigest()}
-    config, _ = cli.load_config(str(desk), {})
-    meta, _ = transform.load_state(out / CKPT, make_grid(config))
+    meta, _ = transform.load_state(out / CKPT)
     assert meta["config_sha"] == \
         "bc122005c4752a4bdb9db6f155f4453f244dfad5b86cd55bcad44aedd8764981"
 
@@ -600,6 +598,22 @@ def test_kill_and_resume_with_fork_off_the_output_grid(tmp_path, monkeypatch, ki
         assert (crashdir / name).read_bytes() == (ref / name).read_bytes(), name
 
 
+def test_kill_and_resume_from_the_checkpoint_at_the_fork(tmp_path, monkeypatch):
+    # s0 = step 50 is a row and a checkpoint, whose g is the fork's copy of f
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=3.0)
+    ref = tmp_path / "ref"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(ref)]) == EXIT_OK
+
+    crashdir = tmp_path / "crash"
+    _crash_compare(cfg, crashdir, monkeypatch, kill_after=60)
+    meta, arrays = transform.load_state(crashdir / CKPT)
+    assert meta["step"] == 50 and sorted(arrays) == ["f", "g"]
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(crashdir),
+                 "--resume"]) == EXIT_OK
+    for name in ("trajectory.csv", "summary.json"):
+        assert (crashdir / name).read_bytes() == (ref / name).read_bytes(), name
+
+
 # every file operation one checkpoint makes, in order: the whole file is
 # written under a temporary name and committed by one rename
 CHECKPOINT_WRITES = ["open checkpoint.npz.tmp", "replace checkpoint.npz.tmp"]
@@ -612,11 +626,11 @@ def _watch_checkpoint_writes(monkeypatch, kill_at=None):
     writes, seen = [], {"ckpt": 0, "inside": False}
     observe = cli._RunWriter.__call__
 
-    def observer(self, kind, *args):
-        seen["ckpt"] += kind == "ckpt"
-        seen["inside"] = kind == "ckpt" and seen["ckpt"] == 2
+    def observer(self, step, f, g, record, checkpoint):
+        seen["ckpt"] += checkpoint
+        seen["inside"] = checkpoint and seen["ckpt"] == 2
         try:
-            return observe(self, kind, *args)
+            return observe(self, step, f, g, record, checkpoint)
         finally:
             seen["inside"] = False
 
@@ -676,32 +690,38 @@ def _flip(path, offset):
     path.write_bytes(bytes(data))
 
 
-def _two_components(d):
-    """Rewrites the checkpoint with each state as both components (2, P, n_x1),
-    the layout of earlier code."""
-    grid = make_grid(load_config(str(d.parent / "cfg.json"), {})[0])
-    meta, states = transform.load_state(d / CKPT, grid)
-    transform.save_state(d / CKPT, grid, meta, **{
-        name: SpectralState(st.time, two_component(st.coeffs)) for name, st in states.items()})
+def _rewrite_states(d, change):
+    """Rewrites the checkpoint with ``change`` applied to each state's coefficients."""
+    meta, arrays = transform.load_state(d / CKPT)
+    transform.save_state(d / CKPT, meta, **{name: change(a) for name, a in arrays.items()})
+
+
+def _earlier_layout(d):
+    """Rewrites the checkpoint as earlier versions wrote it: the grid and the
+    state times in a ``header`` member, the row count in ``meta``."""
+    meta, arrays = transform.load_state(d / CKPT)
+    header = {"n_x1": 64, "length_x1": 16.0, "times": meta.pop("times")}
+    transform.save_state(d / CKPT, dict(meta, rows=5), header=json.dumps(header), **arrays)
 
 
 # the run checkpoints at steps 25, 50, 75 and 100 of 100, after 2, 3, 4 and 5
-# rows, so its checkpoint holds step 100 and rows 5
+# rows, so its checkpoint holds step 100, f and g
 DAMAGE = {
-    "meta step negative": lambda d: rewrite_checkpoint(d / CKPT, "meta", step=-7),
-    "meta rows negative": lambda d: rewrite_checkpoint(d / CKPT, "meta", rows=-3),
-    "meta of an earlier checkpoint": lambda d: rewrite_checkpoint(d / CKPT, "meta",
-                                                                  step=50, rows=3),
-    "meta tv negative": lambda d: rewrite_checkpoint(d / CKPT, "meta", tv=-5.0),
-    "meta tv NaN": lambda d: rewrite_checkpoint(d / CKPT, "meta", tv=math.nan),
-    "meta tv a bool": lambda d: rewrite_checkpoint(d / CKPT, "meta", tv=True),
-    "state times a list": lambda d: rewrite_checkpoint(d / CKPT, "header", times=[1]),
-    "state times not numbers": lambda d: rewrite_checkpoint(d / CKPT, "header",
-                                                            times={"f": "x", "g": "x"}),
-    "state time of g forged": lambda d: rewrite_checkpoint(d / CKPT, "header",
-                                                           times={"f": 2.0, "g": 50.0}),
+    "meta step negative": lambda d: rewrite_checkpoint(d / CKPT, step=-7),
+    "meta of an earlier checkpoint": lambda d: rewrite_checkpoint(d / CKPT, step=50),
+    "meta tv negative": lambda d: rewrite_checkpoint(d / CKPT, tv=-5.0),
+    "meta tv NaN": lambda d: rewrite_checkpoint(d / CKPT, tv=math.nan),
+    "meta tv a bool": lambda d: rewrite_checkpoint(d / CKPT, tv=True),
+    "meta a list": lambda d: transform.save_state(d / CKPT, [],
+                                                  **transform.load_state(d / CKPT)[1]),
+    "state times a list": lambda d: rewrite_checkpoint(d / CKPT, times=[1]),
+    "state times not numbers": lambda d: rewrite_checkpoint(d / CKPT, times={"f": "x", "g": "x"}),
+    "state time of g forged": lambda d: rewrite_checkpoint(d / CKPT, times={"f": 2.0, "g": 50.0}),
     "state header cut": lambda d: _cut(d / CKPT, 20),
-    "two-component states": _two_components,
+    # both components (2, P, n_x1), the layout of earlier code
+    "two-component states": lambda d: _rewrite_states(d, two_component),
+    "layout of earlier versions": _earlier_layout,
+    "states of one mode fewer": lambda d: _rewrite_states(d, lambda a: a[:-1]),
     "state payload cut": lambda d: _cut(d / CKPT, _mid_payload(d / CKPT)),
     "checkpoint garbage": lambda d: (d / CKPT).write_bytes(b"{step: 7"),
     "payload byte flipped": lambda d: _flip(d / CKPT, _mid_payload(d / CKPT)),
@@ -726,6 +746,34 @@ def test_damaged_checkpoint_exits_cleanly(tmp_path, capsys, damage):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == files
     if damage == "two-component states":
         assert "shape (2, 4, 64)" in err
+
+
+# the desk config checkpoints at steps 24, 48, 72 and 96 of 100 and forks g
+# from f at step 50: a checkpoint holds g from step 72 on, and only in compare
+FORGED_STATES = {
+    "compare after the fork, g dropped": ("compare", None, False),
+    "simulate-full, g added": ("simulate-full", None, True),
+    "compare before the fork, g added": ("compare", 30, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_STATES))
+def test_resume_refuses_a_checkpoint_of_other_states(tmp_path, monkeypatch, capsys, case):
+    command, kill_after, add = FORGED_STATES[case]
+    desk = json.loads((Path(__file__).parents[1] / "configs" / "compare_desk.json").read_text())
+    cfg = write_cfg(tmp_path / "cfg.json", **dict(desk, t_end=2.0, checkpoint_every=25))
+    out = tmp_path / "out"
+    if kill_after is None:
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    else:   # killed after the checkpoint at step 24
+        _crash_compare(cfg, out, monkeypatch, kill_after=kill_after)
+    forge_g(out / CKPT, add)
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out-dir", str(out),
+                 "--resume"]) == EXIT_CONFIG
+    assert "damaged checkpoint" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
 
 def test_missing_checkpoint_starts_fresh(tmp_path):
@@ -813,15 +861,17 @@ def test_failed_resume_leaves_no_earlier_manifest(tmp_path, monkeypatch):
 
 
 def test_resume_rejects_other_config(tmp_path, capsys):
+    # the config hash pins the grid too: the checkpoint stores no geometry
     cfg = write_cfg(tmp_path / "cfg.json", t_end=1.0)
     out = tmp_path / "out"
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
     assert (out / CKPT).exists()
-    other = write_cfg(tmp_path / "other.json", t_end=2.0)
-    capsys.readouterr()
-    assert main(["compare", "--config", str(other), "--out-dir", str(out),
-                 "--resume"]) == EXIT_CONFIG
-    assert "different config" in capsys.readouterr().err
+    for other in ({"t_end": 2.0}, {"n_x1": 128}, {"length_x1": 20.0}):
+        other = write_cfg(tmp_path / "other.json", **{"t_end": 1.0, **other})
+        capsys.readouterr()
+        assert main(["compare", "--config", str(other), "--out-dir", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        assert "different config" in capsys.readouterr().err
 
 
 def test_resume_at_the_final_step_rewrites_identical_outputs(tmp_path):
@@ -876,10 +926,9 @@ def test_resume_memory_does_not_grow_with_rows(tmp_path):
 
 def _drop_which(d):
     """Rewrites the checkpoint's meta without the command, as earlier code wrote it."""
-    grid = make_grid(load_config(str(d.parent / "cfg.json"), {})[0])
-    meta, states = transform.load_state(d / CKPT, grid)
+    meta, arrays = transform.load_state(d / CKPT)
     del meta["which"]
-    transform.save_state(d / CKPT, grid, meta, **states)
+    transform.save_state(d / CKPT, meta, **arrays)
 
 
 @pytest.mark.parametrize("first, second", [("simulate-full", "compare"),

@@ -215,15 +215,16 @@ def test_simulate_full_resume_on_schema_draws(grid, drawn):
 @pytest.fixture(scope="module")
 def base_run(tmp_path_factory):
     """An uninterrupted ``simulate-full`` of BASE, which checkpoints at steps
-    4 and 8 of 10: its argv, its outputs and the written step and rows."""
+    4 and 8 of 10 and writes a row every 2 steps: its argv, its outputs, and
+    the written step with the rows up to it."""
     tmp = str(tmp_path_factory.mktemp("base"))
     argv = ["simulate-full", "--config", write_config(tmp, BASE),
             "--out-dir", os.path.join(tmp, "out")]
     assert run_cli(argv)[0] == EXIT_OK
     with np.load(os.path.join(argv[-1], "checkpoint.npz")) as npz:
-        meta = json.loads(str(npz["meta"]))
+        step = json.loads(str(npz["meta"]))["step"]
     outputs = {name: _read(argv[-1], name) for name in ("trajectory.csv", "summary.json")}
-    return argv, outputs, (meta["step"], meta["rows"])
+    return argv, outputs, (step, step // 2 + 1)
 
 
 COUNTS = st.one_of(st.integers(-2, 12), st.integers())
@@ -232,19 +233,26 @@ COUNTS = st.one_of(st.integers(-2, 12), st.integers())
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(step=COUNTS, rows=COUNTS)
 @example(step=8, rows=5)   # the written values: the resume reruns two steps
+@example(step=8, rows=6)   # every row of the run: the resume cuts the last
+@example(step=8, rows=4)
 @example(step=4, rows=3)   # the earlier checkpoint's, with the later state
 @example(step=-7, rows=5)
 @example(step=8, rows=-3)
 @example(step=10 ** 400, rows=10 ** 400)
 def test_resume_only_from_the_written_step_and_rows(base_run, step, rows):
-    argv, outputs, written = base_run
+    # ``step`` forges the checkpoint; trajectory.csv keeps its first ``rows``
+    # rows, which must hold the rows up to the step
+    argv, outputs, (written_step, written_rows) = base_run
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         shutil.copytree(argv[-1], out)
-        rewrite_checkpoint(os.path.join(out, "checkpoint.npz"), "meta", step=step, rows=rows)
+        rewrite_checkpoint(os.path.join(out, "checkpoint.npz"), step=step)
+        lines = outputs["trajectory.csv"].splitlines(keepends=True)
+        with open(os.path.join(out, "trajectory.csv"), "wb") as fh:
+            fh.write(b"".join(lines[:1 + max(rows, 0)]))
         code, err = run_cli(argv[:-1] + [out, "--resume"])
         assert "Traceback" not in err
-        if (step, rows) == written:
+        if step == written_step and rows >= written_rows:
             assert code == EXIT_OK, err
             for name, data in outputs.items():
                 assert _read(out, name) == data, name

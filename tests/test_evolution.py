@@ -484,10 +484,24 @@ def run_rows(config, which):
     """The run's record and every output row, collected by an observer."""
     rows = []
 
-    def observer(kind, step, f, g, record):
-        if kind == "out":
-            rows.append(record.row)
-    return run(config, which, make_grid(config), observer=observer), rows
+    def observer(step, f, g, record, checkpoint):
+        rows.append(record.row)
+    return run(config, which, observer=observer), rows
+
+
+def test_checkpoints_fall_on_output_rows_at_their_stride():
+    # rows every 12 steps, checkpoint_every 25: checkpoints at 24, 48, 72 and
+    # 96 of 100; g forks at step 50, between two rows
+    cfg = SimConfig(P=4, n_x1=64, dt=0.02, t_end=2.0, s0=1.0, init_modes=(0, 3),
+                    out_every=0.25, checkpoint_every=25)
+    for every, expected in ((25, [24, 48, 72, 96]), (0, [])):
+        calls = []
+        run(dataclasses.replace(cfg, checkpoint_every=every), "compare",
+            observer=lambda step, f, g, record, checkpoint:
+                calls.append((step, checkpoint, g is not None)))
+        assert [step for step, _, _ in calls] == [*range(0, 100, 12), 100]
+        assert [step for step, checkpoint, _ in calls if checkpoint] == expected
+        assert [step for step, _, forked in calls if forked] == [60, 72, 84, 96, 100]
 
 
 def test_compare_t_end_equals_s0():
@@ -509,7 +523,7 @@ def test_compare_nonlinearity_off_diff_zero():
 def test_compare_trivial_resonant_flow_flagged():
     cfg = SimConfig(eps=0.05, P=8, n_x1=64, dt=0.02, t_end=2.0, s0=1.0,
                     init_modes=(2, 3), out_every=0.5)
-    record = run(cfg, "compare", make_grid(cfg))
+    record = run(cfg, "compare")
     assert record.resonant_triple_count == 6
     assert record.resonant_couplings_all_zero
 
@@ -539,7 +553,7 @@ def test_approximation_error_scales_like_eps_squared():
     # the resonant system approximates the equation to O(eps^2): from eps =
     # 0.05 to 0.1 the end difference grows by 3.999997 and the total
     # variation of f by 3.99999997
-    small, large = (run(cfg, "compare", make_grid(cfg))
+    small, large = (run(cfg, "compare")
                     for cfg in (desk_config(eps=0.05), desk_config(eps=0.1)))
     assert large.diff / small.diff == pytest.approx(4.0, abs=1e-3)
     assert large.tv_full / small.tv_full == pytest.approx(4.0, abs=1e-3)
@@ -569,7 +583,7 @@ def test_run_single_full_and_resonant():
         assert rows[0][0] == t0 and rows[-1][0] == pytest.approx(1.5)
         assert record.row == rows[-1] and record.diff is None
     with pytest.raises(ValueError, match="which must be"):
-        run(cfg, "neither", make_grid(cfg))
+        run(cfg, "neither")
 
 
 def test_run_memory_does_not_grow_with_rows():
@@ -581,7 +595,7 @@ def test_run_memory_does_not_grow_with_rows():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            record = run(cfg, "full", make_grid(cfg))
+            record = run(cfg, "full")
             return tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -597,9 +611,9 @@ def test_run_single_resonant_honours_subcycle():
     def end_state(config):
         last = {}
 
-        def observer(kind, step, f, g, record):
+        def observer(step, f, g, record, checkpoint):
             last["f"] = f
-        run(config, "resonant", make_grid(config), observer=observer)
+        run(config, "resonant", observer=observer)
         return last["f"]
 
     one = end_state(cfg)

@@ -1,5 +1,7 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,9 @@ from oracles import (brute_force_triples, enumerate_triples, is_resonant_massles
                      resonant_inputs_scan)
 from reslab.cli import main
 from reslab.evolution import ResonantStepper, SimConfig, make_grid
-from reslab.triples import (ResonantTriple, _resonant_inputs, condition_polynomial,
-                            interactions_for_output, printed_gate_admissible,
-                            sqrt_gate_admissible)
+from reslab.triples import (ResonantTriple, _resonant_inputs, all_couplings_zero,
+                            condition_polynomial, interactions_for_output,
+                            printed_gate_admissible, sqrt_gate_admissible)
 
 
 def test_is_resonant_examples():
@@ -54,6 +56,9 @@ def test_resonant_walk_has_odd_parity_and_zero_couplings(table60):
     assert all((m + n + p) % 2 == 1 for m, n, p in walked)
     small = [t for t in walked if max(t) <= 60]
     assert small and all(table60.get(*t) == 0.0 for t in small)
+    triples, _ = interactions_for_output(60)
+    assert all_couplings_zero(triples)
+    assert not all_couplings_zero([*triples, SimpleNamespace(m=0, n=0, p=2)])
 
 
 def test_symmetry_closure():
@@ -193,14 +198,28 @@ def test_resonant_triple_validation():
         ResonantTriple(1, 1, 7, -1, 1, 0.5)    # degenerate signs
 
 
+def _root_is_the_sum(big, a, b):
+    """sqrt(big+1) = sqrt(a+1) + sqrt(b+1), in exact integers."""
+    prod = (a + 1) * (b + 1)
+    r = math.isqrt(prod)
+    return r * r == prod and big == a + b + 1 + 2 * r
+
+
 def _sqrt_characterization(m, n, p):
     # some index's root equals the sum of the other two
-    for big, a, b in ((p, m, n), (m, n, p), (n, m, p)):
-        prod = (a + 1) * (b + 1)
-        r = math.isqrt(prod)
-        if r * r == prod and big == a + b + 1 + 2 * r:
-            return True
-    return False
+    return any(_root_is_the_sum(big, a, b) for big, a, b in ((p, m, n), (m, n, p), (n, m, p)))
+
+
+def _root_form(m, n, p, alpha, beta):
+    """The sqrt gate as its docstring states it: the root of the index the
+    signs pick is the sum of the other two."""
+    if (alpha, beta) == (1, 1):
+        return False
+    big, a, b = {(-1, -1): (p, m, n), (-1, 1): (m, n, p), (1, -1): (n, m, p)}[alpha, beta]
+    return _root_is_the_sum(big, a, b)
+
+
+SIGNS = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,10 +228,21 @@ def test_polynomial_equals_sqrt_characterization(m, n, p):
     assert (condition_polynomial(m, n, p) == 0) == _sqrt_characterization(m, n, p)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 500), st.integers(0, 500))
-def test_partner_closed_form_property(m, n):
-    prod = (m + 1) * (n + 1)
-    r = math.isqrt(prod)
-    if r * r == prod:
-        assert condition_polynomial(m, n, m + n + 1 + 2 * r) == 0
+def test_sqrt_gate_equals_the_root_form_below_120():
+    # off the resonant set both forms reject; on it, every tuple with
+    # m, n, p < 120 under every sign pair
+    i = np.arange(120)
+    on_set = np.argwhere(condition_polynomial(*np.meshgrid(i, i, i, indexing="ij")) == 0)
+    verdicts = [sqrt_gate_admissible(*t, *signs) for t in on_set.tolist() for signs in SIGNS]
+    assert verdicts == [_root_form(*t, *signs) for t in on_set.tolist() for signs in SIGNS]
+    assert sum(verdicts) == 354
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 10 ** 9), st.integers(1, 10 ** 9),
+       st.permutations(range(3)), st.sampled_from(SIGNS), st.integers(-1, 1))
+def test_sqrt_gate_equals_the_root_form_at_large_indices(d, a, c, order, signs, shift):
+    # sqrt(d (a+c)^2) = sqrt(d a^2) + sqrt(d c^2): resonant for shift 0
+    triple = (d * a * a - 1, d * c * c - 1, d * (a + c) ** 2 - 1 + shift)
+    m, n, p = (triple[k] for k in order)
+    assert sqrt_gate_admissible(m, n, p, *signs) == _root_form(m, n, p, *signs)
