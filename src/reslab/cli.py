@@ -5,10 +5,11 @@ Subcommands: enumerate, phase-report, stat-phase-check, simulate-full,
 simulate-resonant, compare, triple-table.  All take --out-dir.  The simulation
 subcommands read a JSON config via --config, and --seed overrides its seed;
 each calls ``evolution.run`` with its system ("full", "resonant" or
-"compare").  They checkpoint to out-dir/checkpoint.npz, and --resume
-continues from it, or starts afresh without one; ``_RunWriter`` alone owns
-these files and the checkpoint's layout.  stat-phase-check takes --threads
-(0, the default, means all cores).  Exit codes: 0 success, 2 config error
+"compare").  They checkpoint to out-dir/checkpoint.npz at an output row,
+recording its step and its time t_start + step dt, and --resume continues
+from it, or starts afresh without one; ``_RunWriter`` alone owns these files
+and the checkpoint's layout.  stat-phase-check takes --threads (0, the
+default, means all cores).  Exit codes: 0 success, 2 config error
 (including a checkpoint that is damaged, of an earlier layout or from another
 config or command), an argument its argparse type rejects or an output file
 that cannot be written, 3 numerical failure, 64 unknown subcommand.
@@ -37,7 +38,7 @@ from .evolution import COLUMNS, SimConfig, config_from_json, run, schedule
 from .hermite import MAX_MODE, TripleProductTable
 from .oscillatory import stat_phase_decay_table
 from .phase import PhaseParams, Regime, phase_report
-from .transform import SpectralState, load_state, replace_on_close, save_state
+from .transform import load_state, replace_on_close, save_state
 from .triples import GATES, all_couplings_zero, interactions_for_output
 from . import __version__
 
@@ -151,9 +152,9 @@ class _RunWriter:
     resume, streams the trajectory rows and writes the checkpoint.  It is the
     one home of the checkpoint's layout: a ``save_state`` archive of the
     (P, n_x1) profile f, and of g from the compare fork on, whose ``meta``
-    holds what the config cannot give: the step, the total variation ``tv``,
-    the state ``times``, the command ``which`` and the ``config_sha`` that
-    pins the rest, the grid among it."""
+    holds what the config cannot give: the step, its time ``t``, the total
+    variation ``tv``, the command ``which`` and the ``config_sha`` that pins
+    the rest, the grid among it."""
 
     def __init__(self, out_dir: str, config: SimConfig, which: str):
         self.out_dir = out_dir
@@ -169,9 +170,9 @@ class _RunWriter:
 
         With ``resume`` and a checkpoint in out_dir, the CSV is cut back to
         the rows up to the checkpoint's step.  A damaged checkpoint (also one
-        with a step, set of states, state shape or time, or total variation
-        this run never writes) or one of another config or command raises
-        ConfigError before any file is touched.  Otherwise the run starts
+        with a step, time, set of states, state shape or total variation this
+        run never writes, or one of an earlier layout) or one of another
+        config or command raises ConfigError before any file is touched.  Otherwise the run starts
         afresh and removes an earlier run's checkpoint.  Either way the
         manifest and summary of an earlier run go before the first output
         changes, so a run that fails leaves none.
@@ -184,18 +185,17 @@ class _RunWriter:
                     raise ConfigError([("/", "checkpoint in out-dir was produced by a "
                                              "different config or command; refusing to resume")])
                 t_start, n_total, out_stride, ckpt_stride, fork = schedule(self.config, self.which)
-                step, times, tv, dt = meta["step"], meta["times"], meta["tv"], self.config.dt
+                step, t, tv = meta["step"], meta["t"], meta["tv"]
                 names = {"f", "g"} if 0 < fork <= step else {"f"}
                 if not (isinstance(step, int) and 0 < step <= n_total and step % ckpt_stride == 0
-                        and arrays.keys() == times.keys() == names):
-                    raise ValueError(f"step {step!r} and states {sorted(arrays)} "
+                        and t == t_start + step * self.config.dt and arrays.keys() == names):
+                    raise ValueError(f"step {step!r}, time {t!r} and states {sorted(arrays)} "
                                      "of no checkpoint of this run")
-                shape, t = (self.config.P, self.config.n_x1), t_start + step * dt
+                shape = (self.config.P, self.config.n_x1)
                 for name in names:
-                    if arrays[name].shape != shape or not (
-                            isinstance(times[name], float) and abs(times[name] - t) < dt / 2):
-                        raise ValueError(f"state {name!r} has shape {arrays[name].shape} and "
-                                         f"time {times[name]!r}, expected {shape} and {t!r}")
+                    if arrays[name].shape != shape:
+                        raise ValueError(f"state {name!r} has shape {arrays[name].shape}, "
+                                         f"expected {shape}")
                 if type(tv) not in (int, float) or not 0.0 <= tv < math.inf:   # a sum of norms
                     raise ValueError(f"total variation {tv!r} is not a finite number >= 0")
                 rows = step // out_stride + 1
@@ -208,12 +208,11 @@ class _RunWriter:
                             os.remove(stale)
                     fh.truncate(fh.tell())
                 self._fh = open(self.csv_path, "a", encoding="utf-8")
-            except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-                # a meta or its times that is no JSON object raises TypeError or AttributeError
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                # a meta that is no JSON object raises TypeError
                 raise ConfigError([("/", f"damaged checkpoint in {self.out_dir} ({exc}); "
                                          "remove it or run without --resume")]) from exc
-            states = {name: SpectralState(times[name], arrays[name]) for name in names}
-            return dict(step=step, f=states["f"], g=states.get("g"), tv=float(tv))
+            return dict(step=step, f=arrays["f"], g=arrays.get("g"), tv=float(tv))
         for stale in (self.ckpt_path, self.ckpt_path + ".tmp", *self.records):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(stale)
@@ -229,11 +228,9 @@ class _RunWriter:
         self._fh.write(",".join(map(fmt, record.row)) + "\n")
         self._fh.flush()
         if checkpoint:
-            states = {"f": f} if g is None else {"f": f, "g": g}
-            meta = {"step": step, "tv": record.tv_full, "which": self.which,
-                    "config_sha": _config_hash(self.config),
-                    "times": {name: st.time for name, st in states.items()}}
-            save_state(self.ckpt_path, meta, **{name: st.coeffs for name, st in states.items()})
+            meta = {"step": step, "t": record.row[0], "tv": record.tv_full,
+                    "which": self.which, "config_sha": _config_hash(self.config)}
+            save_state(self.ckpt_path, meta, **({"f": f} if g is None else {"f": f, "g": g}))
 
     def close(self) -> None:
         if self._fh is not None:

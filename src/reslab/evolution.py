@@ -6,8 +6,8 @@ Full equation
 -------------
 u_tt - Lap u + x2^2 u + u = u^2 is split as u_pm = u_t +- i sqrt(-Lap+x2^2+1) u,
 giving d/dt u~_{pm,p}(xi) = +-i om u~_{pm,p} + (u^2)~_p, om = sqrt(xi^2+2p+2).
-u is real, so u~_{-,p}(xi) = conj(u~_{+,p}(-xi)): states hold the "+" profile
-only, and ``transform.minus_component`` derives the "-" one.
+u is real, so u~_{-,p}(xi) = conj(u~_{+,p}(-xi)): a state is the (P, n_x1)
+array of the "+" profile only.
 One step is Strang: exact half rotation, one kick, exact half rotation.  The
 nonlinear sub-flow adds (u^2)~ to u~_+ and u~_- alike (it forces u_t only), so
 u = (u~_+ - u~_-)/(2i om) is constant and the kick solves it exactly.  It
@@ -15,11 +15,12 @@ squares u = 2 Re F^-1(u~_+/(2i om)) (om is even in xi) at the cubic quadrature
 nodes, an exact Galerkin projection through the triple-product tensor, and
 dealiases by the 2/3 rule in xi.  The state is the profile
 f~_{+,p} = e^(-i t om) u~_{+,p}, invariant under the linear flow.
-A call steps a segment of consecutive steps in traveling variables at
-mid-step, u = e^(i (t+dt/2) om) f: the half rotations of two consecutive steps
-merge into one multiply by e^(i dt om), so a segment costs two exps, at its
-ends, whatever its length.  The run loop's segments end at the output rows
-and the s0 fork, so the norms and checkpoints see f only.
+A call steps a segment of consecutive steps from its start time t in
+traveling variables at mid-step, u = e^(i (t+dt/2) om) f: the half rotations
+of two consecutive steps merge into one multiply by e^(i dt om), so a segment
+costs two exps, at its ends, whatever its length.  The run loop's segments
+end at the output rows and the s0 fork, so the norms and checkpoints see f
+only.
 
 Resonant system
 ---------------
@@ -35,9 +36,11 @@ comparable).  The field components carry signs (-sigma a, -sigma b): pairing
 e^(-+ i s phi^(a,b)) with fields labeled (a, b) directly would be
 inconsistent, and the relabeled form is the one that preserves the reality
 pairing; only the sigma = +1 output is computed.
-Off-grid samples f~(lam xi) are values of the trigonometric polynomial
-through the grid values; samples beyond the frequency window are truncated
-to zero (out-of-band interactions are not representable on the grid).  With
+The f~_- legs need no mirror of the state: alt is even in k, so
+ifft(alt f~_-) = conj(ifft(alt f~_+)).  Off-grid samples f~(lam xi) are
+values of the trigonometric polynomial through the grid values; samples
+beyond the frequency window are truncated to zero (out-of-band interactions
+are not representable on the grid).  With
 g = ifft(alt f~), f~(r xi_k) = e^(i pi r k) sum_j g_j e^(-2 pi i r j k/n), k
 the signed index, and jk = (j^2 + k^2 - (k-j)^2)/2 makes the sum a circular
 convolution of length 2n whose chirp holds k-j at its representative in
@@ -53,15 +56,18 @@ stepper checks their parity and builds no leg in hermite mode.  It offers
 ``coupling_mode="unit"`` as a diagnostic that replaces M by 1, so the
 kernel machinery (validated against the oscillatory module) and integrator
 convergence can be measured on a non-degenerate right-hand side.  Like the
-full stepper, a call steps a segment.  A flow that leaves the state invariant
-(the linear one, or one with no leg) is the one ``_idle`` flow, which checks
-nothing: the run loop checks the ceiling once, on the initial state.
+full stepper, a call steps a segment from its start time s; substep k runs
+at s + k ds.  A flow that leaves the state invariant (the linear one, or one
+with no leg) returns its input and checks nothing: the run loop checks the
+ceiling once, on the initial state.
 
 Runs
 ----
 ``run(config, which)`` is the one run loop, for "full", "resonant" or
-"compare", on the step count, strides and fork of ``schedule``.  It keeps
-only the latest output row, so its memory does not grow with the rows.
+"compare", on the step count, strides and fork of ``schedule``.  Its clock
+is the step count: the time at step i is t_start + i dt, computed afresh
+for each segment and row, never accumulated.  It keeps only the latest
+output row, so its memory does not grow with the rows.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ import numpy as np
 
 from .errors import BlowupDetected, ConfigError
 from .hermite import HermiteBasis
-from .transform import Grid, SpectralState, composite_norms, hm_l2_norm, minus_component
+from .transform import Grid, composite_norms, hm_l2_norm
 from .phase import bracket, d2_at_stationary
 from .triples import ResonantTriple, all_couplings_zero, interactions_for_output
 
@@ -158,7 +164,8 @@ class SimConfig:
         """The step-rounding and hypothesis warnings; the run goes ahead."""
         warns = [f"{name} = {span} is not a multiple of dt = {self.dt}; it is "
                  "rounded to whole steps" for name, span in (("t_end", self.t_end),
-                                                            ("s0", self.s0))
+                                                            ("s0", self.s0),
+                                                            ("out_every", self.out_every))
                  if abs(math.remainder(span, self.dt)) > 1e-9 * max(1.0, span)]
         if not self.M > 3:
             warns.append("M <= 3 violates the existence-theorem hypothesis M > 3")
@@ -276,7 +283,7 @@ def seed_uniforms(seed: int):
         yield (((x >> rot | x << (64 - rot)) & _MASK64) >> 11) * 2.0 ** -53
 
 
-def init_profile(config: SimConfig, grid: Grid) -> SpectralState:
+def init_profile(config: SimConfig, grid: Grid) -> np.ndarray:
     """Seeded Gaussian packets on the configured modes of ``grid``, scaled so
     the S^{M,N}_0 norm of the state (both paired components) equals eps/2."""
     draws = seed_uniforms(config.seed)
@@ -288,16 +295,15 @@ def init_profile(config: SimConfig, grid: Grid) -> SpectralState:
         theta = 2.0 * math.pi * next(draws)
         coeffs[p] = amp * np.exp(1j * theta) * packet
     coeffs[:, _dealias_mask(grid.n_x1)] = 0.0
-    state = SpectralState(0.0, coeffs)
     if config.eps == 0.0:
-        state.coeffs[:] = 0.0
-        return state
-    norm = composite_norms(state, grid, config.M, config.N).S_MN_t
+        coeffs[:] = 0.0
+        return coeffs
+    norm = composite_norms(coeffs, 0.0, grid, config.M, config.N).S_MN_t
     if not (math.isfinite(norm) and norm > 0.0):
         raise BlowupDetected(f"initial S^(M,N) norm {norm:.3g} is not finite and positive; "
                              "the state cannot be scaled to eps/2")
-    state.coeffs *= (config.eps / 2.0) / norm
-    return state
+    coeffs *= (config.eps / 2.0) / norm
+    return coeffs
 
 
 def _dealias_mask(n: int) -> np.ndarray:
@@ -309,14 +315,6 @@ def _check_ceiling(coeffs: np.ndarray, ceiling: float) -> None:
     peak = np.abs(coeffs).max()
     if not peak <= ceiling:   # NaN and inf fail the comparison too
         raise BlowupDetected(f"coefficient magnitude {peak:.3g} exceeds {ceiling:.3g}")
-
-
-def _idle(state: SpectralState, h: float, steps: int) -> SpectralState:
-    """``steps`` steps of size h of a flow that leaves the coefficients as they are."""
-    t = state.time
-    for _ in range(steps):
-        t += h
-    return SpectralState(t, state.coeffs.copy())
 
 
 class FullStepper:
@@ -351,13 +349,13 @@ class FullStepper:
         kick *= scale
         return kick
 
-    def step(self, state: SpectralState, dt: float, steps: int = 1) -> SpectralState:
-        """``steps`` Strang steps of size dt, each with one kick, the exact
-        nonlinear sub-flow.  Between steps the state is the traveling profile at
-        mid-step, u = e^(i (t+dt/2) om) f, joined by one rotation e^(i dt om)."""
+    def step(self, f: np.ndarray, t: float, dt: float, steps: int = 1) -> np.ndarray:
+        """``steps`` Strang steps of size dt from time t, each with one kick,
+        the exact nonlinear sub-flow.  Between steps the state is the traveling
+        profile at mid-step, u = e^(i (t+dt/2) om) f, joined by one rotation
+        e^(i dt om).  f is not written to."""
         if not self.nonlinear:                # the linear flow leaves f invariant
-            return _idle(state, dt, steps)
-        t, f = state.time, state.coeffs
+            return f
         if steps > 1 and dt != self._shift_dt:
             self._shift_dt, self._shift = dt, np.exp(1j * dt * self.omega)
         scale = dt * self._from_phys
@@ -366,11 +364,9 @@ class FullStepper:
             for k in range(steps):
                 if k:
                     u *= self._shift
-                    t += dt
                 u += self._kick(u, scale)
                 _check_ceiling(u, self.norm_ceiling)
-            f = u * np.exp(-1j * (t + dt / 2.0) * self.omega)
-        return SpectralState(t + dt, f)
+            return u * np.exp(-1j * (t + (steps - 0.5) * dt) * self.omega)
 
 
 class ResonantStepper:
@@ -394,6 +390,7 @@ class ResonantStepper:
         self.grid = grid
         self.n_modes = n_modes
         self.norm_ceiling = norm_ceiling
+        self._alt = grid.alt
         xi, n = grid.xi, grid.n_x1
         triples, _ = interactions_for_output(n_modes - 1, gate)
         self.triple_count = len(triples)
@@ -436,26 +433,27 @@ class ResonantStepper:
         """d/ds of the "+" profile; a leg of sign -a reads f~_+ when a = -1
         and the derived f~_- when a = +1."""
         n = coeffs.shape[1]
-        g = np.fft.ifft(np.stack((coeffs, minus_component(coeffs))) * self.grid.alt, axis=2)
+        g = np.fft.ifft(coeffs * self._alt, axis=1)
+        g = np.stack((g, g.conj()))   # the ifft of alt f~_+ and of alt f~_-
         legs = np.fft.fft(g[self._comp, self._mode] * self._pre, 2 * n, axis=1)
         leg_a, leg_b = np.fft.ifft(legs * self._chirp, axis=1)[:, self._out].reshape(2, -1, n)
         out = np.zeros_like(coeffs)
         np.add.at(out, self._p, leg_a * leg_b * (self._weight / math.sqrt(s)))
         return out
 
-    def step(self, state: SpectralState, ds: float, steps: int = 1) -> SpectralState:
-        """``steps`` explicit midpoint steps of size ds."""
+    def step(self, coeffs: np.ndarray, s: float, ds: float, steps: int = 1) -> np.ndarray:
+        """``steps`` explicit midpoint steps of size ds from time s; coeffs is
+        not written to."""
         if not self.active:   # no coupled triple: the flow is constant
-            return _idle(state, ds, steps)
-        s, coeffs = state.time, state.coeffs
+            return coeffs
         with np.errstate(over="ignore", invalid="ignore"):   # the ceiling reports it
-            for _ in range(steps):
-                k1 = self.rhs(coeffs, s)
-                k2 = self.rhs(coeffs + (ds / 2.0) * k1, s + ds / 2.0)
+            for k in range(steps):
+                s_k = s + k * ds
+                k1 = self.rhs(coeffs, s_k)
+                k2 = self.rhs(coeffs + (ds / 2.0) * k1, s_k + ds / 2.0)
                 coeffs = coeffs + ds * k2
                 _check_ceiling(coeffs, self.norm_ceiling)
-                s += ds
-        return SpectralState(s, coeffs)
+        return coeffs
 
 
 # the columns of an output row: t and norms of f; in "compare" also the
@@ -500,14 +498,14 @@ def run(config: SimConfig, which: str, observer=None,
     which ``record.row`` holds until the next.  Each state advances by
     segments that end at the output rows, at the fork and at the last step.
 
-    ``observer(step, f_state, g_state, record, checkpoint)`` is called once
-    per output row; ``checkpoint`` is true on the rows at the checkpoint
-    stride, whose states a resume can start from.  ``resume`` carries
-    {"step", "f", "g", "tv"} of such a row (g None before the fork) and
-    restarts the loop there.  The segment ends depend only on the config, so
-    a resumed run replays the same segments, its total-variation sum
-    continues exactly and the states give ``record`` the row written last
-    before the stop.
+    ``observer(step, f, g, record, checkpoint)`` is called once per output
+    row with the state arrays; ``checkpoint`` is true on the rows at the
+    checkpoint stride, whose states a resume can start from.  ``resume``
+    carries {"step", "f", "g", "tv"} of such a row (g None before the fork)
+    and restarts the loop there.  The segment ends and their start times
+    depend only on the config, so a resumed run replays the same segments,
+    its total-variation sum continues exactly and the states give ``record``
+    the row written last before the stop.
     """
     if which not in COLUMNS:
         raise ValueError("which must be 'full', 'resonant' or 'compare'")
@@ -528,45 +526,44 @@ def run(config: SimConfig, which: str, observer=None,
     t_start, n_total, out_stride, ckpt_stride, i_s0 = schedule(config, which)
     checkpoints = config.checkpoint_every > 0
 
-    def measure() -> list[float]:
+    def measure(step: int) -> list[float]:
         """Sets ``record.row`` from the states; returns every norm it computed."""
-        nf = composite_norms(f, grid, config.M, config.N)
+        t = t_start + step * config.dt
+        nf = composite_norms(f, t, grid, config.M, config.N)
         values = [*vars(nf).values()]
         if which != "compare":
-            record.row = (f.time, *values)
+            record.row = (t, *values)
         elif g is None:
-            record.row = (f.time, nf.tilde_HN, nf.S_MN_t, math.nan, math.nan)
+            record.row = (t, nf.tilde_HN, nf.S_MN_t, math.nan, math.nan)
         else:
-            ng = composite_norms(g, grid, config.M, config.N)
-            record.diff = hm_l2_norm(f.coeffs - g.coeffs, grid, config.M0)
-            record.row = (f.time, nf.tilde_HN, nf.S_MN_t, ng.S_MN_t, record.diff)
+            ng = composite_norms(g, t, grid, config.M, config.N)
+            record.diff = hm_l2_norm(f - g, grid, config.M0)
+            record.row = (t, nf.tilde_HN, nf.S_MN_t, ng.S_MN_t, record.diff)
             values += [*vars(ng).values(), record.diff]
         return values
 
     def emit(step: int) -> None:
         nonlocal prev_out
-        values = measure()
+        values = measure(step)
         if g is not None:   # prev_out is f at the last row, or at the fork
-            record.tv_full += hm_l2_norm(f.coeffs - prev_out, grid, config.M0)
-            prev_out = f.coeffs.copy()
+            record.tv_full += hm_l2_norm(f - prev_out, grid, config.M0)
+            prev_out = f
             values.append(record.tv_full)
         # a state under the ceiling can still square past the largest float
         if not all(map(math.isfinite, values)):
-            raise BlowupDetected(f"a norm at t = {f.time:.6g} overflows a float")
+            raise BlowupDetected(f"a norm at t = {record.row[0]:.6g} overflows a float")
         if observer is not None:
             observer(step, f, g, record, checkpoints and step > 0 and step % ckpt_stride == 0)
 
     if resume is not None:
-        i, f, g = resume["step"], resume["f"], resume["g"]   # no step mutates a state
+        i, f, g = resume["step"], resume["f"], resume["g"]
         record.tv_full = resume["tv"]
-        prev_out = f.coeffs.copy()
-        measure()   # the row written last before the stop
+        prev_out = f
+        measure(i)   # the row written last before the stop
     else:
         i = 0
         f = init_profile(config, grid)
-        _check_ceiling(f.coeffs, config.norm_ceiling)
-        if which == "resonant":
-            f.time = t_start
+        _check_ceiling(f, config.norm_ceiling)
         g = prev_out = None
         emit(0)
     while i < n_total:
@@ -574,14 +571,14 @@ def run(config: SimConfig, which: str, observer=None,
         end = min((i // out_stride + 1) * out_stride, n_total)
         if i < i_s0 < end:
             end = i_s0
-        sub = (end - i) * config.resonant_subcycle
-        f = resonant.step(f, ds, sub) if which == "resonant" else full.step(f, config.dt, end - i)
+        t, sub = t_start + i * config.dt, (end - i) * config.resonant_subcycle
+        f = (resonant.step(f, t, ds, sub) if which == "resonant"
+             else full.step(f, t, config.dt, end - i))
         if g is not None:
-            g = resonant.step(g, ds, sub)
+            g = resonant.step(g, t, ds, sub)
         i = end
-        if i == i_s0:
-            g = f.copy()
-            prev_out = f.coeffs.copy()
+        if i == i_s0:   # no step writes to its input, so g and prev_out share f
+            g = prev_out = f
         if i % out_stride == 0 or i == n_total:
             emit(i)
     return record

@@ -1,5 +1,4 @@
-"""The Fourier-Hermite grid, the spectral state, its norms and the
-checkpoint archive.
+"""The Fourier-Hermite grid, the norms of a state and the checkpoint archive.
 
 Conventions (fixed once, used everywhere)
 -----------------------------------------
@@ -8,6 +7,11 @@ inverse carries 1/(2 pi).  The x1 box is [-L/2, L/2) with n equispaced points an
 frequencies xi_k = 2 pi k / L, k = -n/2 .. n/2 - 1, stored in FFT order.
 The trapped direction x2 is carried by the normalized phi_p; the steppers
 sample it at the cubic nodes of the basis.
+
+A state is the complex (P, n_x1) array of the profile coefficients
+f~_{+,p}(xi_k), the "+" traveling component only: the solution u is real, so
+the "-" component is its mirror, f~_{-,p}(xi) = conj(f~_{+,p}(-xi)).  A state
+holds no time; the run loop derives each from its step count.
 
 With this convention ||f||^2_{L2(R^2)} = (2 pi)^(-1) sum_p ||f~_p||^2_{L2(dxi)};
 the composite norms include the (2 pi)^(-1/2) physical normalization.
@@ -79,35 +83,6 @@ class Grid:
         return np.where(k % 2 == 0, 1.0, -1.0)
 
 
-@dataclass
-class SpectralState:
-    """Profile coefficients f~_{+,p}(xi_k), the "+" traveling component only.
-
-    The solution u is real, so the "-" component is paired with it,
-    f~_{-,p}(xi) = conj(f~_{+,p}(-xi)); ``minus_component`` derives it.
-    """
-
-    time: float
-    coeffs: np.ndarray  # complex, shape (P, n_x1)
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.shape[0]
-
-    def copy(self) -> "SpectralState":
-        return SpectralState(self.time, self.coeffs.copy())
-
-
-def minus_component(plus: np.ndarray) -> np.ndarray:
-    """f~_{-,p}(xi) = conj(f~_{+,p}(-xi)) on the FFT-ordered frequency axis."""
-    return np.conj(plus[..., _reflect_index(plus.shape[-1])])
-
-
-def _reflect_index(n: int) -> np.ndarray:
-    """Index map k -> -k on the FFT-ordered frequency grid."""
-    return (-np.arange(n)) % n
-
-
 def xi_derivative(coeffs: np.ndarray, dxi: float) -> np.ndarray:
     """Centered finite difference d/dxi on the FFT-ordered frequency axis.
 
@@ -149,26 +124,26 @@ def _norm_weights(n_modes: int, M: float, n_x1: int | None = None,
     return weights
 
 
-def composite_norms(state: SpectralState, grid: Grid, M: float, N: float) -> CompositeNorms:
-    """All norms of Definition-style spaces for a state.
+def composite_norms(coeffs: np.ndarray, t: float, grid: Grid, M: float,
+                    N: float) -> CompositeNorms:
+    """All norms of Definition-style spaces for a state at time t.
 
     tilde_HN uses the full 2D symbol (xi^2 + 2p + 2)^N; HM_HN uses eigenvalue
     multipliers (2p+2)^M on per-mode H^N norms; B_t = <t>^(-1/2) times the
     H^(3/2)(<x1>) norm; S_MN_t = tilde_HN + <t>^(-1/2) * (Hermite-weighted
-    H^(3/2)(<x1>)), t the state's time.  Vector norms are the sum over the two
-    components; the "-" component is the mirror of "+", so each is twice the
-    "+" norm.
+    H^(3/2)(<x1>)).  Vector norms are the sum over the two components; the
+    "-" component is the mirror of "+", so each is twice the "+" norm.
     """
-    lam_m, w_full, w_xi_N, w_xi_32 = _norm_weights(state.n_modes, M, grid.n_x1,
+    lam_m, w_full, w_xi_N, w_xi_32 = _norm_weights(coeffs.shape[0], M, grid.n_x1,
                                                    grid.length_x1, N)
-    bracket_t = math.sqrt(1.0 + state.time * state.time)
+    bracket_t = math.sqrt(1.0 + t * t)
     scale = grid.dxi / (2.0 * math.pi)
 
     with np.errstate(over="ignore", invalid="ignore"):   # a huge state norms to inf
-        a2 = np.abs(state.coeffs) ** 2
+        a2 = np.abs(coeffs) ** 2
         tilde = math.sqrt(np.sum(w_full * a2) * scale)
         hmhn = math.sqrt(np.sum(lam_m * np.sum(w_xi_N * a2, axis=1)) * scale)
-        d1 = np.abs(xi_derivative(state.coeffs, grid.dxi)) ** 2
+        d1 = np.abs(xi_derivative(coeffs, grid.dxi)) ** 2
         mode32 = np.sum(w_xi_32 * (a2 + d1), axis=1)   # per-mode H^(3/2)(<x>)^2
         b_t = math.sqrt(np.sum(mode32) * scale) / math.sqrt(bracket_t)
         bm = math.sqrt(np.sum(lam_m * mode32) * scale) / math.sqrt(bracket_t)

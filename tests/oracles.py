@@ -596,22 +596,14 @@ def rewrite_checkpoint(path, **fields) -> None:
 
 def forge_g(path, add: bool) -> None:
     """Rewrites a checkpoint file with a state g equal to f added, or with g
-    dropped, the state times of each JSON member to match and valid CRCs: a
-    whole checkpoint of a set of states that its run never writes."""
+    dropped, and valid CRCs: a whole checkpoint of a set of states that its
+    run never writes."""
     with np.load(path) as npz:
         arrays = dict(npz)
     if add:
         arrays["g"] = arrays["f"]
     else:
         del arrays["g"]
-    for name, member in arrays.items():
-        doc = json.loads(str(member)) if member.dtype.kind == "U" else None
-        if isinstance(doc, dict) and "times" in doc:
-            if add:
-                doc["times"]["g"] = doc["times"]["f"]
-            else:
-                del doc["times"]["g"]
-            arrays[name] = np.asarray(json.dumps(doc))
     np.savez(path, **arrays)
 
 
@@ -621,11 +613,12 @@ def two_component(plus: np.ndarray) -> np.ndarray:
     return np.stack((plus, np.conj(plus[:, (-np.arange(n)) % n])))
 
 
-def leapfrog_reference(grid, state, n_modes: int, t_end: float, dt: float,
+def leapfrog_reference(grid, coeffs: np.ndarray, n_modes: int, t_end: float, dt: float,
                        n_x2: int = 257, x2_extent: float = 8.0):
     """Independent discretization of the trapped Klein-Gordon equation:
     leapfrog in time on u itself, uniform-grid fourth-order finite differences
     in the trapped direction, spectral collocation in x1 on the same grid.
+    It starts at t = 0 from the profile coefficients (P, n_x1).
 
     Returns (x2 grid, u at t_end sampled on x1-grid x x2-grid).
     """
@@ -639,7 +632,7 @@ def leapfrog_reference(grid, state, n_modes: int, t_end: float, dt: float,
     def to_phys(coeff_rows):
         return (inverse_x1(grid, coeff_rows.T) @ phi_x2).real
 
-    plus, minus = two_component(state.coeffs)
+    plus, minus = two_component(coeffs)
     u0 = to_phys((plus - minus) / (2j * omega))
     v0 = to_phys((plus + minus) / 2.0)
 
@@ -661,13 +654,15 @@ def leapfrog_reference(grid, state, n_modes: int, t_end: float, dt: float,
     return x2, u_cur
 
 
-def physical_field_on(grid, state, n_modes: int, x2: np.ndarray) -> np.ndarray:
-    """u(t) from a profile state, sampled on x1-grid x given x2 points."""
+def physical_field_on(grid, coeffs: np.ndarray, t: float, n_modes: int,
+                      x2: np.ndarray) -> np.ndarray:
+    """u(t) from the profile coefficients at time t, sampled on x1-grid x
+    given x2 points."""
     from reslab.hermite import hermite_table
 
     omega = np.sqrt(grid.xi[None, :] ** 2 + (2.0 * np.arange(n_modes) + 2.0)[:, None])
     sgn = np.array([1.0, -1.0])[:, None, None]
-    trav = two_component(state.coeffs) * np.exp(1j * sgn * state.time * omega[None, :, :])
+    trav = two_component(coeffs) * np.exp(1j * sgn * t * omega[None, :, :])
     mode = (trav[0] - trav[1]) / (2j * omega)
     return (inverse_x1(grid, mode.T) @ hermite_table(n_modes - 1, x2)).real
 
@@ -702,15 +697,15 @@ def strang_step_reference(stepper, coeffs: np.ndarray, t: float, dt: float):
     return t + dt, u * np.exp(-1j * sgn * (t + dt) * om)
 
 
-def discrete_energy(stepper, state) -> tuple[float, float]:
+def discrete_energy(stepper, coeffs: np.ndarray, t: float) -> tuple[float, float]:
     """The energy that ``FullStepper``'s splitting nearly conserves, and its
-    cubic term: with u~ = e^(i t om) f,
+    cubic term, of the profile f = coeffs at time t: with u~ = e^(i t om) f,
     E = (4 pi)^-1 dxi sum |u~|^2 - 1/3 dx sum_x sum_q w_q u(x, y_q)^3, u at
     the cubic nodes y_q with total weights w_q.  Both sums are exact on the
     2/3-rule band: the rule integrates degree 3 max_mode in x2, and the
     x1-frequencies of u^3 stay below n, so the x1 sum does not alias."""
     grid, basis = stepper.grid, stepper.grid.basis
-    u = np.exp(1j * state.time * stepper.omega) * state.coeffs
+    u = np.exp(1j * t * stepper.omega) * coeffs
     quadratic = grid.dxi * float(np.sum(np.abs(u) ** 2)) / (4.0 * math.pi)
     phys = np.fft.ifft(u * (grid.n_x1 / grid.length_x1) * grid.alt / stepper.omega, axis=1).imag
     vals = basis.cubic_phi[:stepper.n_modes].T @ phys                # (Qc, n)

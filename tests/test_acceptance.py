@@ -19,7 +19,7 @@ from reslab.hermite import HermiteBasis, TripleProductTable
 from reslab.oscillatory import (OscIntegralSpec, PhaseCurve, kinked_gaussian_spec,
                                 quadrature_oscillatory, stationary_phase_leading)
 from reslab.phase import PhaseParams, dphase_deta, lambda_coeff, phase
-from reslab.transform import Grid, SpectralState, composite_norms, hm_l2_norm
+from reslab.transform import Grid, composite_norms, hm_l2_norm
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -89,10 +89,9 @@ def test_criterion_3_transforms():
     for _ in range(20):
         env = np.exp(-0.5 * (grid.xi / 1.5) ** 2)
         c = (rng.normal(size=(6, 64)) + 1j * rng.normal(size=(6, 64))) * env
-        st = SpectralState(0.0, c)
-        lower = composite_norms(st, grid, M=N / 2.0, N=N).HM_HN
-        tilde = composite_norms(st, grid, M=N, N=N).tilde_HN
-        upper = composite_norms(st, grid, M=N, N=2.0 * N).HM_HN
+        lower = composite_norms(c, 0.0, grid, M=N / 2.0, N=N).HM_HN
+        tilde = composite_norms(c, 0.0, grid, M=N, N=N).tilde_HN
+        upper = composite_norms(c, 0.0, grid, M=N, N=2.0 * N).HM_HN
         sandwich_ok &= lower <= tilde + 1e-9 and tilde <= upper + 1e-9
 
     ok = roundtrip <= 1e-10 and parseval <= 1e-9 and sandwich_ok
@@ -201,20 +200,20 @@ def test_criterion_6_integrators():
     state = init_profile(cfg, grid)
 
     lin = FullStepper(grid, 4, nonlinear=False)
-    s = state.copy()
-    before = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=1))
-    for _ in range(10_000):
-        s = lin.step(s, 0.02)
-    after = np.sqrt(np.sum(np.abs(s.coeffs) ** 2, axis=1))
+    s = state
+    before = np.sqrt(np.sum(np.abs(s) ** 2, axis=1))
+    for k in range(10_000):
+        s = lin.step(s, k * 0.02, 0.02)
+    after = np.sqrt(np.sum(np.abs(s) ** 2, axis=1))
     conservation = float(np.max(np.abs(after - before)) / np.max(before))
 
     full = FullStepper(grid, 4)
 
     def run_full(dt, T=0.64):
-        st = state.copy()
-        for _ in range(round(T / dt)):
-            st = full.step(st, dt)
-        return st.coeffs
+        st = state
+        for k in range(round(T / dt)):
+            st = full.step(st, k * dt, dt)
+        return st
 
     c1, c2, c3 = run_full(0.08), run_full(0.04), run_full(0.02)
     ratio_full = float(np.max(np.abs(c1 - c2)) / np.max(np.abs(c2 - c3)))
@@ -222,11 +221,10 @@ def test_criterion_6_integrators():
     res = ResonantStepper(grid, 4, coupling_mode="unit")
 
     def run_res(ds, T=1.6):
-        st = state.copy()
-        st.time = 1.0
-        for _ in range(round(T / ds)):
-            st = res.step(st, ds)
-        return st.coeffs
+        st = state
+        for k in range(round(T / ds)):
+            st = res.step(st, 1.0 + k * ds, ds)
+        return st
 
     r1, r2, r3 = run_res(0.2), run_res(0.1), run_res(0.05)
     ratio_res = float(np.max(np.abs(r1 - r2)) / np.max(np.abs(r2 - r3)))
@@ -237,10 +235,10 @@ def test_criterion_6_integrators():
     state6 = init_profile(cfg6, grid6)
     x2, u_ref = leapfrog_reference(grid6, state6, 6, 1.0, 5e-4)
     stepper6 = FullStepper(grid6, 6, norm_ceiling=1e9)
-    s6 = state6.copy()
-    for _ in range(200):
-        s6 = stepper6.step(s6, 0.005)
-    ours = physical_field_on(grid6, s6, 6, x2)
+    s6 = state6
+    for k in range(200):
+        s6 = stepper6.step(s6, k * 0.005, 0.005)
+    ours = physical_field_on(grid6, s6, 200 * 0.005, 6, x2)
     oracle_rel = float(np.linalg.norm(ours - u_ref) / np.linalg.norm(u_ref))
 
     ok = (conservation <= 1e-12 and 3.5 <= ratio_full <= 4.5
@@ -259,12 +257,12 @@ def test_criterion_7_resonant_kernel_consistency():
     state = init_profile(cfg, grid)
     stepper = ResonantStepper(grid, 4, coupling_mode="unit")
     params = PhaseParams(0, 0, 3, -1, -1)
-    plus0 = state.coeffs[0]
+    plus0 = state[0]
     W = grid.xi_max
     worst = 0.0
     quad_worst = 0.0
     for s in (50.0, 125.0, 200.0, 350.0, 500.0):
-        rhs = stepper.rhs(state.coeffs, s)
+        rhs = stepper.rhs(state, s)
         for k in (0, 1, 2, 62, 63):
             xi = grid.xi[k]
             term = rhs[3, k] / K_PREF   # single-triple kernel, prefactor out

@@ -22,7 +22,7 @@ from reslab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
 from oracles import (forge_g, modules_loaded, rewrite_checkpoint, triple_table_dict,
                      two_component, write_triple_csv)
 from reslab.errors import BlowupDetected, ConfigError
-from reslab.evolution import MAX_STEPS, SimConfig, config_from_json
+from reslab.evolution import MAX_STEPS, SimConfig, config_from_json, schedule
 from reslab.hermite import MAX_MODE
 from reslab.triples import GATES
 
@@ -206,13 +206,15 @@ def test_out_every_beyond_the_run_is_clamped(tmp_path):
 
 
 def test_step_rounding_warns_through_the_cli(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "cfg.json", t_end=1.01)
+    cfg = write_cfg(tmp_path / "cfg.json", t_end=1.01, out_every=0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # no Python warning reaches stderr raw
         assert main(["simulate-full", "--config", str(cfg),
                      "--out-dir", str(tmp_path)]) == EXIT_OK
     err = capsys.readouterr().err
     assert "warning: t_end = 1.01 is not a multiple of dt = 0.02" in err
+    # a stride of round(12.5) = 12 steps: the rows fall every 0.24
+    assert "warning: out_every = 0.25 is not a multiple of dt = 0.02" in err
     assert "warnings.warn(" not in err
 
 
@@ -465,6 +467,25 @@ def test_desk_compare_keeps_its_config_hashes(tmp_path):
         "bc122005c4752a4bdb9db6f155f4453f244dfad5b86cd55bcad44aedd8764981"
 
 
+def test_desk_compare_times_are_the_step_clock(tmp_path):
+    # the row at step i is at t_start + i dt, not at a sum of i steps of dt,
+    # which ended the desk run at 19.999999999999662; the checkpoint's meta
+    # holds that one time
+    desk = Path(__file__).parents[1] / "configs" / "compare_desk.json"
+    out = tmp_path / "desk"
+    assert main(["compare", "--config", str(desk), "--out-dir", str(out)]) == EXIT_OK
+    config, _ = load_config(str(desk), {})
+    t_start, n_total, out_stride, _, _ = schedule(config, "compare")
+    cells = [row.split(",")[0] for row in
+             (out / "trajectory.csv").read_text().splitlines()[1:]]
+    assert cells == ["%.17g" % (t_start + i * config.dt)
+                     for i in [*range(0, n_total, out_stride), n_total]]
+    assert json.loads((out / "summary.json").read_text())["end_time"] == 20.0
+    meta, _ = transform.load_state(out / CKPT)
+    assert sorted(meta) == ["config_sha", "step", "t", "tv", "which"]
+    assert meta["t"] == t_start + meta["step"] * config.dt
+
+
 def test_triple_table_command(tmp_path):
     out = tmp_path / "tt"
     assert main(["triple-table", "--max-mode", "12", "--out-dir", str(out)]) == EXIT_OK
@@ -533,11 +554,11 @@ def _crash_compare(cfg, out_dir, monkeypatch, kill_after=80):
     orig = evolution.FullStepper.step
     done = {"steps": 0}
 
-    def dying_step(self, state, dt, steps=1):
+    def dying_step(self, f, t, dt, steps=1):
         done["steps"] += steps
         if done["steps"] > kill_after:
             raise KeyboardInterrupt
-        return orig(self, state, dt, steps)
+        return orig(self, f, t, dt, steps)
 
     monkeypatch.setattr(evolution.FullStepper, "step", dying_step)
     with pytest.raises(KeyboardInterrupt):
@@ -697,11 +718,11 @@ def _rewrite_states(d, change):
 
 
 def _earlier_layout(d):
-    """Rewrites the checkpoint as earlier versions wrote it: the grid and the
-    state times in a ``header`` member, the row count in ``meta``."""
+    """Rewrites the checkpoint as the previous version wrote it: a time per
+    state in a ``times`` dict of ``meta``, and no ``t``."""
     meta, arrays = transform.load_state(d / CKPT)
-    header = {"n_x1": 64, "length_x1": 16.0, "times": meta.pop("times")}
-    transform.save_state(d / CKPT, dict(meta, rows=5), header=json.dumps(header), **arrays)
+    t = meta.pop("t")
+    transform.save_state(d / CKPT, dict(meta, times={name: t for name in arrays}), **arrays)
 
 
 # the run checkpoints at steps 25, 50, 75 and 100 of 100, after 2, 3, 4 and 5
@@ -714,9 +735,9 @@ DAMAGE = {
     "meta tv a bool": lambda d: rewrite_checkpoint(d / CKPT, tv=True),
     "meta a list": lambda d: transform.save_state(d / CKPT, [],
                                                   **transform.load_state(d / CKPT)[1]),
-    "state times a list": lambda d: rewrite_checkpoint(d / CKPT, times=[1]),
-    "state times not numbers": lambda d: rewrite_checkpoint(d / CKPT, times={"f": "x", "g": "x"}),
-    "state time of g forged": lambda d: rewrite_checkpoint(d / CKPT, times={"f": 2.0, "g": 50.0}),
+    # the time of step 100 is exactly 2.0; one ulp off is no time of this run
+    "meta t forged": lambda d: rewrite_checkpoint(d / CKPT, t=math.nextafter(2.0, 0.0)),
+    "meta t not a number": lambda d: rewrite_checkpoint(d / CKPT, t="2.0"),
     "state header cut": lambda d: _cut(d / CKPT, 20),
     # both components (2, P, n_x1), the layout of earlier code
     "two-component states": lambda d: _rewrite_states(d, two_component),

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from reslab.hermite import HermiteBasis, hermite_table
 from oracles import (ConfinementWarning, composite_norms_reference, forward, forward_x1,
                      hm_l2_norm_reference, interp_matrix, inverse, inverse_x1, plain_rule,
-                     sobolev_weighted_norm, xi_derivative_physical)
-from reslab.transform import (CompositeNorms, Grid, SpectralState,
-                              composite_norms, hm_l2_norm, load_state,
-                              minus_component, save_state, xi_derivative)
+                     sobolev_weighted_norm, two_component, xi_derivative_physical)
+from reslab.transform import (CompositeNorms, Grid, composite_norms, hm_l2_norm, load_state,
+                              save_state, xi_derivative)
 
 
 def gaussian_field(grid):
@@ -22,8 +21,7 @@ def gaussian_field(grid):
 def random_state(grid, n_modes, rng, width=1.5):
     shape = (n_modes, grid.n_x1)
     envelope = np.exp(-0.5 * (grid.xi / width) ** 2)
-    coeffs = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * envelope
-    return SpectralState(0.0, coeffs)
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * envelope
 
 
 def test_grid_validation():
@@ -121,9 +119,9 @@ def test_norm_sandwich_on_random_states(grid64):
     N = 1.5
     for _ in range(20):
         st = random_state(grid64, 6, rng)
-        lower = composite_norms(st, grid64, M=N / 2.0, N=N).HM_HN
-        tilde = composite_norms(st, grid64, M=N, N=N).tilde_HN
-        upper = composite_norms(st, grid64, M=N, N=2.0 * N).HM_HN
+        lower = composite_norms(st, 0.0, grid64, M=N / 2.0, N=N).HM_HN
+        tilde = composite_norms(st, 0.0, grid64, M=N, N=N).tilde_HN
+        upper = composite_norms(st, 0.0, grid64, M=N, N=2.0 * N).HM_HN
         assert lower <= tilde + 1e-9
         assert tilde <= upper + 1e-9
 
@@ -139,8 +137,8 @@ def test_multiplier_bound_exact(grid64):
 def test_composite_bracket_t_scaling(grid64):
     coeffs = np.zeros((5, 64), complex)
     coeffs[0] = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * grid64.xi ** 2)
-    n0 = composite_norms(SpectralState(0.0, coeffs), grid64, 2.0, 1.0)
-    n3 = composite_norms(SpectralState(3.0, coeffs), grid64, 2.0, 1.0)
+    n0 = composite_norms(coeffs, 0.0, grid64, 2.0, 1.0)
+    n3 = composite_norms(coeffs, 3.0, grid64, 2.0, 1.0)
     # B_t = <t>^(-1/2) * (t-free norm); <3> = sqrt(10)
     assert n0.B_t / n3.B_t == pytest.approx(10.0 ** 0.25, rel=1e-12)
     assert isinstance(n0, CompositeNorms)
@@ -149,13 +147,12 @@ def test_composite_bracket_t_scaling(grid64):
 def test_composite_norms_count_both_components(grid64):
     # the "-" component, a conjugate mirror of "+", has the same norms
     st = random_state(grid64, 5, np.random.default_rng(12))
-    st.time = 1.0
-    mirrored = SpectralState(st.time, minus_component(st.coeffs))
-    for a, b in zip(dataclasses.astuple(composite_norms(st, grid64, 2.0, 1.5)),
-                    dataclasses.astuple(composite_norms(mirrored, grid64, 2.0, 1.5))):
+    mirrored = two_component(st)[1]
+    for a, b in zip(dataclasses.astuple(composite_norms(st, 1.0, grid64, 2.0, 1.5)),
+                    dataclasses.astuple(composite_norms(mirrored, 1.0, grid64, 2.0, 1.5))):
         assert a == pytest.approx(b, rel=1e-14)
-    assert hm_l2_norm(st.coeffs, grid64, 1.0) == \
-        pytest.approx(hm_l2_norm(mirrored.coeffs, grid64, 1.0), rel=1e-14)
+    assert hm_l2_norm(st, grid64, 1.0) == pytest.approx(hm_l2_norm(mirrored, grid64, 1.0),
+                                                        rel=1e-14)
 
 
 def test_tilde_norm_eigenvalue_scaling(grid64):
@@ -165,10 +162,9 @@ def test_tilde_norm_eigenvalue_scaling(grid64):
     for p in (0, 4):
         coeffs = np.zeros((5, 64), complex)
         coeffs[p] = narrow
-        st = SpectralState(0.0, coeffs)
         N = 1.0
-        tilde = composite_norms(st, grid64, 2.0, N).tilde_HN
-        base = composite_norms(st, grid64, 2.0, 0.0).tilde_HN
+        tilde = composite_norms(coeffs, 0.0, grid64, 2.0, N).tilde_HN
+        base = composite_norms(coeffs, 0.0, grid64, 2.0, 0.0).tilde_HN
         ratios.append(tilde / base / (2.0 * p + 2.0) ** N)
     assert ratios[0] == pytest.approx(1.0, rel=2e-2)
     assert ratios[1] == pytest.approx(1.0, rel=2e-2)
@@ -220,18 +216,18 @@ def test_reality_constraint_from_real_field(grid64):
     cu = forward(grid64, u)
     cv = forward(grid64, v)
     plus, minus = cv + 1j * omega * cu, cv - 1j * omega * cu
-    assert np.max(np.abs(minus_component(plus) - minus)) <= 1e-12 * np.max(np.abs(plus))
+    assert np.max(np.abs(two_component(plus)[1] - minus)) <= 1e-12 * np.max(np.abs(plus))
 
 
 def test_minus_component_is_conjugate_mirror(grid64):
     rng = np.random.default_rng(9)
-    plus = random_state(grid64, 4, rng).coeffs
-    minus = minus_component(plus)
+    plus = random_state(grid64, 4, rng)
+    minus = two_component(plus)[1]
     xi = grid64.xi
     for k in range(grid64.n_x1):   # xi_k -> -xi_k, the Nyquist bin onto itself
         j = int(np.argmin(np.abs(xi + xi[k]))) if k != grid64.n_x1 // 2 else k
         assert np.array_equal(minus[:, k], np.conj(plus[:, j]))
-    assert np.array_equal(minus_component(minus), plus)
+    assert np.array_equal(two_component(minus)[1], plus)
 
 
 @pytest.mark.parametrize("geometry", [(64, 16.0), (1024, 128.0)],
@@ -250,9 +246,8 @@ def test_interp_eval_matches_closed_form(grid64, geometry):
 def test_state_snapshot_roundtrip(tmp_path, grid64):
     rng = np.random.default_rng(4)
     n_modes = grid64.basis.max_mode + 1
-    f, g = (random_state(grid64, n_modes, rng).coeffs for _ in range(2))
-    meta = {"step": 125, "tv": 0.1 + 0.2, "config_sha": "ab" * 32,
-            "times": {"f": 2.5, "g": 1.0 + 1e-15}}
+    f, g = (random_state(grid64, n_modes, rng) for _ in range(2))
+    meta = {"step": 125, "t": 2.5 + 1e-15, "tv": 0.1 + 0.2, "config_sha": "ab" * 32}
     for arrays in ({"f": f, "g": g}, {"f": f}, {}):
         out = tmp_path / ("".join(arrays) or "none")
         out.mkdir()
@@ -289,12 +284,12 @@ def test_cached_norm_weights_match_a_fresh_build():
     grids = [Grid(64, 16.0, HermiteBasis.build(5)), Grid(128, 24.0, HermiteBasis.build(5))]
     cases = [(grid, n_modes, M, N, t) for grid in grids for n_modes in (3, 6)
              for M, N, t in ((4.0, 2.0, 0.0), (2.0, 1.5, 3.0), (7.5, 0.0, 0.5))]
-    coeffs_of = [random_state(grid, n_modes, rng).coeffs for grid, n_modes, *_ in cases]
+    coeffs_of = [random_state(grid, n_modes, rng) for grid, n_modes, *_ in cases]
     order = list(range(len(cases)))
     for i in order + order[::-1]:
         case, coeffs = cases[i], coeffs_of[i]
         grid, _, M, N, t = case
-        ours = dataclasses.astuple(composite_norms(SpectralState(t, coeffs), grid, M, N))
+        ours = dataclasses.astuple(composite_norms(coeffs, t, grid, M, N))
         ref = composite_norms_reference(coeffs, t, grid, M, N)
         for a, b in zip(ours, ref):
             assert a == pytest.approx(b, rel=1e-14, abs=0.0), case
