@@ -163,27 +163,31 @@ class _RunWriter:
         self.csv_path = os.path.join(out_dir, "trajectory.csv")
         self.ckpt_path = os.path.join(out_dir, CHECKPOINT)
         self.records = [os.path.join(out_dir, name) for name in ("manifest.json", "summary.json")]
+        self.config_sha = _config_hash(config)
         self._fh = None
 
     def begin(self, resume: bool) -> dict | None:
         """Opens trajectory.csv and returns the run loop's ``resume`` dict.
 
         With ``resume`` and a checkpoint in out_dir, the CSV is cut back to
-        the rows up to the checkpoint's step.  A damaged checkpoint (also one
-        with a step, time, set of states, state shape or total variation this
-        run never writes, or one of an earlier layout) or one of another
-        config or command raises ConfigError before any file is touched.  Otherwise the run starts
-        afresh and removes an earlier run's checkpoint.  Either way the
-        manifest and summary of an earlier run go before the first output
-        changes, so a run that fails leaves none.
+        the rows up to the checkpoint's step.  A checkpoint that is damaged
+        (also one with a step, time, set of states, state shape or total
+        variation this run never writes), of an earlier layout, or of another
+        config or command raises ConfigError before any file is touched.
+        Otherwise the run starts afresh and removes an earlier run's
+        checkpoint.  Either way the manifest and summary of an earlier run go
+        before the first output changes, so a run that fails leaves none.
         """
         if resume and os.path.exists(self.ckpt_path):
             try:
                 meta, arrays = load_state(self.ckpt_path)
-                if meta["config_sha"] != _config_hash(self.config) \
-                        or meta.get("which") != self.which:
+                if meta["config_sha"] != self.config_sha or meta.get("which") != self.which:
                     raise ConfigError([("/", "checkpoint in out-dir was produced by a "
                                              "different config or command; refusing to resume")])
+                if "t" not in meta and ("times" in meta or "header" in arrays):
+                    raise ConfigError([("/", f"checkpoint in {self.out_dir} is of an earlier "
+                                             "layout, with no time 't' in its meta; remove it "
+                                             "or run without --resume")])
                 t_start, n_total, out_stride, ckpt_stride, fork = schedule(self.config, self.which)
                 step, t, tv = meta["step"], meta["t"], meta["tv"]
                 names = {"f", "g"} if 0 < fork <= step else {"f"}
@@ -229,7 +233,7 @@ class _RunWriter:
         self._fh.flush()
         if checkpoint:
             meta = {"step": step, "t": record.row[0], "tv": record.tv_full,
-                    "which": self.which, "config_sha": _config_hash(self.config)}
+                    "which": self.which, "config_sha": self.config_sha}
             save_state(self.ckpt_path, meta, **({"f": f} if g is None else {"f": f, "g": g}))
 
     def close(self) -> None:
@@ -307,66 +311,74 @@ def _width_probes(text: str) -> tuple:
             f"and regime one of {', '.join(r.value for r in Regime)}") from None
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
-    """The parser and the names of its subcommands."""
+# the subcommands in the order of the help text and of the exit-64 usage line
+COMMANDS = ("enumerate", "phase-report", "stat-phase-check", "triple-table",
+            "simulate-full", "simulate-resonant", "compare")
+_HELP = {"enumerate": "list resonant interactions",
+         "phase-report": "diagnostics for one phase",
+         "stat-phase-check": "stationary-phase decay table",
+         "triple-table": "export the interaction tensor"}
+
+
+def _add_subcommand(sub, name: str) -> None:
+    """Adds subcommand ``name``, its options and the command it runs."""
+    p = sub.add_parser(name, **({"help": _HELP[name]} if name in _HELP else {}))
+    if name == "enumerate":
+        p.add_argument("--max-mode", type=_int_range(0), required=True)
+        p.add_argument("--gate", choices=tuple(GATES), default="sqrt")
+        command = cmd_enumerate
+    elif name == "phase-report":
+        for mode in ("--m", "--n", "--p"):   # the triple table's bound, far inside float range
+            p.add_argument(mode, type=_int_range(0, MAX_MODE), required=True)
+        p.add_argument("--alpha", type=int, choices=(-1, 1), default=-1)
+        p.add_argument("--beta", type=int, choices=(-1, 1), default=-1)
+        p.add_argument("--radius", type=_positive_float, default=20.0)
+        p.add_argument("--width-probes", type=_width_probes, default=(),
+                       help="semicolon list j,regime,k; RhoSmall and RhoLarge probe at "
+                            "|eta| = sqrt(2) 2^k, LowFreq takes k='-'")
+        command = cmd_phase_report
+    elif name == "stat-phase-check":
+        p.add_argument("--threads", type=_int_range(0), default=0,
+                       help="worker threads; 0 means all cores")
+        command = cmd_stat_phase_check
+    elif name == "triple-table":
+        p.add_argument("--max-mode", type=_int_range(0, MAX_MODE), required=True)
+        command = cmd_triple_table
+    else:
+        p.add_argument("--config", default=None)
+        p.add_argument("--resume", action="store_true",
+                       help="continue from a checkpoint in out-dir")
+        p.add_argument("--seed", type=_int_range(0), default=None)
+
+        def command(args, out_dir):
+            return _run_trajectory(args, out_dir, name.removeprefix("simulate-"))
+    p.add_argument("--out-dir", default=None)
+    p.set_defaults(run=command, simulation=name not in _HELP)
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``only``: a call parses one, and
+    building the other six would cost it more than the parsing."""
     parser = argparse.ArgumentParser(
         prog="reslab",
         description="Fourier-Hermite resonance toolkit for the trapped "
                     "Klein-Gordon equation")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, run, simulation=False):
-        p.add_argument("--out-dir", default=None)
-        p.set_defaults(run=run, simulation=simulation)
-
-    p = sub.add_parser("enumerate", help="list resonant interactions")
-    p.add_argument("--max-mode", type=_int_range(0), required=True)
-    p.add_argument("--gate", choices=tuple(GATES), default="sqrt")
-    common(p, cmd_enumerate)
-
-    p = sub.add_parser("phase-report", help="diagnostics for one phase")
-    for mode in ("--m", "--n", "--p"):   # the triple table's bound, far inside float range
-        p.add_argument(mode, type=_int_range(0, MAX_MODE), required=True)
-    p.add_argument("--alpha", type=int, choices=(-1, 1), default=-1)
-    p.add_argument("--beta", type=int, choices=(-1, 1), default=-1)
-    p.add_argument("--radius", type=_positive_float, default=20.0)
-    p.add_argument("--width-probes", type=_width_probes, default=(),
-                   help="semicolon list j,regime,k; RhoSmall and RhoLarge probe at "
-                        "|eta| = sqrt(2) 2^k, LowFreq takes k='-'")
-    common(p, cmd_phase_report)
-
-    p = sub.add_parser("stat-phase-check", help="stationary-phase decay table")
-    p.add_argument("--threads", type=_int_range(0), default=0,
-                   help="worker threads; 0 means all cores")
-    common(p, cmd_stat_phase_check)
-
-    p = sub.add_parser("triple-table", help="export the interaction tensor")
-    p.add_argument("--max-mode", type=_int_range(0, MAX_MODE), required=True)
-    common(p, cmd_triple_table)
-
-    for name, which in (("simulate-full", "full"), ("simulate-resonant", "resonant"),
-                        ("compare", "compare")):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--resume", action="store_true",
-                       help="continue from a checkpoint in out-dir")
-        p.add_argument("--seed", type=_int_range(0), default=None)
-        common(p, lambda args, out_dir, which=which: _run_trajectory(args, out_dir, which),
-               simulation=True)
-    return parser, tuple(sub.choices)
+    for name in COMMANDS if only is None else (only,):
+        _add_subcommand(sub, name)
+    return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
     if not argv or argv[0] in ("-h", "--help"):
-        parser.print_help()
+        _build_parser().print_help()
         return EXIT_OK
-    if argv[0] not in commands:
+    if argv[0] not in COMMANDS:
         print(f"unknown subcommand: {argv[0]}", file=sys.stderr)
-        print(f"usage: reslab {{{','.join(commands)}}} ...", file=sys.stderr)
+        print(f"usage: reslab {{{','.join(COMMANDS)}}} ...", file=sys.stderr)
         return EXIT_USAGE
-    args = parser.parse_args(argv)
+    args = _build_parser(argv[0]).parse_args(argv)
     try:
         out_dir = _ensure_out_dir(args.out_dir or ".")
         if not args.simulation:   # a manifest marks a finished run; see _RunWriter.begin

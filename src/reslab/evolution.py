@@ -17,10 +17,12 @@ dealiases by the 2/3 rule in xi.  The state is the profile
 f~_{+,p} = e^(-i t om) u~_{+,p}, invariant under the linear flow.
 A call steps a segment of consecutive steps from its start time t in
 traveling variables at mid-step, u = e^(i (t+dt/2) om) f: the half rotations
-of two consecutive steps merge into one multiply by e^(i dt om), so a segment
-costs two exps, at its ends, whatever its length.  The run loop's segments
-end at the output rows and the s0 fork, so the norms and checkpoints see f
-only.
+of two consecutive steps merge into one multiply by e^(i dt om).  A segment
+ending at t' leaves by R(t') = e^(-i (t'-dt/2) om), and the next one enters
+by conj(R(t')) e^(i dt om), so in a run a segment costs one exp whatever its
+length.  The run loop's segments end at the output rows and the s0 fork, so
+the norms and checkpoints see f only, and the norms of an unchanged g are
+summed once.
 
 Resonant system
 ---------------
@@ -83,7 +85,7 @@ import numpy as np
 
 from .errors import BlowupDetected, ConfigError
 from .hermite import HermiteBasis
-from .transform import Grid, composite_norms, hm_l2_norm
+from .transform import Grid, composite_norms, hm_l2_norm, norm_sums, norms_at
 from .phase import bracket, d2_at_stationary
 from .triples import ResonantTriple, all_couplings_zero, interactions_for_output
 
@@ -338,35 +340,57 @@ class FullStepper:
         self._to_phys = (grid.n_x1 / grid.length_x1) * grid.alt / self.omega
         self._from_phys = grid.dx * grid.alt * ~self.mask
         self._shift_dt, self._shift = None, None
+        self._exit_key, self._exit = None, None
+        # the kick's work arrays: u to_phys and the FFT back, its ifft, the
+        # cubic values and their projection
+        n = grid.n_x1
+        self._work = (np.empty((n_modes, n), complex), np.empty((n_modes, n), complex),
+                      np.empty((self._synth_t.shape[0], n)), np.empty((n_modes, n)))
 
     def _kick(self, u: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """scale (u^2)~_p from the traveling profile u, shape (P, n), dealiased;
-        the square and the scaling reuse their operands' buffers."""
-        phys = np.fft.ifft(u * self._to_phys, axis=1).imag           # real u, (P, n)
-        vals = self._synth_t @ phys                                  # (Qc, n)
+        """scale (u^2)~_p from the traveling profile u, shape (P, n), dealiased,
+        as a new array; the steps between write into the stepper's buffers."""
+        spec, field, vals, proj = self._work
+        np.multiply(u, self._to_phys, out=spec)
+        np.fft.ifft(spec, axis=1, out=field)
+        np.matmul(self._synth_t, field.imag, out=vals)   # real u at the cubic nodes
         np.square(vals, out=vals)
-        kick = np.fft.fft(self.project @ vals, axis=1)
-        kick *= scale
-        return kick
+        np.matmul(self.project, vals, out=proj)
+        return np.fft.fft(proj, axis=1, out=spec) * scale
 
-    def step(self, f: np.ndarray, t: float, dt: float, steps: int = 1) -> np.ndarray:
-        """``steps`` Strang steps of size dt from time t, each with one kick,
-        the exact nonlinear sub-flow.  Between steps the state is the traveling
-        profile at mid-step, u = e^(i (t+dt/2) om) f, joined by one rotation
-        e^(i dt om).  f is not written to."""
+    def _exit_rotation(self, t: float, dt: float) -> np.ndarray:
+        """R(t) = e^(-i (t - dt/2) om), which ends a segment at t; its
+        conjugate times e^(i dt om) starts the next one.  The last R is kept
+        by its exact (t, dt), so a run's next segment takes it without an exp,
+        and a resumed one computes the same bytes afresh."""
+        if self._exit_key != (t, dt):
+            self._exit_key, self._exit = (t, dt), np.exp(-1j * (t - dt / 2.0) * self.omega)
+        return self._exit
+
+    def step(self, f: np.ndarray, t: float, dt: float, steps: int = 1,
+             t_next: float | None = None) -> np.ndarray:
+        """``steps`` Strang steps of size dt from time t to t_next (by default
+        t + steps dt; a run passes the time of its step count), each with one
+        kick, the exact nonlinear sub-flow.  Between steps the state is the
+        traveling profile at mid-step, u = e^(i (t+dt/2) om) f, joined by one
+        rotation e^(i dt om).  f is not written to."""
         if not self.nonlinear:                # the linear flow leaves f invariant
             return f
-        if steps > 1 and dt != self._shift_dt:
+        if dt != self._shift_dt:
             self._shift_dt, self._shift = dt, np.exp(1j * dt * self.omega)
         scale = dt * self._from_phys
+        ceiling = float(self.norm_ceiling)   # an int's square could not become a float
+        bound = 0.25 * ceiling * ceiling     # inf when the square overflows
         with np.errstate(over="ignore", invalid="ignore"):   # the ceiling reports it
-            u = f * np.exp(1j * (t + dt / 2.0) * self.omega)
-            for k in range(steps):
-                if k:
-                    u *= self._shift
+            u = f * self._exit_rotation(t, dt).conj()        # e^(i (t - dt/2) om) f
+            for _ in range(steps):
+                u *= self._shift
                 u += self._kick(u, scale)
-                _check_ceiling(u, self.norm_ceiling)
-            return u * np.exp(-1j * (t + (steps - 0.5) * dt) * self.omega)
+                # sum |u|^2 < ceiling^2/4 proves every |u| under the ceiling;
+                # nan and an overflowed sum fail the strict test
+                if not np.vdot(u, u).real < bound:
+                    _check_ceiling(u, self.norm_ceiling)
+            return u * self._exit_rotation(t + steps * dt if t_next is None else t_next, dt)
 
 
 class ResonantStepper:
@@ -526,8 +550,13 @@ def run(config: SimConfig, which: str, observer=None,
     t_start, n_total, out_stride, ckpt_stride, i_s0 = schedule(config, which)
     checkpoints = config.checkpoint_every > 0
 
+    # g and its norm_sums: no step writes to its input, so the sums hold while
+    # g is the same array, in hermite mode from the fork on
+    g_sums = (None, None)
+
     def measure(step: int) -> list[float]:
         """Sets ``record.row`` from the states; returns every norm it computed."""
+        nonlocal g_sums
         t = t_start + step * config.dt
         nf = composite_norms(f, t, grid, config.M, config.N)
         values = [*vars(nf).values()]
@@ -536,7 +565,9 @@ def run(config: SimConfig, which: str, observer=None,
         elif g is None:
             record.row = (t, nf.tilde_HN, nf.S_MN_t, math.nan, math.nan)
         else:
-            ng = composite_norms(g, t, grid, config.M, config.N)
+            if g_sums[0] is not g:
+                g_sums = (g, norm_sums(g, grid, config.M, config.N))
+            ng = norms_at(g_sums[1], t)
             record.diff = hm_l2_norm(f - g, grid, config.M0)
             record.row = (t, nf.tilde_HN, nf.S_MN_t, ng.S_MN_t, record.diff)
             values += [*vars(ng).values(), record.diff]
@@ -573,7 +604,7 @@ def run(config: SimConfig, which: str, observer=None,
             end = i_s0
         t, sub = t_start + i * config.dt, (end - i) * config.resonant_subcycle
         f = (resonant.step(f, t, ds, sub) if which == "resonant"
-             else full.step(f, t, config.dt, end - i))
+             else full.step(f, t, config.dt, end - i, t_start + end * config.dt))
         if g is not None:
             g = resonant.step(g, t, ds, sub)
         i = end

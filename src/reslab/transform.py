@@ -89,9 +89,20 @@ def xi_derivative(coeffs: np.ndarray, dxi: float) -> np.ndarray:
     FFT order is a cyclic shift of monotone xi, so both share the periodic
     neighbours; for trap-confined, band-limited data the wrap is negligible.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    wrapped = np.concatenate((coeffs[..., -1:], coeffs, coeffs[..., :1]), axis=-1)
-    return (wrapped[..., 2:] - wrapped[..., :-2]) / (2.0 * dxi)
+    diff = _centered_difference(np.asarray(coeffs, dtype=complex))
+    diff /= 2.0 * dxi
+    return diff
+
+
+def _centered_difference(coeffs: np.ndarray) -> np.ndarray:
+    """c[k+1] - c[k-1] on the periodic last axis: one sliced difference of
+    the flattened array, whose values at the row ends k = 0 and n-1 mix
+    neighbouring rows, then one of the wrapped ends that overwrites them."""
+    diff = np.empty(coeffs.shape, coeffs.dtype)
+    flat, flat_diff = coeffs.reshape(-1), diff.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out=flat_diff[1:-1])
+    np.subtract(coeffs[..., 1::-1], coeffs[..., :-3:-1], out=diff[..., ::diff.shape[-1] - 1])
+    return diff
 
 
 @dataclass(frozen=True)
@@ -106,22 +117,51 @@ class CompositeNorms:
 def _norm_weights(n_modes: int, M: float, n_x1: int | None = None,
                   length_x1: float | None = None, N: float | None = None) -> tuple:
     """The weights of the norms, built once per grid and exponents and
-    read-only: (lam^(2M),) for ``hm_l2_norm``, and with the x1 grid and N
-    also (xi^2 + lam)^(2N), <xi>^(2N) and <xi>^3 for ``composite_norms``.
-    A ``Grid`` holds arrays and cannot be hashed, so its size and length key
-    the cache."""
+    read-only: (lam^M as a column,) for ``hm_l2_norm``; with the x1 grid and
+    N, lam^(2M), (xi^2 + lam)^(2N), the columns <xi>^(2N) and <xi>^3 stacked
+    as (n_x1, 2), and <xi>^3 / (2 dxi)^2 for the centered difference, for
+    ``norm_sums``.  A ``Grid`` holds arrays and cannot be hashed, so its size
+    and length key the cache."""
     lam = 2.0 * np.arange(n_modes) + 2.0   # the Hermite eigenvalues 2p + 2
     if n_x1 is None:
-        weights = (lam ** (2.0 * M),)
+        weights = (lam[:, None] ** M,)
     else:
         xi2 = (2.0 * math.pi * np.fft.fftfreq(n_x1, d=length_x1 / n_x1)) ** 2
         with np.errstate(over="ignore", invalid="ignore"):   # an overflowing weight norms to inf
             lam_m = lam ** (2.0 * M)
+        w_32 = (1.0 + xi2) ** 1.5
         weights = (lam_m, (xi2[None, :] + lam[:, None]) ** (2.0 * N),
-                   (1.0 + xi2) ** N, (1.0 + xi2) ** 1.5)
+                   np.stack(((1.0 + xi2) ** N, w_32), axis=1),
+                   w_32 / (4.0 * math.pi / length_x1) ** 2)
     for w in weights:
         w.flags.writeable = False
     return weights
+
+
+def norm_sums(coeffs: np.ndarray, grid: Grid, M: float, N: float) -> tuple:
+    """The t-free squares of the "+" norms of ``composite_norms``, each times
+    dxi/(2 pi): tilde_HN, HM_HN, the H^(3/2)(<x1>) norm and its
+    Hermite-weighted form.  A state the steps leave alone keeps them."""
+    lam_m, w_full, w_xi, w_diff = _norm_weights(coeffs.shape[0], M, grid.n_x1,
+                                                grid.length_x1, N)
+    with np.errstate(over="ignore", invalid="ignore"):   # a huge state norms to inf
+        a2 = np.square(np.abs(coeffs))
+        per_mode = a2 @ w_xi   # (P, 2): the <xi>^(2N) and <xi>^3 sums
+        mode32 = per_mode[:, 1] + np.square(np.abs(_centered_difference(coeffs))) @ w_diff
+        tilde2, hmhn2 = float(np.vdot(w_full, a2)), float(lam_m @ per_mode[:, 0])
+        b2, bm2 = float(mode32.sum()), float(lam_m @ mode32)
+    scale = grid.dxi / (2.0 * math.pi)
+    return tilde2 * scale, hmhn2 * scale, b2 * scale, bm2 * scale
+
+
+def norms_at(sums: tuple, t: float) -> CompositeNorms:
+    """The composite norms at time t of the ``norm_sums`` of a state."""
+    tilde2, hmhn2, b2, bm2 = sums
+    root_t = math.sqrt(math.sqrt(1.0 + t * t))   # <t>^(1/2)
+    tilde = math.sqrt(tilde2)
+    return CompositeNorms(tilde_HN=2.0 * tilde, HM_HN=2.0 * math.sqrt(hmhn2),
+                          B_t=2.0 * math.sqrt(b2) / root_t,
+                          S_MN_t=2.0 * (tilde + math.sqrt(bm2) / root_t))
 
 
 def composite_norms(coeffs: np.ndarray, t: float, grid: Grid, M: float,
@@ -134,30 +174,16 @@ def composite_norms(coeffs: np.ndarray, t: float, grid: Grid, M: float,
     H^(3/2)(<x1>)).  Vector norms are the sum over the two components; the
     "-" component is the mirror of "+", so each is twice the "+" norm.
     """
-    lam_m, w_full, w_xi_N, w_xi_32 = _norm_weights(coeffs.shape[0], M, grid.n_x1,
-                                                   grid.length_x1, N)
-    bracket_t = math.sqrt(1.0 + t * t)
-    scale = grid.dxi / (2.0 * math.pi)
-
-    with np.errstate(over="ignore", invalid="ignore"):   # a huge state norms to inf
-        a2 = np.abs(coeffs) ** 2
-        tilde = math.sqrt(np.sum(w_full * a2) * scale)
-        hmhn = math.sqrt(np.sum(lam_m * np.sum(w_xi_N * a2, axis=1)) * scale)
-        d1 = np.abs(xi_derivative(coeffs, grid.dxi)) ** 2
-        mode32 = np.sum(w_xi_32 * (a2 + d1), axis=1)   # per-mode H^(3/2)(<x>)^2
-        b_t = math.sqrt(np.sum(mode32) * scale) / math.sqrt(bracket_t)
-        bm = math.sqrt(np.sum(lam_m * mode32) * scale) / math.sqrt(bracket_t)
-    return CompositeNorms(tilde_HN=2.0 * tilde, HM_HN=2.0 * hmhn, B_t=2.0 * b_t,
-                          S_MN_t=2.0 * (tilde + bm))
+    return norms_at(norm_sums(coeffs, grid, M, N), t)
 
 
 def hm_l2_norm(coeffs: np.ndarray, grid: Grid, M0: float) -> float:
     """Hermite-weighted L2 norm sum_sigma ||(2p+2)^M0 f_p||_{l2 L2}, physical
     scale: twice the norm of the "+" coefficients (P, n_x1)."""
-    (lam,) = _norm_weights(coeffs.shape[0], M0)
+    (root,) = _norm_weights(coeffs.shape[0], M0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return 2.0 * math.sqrt(np.sum(lam[:, None] * np.abs(coeffs) ** 2)
-                               * grid.dxi / (2.0 * math.pi))
+        weighted = coeffs * root
+        return 2.0 * math.sqrt(np.vdot(weighted, weighted).real * grid.dxi / (2.0 * math.pi))
 
 
 @contextlib.contextmanager

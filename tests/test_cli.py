@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import hashlib
@@ -50,6 +51,21 @@ def test_unknown_subcommand_exit_64(capsys):
 
 def test_help_exit_zero():
     assert main([]) == EXIT_OK
+
+
+def test_one_subcommand_parser_matches_the_full_one():
+    # main builds the parser of the subcommand it runs only; its options and
+    # help, and the names of the exit-64 line, are those of the full parser
+    def subcommands(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    full = subcommands(cli._build_parser())
+    assert tuple(full) == cli.COMMANDS
+    for name in cli.COMMANDS:
+        alone = subcommands(cli._build_parser(name))
+        assert list(alone) == [name]
+        assert alone[name].format_help() == full[name].format_help()
 
 
 def test_missing_config_names_path(tmp_path, capsys):
@@ -554,11 +570,11 @@ def _crash_compare(cfg, out_dir, monkeypatch, kill_after=80):
     orig = evolution.FullStepper.step
     done = {"steps": 0}
 
-    def dying_step(self, f, t, dt, steps=1):
+    def dying_step(self, f, t, dt, steps=1, t_next=None):
         done["steps"] += steps
         if done["steps"] > kill_after:
             raise KeyboardInterrupt
-        return orig(self, f, t, dt, steps)
+        return orig(self, f, t, dt, steps, t_next)
 
     monkeypatch.setattr(evolution.FullStepper, "step", dying_step)
     with pytest.raises(KeyboardInterrupt):
@@ -568,17 +584,26 @@ def _crash_compare(cfg, out_dir, monkeypatch, kill_after=80):
 
 
 def test_kill_and_resume_reproduces_trajectory(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path / "cfg.json", t_end=3.0)
-    ref = tmp_path / "ref"
-    assert main(["compare", "--config", str(cfg), "--out-dir", str(ref)]) == EXIT_OK
+    # a kill inside the segment of steps 25-50, before the fork, resumes from
+    # step 25 with no g; one inside the desk segment of steps 492-504 resumes
+    # from the step-492 checkpoint with the fork's g.  The resumed stepper
+    # computes its entry rotation afresh, the uninterrupted one reuses the
+    # exit rotation of the segment before: the bytes must not differ
+    desk = Path(__file__).parents[1] / "configs" / "compare_desk.json"
+    for name, cfg, kill_after, step in (
+            ("before_fork", write_cfg(tmp_path / "cfg.json", t_end=3.0), 40, 25),
+            ("desk", desk, 500, 492)):
+        ref = tmp_path / name / "ref"
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(ref)]) == EXIT_OK
 
-    crashdir = tmp_path / "crash"
-    _crash_compare(cfg, crashdir, monkeypatch)
-    assert main(["compare", "--config", str(cfg), "--out-dir", str(crashdir),
-                 "--resume"]) == EXIT_OK
-    a = np.genfromtxt(ref / "trajectory.csv", delimiter=",", skip_header=1)
-    b = np.genfromtxt(crashdir / "trajectory.csv", delimiter=",", skip_header=1)
-    assert np.nanmax(np.abs(a - b)) <= 1e-12
+        crashdir = tmp_path / name / "crash"
+        _crash_compare(cfg, crashdir, monkeypatch, kill_after=kill_after)
+        meta, arrays = transform.load_state(crashdir / CKPT)
+        assert meta["step"] == step and ("g" in arrays) == (step > 50)
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(crashdir),
+                     "--resume"]) == EXIT_OK
+        for out in ("trajectory.csv", "summary.json"):
+            assert (crashdir / out).read_bytes() == (ref / out).read_bytes(), (name, out)
 
 
 def test_thread_setting_does_not_bind_resume(tmp_path, monkeypatch, capsys):
@@ -763,7 +788,10 @@ def test_damaged_checkpoint_exits_cleanly(tmp_path, capsys, damage):
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out),
                  "--resume"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "damaged checkpoint" in err
+    if damage == "layout of earlier versions":
+        assert f"checkpoint in {out} is of an earlier layout" in err
+    else:
+        assert "damaged checkpoint" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == files
     if damage == "two-component states":
         assert "shape (2, 4, 64)" in err

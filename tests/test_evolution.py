@@ -13,6 +13,7 @@ import pytest
 from oracles import (discrete_energy, duhamel_kernel, interp_matrix, leapfrog_reference,
                      physical_field_on, resonant_rhs_reference, strang_step_reference,
                      two_component)
+import reslab.evolution as evolution
 from reslab.errors import BlowupDetected, ConfigError
 from reslab.evolution import (K_PREF, FullStepper, ResonantStepper, SimConfig,
                               _check_ceiling, config_from_json, init_profile, make_grid,
@@ -125,15 +126,55 @@ def test_init_profile_draws_as_default_rng():
                               _coeffs_with_default_rng(config, grid)), config
 
 
+def _linear_stepper(grid, n_modes):
+    """A full stepper whose kick is zero: its steps are the rotations of the
+    linear flow alone, which leave the profile f invariant."""
+    stepper = FullStepper(grid, n_modes)
+    stepper._kick = lambda u, scale: np.zeros_like(u)
+    return stepper
+
+
 def test_linear_flow_profile_invariant(small_setup):
     grid, state = small_setup
-    stepper = FullStepper(grid, 4, nonlinear=False)
+    stepper = _linear_stepper(grid, 4)
+    dt = 0.02
+    # one segment of the rotations returns f
+    seg = stepper.step(state, 0.1, dt, 12)
+    assert seg is not state
+    assert np.max(np.abs(seg - state)) <= 1e-14 * np.max(np.abs(state))
+    # t -> t' -> t'' in two segments, the second entering by the cached exit
+    # rotation of the first, matches one segment t -> t''
+    t1, t2 = 0.1 + 5 * dt, 0.1 + 12 * dt
+    two = stepper.step(stepper.step(state, 0.1, dt, 5, t1), t1, dt, 7, t2)
+    one = _linear_stepper(grid, 4).step(state, 0.1, dt, 12, t2)
+    assert np.max(np.abs(two - one)) <= 1e-14 * np.max(np.abs(state))
+    # 10^4 steps in segments of 12 keep the per-mode norms
     s = state
     per_mode0 = np.sqrt(np.sum(np.abs(s) ** 2, axis=1))
-    for k in range(200):
-        s = stepper.step(s, k * 0.02, 0.02)
+    for i in range(0, 10_000, 12):
+        end = min(i + 12, 10_000)
+        s = stepper.step(s, i * dt, dt, end - i, end * dt)
     per_mode1 = np.sqrt(np.sum(np.abs(s) ** 2, axis=1))
     assert np.max(np.abs(per_mode1 - per_mode0)) <= 1e-12 * np.max(per_mode0)
+
+
+def test_cached_exit_rotation_gives_the_bytes_of_a_fresh_stepper():
+    # a run's next segment enters by the exit rotation its stepper kept; a
+    # resumed run's fresh stepper computes it by the same exp, so the two
+    # step the same bytes.  A key of another dt is not taken for it
+    cfg = SimConfig(eps=20.0, P=6, n_x1=64, dt=0.02, t_end=1.0, init_modes=(0, 3))
+    grid = make_grid(cfg)
+    state = init_profile(cfg, grid)
+    stepper = FullStepper(grid, 6)
+    mid = stepper.step(state, 0.0, cfg.dt, 12, 12 * cfg.dt)
+    cached = stepper.step(mid, 12 * cfg.dt, cfg.dt, 13, 25 * cfg.dt)
+    fresh = FullStepper(grid, 6).step(mid, 12 * cfg.dt, cfg.dt, 13, 25 * cfg.dt)
+    assert np.array_equal(cached, fresh)
+    assert not np.array_equal(cached, mid)
+    back = stepper.step(cached, 25 * cfg.dt, -cfg.dt, 13, 12 * cfg.dt)
+    assert np.array_equal(back, FullStepper(grid, 6).step(cached, 25 * cfg.dt, -cfg.dt, 13,
+                                                          12 * cfg.dt))
+    assert np.max(np.abs(back - mid)) <= 1e-12 * np.max(np.abs(mid))
 
 
 def test_linear_step_returns_coefficients_exactly(small_setup):
@@ -246,6 +287,47 @@ def test_ceiling_check_decisions():
         coeffs[1, 3] = bad
         with pytest.raises(BlowupDetected, match="exceeds"):
             _check_ceiling(coeffs, ceiling)
+
+
+@pytest.mark.parametrize("ceiling", [2.5, 1e6, 1e200, 1.7e308])
+def test_ceiling_decisions_at_the_step(ceiling, monkeypatch):
+    # a one-step segment from f = 0 whose kick is the state: the step's quick
+    # test (sum |u|^2 < ceiling^2/4, whose square overflows for the two
+    # largest ceilings) and its fallback must decide as _check_ceiling does
+    grid = make_grid(SimConfig(P=2, n_x1=16, init_modes=(0, 1)))
+    states = []
+    for value in (1.0, math.nextafter(ceiling, 0.0), ceiling, 1j * ceiling,
+                  math.nextafter(ceiling, math.inf), math.inf, -math.inf, math.nan,
+                  complex(0.0, math.nan)):
+        one = np.zeros((2, 16), dtype=complex)
+        one[1, 3] = value
+        states.append(one)
+    # every entry just below the ceiling: the sum passes ceiling^2/4
+    states.append(np.full((2, 16), math.nextafter(ceiling, 0.0), dtype=complex))
+    fallbacks = []
+
+    def check(coeffs, bound):
+        fallbacks.append(coeffs[1, 3])
+        _check_ceiling(coeffs, bound)
+
+    monkeypatch.setattr(evolution, "_check_ceiling", check)
+    for target in states:
+        try:
+            _check_ceiling(target, ceiling)
+            expected = None
+        except BlowupDetected as exc:
+            expected = str(exc)
+        stepper = FullStepper(grid, 2, norm_ceiling=ceiling)
+        stepper._kick = lambda u, scale, target=target: target.copy()
+        try:
+            stepper.step(np.zeros((2, 16), dtype=complex), 0.0, 0.02)
+            got = None
+        except BlowupDetected as exc:
+            got = str(exc)
+        assert got == expected, (ceiling, target[1, 3])
+    # the state holding 1 passes the quick test; every other one needs the
+    # fallback, which passes the four under the ceiling
+    assert len(fallbacks) == len(states) - 1 and 1.0 not in fallbacks
 
 
 def test_reality_preserved_by_full_step():
