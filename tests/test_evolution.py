@@ -171,6 +171,12 @@ def test_cached_exit_rotation_gives_the_bytes_of_a_fresh_stepper():
     fresh = FullStepper(grid, 6).step(mid, 12 * cfg.dt, cfg.dt, 13, 25 * cfg.dt)
     assert np.array_equal(cached, fresh)
     assert not np.array_equal(cached, mid)
+    # the segment ends at the t_next it is given: with a zero kick, ending
+    # 0.5 past t + steps dt rotates the profile by e^(-0.5 i om)
+    linear = _linear_stepper(grid, 6)
+    late = linear.step(state, 0.0, cfg.dt, 12, 12 * cfg.dt + 0.5)
+    expected = state * np.exp(-0.5j * stepper.omega)
+    assert np.max(np.abs(late - expected)) <= 1e-14 * np.max(np.abs(state))
     back = stepper.step(cached, 25 * cfg.dt, -cfg.dt, 13, 12 * cfg.dt)
     assert np.array_equal(back, FullStepper(grid, 6).step(cached, 25 * cfg.dt, -cfg.dt, 13,
                                                           12 * cfg.dt))
@@ -603,6 +609,30 @@ def test_compare_trivial_resonant_flow_flagged():
     record = run(cfg, "compare")
     assert record.resonant_triple_count == 6
     assert record.resonant_couplings_all_zero
+
+
+@pytest.mark.parametrize("coupling_mode", ["hermite", "unit"])
+def test_compare_g_norms_match_a_fresh_evaluation(coupling_mode, monkeypatch):
+    # the run keeps g's norm sums while g is one unchanged array (hermite mode
+    # from the fork on) and recomputes them when a step replaces g (unit mode)
+    cfg = SimConfig(eps=20.0, P=4, n_x1=64, dt=0.02, t_end=2.0, s0=1.0,
+                    init_modes=(0, 3), out_every=0.25, coupling_mode=coupling_mode)
+    grid = make_grid(cfg)
+    seen, sums_of = [], []
+    norm_sums = evolution.norm_sums
+    monkeypatch.setattr(evolution, "norm_sums",
+                        lambda g, *args: sums_of.append(g) or norm_sums(g, *args))
+
+    def observer(step, f, g, record, checkpoint):
+        if g is not None:
+            t = record.row[0]
+            assert record.row[3] == composite_norms(g, t, grid, cfg.M, cfg.N).S_MN_t, step
+            seen.append(g)
+
+    run(cfg, "compare", observer=observer)
+    assert len(seen) == 5   # rows at steps 60, 72, 84, 96 and 100; the fork is at 50
+    assert all(g is seen[0] for g in seen) == (coupling_mode == "hermite")
+    assert len(sums_of) == (1 if coupling_mode == "hermite" else 5)
 
 
 def test_short_time_agreement_desk_grid():
